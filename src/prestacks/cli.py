@@ -8,7 +8,6 @@ success, 1 for a failed check or violation, 2 for parse errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -19,21 +18,31 @@ from .deform import (DeformationDatum, build_deformation, classify_h2,
 from .graded import GradedComplex
 from .gscomplex import GSComplex
 from .io import (ParseError, cochain_from_text, cochain_to_text, load_prestack,
-                 prestack_from_doc, prestack_to_doc, save_prestack)
+                 save_prestack)
 from .lincat import diagonal_bimodule
-from .linalg import SparseMatrix, betti
+from .linalg import SparseMatrix, betti_numbers
+
+
+def _parse_error(msg):
+    print("parse error: %s" % msg, file=sys.stderr)
+    sys.exit(2)
 
 
 def _load(path, fp=None):
     try:
-        if fp is None:
-            return load_prestack(path)
-        doc = json.loads(open(path).read())
-        doc["ring"] = {"Fp": fp}
-        return prestack_from_doc(doc)
+        return load_prestack(path, ring=None if fp is None else {"Fp": fp})
     except ParseError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        sys.exit(2)
+        _parse_error(exc)
+
+
+def _env_int(name, default):
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        _parse_error("%s must be an integer, got %r" % (name, raw))
 
 
 def _complexes(P):
@@ -51,38 +60,23 @@ def cmd_validate(args):
     return 1
 
 
-def _betti_list(matrix_fn, dim_fn, max_degree, field):
-    out = []
-    mats = {n: matrix_fn(n) for n in range(0, max_degree + 2)}
-    for n in range(0, max_degree + 1):
-        d_in = mats[n] if n >= 1 else SparseMatrix(dim_fn(0), 0, field)
-        d_out = mats[n + 1]
-        out.append(betti(d_in, d_out))
-    return out
-
-
 def cohomology_table(P, which, max_degree):
     CG, CU = _complexes(P)
-    F = P.field
     if which == "gs":
-        def mat(n):
-            return CG.matrix(n) if n >= 1 else SparseMatrix(CG.dim(0), 0, F)
-        return _betti_list(lambda n: mat(n), CG.dim, max_degree, F)
-    if which == "nr":
-        def mat(n):
-            return CG.nr_matrix(n) if n >= 1 else SparseMatrix(
-                CG._offsets(CG.nr_keys(0))[1], 0, F)
-        return _betti_list(lambda n: mat(n),
-                           lambda n: CG._offsets(CG.nr_keys(n))[1], max_degree, F)
-    if which == "graded":
-        def mat(n):
-            return CU.matrix(n) if n >= 1 else SparseMatrix(CU.dim(0), 0, F)
-        return _betti_list(lambda n: mat(n), CU.dim, max_degree, F)
-    raise ValueError("unknown complex %r" % which)
+        d, dim0 = CG.matrix, CG.dim(0)
+    elif which == "nr":
+        d, dim0 = CG.nr_matrix, CG._offsets(CG.nr_keys(0))[1]
+    elif which == "graded":
+        d, dim0 = CU.matrix, CU.dim(0)
+    else:
+        raise ValueError("unknown complex %r" % which)
+    diffs = [SparseMatrix(dim0, 0, P.field)]
+    diffs += [d(n) for n in range(1, max_degree + 2)]
+    return betti_numbers(diffs)
 
 
 def cmd_cohomology(args):
-    cap = int(os.environ.get("PRESTACKS_DEGREE_CAP", "5"))
+    cap = _env_int("PRESTACKS_DEGREE_CAP", 5)
     if args.max_degree > cap:
         print("degree %d exceeds cap %d" % (args.max_degree, cap), file=sys.stderr)
         return 1
@@ -278,8 +272,11 @@ def cmd_deform(args):
         return 1
     CG = GSComplex(P)
     if args.from_cocycle:
-        text = open(args.from_cocycle).read()
-        phi = cochain_from_text(CG, 2, text)
+        try:
+            with open(args.from_cocycle) as fh:
+                phi = cochain_from_text(CG, 2, fh.read())
+        except (OSError, ValueError, ParseError) as exc:
+            _parse_error(exc)
         datum = DeformationDatum(CG, phi)
         if not deformation_is_cocycle(CG, datum):
             img = CG.apply_diff(phi)
@@ -375,6 +372,8 @@ def main(argv=None):
     p.set_defaults(fn=cmd_export_matrix)
 
     args = ap.parse_args(argv)
+    # PRESTACKS_ENUM_CAP is read deep inside enumeration; reject it up front.
+    _env_int("PRESTACKS_ENUM_CAP", None)
     return args.fn(args)
 
 

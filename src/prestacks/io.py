@@ -24,12 +24,18 @@ def _hom_key(s):
     return a, b
 
 
-def load_prestack(path=None, text=None):
+def load_prestack(path=None, text=None, ring=None):
+    """Parse a prestack document; ``ring``, if given, replaces its ring tag."""
     try:
-        doc = json.loads(text if text is not None else open(path).read())
-    except (OSError, json.JSONDecodeError) as exc:
+        if text is None:
+            with open(path) as fh:
+                text = fh.read()
+        doc = json.loads(text)
+    except (OSError, ValueError) as exc:
         raise ParseError(str(exc))
     try:
+        if ring is not None:
+            doc["ring"] = ring
         return prestack_from_doc(doc)
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError("malformed prestack document: %s" % exc)
@@ -227,34 +233,42 @@ def cochain_to_text(complex_, phi):
 
 
 def cochain_from_text(complex_, degree, text):
-    P = complex_.P
     phi = SparseCochain(complex_, degree)
     field = complex_.field
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        parts = [t.strip() for t in ln.split("|")]
-        if len(parts) != 5:
-            raise ParseError("cochain line needs 5 fields: %r" % ln)
-        p = int(parts[0])
-        if p == 0:
-            simplex = Simplex(parts[1], ())
-        else:
-            arrows = tuple(parts[1].split())
-            simplex = P.base.simplex(arrows)
-        objects = tuple(parts[2].split())
-        btuple = tuple(int(t) for t in parts[3].split()) if parts[3] else ()
-        key = (simplex, objects, btuple)
-        rank = complex_.value_rank(key)
-        vals = [field.parse(t) for t in parts[4].split()]
-        if len(vals) != rank:
-            raise ParseError("value vector length %d != module rank %d on %r"
-                             % (len(vals), rank, ln))
+        try:
+            key, vals = _cochain_line(complex_, ln)
+        except (KeyError, ValueError, TypeError, IndexError) as exc:
+            raise ParseError("bad cochain line %r: %s" % (ln, exc))
         vec = phi.data.get(key)
         if vec is None:
-            vec = [field.zero] * rank
+            vec = [field.zero] * len(vals)
             phi.data[key] = vec
         for i, val in enumerate(vals):
             vec[i] = field.add(vec[i], val)
     return phi
+
+
+def _cochain_line(complex_, ln):
+    """The cell key and value vector of one cochain line."""
+    parts = [t.strip() for t in ln.split("|")]
+    if len(parts) != 5:
+        raise ParseError("cochain line needs 5 fields: %r" % ln)
+    p = int(parts[0])
+    if p == 0:
+        simplex = Simplex(parts[1], ())
+    else:
+        arrows = tuple(parts[1].split())
+        simplex = complex_.P.base.simplex(arrows)
+    objects = tuple(parts[2].split())
+    btuple = tuple(int(t) for t in parts[3].split()) if parts[3] else ()
+    key = (simplex, objects, btuple)
+    rank = complex_.value_rank(key)
+    vals = [complex_.field.parse(t) for t in parts[4].split()]
+    if len(vals) != rank:
+        raise ParseError("value vector length %d != module rank %d on %r"
+                         % (len(vals), rank, ln))
+    return key, vals

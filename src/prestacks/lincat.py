@@ -140,10 +140,7 @@ class LinearCategory:
             for k, c in enumerate(fg.coords):
                 if not F.is_zero(c):
                     m.add_entry(off + k, gi, c)
-        try:
-            sol = m.solve(rhs)
-        except ValueError:
-            return None
+        sol = m.solve(rhs)
         if sol is None:
             return None
         return Mor(self, f.tgt, f.src, tuple(sol))

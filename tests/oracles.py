@@ -43,6 +43,54 @@ def dense_rank_of_sparse(mat):
     return dense_rank(dict(mat.data), mat.rows, mat.cols)
 
 
+def dense_rref(rows_of_entries, nrows, ncols, p=None):
+    """Textbook dense Gauss-Jordan elimination, over Q or (given p) F_p.
+
+    Returns the reduced rows and their pivot columns.
+    """
+    if p is None:
+        zero, norm, inv = Fraction(0), Fraction, lambda x: 1 / x
+    else:
+        zero, norm, inv = 0, lambda x: x % p, lambda x: pow(x, p - 2, p)
+    m = [[zero] * ncols for _ in range(nrows)]
+    for (i, j), v in rows_of_entries.items():
+        m[i][j] = norm(v)
+    pivot_cols = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        s = inv(m[row][col])
+        m[row] = [norm(x * s) for x in m[row]]
+        for r in range(nrows):
+            if r != row and m[r][col] != 0:
+                c = m[r][col]
+                m[r] = [norm(a - c * b) for a, b in zip(m[r], m[row])]
+        pivot_cols.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return m[:row], pivot_cols
+
+
+def dense_kernel(rows_of_entries, nrows, ncols, p=None):
+    """Null space read off the RREF: one vector per free column, in order."""
+    rref, pivot_cols = dense_rref(rows_of_entries, nrows, ncols, p)
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        vec = [zero] * ncols
+        vec[f] = one
+        for row, c in zip(rref, pivot_cols):
+            vec[c] = -row[f] if p is None else -row[f] % p
+        basis.append(vec)
+    return basis
+
+
 def count_composable_pairs(cat):
     """Double loop over arrow pairs; oracle for nerve(2) size."""
     count = 0

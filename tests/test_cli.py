@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -158,3 +160,80 @@ def test_export_zero_matrix_header(tmp_path, capsys):
     assert code == 0
     header = out_file.read_text().splitlines()[0].split()
     assert int(header[2]) == SparseMatrix.from_triplet_text(out_file.read_text(), QQ).nnz
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _fp_doc(tmp_path):
+    doc = json.loads(open(fixture_path("dual-pair")).read())
+    doc["ring"] = {"Fp": 4}
+    return _write(tmp_path, "fp4.json", json.dumps(doc))
+
+
+# one bad input per row: argv (a callable of tmp_path gives a path), extra
+# environment, expected exit code, expected start of the one stderr line
+BAD_INPUTS = [
+    pytest.param(["cohomology", "dual-pair", "--fp", "4"], {}, 2, "parse error:",
+                 id="fp-4"),
+    pytest.param(["cohomology", "dual-pair", "--fp", "9"], {}, 2, "parse error:",
+                 id="fp-9"),
+    pytest.param(["cohomology", _fp_doc], {}, 2, "parse error:", id="fp-4-in-file"),
+    pytest.param(["cohomology", "nofile.json", "--fp", "7"], {}, 2, "parse error:",
+                 id="fp-missing-file"),
+    pytest.param(["deform", "dual-pair", "--from-cocycle",
+                  lambda t: _write(t, "bad.cochain", "x | * | X X X | 1 1 | 1 0\n")],
+                 {}, 2, "parse error:", id="cocycle-malformed-line"),
+    pytest.param(["deform", "dual-pair", "--from-cocycle",
+                  lambda t: _write(t, "arrow.cochain", "1 | nosuch | X X | 0 | 1\n")],
+                 {}, 2, "parse error:", id="cocycle-unknown-arrow"),
+    pytest.param(["deform", "dual-pair", "--from-cocycle", "nofile.cochain"], {}, 2,
+                 "parse error:", id="cocycle-missing-file"),
+    pytest.param(["cohomology", "triv-A2"], {"PRESTACKS_ENUM_CAP": "x"}, 2,
+                 "parse error:", id="enum-cap-not-int"),
+    pytest.param(["cohomology", "triv-A2"], {"PRESTACKS_DEGREE_CAP": "x"}, 2,
+                 "parse error:", id="degree-cap-not-int"),
+]
+
+
+@pytest.mark.parametrize("argv,env,code,prefix", BAD_INPUTS)
+def test_bad_input_exits_with_one_line(tmp_path, argv, env, code, prefix):
+    args = []
+    for a in argv:
+        if callable(a):
+            a = a(tmp_path)
+        elif a in ("dual-pair", "triv-A2"):
+            a = fixture_path(a)
+        args.append(a)
+    full_env = dict(os.environ, **env)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "prestacks.cli"] + args,
+                          cwd=str(tmp_path), env=full_env, capture_output=True,
+                          text=True, timeout=60)
+    assert "Traceback" not in proc.stdout and "Traceback" not in proc.stderr
+    assert proc.returncode == code
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
+def test_cohomology_ranks_each_differential_once(monkeypatch):
+    from prestacks.cli import cohomology_table
+    from prestacks.io import load_prestack
+    ranked = []
+    original = SparseMatrix.rank
+
+    def counting_rank(self):
+        ranked.append(id(self))
+        return original(self)
+
+    monkeypatch.setattr(SparseMatrix, "rank", counting_rank)
+    P = load_prestack(fixture_path("scalar-twist-2chain"))
+    assert cohomology_table(P, "gs", 3) == [1, 0, 0, 0]
+    assert len(ranked) == len(set(ranked)) == 5

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_rank_of_sparse
+from oracles import dense_kernel, dense_rank_of_sparse
 from prestacks.linalg import (DualNumbers, PrimeField, QQ, SparseMatrix, betti,
-                              make_field)
+                              is_prime, make_field)
 
 
 def mat_from_rows(rows, field=QQ):
@@ -181,3 +181,94 @@ def test_sparse_rank_matches_dense_oracle_bulk(seed):
             mp.add_entry(i, j, F.from_int(v))
     # entries stay far below p, so the prime-field rank agrees with Q
     assert mp.rank() == mq.rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_kernel_matches_dense_rref_oracle(seed):
+    # non-integer entries over Q, and the same shapes over a small prime
+    # field, where cancellation mod p is common
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+    cells = [(rng.randrange(rows), rng.randrange(cols))
+             for _ in range(rng.randint(0, 3 * max(rows, cols)))]
+    mq = SparseMatrix(rows, cols, QQ)
+    for i, j in cells:
+        mq.add_entry(i, j, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    assert mq.kernel_basis() == dense_kernel(dict(mq.data), rows, cols)
+    assert mq.rank() == cols - len(mq.kernel_basis())
+    F = PrimeField(7)
+    mp = SparseMatrix(rows, cols, F)
+    for i, j in cells:
+        mp.add_entry(i, j, F.from_int(rng.randint(1, 6)))
+    assert mp.kernel_basis() == dense_kernel(dict(mp.data), rows, cols, p=7)
+    assert mp.rank() == cols - len(mp.kernel_basis())
+
+
+def test_rank_rejects_non_field():
+    m = SparseMatrix(1, 1, DualNumbers(QQ), {(0, 0): (Fraction(1), Fraction(0))})
+    with pytest.raises(TypeError):
+        m.rank()
+
+
+@pytest.mark.parametrize("base", [QQ, PrimeField(101)], ids=["Q", "F101"])
+def test_dual_solve_non_invertible_pivot(base):
+    D = DualNumbers(base)
+    e = SparseMatrix(1, 1, D, {(0, 0): D.eps})
+    x = e.solve([D.eps])
+    assert x is not None and e.matvec(x) == [D.eps]
+    assert e.solve([D.one]) is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("base", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_dual_solve_random_consistent_systems(base, seed):
+    rng = random.Random(seed)
+    D = DualNumbers(base)
+    n, m = rng.randint(1, 5), rng.randint(1, 5)
+
+    def scalar():
+        # many entries with a zero or non-invertible part
+        return D.parse([rng.choice([0, 0, 1, -1, 2]), rng.choice([0, 1, -2])])
+
+    A = SparseMatrix(n, m, D)
+    for i in range(n):
+        for j in range(m):
+            A.add_entry(i, j, scalar())
+    b = A.matvec([scalar() for _ in range(m)])
+    x = A.solve(b)
+    assert x is not None and A.matvec(x) == b
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dual_solve_agrees_with_brute_force(seed):
+    # over F_3[e] a 2x2 system has 81 candidate solutions: try them all
+    rng = random.Random(seed)
+    D = DualNumbers(PrimeField(3))
+    scalars = [(a, b) for a in range(3) for b in range(3)]
+    A = SparseMatrix(2, 2, D)
+    for i in range(2):
+        for j in range(2):
+            A.add_entry(i, j, rng.choice(scalars))
+    b = [rng.choice(scalars) for _ in range(2)]
+    solvable = any(A.matvec([x0, x1]) == b for x0 in scalars for x1 in scalars)
+    x = A.solve(b)
+    assert (x is not None) == solvable
+    if x is not None:
+        assert A.matvec(x) == b
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(5000) if is_prime(n)] == [n for n in range(5000) if trial(n)]
+    # strong pseudoprimes to the first few bases, and 2**31 - 1
+    for n in (2047, 1373653, 25326001):
+        assert is_prime(n) == trial(n)
+    assert is_prime(2 ** 31 - 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 9, 561, 2047, 1000001])
+def test_prime_field_rejects_composite_modulus(n):
+    with pytest.raises(ValueError):
+        PrimeField(n)
