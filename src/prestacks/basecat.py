@@ -8,7 +8,6 @@ identities, are kept; normalization happens at the cochain level).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 
 @dataclass(frozen=True)
@@ -234,14 +233,3 @@ def cyclic_group_base(n=2):
 def point_base():
     """A single object with only its identity arrow."""
     return BaseCategory(["*"], {"i": ("*", "*")}, {"*": "i"}, {("i", "i"): "i"})
-
-
-def all_composable_tuples(cat, p):
-    """Brute-force composable p-tuples; independent oracle for nerve sizes."""
-    if p == 0:
-        return [(obj,) for obj in sorted(cat.objects)]
-    out = []
-    for combo in product(cat.arrow_ids, repeat=p):
-        if all(cat.tgt(combo[i]) == cat.src(combo[i + 1]) for i in range(p - 1)):
-            out.append(combo)
-    return out

@@ -11,8 +11,8 @@ import argparse
 import os
 import sys
 
+from .combinatorics import EnumerationCapError
 from .compare import Comparison
-from .complexbase import SparseCochain
 from .deform import (DeformationDatum, build_deformation, classify_h2,
                      deformation_is_cocycle, validate_deformation)
 from .graded import GradedComplex
@@ -50,29 +50,32 @@ def _complexes(P):
     return GSComplex(P, M), GradedComplex(P, M)
 
 
-def cmd_validate(args):
-    P = _load(args.file)
+def _violation(P):
+    """Print the prestack's first axiom violation; True if there is one."""
     bad = P.validate()
-    if bad is None:
-        print("OK")
-        return 0
-    print("violation: %s" % bad)
-    return 1
+    if bad is not None:
+        print("violation: %s" % bad)
+    return bad is not None
+
+
+def cmd_validate(args):
+    if _violation(_load(args.file)):
+        return 1
+    print("OK")
+    return 0
+
+
+def _differential(P, which):
+    """n -> the degree-n differential of the chosen complex of P."""
+    CG, CU = _complexes(P)
+    return {"gs": CG.matrix, "nr": CG.nr_matrix, "graded": CU.matrix}[which]
 
 
 def cohomology_table(P, which, max_degree):
-    CG, CU = _complexes(P)
-    if which == "gs":
-        d, dim0 = CG.matrix, CG.dim(0)
-    elif which == "nr":
-        d, dim0 = CG.nr_matrix, CG._offsets(CG.nr_keys(0))[1]
-    elif which == "graded":
-        d, dim0 = CU.matrix, CU.dim(0)
-    else:
-        raise ValueError("unknown complex %r" % which)
-    diffs = [SparseMatrix(dim0, 0, P.field)]
-    diffs += [d(n) for n in range(1, max_degree + 2)]
-    return betti_numbers(diffs)
+    d = _differential(P, which)
+    diffs = [d(n) for n in range(1, max_degree + 2)]
+    # the zero map into degree 0 in front: H^0 = ker d(1)
+    return betti_numbers([SparseMatrix(diffs[0].cols, 0, P.field)] + diffs)
 
 
 def cmd_cohomology(args):
@@ -81,9 +84,7 @@ def cmd_cohomology(args):
         print("degree %d exceeds cap %d" % (args.max_degree, cap), file=sys.stderr)
         return 1
     P = _load(args.file, fp=args.fp)
-    bad = P.validate()
-    if bad is not None:
-        print("violation: %s" % bad)
+    if _violation(P):
         return 1
     dims = cohomology_table(P, args.complex, args.max_degree)
     print("degree\tdim H^n")
@@ -148,17 +149,15 @@ def _law_gd(P, CG, CU, cmp_, N, T, seed, report):
 
 
 def _law_gf(P, CG, CU, cmp_, N, T, seed, report):
+    """GF is the identity on the columns of the nr basis vectors."""
     ok = True
     F = P.field
     for n in range(0, N + 1):
-        nr = CG.nr_keys(n)
-        for key in nr:
-            for b in range(CG.value_rank(key)):
-                phi = SparseCochain(CG, n)
-                vec = [F.zero] * CG.value_rank(key)
-                vec[b] = F.one
-                phi.data[key] = vec
-                if not cmp_.check_gf_identity(phi):
+        cols = cmp_.matrix_G(n).mul(cmp_.matrix_F(n)).col_lists()
+        offsets = CG.index(n)[0]
+        for key in CG.nr_keys(n):
+            for j in range(offsets[key], offsets[key] + CG.value_rank(key)):
+                if set(cols[j]) != {j} or not F.eq(cols[j][j], F.one):
                     report("GF != 1 on nr basis vector %r at degree %d" % (key, n))
                     ok = False
     return ok
@@ -244,9 +243,7 @@ LAWS = {
 
 def cmd_verify(args):
     P = _load(args.file)
-    bad = P.validate()
-    if bad is not None:
-        print("violation: %s" % bad)
+    if _violation(P):
         return 1
     fn, default_n, default_t = LAWS[args.law]
     N = args.degree if args.degree is not None else default_n
@@ -266,9 +263,7 @@ def cmd_verify(args):
 
 def cmd_deform(args):
     P = _load(args.file)
-    bad = P.validate()
-    if bad is not None:
-        print("violation: %s" % bad)
+    if _violation(P):
         return 1
     CG = GSComplex(P)
     if args.from_cocycle:
@@ -291,13 +286,19 @@ def cmd_deform(args):
             print("deformed prestack fails validation: %s" % bad)
             return 1
         out = args.out or (os.path.splitext(args.file)[0] + ".deformed.json")
-        save_prestack(Q, out)
+        try:
+            save_prestack(Q, out)
+        except OSError as exc:
+            _parse_error(exc)
         print("deformed prestack written to %s" % out)
         return 0
+    outdir = args.out_dir or "."
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        _parse_error(exc)
     reps = classify_h2(P, CG)
     print("dim H^2 (normalized reduced)\t%d" % len(reps))
-    outdir = args.out_dir or "."
-    os.makedirs(outdir, exist_ok=True)
     for i, rep in enumerate(reps):
         datum = DeformationDatum(CG, rep)
         Q = build_deformation(P, datum)
@@ -306,25 +307,22 @@ def cmd_deform(args):
             print("representative %d fails validation: %s" % (i, bad))
             return 1
         path = os.path.join(outdir, "%s-h2-rep%d.json" % (P.name, i))
-        save_prestack(Q, path)
         cpath = os.path.join(outdir, "%s-h2-rep%d.cochain" % (P.name, i))
-        with open(cpath, "w") as fh:
-            fh.write(cochain_to_text(CG, rep))
+        try:
+            save_prestack(Q, path)
+            with open(cpath, "w") as fh:
+                fh.write(cochain_to_text(CG, rep))
+        except OSError as exc:
+            _parse_error(exc)
         print("representative %d\t%s" % (i, path))
     return 0
 
 
 def cmd_export_matrix(args):
     P = _load(args.file)
-    CG, CU = _complexes(P)
-    if args.complex == "gs":
-        mat = CG.matrix(args.degree)
-    elif args.complex == "nr":
-        mat = CG.nr_matrix(args.degree)
-    elif args.complex == "graded":
-        mat = CU.matrix(args.degree)
-    else:
-        raise ValueError(args.complex)
+    if _violation(P):
+        return 1
+    mat = _differential(P, args.complex)(args.degree)
     with open(args.out, "w") as fh:
         fh.write(mat.to_triplet_text())
     print("wrote %dx%d matrix with %d entries to %s"
@@ -374,7 +372,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     # PRESTACKS_ENUM_CAP is read deep inside enumeration; reject it up front.
     _env_int("PRESTACKS_ENUM_CAP", None)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except EnumerationCapError as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .combinatorics import (
     partitions,
     paths_or_trivial,
 )
-from .complexbase import SparseCochain
+from .complexbase import pull_apply, pull_matrix
 from .graded import (
     GradedChain,
     StringEntry,
@@ -145,24 +145,6 @@ def seq_elements(P, arrows, entries, objects, part):
                 out.append(SeqElement(ents, path.sign * beta.sign * s.sign,
                                       tuple(tags), tail.src, ents[0].tgt))
     return out
-
-
-def seq_count_oracle(part):
-    """|Seq| computed multiplicatively, independent of the recursion order."""
-    from math import comb, factorial
-    blocks = part.blocks
-    n = part.n
-    total = 1
-    remaining = n
-    for idx, m in enumerate(blocks):
-        if idx == len(blocks) - 1:
-            total *= factorial(m - 1)
-        elif m == 1:
-            pass
-        else:
-            total *= factorial(m - 1) * comb(remaining - 1, m - 1)
-        remaining -= m
-    return total
 
 
 # -- Seqq --------------------------------------------------------------------------
@@ -331,12 +313,6 @@ def build_graded_string(P, zeta, fiber_entries, fiber_objects, word, top_obj):
     return tuple(out)
 
 
-def graded_shuffle(P, fiber_entries, fiber_objects, zeta, omega, top_obj):
-    """Spec-facing wrapper: the shuffle product a *_omega zeta as a chain term."""
-    return build_graded_string(P, zeta, fiber_entries, fiber_objects,
-                               omega.word, top_obj)
-
-
 # -- the maps ------------------------------------------------------------------------
 
 
@@ -396,27 +372,11 @@ class Comparison:
                         yield in_key, sgn, op
 
     def apply_F(self, phi):
-        n = phi.degree
-        out = SparseCochain(self.CU, n)
-        F = self.field
-        for key in self.CU.cells(n):
-            acc = [F.zero] * self.CU.value_rank(key)
-            hit = False
-            for in_key, sgn, op in self.f_contributions(key):
-                vec = phi.data.get(in_key)
-                if vec is None:
-                    continue
-                img = op(vec)
-                hit = True
-                acc = [F.add(a, b) if sgn == 1 else F.sub(a, b)
-                       for a, b in zip(acc, img)]
-            if hit and not all(F.is_zero(v) for v in acc):
-                out.data[key] = acc
-        return out
+        return pull_apply(self.f_contributions, self.CU, phi.degree, phi)
 
     def matrix_F(self, n):
-        return self._assemble(self.f_contributions, self.CU.cells(n),
-                              self.CU.index(n), self.CG.index(n), self.CG)
+        return pull_matrix(self.f_contributions, self.CU.cells(n), self.CU.index(n),
+                           self.CG.index(n), self.CG.value_rank, self.field)
 
     # G: graded -> GS -----------------------------------------------------------
 
@@ -449,27 +409,11 @@ class Comparison:
                                             [F.mul(c, v) for v in vec])
 
     def apply_G(self, psi):
-        n = psi.degree
-        out = SparseCochain(self.CG, n)
-        F = self.field
-        for key in self.CG.cells(n):
-            acc = [F.zero] * self.CG.value_rank(key)
-            hit = False
-            for in_key, sgn, op in self.g_contributions(key):
-                vec = psi.data.get(in_key)
-                if vec is None:
-                    continue
-                img = op(vec)
-                hit = True
-                acc = [F.add(a, b) if sgn == 1 else F.sub(a, b)
-                       for a, b in zip(acc, img)]
-            if hit and not all(F.is_zero(v) for v in acc):
-                out.data[key] = acc
-        return out
+        return pull_apply(self.g_contributions, self.CG, psi.degree, psi)
 
     def matrix_G(self, n):
-        return self._assemble(self.g_contributions, self.CG.cells(n),
-                              self.CG.index(n), self.CU.index(n), self.CU)
+        return pull_matrix(self.g_contributions, self.CG.cells(n), self.CG.index(n),
+                           self.CU.index(n), self.CU.value_rank, self.field)
 
     # omega / Omega / T ------------------------------------------------------------
 
@@ -584,30 +528,13 @@ class Comparison:
 
     def apply_T(self, psi):
         """The homotopy T_{n+1} on a degree-(n+1) graded cochain."""
-        n = psi.degree - 1
-        out = SparseCochain(self.CU, n)
-        F = self.field
-        if n < 1:
-            return out
-        for key in self.CU.cells(n):
-            acc = [F.zero] * self.CU.value_rank(key)
-            hit = False
-            for in_key, sgn, op in self.t_contributions(key):
-                vec = psi.data.get(in_key)
-                if vec is None:
-                    continue
-                img = op(vec)
-                hit = True
-                acc = [F.add(a, b) if sgn == 1 else F.sub(a, b)
-                       for a, b in zip(acc, img)]
-            if hit and not all(F.is_zero(v) for v in acc):
-                out.data[key] = acc
-        return out
+        return pull_apply(self.t_contributions, self.CU, psi.degree - 1, psi)
 
     def matrix_T(self, n):
         """T_n as a matrix from graded degree n to degree n-1."""
-        return self._assemble(self.t_contributions, self.CU.cells(n - 1),
-                              self.CU.index(n - 1), self.CU.index(n), self.CU)
+        return pull_matrix(self.t_contributions, self.CU.cells(n - 1),
+                           self.CU.index(n - 1), self.CU.index(n),
+                           self.CU.value_rank, self.field)
 
     # Delta (chain-level diagnostic) -----------------------------------------------
 
@@ -631,31 +558,6 @@ class Comparison:
             orig.append(StringEntry(u, objects[n - 1 - i], objects[n - i], e.coords))
         chain.add(-1, tuple(orig))
         return chain
-
-    # shared assembly ---------------------------------------------------------------
-
-    def _assemble(self, contrib, out_keys, out_index, in_index, in_complex):
-        from .linalg import SparseMatrix
-        F = self.field
-        out_off, out_dim = out_index
-        in_off, in_dim = in_index
-        mat = SparseMatrix(out_dim, in_dim, F)
-        for key in out_keys:
-            row0 = out_off[key]
-            for in_key, sgn, op in contrib(key):
-                col0 = in_off.get(in_key)
-                if col0 is None:
-                    continue
-                rank_in = in_complex.value_rank(in_key)
-                for b in range(rank_in):
-                    unit = [F.zero] * rank_in
-                    unit[b] = F.one
-                    img = op(unit)
-                    for r, v in enumerate(img):
-                        if not F.is_zero(v):
-                            mat.add_entry(row0 + r, col0 + b,
-                                          v if sgn == 1 else F.neg(v))
-        return mat
 
     # identities ---------------------------------------------------------------------
 

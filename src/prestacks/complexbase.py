@@ -1,8 +1,16 @@
 """Shared machinery for sparsely stored cochain complexes.
 
-A concrete complex supplies cell enumeration, value ranks and the
-differential as pull-style contributions per output cell; matrix assembly,
-coordinate conversion and random cochains live here.
+A concrete complex supplies cell enumeration and value ranks; every operator
+between complexes (the differentials d and delta, the comparison maps F and G,
+the homotopy T) is given pull-style: for each output cell ``key`` it yields
+terms ``(in_key, sign, op)`` with ``sign`` in {1, -1} and ``op`` a linear map
+from the value coordinates at ``in_key`` to those at ``key``.  The operator
+sends a cochain phi to the cochain whose value at ``key`` is the sum of
+``sign * op(phi[in_key])`` over the terms.
+
+Two kernels consume such a term stream, and nothing else calls an ``op``:
+``pull_apply`` applies the operator to a cochain and ``pull_matrix`` assembles
+its matrix.  Coordinate conversion and random cochains also live here.
 """
 
 from __future__ import annotations
@@ -69,6 +77,53 @@ class SparseCochain:
         return out
 
 
+def pull_apply(contrib, out_complex, n, phi):
+    """The operator with term stream ``contrib(key)`` applied to ``phi``: a
+    degree-n cochain of ``out_complex``."""
+    F = out_complex.field
+    out = SparseCochain(out_complex, n)
+    for key in out_complex.cells(n):
+        acc = [F.zero] * out_complex.value_rank(key)
+        for in_key, sgn, op in contrib(key):
+            vec = phi.data.get(in_key)
+            if vec is None:
+                continue
+            img = op(vec)
+            if sgn == 1:
+                acc = [F.add(a, b) for a, b in zip(acc, img)]
+            else:
+                acc = [F.sub(a, b) for a, b in zip(acc, img)]
+        if not all(F.is_zero(v) for v in acc):
+            out.data[key] = acc
+    return out
+
+
+def pull_matrix(contrib, out_keys, out_index, in_index, in_rank, field):
+    """The matrix of the term stream ``contrib`` on the given bases.
+
+    ``out_index`` and ``in_index`` are (offsets by key, dim) pairs; terms whose
+    input key has no offset are dropped, rows follow ``out_keys``.
+    """
+    F = field
+    out_off, out_dim = out_index
+    in_off, in_dim = in_index
+    mat = SparseMatrix(out_dim, in_dim, F)
+    for key in out_keys:
+        row0 = out_off[key]
+        for in_key, sgn, op in contrib(key):
+            col0 = in_off.get(in_key)
+            if col0 is None:
+                continue
+            rank_in = in_rank(in_key)
+            for b in range(rank_in):
+                unit = [F.zero] * rank_in
+                unit[b] = F.one
+                for r, v in enumerate(op(unit)):
+                    if not F.is_zero(v):
+                        mat.add_entry(row0 + r, col0 + b, v if sgn == 1 else F.neg(v))
+    return mat
+
+
 class ComplexBase:
     """Cell bookkeeping plus differential application and assembly."""
 
@@ -82,12 +137,7 @@ class ComplexBase:
 
     def index(self, n):
         if n not in self._index:
-            offsets = {}
-            dim = 0
-            for key in self.cells(n):
-                offsets[key] = dim
-                dim += self.value_rank(key)
-            self._index[n] = (offsets, dim)
+            self._index[n] = self._offsets(self.cells(n))
         return self._index[n]
 
     def dim(self, n):
@@ -95,51 +145,16 @@ class ComplexBase:
 
     def apply_diff(self, phi):
         n = phi.degree + 1
-        out = SparseCochain(self, n)
-        F = self.field
-        for key in self.cells(n):
-            acc = [F.zero] * self.value_rank(key)
-            hit = False
-            for in_key, sgn, op in self.diff_contributions(key, n):
-                vec = phi.data.get(in_key)
-                if vec is None:
-                    continue
-                img = op(vec)
-                hit = True
-                if sgn == 1:
-                    acc = [F.add(a, b) for a, b in zip(acc, img)]
-                else:
-                    acc = [F.sub(a, b) for a, b in zip(acc, img)]
-            if hit and not all(F.is_zero(v) for v in acc):
-                out.data[key] = acc
-        return out
+        return pull_apply(lambda key: self.diff_contributions(key, n), self, n, phi)
 
     def matrix(self, n, keys_in=None, keys_out=None):
         """The differential C^{n-1} -> C^n as a sparse matrix."""
-        in_off, in_dim = self.index(n - 1) if keys_in is None else self._offsets(keys_in)
-        out_off, out_dim = self.index(n) if keys_out is None else self._offsets(keys_out)
-        F = self.field
-        mat = SparseMatrix(out_dim, in_dim, F)
-        out_keys = self.cells(n) if keys_out is None else keys_out
-        allowed = None if keys_in is None else set(keys_in)
-        for key in out_keys:
-            row0 = out_off[key]
-            for in_key, sgn, op in self.diff_contributions(key, n):
-                if allowed is not None and in_key not in allowed:
-                    continue
-                col0 = in_off.get(in_key)
-                if col0 is None:
-                    continue
-                rank_in = self.value_rank(in_key)
-                for b in range(rank_in):
-                    unit = [F.zero] * rank_in
-                    unit[b] = F.one
-                    img = op(unit)
-                    for r, v in enumerate(img):
-                        if not F.is_zero(v):
-                            mat.add_entry(row0 + r, col0 + b,
-                                          v if sgn == 1 else F.neg(v))
-        return mat
+        return pull_matrix(
+            lambda key: self.diff_contributions(key, n),
+            self.cells(n) if keys_out is None else keys_out,
+            self.index(n) if keys_out is None else self._offsets(keys_out),
+            self.index(n - 1) if keys_in is None else self._offsets(keys_in),
+            self.value_rank, self.field)
 
     def _offsets(self, keys):
         offsets = {}

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .basecat import Simplex
-from .complexbase import ComplexBase, SparseCochain
+from .complexbase import ComplexBase
 from .gscomplex import expand_multilinear
 from .lincat import diagonal_bimodule
-
-GradedCochain = SparseCochain
 
 
 @dataclass(frozen=True)

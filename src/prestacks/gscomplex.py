@@ -11,10 +11,8 @@ from __future__ import annotations
 from itertools import product
 
 from .combinatorics import enumerate_shuffles, paths_or_trivial
-from .complexbase import ComplexBase, SparseCochain
+from .complexbase import ComplexBase, pull_apply
 from .lincat import diagonal_bimodule
-
-GSCochain = SparseCochain
 
 
 def eval_shuffle(P, path, entries, objects, word):
@@ -234,50 +232,30 @@ class GSComplex(ComplexBase):
 
     # -- individual components -------------------------------------------------
 
-    def _apply_filtered(self, phi, keep, unsign=False):
-        """Apply the contributions whose bidegree shift ``keep`` accepts.
-
-        ``unsign`` strips the global (-1)^n that the total differential puts
-        on the simplicial part.
-        """
+    def _component(self, phi, j):
+        """The terms of d that raise the simplicial degree by exactly j."""
         n = phi.degree + 1
-        out = SparseCochain(self, n)
-        F = self.field
-        flip_all = unsign and n % 2 == 1
-        for key in self.cells(n):
-            acc = [F.zero] * self.value_rank(key)
-            hit = False
-            for in_key, sgn, op in self.diff_contributions(key, n):
-                if not keep(key[0].p - in_key[0].p):
-                    continue
-                vec = phi.data.get(in_key)
-                if vec is None:
-                    continue
-                img = op(vec)
-                hit = True
-                if flip_all:
-                    sgn = -sgn
-                if sgn == 1:
-                    acc = [F.add(a, b) for a, b in zip(acc, img)]
-                else:
-                    acc = [F.sub(a, b) for a, b in zip(acc, img)]
-            if hit and not all(F.is_zero(v) for v in acc):
-                out.data[key] = acc
-        return out
+
+        def contrib(key):
+            p = key[0].p
+            return (t for t in self.diff_contributions(key, n) if p - t[0][0].p == j)
+
+        return pull_apply(contrib, self, n, phi)
 
     def d_hoch(self, phi):
         """The Hochschild component, raising the fiber degree."""
-        return self._apply_filtered(phi, lambda dp: dp == 0)
+        return self._component(phi, 0)
 
     def d_simp(self, phi):
         """The simplicial component, without the total differential's sign."""
-        return self._apply_filtered(phi, lambda dp: dp == 1, unsign=True)
+        out = self._component(phi, 1)
+        return out.scaled(self.field.from_int(-1)) if out.degree % 2 else out
 
     def d_higher(self, phi, j):
         """The component raising the simplicial degree by j >= 2."""
         if j < 2:
             raise ValueError("higher components start at j = 2")
-        return self._apply_filtered(phi, lambda dp: dp == j)
+        return self._component(phi, j)
 
     def d_total(self, phi):
         return self.apply_diff(phi)

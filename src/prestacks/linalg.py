@@ -280,11 +280,6 @@ class SparseMatrix:
     def is_zero(self):
         return not self.data
 
-    def copy(self):
-        m = SparseMatrix(self.rows, self.cols, self.field)
-        m.data = dict(self.data)
-        return m
-
     def row_lists(self):
         rows = [dict() for _ in range(self.rows)]
         for (i, j), v in self.data.items():
@@ -588,15 +583,3 @@ def betti_numbers(diffs):
 def betti(d_in, d_out):
     """dim ker(d_out) - rank(d_in) at one complex position."""
     return betti_numbers([d_in, d_out])[0]
-
-
-def zero_matrix(rows, cols, field):
-    return SparseMatrix(rows, cols, field)
-
-
-def vec_is_zero(field, vec):
-    return all(field.is_zero(v) for v in vec)
-
-
-def vec_sub(field, a, b):
-    return [field.sub(x, y) for x, y in zip(a, b)]

@@ -9,6 +9,9 @@ Hochschild differential for one-object fibers.
 from fractions import Fraction
 from itertools import permutations, product
 
+from prestacks.combinatorics import Path, ShufflePerm
+from prestacks.lincat import whisker
+
 
 def dense_rank(rows_of_entries, nrows, ncols):
     """Naive dense Gaussian elimination over Q."""
@@ -182,3 +185,193 @@ def all_composable_tuples_count(cat, p):
         if all(cat.tgt(combo[i]) == cat.src(combo[i + 1]) for i in range(p - 1)):
             count += 1
     return count
+
+
+# -- formal shuffles and the join/split of paths ----------------------------------
+# Paper-level constructions that no library operator needs; tests check the
+# shuffle and path enumerations against them.
+
+
+def formal_shuffle(beta, sequences):
+    """Interleave per-block sequences according to the shuffle word."""
+    sequences = [list(s) for s in sequences]
+    if tuple(len(s) for s in sequences) != beta.blocks:
+        raise ValueError("sequence lengths do not match shuffle blocks")
+    its = [iter(s) for s in sequences]
+    return [next(its[b]) for b in beta.word]
+
+
+def nerve_shuffle(beta, simplices):
+    """The shuffle action on nerves of a product category, formally.
+
+    Each input simplex is (objects, entries) with objects target-last and
+    entries target-first (entry i maps objects[-i-1] -> objects[-i]).
+    Returns (product_objects, product_entries): entries are tuples holding the
+    moving block's morphism and ("id", obj) markers elsewhere.
+    """
+    k = len(simplices)
+    objs = [list(s[0]) for s in simplices]
+    entries = [list(s[1]) for s in simplices]
+    if tuple(len(e) for e in entries) != beta.blocks:
+        raise ValueError("simplex lengths do not match shuffle blocks")
+    consumed = [0] * k
+    prod_entries = []
+    prod_objects = [tuple(o[-1] for o in objs)]
+    for b in beta.word:
+        cur = []
+        for i in range(k):
+            pos = len(objs[i]) - 1 - consumed[i]
+            if i == b:
+                cur.append(entries[i][consumed[i]])
+            else:
+                cur.append(("id", objs[i][pos]))
+        consumed[b] += 1
+        prod_entries.append(tuple(cur))
+        prod_objects.append(tuple(objs[i][len(objs[i]) - 1 - consumed[i]] for i in range(k)))
+    prod_objects.reverse()
+    return prod_objects, prod_entries
+
+
+def functor_chain_shuffle(beta, chains):
+    """Shuffle nerve simplices of functor categories at composable levels,
+    composing functors as the chains interleave.
+
+    ``chains`` lists per block (functors, transforms): ``functors`` is the
+    object chain target-last, ``transforms`` the entries target-first (entry i
+    maps functors[-i-1] -> functors[-i]).  Level 1 is innermost (applied
+    first).  Returns the whiskered transform entries of the shuffled chain,
+    target-first.
+    """
+    k = len(chains)
+    if tuple(len(c[1]) for c in chains) != beta.blocks:
+        raise ValueError("chain lengths do not match shuffle blocks")
+    consumed = [0] * k
+    out = []
+    for b in beta.word:
+        functors, transforms = chains[b]
+        t = transforms[consumed[b]]
+        pre = []
+        for i in range(b):
+            fs, _ = chains[i]
+            pre.append(fs[len(fs) - 1 - consumed[i]])
+        post = []
+        for i in range(b + 1, k):
+            fs, _ = chains[i]
+            post.append(fs[len(fs) - 1 - consumed[i]])
+        # chains are listed innermost-first; whisker wants composition order
+        out.append(whisker(list(reversed(pre)), t, list(reversed(post))))
+        consumed[b] += 1
+    return out
+
+
+def conditioned_split(beta, sequences):
+    """Split the formal shuffle of a conditioned shuffle into its level runs.
+
+    Returns (gammas, runs): ``gammas`` are the run lengths (summing to n) and
+    ``runs`` the per-level lists of (block, element) pairs; concatenating the
+    runs recovers the formal shuffle.
+    """
+    if not beta.is_conditioned():
+        raise ValueError("shuffle is not conditioned")
+    sequences = [list(s) for s in sequences]
+    if tuple(len(s) for s in sequences) != beta.blocks:
+        raise ValueError("sequence lengths do not match shuffle blocks")
+    its = [iter(s) for s in sequences]
+    flat = [(b, next(its[b])) for b in beta.word]
+    starts = []
+    seen = set()
+    for pos, b in enumerate(beta.word):
+        if b not in seen:
+            seen.add(b)
+            starts.append(pos)
+    starts.append(len(flat))
+    runs = [flat[starts[i]: starts[i + 1]] for i in range(len(starts) - 1)]
+    gammas = [len(r) for r in runs]
+    return gammas, runs
+
+
+def join_paths(k, r, s, beta, base):
+    """Assemble the path (c^{sigma,k}, beta(r, s)) on the concatenated chain.
+
+    ``r`` is a path on the right part (arrows k+1..n), ``s`` on the left part
+    (arrows 1..k), and beta is an (n-k-1, k-1)-shuffle of their entry lists.
+    """
+    arrows = s.arrows + r.arrows
+    n = len(arrows)
+    if beta.blocks != (r.n - 1, s.n - 1):
+        raise ValueError("shuffle blocks do not match path lengths")
+    # interleave displayed entries, then convert to a recipe by reversing
+    r_steps = list(reversed(r.recipe))  # displayed order of r's merges
+    s_steps = list(reversed(s.recipe))
+    merged_displayed = []
+    ir = istd = 0
+    for b in beta.word:
+        if b == 0:
+            merged_displayed.append(("r", r_steps[ir]))
+            ir += 1
+        else:
+            merged_displayed.append(("s", s_steps[istd]))
+            istd += 1
+    recipe = []
+    len_l = k
+    for side, i in reversed(merged_displayed):
+        if side == "s":
+            recipe.append(i)
+            len_l -= 1
+        else:
+            recipe.append(len_l + i)
+    recipe.append(1)  # final merge: c of the two composites
+    return Path(tuple(arrows), tuple(recipe))
+
+
+def split_path(omega, base):
+    """Invert join_paths: recover (k, r, s, beta) from a path whose displayed
+    first entry is c^{sigma,k}.  Raises if the final merge straddles no clean cut."""
+    arrows = omega.arrows
+    n = len(arrows)
+    # replay the recipe on slot coverages
+    cover = [(i, i) for i in range(n)]
+    events = []
+    for i in omega.recipe:
+        lo1, hi1 = cover[i - 1]
+        lo2, hi2 = cover[i]
+        events.append(((lo1, hi1), (lo2, hi2)))
+        cover = cover[: i - 1] + [(lo1, hi2)] + cover[i + 1 :]
+    (lo1, hi1), (lo2, hi2) = events[-1]
+    if lo1 != 0 or hi2 != n - 1:
+        raise ValueError("path does not end with a full left/right merge")
+    kk = hi1 + 1
+    if not (1 <= kk <= n - 1):
+        raise ValueError("malformed final merge")
+    word = []
+    for (a, b_), (c, d) in events[:-1]:
+        if d < kk:  # merge inside the left part
+            word.append(1)
+        elif a >= kk:  # inside the right part
+            word.append(0)
+        else:
+            raise ValueError("a merge straddles the cut; first entry is not c^{sigma,k}")
+    s_path = _replay_side(arrows[:kk], [e for e in events[:-1] if e[1][1] < kk])
+    r_path = _replay_side(arrows[kk:], [((a - kk, b_ - kk), (c - kk, d - kk))
+                                        for (a, b_), (c, d) in events[:-1] if a >= kk])
+    word.reverse()  # events were applied order; displayed order is reversed
+    beta = ShufflePerm((len(arrows[kk:]) - 1, kk - 1), tuple(word))
+    return kk, r_path, s_path, beta
+
+
+def _replay_side(arrows, side_events):
+    """Reconstruct a side path from its merge events (given in applied order)."""
+    n = len(arrows)
+    cover = [(i, i) for i in range(n)]
+    recipe = []
+    for (a, b_), (c, d) in side_events:
+        idx = None
+        for pos in range(len(cover) - 1):
+            if cover[pos] == (a, b_) and cover[pos + 1] == (c, d):
+                idx = pos + 1
+                break
+        if idx is None:
+            raise ValueError("inconsistent side events")
+        recipe.append(idx)
+        cover = cover[: idx - 1] + [(a, d)] + cover[idx + 1 :]
+    return Path(tuple(arrows), tuple(recipe))

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import fixture_path
+from conftest import fixture_path, get_pair
 from prestacks.cli import main
 from prestacks.linalg import QQ, SparseMatrix
 
@@ -34,6 +34,21 @@ def test_validate_names_violation(tmp_path, capsys):
     code, out = run(capsys, "validate", str(bad))
     assert code == 1
     assert "coherence" in out and "u01" in out
+
+
+def test_export_matrix_names_violation(tmp_path, capsys):
+    doc = json.loads(open(fixture_path("scalar-twist-3chain")).read())
+    for tw in doc["twists"]:
+        if tw["first"] == "u01" and tw["then"] == "u12":
+            tw["components"]["X"] = {"e": "999"}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out_file = tmp_path / "m.txt"
+    code, out = run(capsys, "export-matrix", str(bad), "--degree", "2",
+                    "--out", str(out_file))
+    assert code == 1
+    assert out.startswith("violation:") and "u01" in out
+    assert not out_file.exists()
 
 
 def test_malformed_file_exits_2(tmp_path, capsys):
@@ -100,6 +115,18 @@ def test_verify_d2_deterministic(capsys):
     code1, out1 = run(capsys, *args)
     code2, out2 = run(capsys, *args)
     assert code1 == code2 == 0 and out1 == out2
+
+
+def test_verify_gf_names_failing_nr_key(capsys, monkeypatch):
+    from prestacks.compare import Comparison
+    monkeypatch.setattr(Comparison, "matrix_F", lambda self, n: SparseMatrix(
+        self.CU.dim(n), self.CG.dim(n), self.field))
+    code, out = run(capsys, "verify", fixture_path("triv-A2"), "--law", "gf",
+                    "--degree", "1")
+    assert code == 1 and out.startswith("law gf\tFAIL")
+    CG, _ = get_pair("triv-A2")
+    key = CG.nr_keys(0)[0]
+    assert "GF != 1 on nr basis vector %r at degree 0" % (key,) in out
 
 
 def test_deform_writes_validating_representatives(tmp_path, capsys):
@@ -199,6 +226,11 @@ BAD_INPUTS = [
                  "parse error:", id="enum-cap-not-int"),
     pytest.param(["cohomology", "triv-A2"], {"PRESTACKS_DEGREE_CAP": "x"}, 2,
                  "parse error:", id="degree-cap-not-int"),
+    pytest.param(["cohomology", "scalar-twist-3chain", "--max-degree", "4"],
+                 {"PRESTACKS_ENUM_CAP": "2"}, 1, "enumeration size", id="enum-cap-exceeded"),
+    pytest.param(["deform", "dual-pair", "--out-dir",
+                  lambda t: os.path.join(_write(t, "afile", ""), "sub")],
+                 {}, 2, "parse error:", id="deform-out-dir-under-file"),
 ]
 
 
@@ -208,7 +240,7 @@ def test_bad_input_exits_with_one_line(tmp_path, argv, env, code, prefix):
     for a in argv:
         if callable(a):
             a = a(tmp_path)
-        elif a in ("dual-pair", "triv-A2"):
+        elif a in ("dual-pair", "triv-A2", "scalar-twist-3chain"):
             a = fixture_path(a)
         args.append(a)
     full_env = dict(os.environ, **env)

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import get_prestack
-from oracles import shuffle_filter_count
+from oracles import (conditioned_split, formal_shuffle, functor_chain_shuffle, join_paths,
+                     nerve_shuffle, shuffle_filter_count, split_path)
 from prestacks import combinatorics as cb
 from prestacks import fixtures
 from prestacks.basecat import chain_poset
@@ -25,7 +26,7 @@ def test_s21_has_three_elements_with_expected_interleavings():
     assert len(shuffles) == 3
     eps = ["e1", "e2"]
     a = ["a"]
-    got = {tuple(cb.formal_shuffle(b, [eps, a])) for b in shuffles}
+    got = {tuple(formal_shuffle(b, [eps, a])) for b in shuffles}
     assert got == {("a", "e1", "e2"), ("e1", "a", "e2"), ("e1", "e2", "a")}
 
 
@@ -59,7 +60,7 @@ def test_conditioned_211_against_bruteforce():
 def test_identity_shuffle_concatenates():
     b = cb.enumerate_shuffles((2, 2))[0]
     assert b.word == (0, 0, 1, 1)
-    assert cb.formal_shuffle(b, [["x1", "x2"], ["y1", "y2"]]) == ["x1", "x2", "y1", "y2"]
+    assert formal_shuffle(b, [["x1", "x2"], ["y1", "y2"]]) == ["x1", "x2", "y1", "y2"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,7 +69,7 @@ def test_identity_shuffle_concatenates():
 def test_block_positions_increasing(m, n, rng):
     shuffles = cb.enumerate_shuffles((m, n))
     b = rng.choice(shuffles)
-    out = cb.formal_shuffle(b, [[("x", i) for i in range(m)],
+    out = formal_shuffle(b, [[("x", i) for i in range(m)],
                                 [("y", i) for i in range(n)]])
     xs = [e[1] for e in out if e[0] == "x"]
     ys = [e[1] for e in out if e[0] == "y"]
@@ -90,7 +91,7 @@ def test_nerve_shuffle_evaluated_sequences():
     ents_a = ["a"]
     results = []
     for b in cb.enumerate_shuffles((2, 1)):
-        prod_objs, prod_ents = cb.nerve_shuffle(b, [(objs_eps, ents_eps), (objs_a, ents_a)])
+        prod_objs, prod_ents = nerve_shuffle(b, [(objs_eps, ents_eps), (objs_a, ents_a)])
         assert len(prod_ents) == 3
         assert prod_objs[0] == ("T0", "A0") and prod_objs[-1] == ("T2", "A1")
         results.append(tuple(prod_ents))
@@ -101,22 +102,22 @@ def test_nerve_shuffle_evaluated_sequences():
 def test_conditioned_split_roundtrip():
     seqs = [["x1", "x2"], ["y1", "y2"], ["z1"]]
     for b in cb.enumerate_conditioned((2, 2, 1)):
-        gammas, runs = cb.conditioned_split(b, seqs)
+        gammas, runs = conditioned_split(b, seqs)
         assert sum(gammas) == 5
         flat = [e for run in runs for e in run]
-        expect = cb.formal_shuffle(b, [[(i, x) for x in s] for i, s in enumerate(seqs)])
+        expect = formal_shuffle(b, [[(i, x) for x in s] for i, s in enumerate(seqs)])
         # reassembly recovers the formal shuffle
         assert [e[1] for e in flat] == [x for (_, x) in expect]
     # single block: one run equal to the input
     b = cb.enumerate_conditioned((3,))[0]
-    gammas, runs = cb.conditioned_split(b, [["p", "q", "r"]])
+    gammas, runs = conditioned_split(b, [["p", "q", "r"]])
     assert gammas == [3] and [e[1] for e in runs[0]] == ["p", "q", "r"]
 
 
 def test_conditioned_split_rejects_unconditioned():
     bad = [s for s in cb.enumerate_shuffles((1, 1)) if not s.is_conditioned()][0]
     with pytest.raises(ValueError):
-        cb.conditioned_split(bad, [["x"], ["y"]])
+        conditioned_split(bad, [["x"], ["y"]])
 
 
 # -- paths -------------------------------------------------------------------------
@@ -213,9 +214,9 @@ def test_join_split_roundtrip_and_sign():
         for r in cb.paths_or_trivial(R):
             for s in cb.paths_or_trivial(L):
                 for beta in cb.enumerate_shuffles((len(R) - 1, len(L) - 1)):
-                    w = cb.join_paths(k, r, s, beta, base)
+                    w = join_paths(k, r, s, beta, base)
                     assert w.sign == (-1) ** (n - k) * beta.sign * r.sign * s.sign
-                    kk, r2, s2, b2 = cb.split_path(w, base)
+                    kk, r2, s2, b2 = split_path(w, base)
                     assert (kk, r2, s2, b2.word) == (k, r, s, beta.word)
 
 
@@ -226,13 +227,13 @@ def test_split_rejects_straddling_merge():
     # all 4-chain paths do split, so check the error comes from a fabricated
     # recipe ending away from a full merge
     p = cb.Path(("u01", "u12", "u23"), (1, 1))
-    kk, r, s, b = cb.split_path(p, base)
+    kk, r, s, b = split_path(p, base)
     assert kk == 2
     # a 2-entry path on a 3-chain always ends in a full merge; force failure
     # with a longer chain whose last merge is interior
     base5 = chain_poset(4)
     bad = cb.Path(("u01", "u12", "u23", "u34"), (2, 1, 1))
-    kk, r, s, b = cb.split_path(bad, base5)
+    kk, r, s, b = split_path(bad, base5)
     assert kk in (1, 2, 3)
 
 
@@ -247,14 +248,14 @@ def test_functor_chain_shuffle_matches_example(rank2):
         ([tw.src_functor, tw.tgt_functor], [tw]),
     ]
     for b in cb.enumerate_shuffles((1, 1)):
-        out = cb.functor_chain_shuffle(b, chains)
+        out = functor_chain_shuffle(b, chains)
         assert len(out) == 2
         for t in out:
             assert t.validate() is None
         # composite transform independent of the interleaving
     composites = []
     for b in cb.enumerate_shuffles((1, 1)):
-        out = cb.functor_chain_shuffle(b, chains)
+        out = functor_chain_shuffle(b, chains)
         from prestacks.lincat import compose_transforms
         comp = compose_transforms(out[0], out[1])
         composites.append({a: comp.at(a).coords for a in fib.objects})

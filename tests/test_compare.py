@@ -202,6 +202,20 @@ def test_g_commutes_with_differentials(name):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("name", ["scalar-twist-2chain", "dual-pair"])
+@pytest.mark.parametrize("which", ["F", "G", "T"])
+def test_pointwise_route_equals_matrix_route(name, which):
+    cmp_ = comparison(name)
+    # (source complex, target complex, degree shift) of each map
+    src, tgt, shift = {"F": (cmp_.CG, cmp_.CU, 0), "G": (cmp_.CU, cmp_.CG, 0),
+                       "T": (cmp_.CU, cmp_.CU, -1)}[which]
+    apply_, matrix = getattr(cmp_, "apply_" + which), getattr(cmp_, "matrix_" + which)
+    for n in (1, 2, 3):
+        phi = src.random_cochain(n, 300 + n)
+        vec = matrix(n).matvec(src.to_vector(phi))
+        assert apply_(phi) == tgt.from_vector(n + shift, vec)
+
+
 def test_f_and_g_of_zero(twist2):
     cmp_ = comparison("scalar-twist-2chain")
     z = SparseCochain(cmp_.CG, 2)
