@@ -3,14 +3,28 @@
 Cochains are keyed by (base simplex, fiber object tuple, hom basis tuple);
 the value at a key is a coordinate vector in M^{U_0}(sigma^star A_0,
 sigma^* A_q).  The total differential is d = d_Hoch + (-1)^n d_simp plus the
-higher components built from paths and evaluation shuffles.
+higher components d_j, 2 <= j <= p.
+
+d_j at a cell whose simplex has right part R (j arrows) and q arguments is a
+signed sum over every path of whiskered twists on R and every (q, j-1)-shuffle
+(``eval_shuffle`` evaluates one such term).  The (j-1)! paths are not listed:
+every state along a path is a coarsening of R, given by its set of interior
+cuts, so for each shuffle word the paths are summed by dynamic programming
+over the 2^(j-1) coarsenings.  Reading the word target-first from the fully
+composed chain, a fiber token applies the star functor of the current
+coarsening to the next argument, and a path token un-merges one interval at a
+cut c: the coarsening ``pred`` with c added merges back at index i, the token
+contributes ``epsilon_for(pred, i)`` and the step sign (-1)^[i odd], whose
+product along a path is ``Path.sign``.  Suffix sums are memoized on (cuts,
+rest of the word), so words sharing a tail share the work.  The terms are
+summed per input cell and d_j yields one term per input cell.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .combinatorics import enumerate_shuffles, paths_or_trivial
+from .combinatorics import _check_cap, enumerate_shuffles
 from .complexbase import ComplexBase, pull_apply
 from .lincat import diagonal_bimodule
 
@@ -210,25 +224,99 @@ class GSComplex(ComplexBase):
                 yield in_key, sgn, (lambda vec, c=coeff, cp=cp, b=b_obj:
                                     M.left_act(u0, b, cp, [F.mul(c, v) for v in vec]))
 
-        # higher components d_j from C^{p-j, q+j-1}, 2 <= j <= p
+        # higher components d_j from C^{p-j, q+j-1}, 2 <= j <= p: one term per input cell
         for j in range(2, p + 1):
-            pp = p - j
-            t = q
-            Lsimp = base.left_part(simplex, pp)
-            Rsimp = base.right_part(simplex, pp)
-            c_pref = P.c_sigma_k(simplex, pp).at(objects[-1])
-            sgn_t = -1 if t % 2 else 1
-            for path in paths_or_trivial(Rsimp.arrows):
-                for beta in enumerate_shuffles((t, j - 1)):
-                    sh_entries, sh_objects = eval_shuffle(
-                        P, path, args, list(objects), beta.word)
-                    sgn = sgn_t * path.sign * beta.sign
-                    b_obj = P.sigma_upper(Lsimp).on_obj(sh_objects[0])
-                    for coeff, nb in expand_multilinear(F, sh_entries):
-                        in_key = (Lsimp, tuple(sh_objects), nb)
-                        yield in_key, sgn, (lambda vec, c=coeff, cp=c_pref, b=b_obj:
-                                            M.left_act(u0, b, cp,
-                                                       [F.mul(c, v) for v in vec]))
+            c_pref = P.c_sigma_k(simplex, p - j).at(objects[-1])
+            for in_key, coeff in self.higher_terms(key, j).items():
+                b_obj = P.sigma_upper(in_key[0]).on_obj(in_key[1][0])
+                yield in_key, 1, (lambda vec, c=coeff, cp=c_pref, b=b_obj:
+                                  M.left_act(u0, b, cp, [F.mul(c, v) for v in vec]))
+
+    def higher_terms(self, key, j):
+        """The component d_j at the output cell ``key`` as {input key: coefficient}.
+
+        The sum runs over every (q, j-1)-shuffle and every path on the right
+        part R of the simplex; for one shuffle, the paths are summed by dynamic
+        programming over the coarsenings of R (see the module docstring).
+        Zero sums are left out.
+        """
+        P, F = self.P, self.field
+        base = P.base
+        simplex, objects, btuple = key
+        pp = simplex.p - j
+        R = simplex.arrows[pp:]
+        args = [self.arg_mor(simplex, objects, btuple, i) for i in range(1, len(btuple) + 1)]
+        _check_cap(j, None)  # the same refusal as listing the paths on R
+        chains = {}
+
+        def chain(cuts):
+            """The coarsening of R with cuts at the set bits (bit c-1: after R[c-1])."""
+            out = chains.get(cuts)
+            if out is None:
+                out = [R[0]]
+                for c in range(1, j):
+                    if cuts >> (c - 1) & 1:
+                        out.append(R[c])
+                    else:
+                        out[-1] = base.then(out[-1], R[c])
+                out = chains[cuts] = tuple(out)
+            return out
+
+        def prepend(mor, sgn, tail, acc):
+            for b, c in enumerate(mor.coords):
+                if F.is_zero(c):
+                    continue
+                if sgn < 0:
+                    c = F.neg(c)
+                entry = (mor.src, mor.tgt, b)
+                for k, v in tail.items():
+                    k = (entry,) + k
+                    prev = acc.get(k)
+                    v = F.mul(c, v)
+                    acc[k] = v if prev is None else F.add(prev, v)
+
+        memo = {}
+
+        def suffix(cuts, f, rest):
+            """Sum over the ways to read the word ``rest`` from the coarsening
+            ``cuts`` after f fiber tokens: {((src, tgt, basis), ...): coeff}."""
+            hit = memo.get((cuts, rest))
+            if hit is not None:
+                return hit
+            acc = {}
+            if not rest:
+                acc[()] = F.one
+            elif rest[0] == 0:
+                mor = P.stars(chain(cuts)).apply(args[f])
+                prepend(mor, 1, suffix(cuts, f + 1, rest[1:]), acc)
+            else:
+                for c in range(1, j):
+                    bit = 1 << (c - 1)
+                    if cuts & bit:
+                        continue
+                    i = 1 + bin(cuts & (bit - 1)).count("1")  # merge index in pred
+                    pred = cuts | bit
+                    mor = P.epsilon_for(chain(pred), i).at(objects[-1 - f])
+                    prepend(mor, -1 if i % 2 else 1, suffix(pred, f, rest[1:]), acc)
+            memo[(cuts, rest)] = acc
+            return acc
+
+        total = {}
+        sgn_t = -1 if len(btuple) % 2 else 1
+        for beta in enumerate_shuffles((len(btuple), j - 1)):
+            neg = sgn_t * beta.sign < 0
+            for k, v in suffix(0, 0, beta.word).items():
+                prev = total.get(k)
+                if neg:
+                    v = F.neg(v)
+                total[k] = v if prev is None else F.add(prev, v)
+        Lsimp = base.left_part(simplex, pp)
+        out = {}
+        for k, v in total.items():
+            if not F.is_zero(v):
+                sh_objects = tuple(e[0] for e in reversed(k)) + (k[0][1],)
+                out[(Lsimp, sh_objects, tuple(e[2] for e in k))] = v
+        return out
 
     # -- individual components -------------------------------------------------
 
@@ -256,9 +344,6 @@ class GSComplex(ComplexBase):
         if j < 2:
             raise ValueError("higher components start at j = 2")
         return self._component(phi, j)
-
-    def d_total(self, phi):
-        return self.apply_diff(phi)
 
     # -- normalized / reduced -------------------------------------------------
 
@@ -335,11 +420,3 @@ class GSComplex(ComplexBase):
     def nr_matrix(self, n):
         """The differential restricted to the normalized reduced subcomplex."""
         return self.matrix(n, keys_in=self.nr_keys(n - 1), keys_out=self.nr_keys(n))
-
-    def nr_closure_defect(self, phi):
-        """Keys outside nr where d(phi) is nonzero, for nr-supported phi."""
-        img = self.apply_diff(phi)
-        nr = set(self.nr_keys(phi.degree + 1))
-        F = self.field
-        return [k for k, vec in img.data.items()
-                if k not in nr and any(not F.is_zero(v) for v in vec)]

@@ -330,22 +330,6 @@ def identity_transform(functor):
     return NatTransform(functor, functor, comps)
 
 
-def whisker(pre, t, post):
-    """The natural transformation (post) o t o (pre).
-
-    ``pre`` and ``post`` are functor chains in composition order (last entry
-    applied first).  The component at A is post(t at pre(A)).
-    """
-    pre_f = compose_functor_chain(list(pre), t.src_functor.src_cat)
-    post_f = compose_functor_chain(list(post), t.src_functor.tgt_cat)
-    comps = {}
-    for a in pre_f.src_cat.objects:
-        comps[a] = post_f.apply(t.at(pre_f.on_obj(a)))
-    src = compose_functors(post_f, compose_functors(t.src_functor, pre_f))
-    tgt = compose_functors(post_f, compose_functors(t.tgt_functor, pre_f))
-    return NatTransform(src, tgt, comps)
-
-
 def compose_transforms(second, first):
     """Vertical composite: first then second (componentwise composition)."""
     comps = {}

@@ -3,14 +3,18 @@
 These deliberately avoid the library's sparse elimination, nerve enumeration,
 shuffle machinery and differential formulas: dense textbook Gaussian
 elimination, double loops, permutation filters, and a direct-summation
-Hochschild differential for one-object fibers.
+Hochschild differential for one-object fibers.  The exception is
+``higher_terms_bruteforce``: it sums the GS higher components one path and one
+shuffle at a time with the library's enumerations, so it checks the
+coarsening dynamic programming of ``GSComplex.higher_terms``, not the formula.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 
-from prestacks.combinatorics import Path, ShufflePerm
-from prestacks.lincat import whisker
+from prestacks.combinatorics import Path, ShufflePerm, enumerate_shuffles, paths_or_trivial
+from prestacks.gscomplex import eval_shuffle, expand_multilinear
+from prestacks.lincat import NatTransform, compose_functor_chain, compose_functors
 
 
 def dense_rank(rows_of_entries, nrows, ncols):
@@ -232,6 +236,22 @@ def nerve_shuffle(beta, simplices):
     return prod_objects, prod_entries
 
 
+def whisker(pre, t, post):
+    """The natural transformation (post) o t o (pre).
+
+    ``pre`` and ``post`` are functor chains in composition order (last entry
+    applied first).  The component at A is post(t at pre(A)).
+    """
+    pre_f = compose_functor_chain(list(pre), t.src_functor.src_cat)
+    post_f = compose_functor_chain(list(post), t.src_functor.tgt_cat)
+    comps = {}
+    for a in pre_f.src_cat.objects:
+        comps[a] = post_f.apply(t.at(pre_f.on_obj(a)))
+    src = compose_functors(post_f, compose_functors(t.src_functor, pre_f))
+    tgt = compose_functors(post_f, compose_functors(t.tgt_functor, pre_f))
+    return NatTransform(src, tgt, comps)
+
+
 def functor_chain_shuffle(beta, chains):
     """Shuffle nerve simplices of functor categories at composable levels,
     composing functors as the chains interleave.
@@ -375,3 +395,27 @@ def _replay_side(arrows, side_events):
         recipe.append(idx)
         cover = cover[: idx - 1] + [(a, d)] + cover[idx + 1 :]
     return Path(tuple(arrows), tuple(recipe))
+
+
+def higher_terms_bruteforce(C, key, j):
+    """The component d_j of a GS complex at the output cell ``key``, summed
+    term by term: every path on the right part R of the simplex times every
+    (q, j-1)-shuffle, each evaluated by ``eval_shuffle`` and expanded over hom
+    bases.  Returns {input key: coefficient}, zero sums left out.
+    """
+    P, F = C.P, C.field
+    simplex, objects, btuple = key
+    q = len(btuple)
+    pp = simplex.p - j
+    left = P.base.left_part(simplex, pp)
+    args = [C.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
+    sgn_t = -1 if q % 2 else 1
+    out = {}
+    for path in paths_or_trivial(simplex.arrows[pp:]):
+        for beta in enumerate_shuffles((q, j - 1)):
+            entries, sh_objects = eval_shuffle(P, path, args, list(objects), beta.word)
+            sgn = sgn_t * path.sign * beta.sign
+            for coeff, nb in expand_multilinear(F, entries):
+                k = (left, tuple(sh_objects), nb)
+                out[k] = F.add(out.get(k, F.zero), coeff if sgn == 1 else F.neg(coeff))
+    return {k: v for k, v in out.items() if not F.is_zero(v)}

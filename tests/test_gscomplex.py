@@ -2,11 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import get_pair, get_prestack
-from oracles import classical_hochschild
-from prestacks.complexbase import SparseCochain
-from prestacks.basecat import Simplex
+from oracles import classical_hochschild, higher_terms_bruteforce
+from prestacks.basecat import Simplex, chain_poset
+from prestacks.combinatorics import EnumerationCapError
+from prestacks.complexbase import SparseCochain, pull_matrix
+from prestacks.fixtures import coboundary_lambdas, scalar_chain_prestack
+from prestacks.gscomplex import GSComplex
 
 
 def test_zero_cochain_maps_to_zero(twist2):
@@ -164,6 +169,15 @@ def test_nr_census_matches_direct_count(triv_a2):
         assert len(C.nr_keys(n)) == direct
 
 
+def nr_closure_defect(C, phi):
+    """Keys outside nr where d(phi) is nonzero, for nr-supported phi."""
+    img = C.apply_diff(phi)
+    nr = set(C.nr_keys(phi.degree + 1))
+    F = C.field
+    return [k for k, vec in img.data.items()
+            if k not in nr and any(not F.is_zero(v) for v in vec)]
+
+
 def test_nr_closure_and_squared(rank2):
     C, _ = get_pair("rank2-fiber")
     rng = random.Random(4)
@@ -173,7 +187,7 @@ def test_nr_closure_and_squared(rank2):
         for k in C.nr_keys(n):
             phi.data[k] = [F.from_int(rng.randint(-2, 2))
                            for _ in range(C.value_rank(k))]
-        assert C.nr_closure_defect(phi) == []
+        assert nr_closure_defect(C, phi) == []
         assert C.nr_matrix(n + 1).mul(C.nr_matrix(n)).is_zero()
 
 
@@ -215,7 +229,7 @@ def test_total_differential_decomposes_into_components(twist3):
     for n0 in (1, 2, 3):
         phi = C.random_cochain(n0, seed=5)
         n = n0 + 1
-        total = C.d_total(phi)
+        total = C.apply_diff(phi)
         acc = SparseCochain(C, n, dict(C.d_hoch(phi).data))
         sgn = F.neg(F.one) if n % 2 else F.one
         for k, vec in C.d_simp(phi).data.items():
@@ -242,3 +256,75 @@ def test_d_simp_boundary_degree(twist2):
     phi2.data[(Simplex("0", ()), ("X", "X"), (0,))] = [F.parse(1)]
     img2 = C.d_simp(phi2)
     assert img2.data[key] == [F.parse(2)]  # 3 - 1
+
+
+def _oracle_stream(C, n, cache):
+    """d's term stream with every higher component from the term-by-term oracle."""
+    P, M, F = C.P, C.M, C.field
+
+    def contrib(key):
+        simplex, objects, _ = key
+        p = simplex.p
+        for term in C.diff_contributions(key, n):
+            if p - term[0][0].p < 2:
+                yield term
+        for j in range(2, p + 1):
+            cp = P.c_sigma_k(simplex, p - j).at(objects[-1])
+            for in_key, c in cache[(key, j)].items():
+                b = P.sigma_upper(in_key[0]).on_obj(in_key[1][0])
+                yield in_key, 1, (lambda vec, c=c, cp=cp, b=b, u0=simplex.source:
+                                  M.left_act(u0, b, cp, [F.mul(c, v) for v in vec]))
+
+    return contrib
+
+
+def _check_higher_terms(C, n):
+    """Compare d_j at every degree-n cell with the oracle; one term per input cell."""
+    cache = {}
+    for key in C.cells(n):
+        p = key[0].p
+        merged = [t[0] for t in C.diff_contributions(key, n) if p - t[0][0].p >= 2]
+        assert len(merged) == len(set(merged)), key
+        want_keys = set()
+        for j in range(2, p + 1):
+            want = cache[(key, j)] = higher_terms_bruteforce(C, key, j)
+            assert C.higher_terms(key, j) == want, (key, j)
+            want_keys |= set(want)
+        assert set(merged) == want_keys, key
+    return cache
+
+
+@pytest.mark.parametrize("name", ["scalar-twist-3chain", "rank2-fiber", "dual-pair"])
+def test_higher_terms_equal_path_by_path_sum(name):
+    C, _ = get_pair(name)
+    for n in range(1, 5):
+        cache = _check_higher_terms(C, n)
+        contrib = _oracle_stream(C, n, cache)
+        full = pull_matrix(contrib, C.cells(n), C.index(n), C.index(n - 1),
+                           C.value_rank, C.field)
+        assert full == C.matrix(n)
+        nr_out, nr_in = C.nr_keys(n), C.nr_keys(n - 1)
+        nr = pull_matrix(contrib, nr_out, C._offsets(nr_out), C._offsets(nr_in),
+                         C.value_rank, C.field)
+        assert nr == C.nr_matrix(n)
+
+
+weights = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=25, deadline=None)
+@given(length=st.integers(1, 4), n=st.integers(2, 4), data=st.data())
+def test_higher_terms_on_generated_scalar_chains(length, n, data):
+    base = chain_poset(length)
+    z = {a: data.draw(weights) for a in base.arrow_ids if not base.is_identity(a)}
+    P = scalar_chain_prestack(length, lam=coboundary_lambdas(base, z))
+    assert P.validate() is None
+    _check_higher_terms(GSComplex(P), n)
+
+
+def test_path_cap_refuses_before_the_shuffle_cap(monkeypatch):
+    # at q = 0 the (0, 2)-shuffles fit a cap of 2; the 3-arrow right part does not
+    monkeypatch.setenv("PRESTACKS_ENUM_CAP", "2")
+    C = GSComplex(get_prestack("scalar-twist-3chain"))
+    with pytest.raises(EnumerationCapError, match=r"^enumeration size 3 exceeds cap 2 "):
+        C.matrix(3)

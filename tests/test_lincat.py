@@ -3,8 +3,9 @@ import random
 import pytest
 
 from conftest import get_prestack
+from oracles import whisker
 from prestacks.lincat import (Mor, NatTransform, compose_functors, diagonal_bimodule,
-                              identity_functor, identity_transform, whisker)
+                              identity_functor, identity_transform)
 
 
 @pytest.fixture
