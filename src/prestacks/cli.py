@@ -132,8 +132,9 @@ def _law_delta2(P, CG, CU, cmp_, N, T, seed, report):
 
 def _law_fd(P, CG, CU, cmp_, N, T, seed, report):
     ok = True
+    F_mats = {n: cmp_.matrix_F(n) for n in range(0, N + 1)}
     for n in range(1, N + 1):
-        if cmp_.matrix_F(n).mul(CG.matrix(n)) != CU.matrix(n).mul(cmp_.matrix_F(n - 1)):
+        if F_mats[n].mul(CG.matrix(n)) != CU.matrix(n).mul(F_mats[n - 1]):
             report("F.d != delta.F at degree %d" % n)
             ok = False
     return ok
@@ -141,8 +142,9 @@ def _law_fd(P, CG, CU, cmp_, N, T, seed, report):
 
 def _law_gd(P, CG, CU, cmp_, N, T, seed, report):
     ok = True
+    G_mats = {n: cmp_.matrix_G(n) for n in range(0, N + 1)}
     for n in range(1, N + 1):
-        if cmp_.matrix_G(n).mul(CU.matrix(n)) != CG.matrix(n).mul(cmp_.matrix_G(n - 1)):
+        if G_mats[n].mul(CU.matrix(n)) != CG.matrix(n).mul(G_mats[n - 1]):
             report("G.delta != d.G at degree %d" % n)
             ok = False
     return ok
@@ -166,12 +168,16 @@ def _law_gf(P, CG, CU, cmp_, N, T, seed, report):
 def _law_homotopy(P, CG, CU, cmp_, N, T, seed, report):
     ok = True
     F = P.field
+    # T and delta are needed at n and n + 1; each is built once.  Only fresh
+    # products are mutated below, never these.
+    T_mats = {n: cmp_.matrix_T(n) for n in range(1, N + 2)}
+    delta_mats = {n: CU.matrix(n) for n in range(1, N + 2)}
     for n in range(1, N + 1):
         lhs = cmp_.matrix_F(n).mul(cmp_.matrix_G(n))
         for i in range(CU.dim(n)):
             lhs.add_entry(i, i, F.neg(F.one))
-        rhs = CU.matrix(n).mul(cmp_.matrix_T(n))
-        for entry, v in cmp_.matrix_T(n + 1).mul(CU.matrix(n + 1)).data.items():
+        rhs = delta_mats[n].mul(T_mats[n])
+        for entry, v in T_mats[n + 1].mul(delta_mats[n + 1]).data.items():
             rhs.add_entry(entry[0], entry[1], v)
         if lhs != rhs:
             report("FG - 1 != delta T + T delta at degree %d" % n)

@@ -3,8 +3,11 @@
 Everything downstream (differentials, comparison maps, cohomology) reduces to
 rank and kernel computations over an exact field: the rationals or a prime
 field.  No floating point appears anywhere; equality checks are exact and
-tolerance is zero.  Dual numbers (for deformation checks) are a ring, not a
-field; systems over them are solved as block systems over the base field.
+tolerance is zero.  A rational is a Python int while it is integral and a
+``Fraction`` in lowest terms otherwise (see ``RationalField``), so integer
+structure constants never pay for ``Fraction`` arithmetic.  Dual numbers (for
+deformation checks) are a ring, not a field; systems over them are solved as
+block systems over the base field.
 
 Elimination has one core, ``SparseMatrix._echelon``, which accepts only Q and
 F_p and works on rows of Python ints:
@@ -32,21 +35,32 @@ from math import gcd, lcm
 
 
 class RationalField:
-    """The field Q, scalars stored as fractions.Fraction in lowest terms."""
+    """The field Q, a scalar stored as an int when integral, else a Fraction.
+
+    Every result is normalised: an integral value is a Python int, anything
+    else a ``Fraction`` in lowest terms with denominator > 1.  Most scalars
+    (0, 1, structure constants, the entries of differentials) are integers, so
+    arithmetic stays on ints until a division.  The two forms compare and
+    hash alike (``Fraction(3) == 3``) and print alike, so keys and written
+    files do not depend on which one a value happens to be.
+    """
 
     name = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def sub(self, a, b):
-        return a - b
+        r = a - b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r if type(r) is int or r.denominator != 1 else r.numerator
 
     def neg(self, a):
         return -a
@@ -54,7 +68,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _q(Fraction(1, a))
 
     def is_zero(self, a):
         return a == 0
@@ -63,18 +77,23 @@ class RationalField:
         return a == b
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def parse(self, s):
         if isinstance(s, (int, Fraction)):
-            return Fraction(s)
-        return Fraction(str(s))
+            return _q(Fraction(s))
+        return _q(Fraction(str(s)))
 
     def show(self, a):
         return str(a)
 
     def __repr__(self):
         return "QQ"
+
+
+def _q(f):
+    """A Fraction as a Q scalar: its numerator if integral, else itself."""
+    return f.numerator if f.denominator == 1 else f
 
 
 def is_prime(n):
@@ -429,7 +448,7 @@ class SparseMatrix:
                 _reduce(r, pivots[index[j]][1], j, p)
         if p:
             return dict(pivots)
-        return {c: {j: Fraction(v, r[c]) for j, v in r.items()}
+        return {c: {j: _q(Fraction(v, r[c])) for j, v in r.items()}
                 for c, r in pivots}
 
     def kernel_basis(self):

@@ -73,12 +73,14 @@ class Prestack:
         The empty chain needs ``end_obj`` to pick the fiber.
         """
         arrows = tuple(arrows)
-        if not arrows:
-            return identity_functor(self.fiber(end_obj))
-        key = arrows
+        key = arrows if arrows else ((), end_obj)
         if key not in self._stars_cache:
-            chain = [self.restriction(a) for a in arrows]
-            self._stars_cache[key] = compose_functor_chain(chain, self.fiber(self.base.tgt(arrows[-1])))
+            if arrows:
+                chain = [self.restriction(a) for a in arrows]
+                functor = compose_functor_chain(chain, self.fiber(self.base.tgt(arrows[-1])))
+            else:
+                functor = identity_functor(self.fiber(end_obj))
+            self._stars_cache[key] = functor
         return self._stars_cache[key]
 
     def sigma_lower(self, s):

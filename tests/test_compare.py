@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -214,6 +215,17 @@ def test_pointwise_route_equals_matrix_route(name, which):
         phi = src.random_cochain(n, 300 + n)
         vec = matrix(n).matvec(src.to_vector(phi))
         assert apply_(phi) == tgt.from_vector(n + shift, vec)
+
+
+@pytest.mark.parametrize("name", ["rank2-fiber", "scalar-twist-3chain"])
+def test_q_matrix_entries_are_normalised(name):
+    # every integral entry is an int and every other one a Fraction with
+    # denominator > 1, so hom arithmetic stays on ints until a division
+    cmp_ = comparison(name)
+    for m in (cmp_.CG.matrix(3), cmp_.CU.matrix(3), cmp_.matrix_F(2)):
+        assert m.data
+        assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+                   for v in m.data.values())
 
 
 def test_f_and_g_of_zero(twist2):

@@ -131,6 +131,41 @@ def test_triplet_zero_matrix_header():
 rationals = st.fractions(min_value=-50, max_value=50)
 
 
+def is_q_normal(x):
+    """A Q scalar in normal form: an int, or a Fraction that is not integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+q_inputs = st.one_of(st.integers(min_value=-50, max_value=50),
+                     st.fractions(min_value=-50, max_value=50, max_denominator=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q_inputs, q_inputs)
+def test_rational_field_keeps_integral_values_as_ints(a, b):
+    # inputs may be ints or Fractions, integral or not, as tests build them
+    fa, fb = Fraction(a), Fraction(b)
+    cases = [(QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
+             (QQ.mul(a, b), fa * fb), (QQ.neg(QQ.parse(a)), -fa),
+             (QQ.parse(a), fa), (QQ.parse(str(b)), fb)]
+    if b != 0:
+        cases.append((QQ.inv(b), 1 / fb))
+    for got, want in cases:
+        assert got == want
+        assert is_q_normal(got)
+        assert (type(got) is int) == (want.denominator == 1)
+    assert QQ.show(QQ.parse(a)) == str(fa)
+
+
+def test_rational_field_constants_are_ints():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.from_int(-3)) is int
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.parse("6/3") == 2 and type(QQ.parse("6/3")) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(Fraction(0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(rationals, rationals, rationals, rationals)
 def test_dual_number_product(a, b, c, d):
@@ -196,7 +231,24 @@ def test_kernel_matches_dense_rref_oracle(seed):
     for i, j in cells:
         mq.add_entry(i, j, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
     assert mq.kernel_basis() == dense_kernel(dict(mq.data), rows, cols)
+    assert all(is_q_normal(v) for vec in mq.kernel_basis() for v in vec)
     assert mq.rank() == cols - len(mq.kernel_basis())
+    # an integer matrix with RREF [I | B], B integral, hidden by unimodular
+    # row operations: its RREF and kernel are integral and come out as ints
+    r = rng.randint(1, min(rows, cols))
+    tail = [[rng.randint(-3, 3) for _ in range(cols - r)] for _ in range(r)]
+    dense = [[int(i == j) for j in range(r)] + tail[i] for i in range(r)]
+    dense += [[0] * cols for _ in range(rows - r)]
+    for _ in range(3 * rows if rows > 1 else 0):
+        a, b = rng.sample(range(rows), 2)
+        k = rng.randint(-2, 2)
+        dense[a] = [x + k * y for x, y in zip(dense[a], dense[b])]
+    mi = SparseMatrix(rows, cols, QQ, {(i, j): v for i, row in enumerate(dense)
+                                       for j, v in enumerate(row) if v})
+    assert mi.kernel_basis() == dense_kernel(dict(mi.data), rows, cols)
+    assert sorted(mi.rref_pivots()) == list(range(r))
+    assert all(type(v) is int for row in mi.rref_pivots().values() for v in row.values())
+    assert all(type(v) is int for vec in mi.kernel_basis() for v in vec)
     F = PrimeField(7)
     mp = SparseMatrix(rows, cols, F)
     for i, j in cells:
