@@ -171,11 +171,6 @@ class BaseCategory:
         objs = self.objects_along(s)
         return Simplex(objs[k], s.arrows[k:])
 
-    def concat(self, left, right):
-        if self.objects_along(left)[-1] != right.source:
-            raise ValueError("simplices not concatenable")
-        return Simplex(left.source, left.arrows + right.arrows)
-
     def composite(self, s):
         """The composite arrow u_p ... u_1 (identity of the object for p=0)."""
         if s.p == 0:
@@ -184,13 +179,6 @@ class BaseCategory:
         for a in s.arrows[1:]:
             acc = self.then(acc, a)
         return acc
-
-    def is_right_k_degenerate(self, s, k):
-        """True iff u_i is an identity for some p-k+1 <= i <= p."""
-        p = s.p
-        if not (1 <= k <= p):
-            raise IndexError("k must satisfy 1 <= k <= p")
-        return any(self.is_identity(a) for a in s.arrows[p - k :])
 
     def is_degenerate(self, s):
         return s.p > 0 and any(self.is_identity(a) for a in s.arrows)

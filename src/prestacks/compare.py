@@ -22,14 +22,10 @@ from .combinatorics import (
     partitions,
     paths_or_trivial,
 )
-from .complexbase import pull_apply, pull_matrix
-from .graded import (
-    GradedChain,
-    StringEntry,
-    string_objects,
-    string_simp,
-)
+from .complexbase import pull_matrix
+from .graded import GMor, string_objects, string_simp
 from .gscomplex import eval_shuffle, expand_multilinear
+from .lincat import compose_blocks, scale_block, unit_block
 
 
 # -- partitioned path transforms -------------------------------------------------
@@ -285,7 +281,7 @@ def build_graded_string(P, zeta, fiber_entries, fiber_objects, word, top_obj):
             x = fiber_entries[consumed_f]
             m = apply_range(0, x)
             z = top_fiber_obj()
-            out.append(StringEntry(base.identities[z], m.src, m.tgt, m.coords))
+            out.append(GMor(base.identities[z], m.src, m.tgt, m.coords))
             consumed_f += 1
             cur_obj = fiber_objects[len(fiber_objects) - 1 - consumed_f]
         else:
@@ -299,7 +295,7 @@ def build_graded_string(P, zeta, fiber_entries, fiber_objects, word, top_obj):
                 src = P.restriction(v).on_obj(y)
                 fib = P.fiber(st["z_bot"])
                 st["started"] = True
-                out.append(StringEntry(v, src, y, fib.identity(src).coords))
+                out.append(GMor(v, src, y, fib.identity(src).coords))
             else:
                 j = ztok[2]  # displayed path entry r_j of this level
                 chain_before, i = st["steps"][st["m"] - j - 1]
@@ -309,7 +305,7 @@ def build_graded_string(P, zeta, fiber_entries, fiber_objects, word, top_obj):
                 m = apply_range(lv + 1, m0)
                 st["consumed"] += 1
                 z = top_fiber_obj()
-                out.append(StringEntry(base.identities[z], m.src, m.tgt, m.coords))
+                out.append(GMor(base.identities[z], m.src, m.tgt, m.coords))
     return tuple(out)
 
 
@@ -358,25 +354,21 @@ class Comparison:
                                        objects[p:], part):
                     xi_objects = tuple(xi.objects())
                     sgn = part.sign * xi.sign
-                    b_src = P.sigma_upper(Lsimp).on_obj(xi_objects[0])
+                    block = M.left_block(u0, P.sigma_upper(Lsimp).on_obj(xi_objects[0]), pref)
+                    if tail is not None:
+                        block = compose_blocks(F, M.right_block(u0, pref.tgt, tail), block)
                     for coeff, nb in expand_multilinear(F, xi.entries):
                         in_key = (Lsimp, xi_objects, nb)
-
-                        def op(vec, coeff=coeff, pref=pref, tail=tail, b_src=b_src):
-                            w = [F.mul(coeff, v) for v in vec]
-                            w = M.left_act(u0, b_src, pref, w)
-                            if tail is not None:
-                                w = M.right_act(u0, pref.tgt, w, b_src, tail)
-                            return w
-
-                        yield in_key, sgn, op
+                        yield in_key, scale_block(F, coeff if sgn == 1 else F.neg(coeff),
+                                                  block)
 
     def apply_F(self, phi):
-        return pull_apply(self.f_contributions, self.CU, phi.degree, phi)
+        n = phi.degree
+        return self.CU.from_vector(n, self.matrix_F(n).matvec(self.CG.to_vector(phi)))
 
     def matrix_F(self, n):
         return pull_matrix(self.f_contributions, self.CU.cells(n), self.CU.index(n),
-                           self.CG.index(n), self.CG.value_rank, self.field)
+                           self.CG.index(n), self.field)
 
     # G: graded -> GS -----------------------------------------------------------
 
@@ -388,8 +380,8 @@ class Comparison:
         p = simplex.p
         q = len(btuple)
         top = base.objects_along(simplex)[-1]
-        fib = P.fiber(top)
         args = [self.CG.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
+        rank = self.CG.value_rank(key)
         for part in partitions(p):
             for zeta in seqq_elements(P, simplex.arrows, part):
                 for beta in enumerate_shuffles((q, p)):
@@ -402,18 +394,18 @@ class Comparison:
                     else:
                         simp = Simplex(top, ())
                         objsx = (objects[0],)
-                    fmors = [self.CU.G.as_fiber_mor(e.as_gmor()) for e in string]
+                    fmors = [self.CU.G.as_fiber_mor(e) for e in string]
                     for coeff, nb in expand_multilinear(F, fmors):
                         in_key = (simp, objsx, nb)
-                        yield in_key, sgn, (lambda vec, c=coeff:
-                                            [F.mul(c, v) for v in vec])
+                        yield in_key, unit_block(F, rank, coeff if sgn == 1 else F.neg(coeff))
 
     def apply_G(self, psi):
-        return pull_apply(self.g_contributions, self.CG, psi.degree, psi)
+        n = psi.degree
+        return self.CG.from_vector(n, self.matrix_G(n).matvec(self.CU.to_vector(psi)))
 
     def matrix_G(self, n):
         return pull_matrix(self.g_contributions, self.CG.cells(n), self.CG.index(n),
-                           self.CU.index(n), self.CU.value_rank, self.field)
+                           self.CU.index(n), self.field)
 
     # omega / Omega / T ------------------------------------------------------------
 
@@ -433,7 +425,7 @@ class Comparison:
         fib0 = P.fiber(u0)
         c_k = P.c_sigma_k(simplex, p).at(objects[-1])
         tail = _tail_composite(P, arrows, entries, n + 1 - p, u0)
-        tail_entry = StringEntry(base.identities[u0], tail.src, tail.tgt, tail.coords)
+        tail_entry = GMor(base.identities[u0], tail.src, tail.tgt, tail.coords)
         r_arrows = arrows[p:]
         for part in partitions(n - p):
             if part.k == 0:
@@ -453,13 +445,6 @@ class Comparison:
                             sgn = part.sign * xi.sign * zeta.sign * beta.sign
                             yield sgn, string, pref
 
-    def omega_chain(self, simplex, entries, objects, p):
-        """The plain formal sum omega_{n,p} in the free abelian group."""
-        chain = GradedChain()
-        for sgn, string, _pref in self.omega_terms(simplex, entries, objects, p):
-            chain.add(sgn, string)
-        return chain
-
     def big_omega_terms(self, simplex, entries, objects):
         """Corrected strings of Omega_n, including the recursion tail."""
         P = self.P
@@ -472,8 +457,8 @@ class Comparison:
             a1 = entries[0]
             top = P.restriction(u1).on_obj(objects[1])
             fib = P.fiber(u0)
-            id_entry = StringEntry(u1, top, objects[1], fib.identity(top).coords)
-            a_entry = StringEntry(base.identities[u0], a1.src, a1.tgt, a1.coords)
+            id_entry = GMor(u1, top, objects[1], fib.identity(top).coords)
+            a_entry = GMor(base.identities[u0], a1.src, a1.tgt, a1.coords)
             corr = fib.identity(top)
             return [(1, (id_entry, a_entry), corr)]
         out = []
@@ -485,7 +470,7 @@ class Comparison:
         sub_simplex = base.face(simplex, 0)
         comp_sub = base.composite(sub_simplex)
         a_n = entries[n - 1]
-        a_entry = StringEntry(u1, a_n.src, a_n.tgt, a_n.coords)
+        a_entry = GMor(u1, a_n.src, a_n.tgt, a_n.coords)
         fu1 = P.restriction(u1)
         for c, y, corr_y in self.big_omega_terms(sub_simplex, entries[: n - 1],
                                                  objects[1:]):
@@ -497,12 +482,6 @@ class Comparison:
             corr_x = fib0.compose(fwd, fib0.compose(fu1.apply(corr_y), back))
             out.append((c, x, corr_x))
         return out
-
-    def big_omega_chain(self, simplex, entries, objects):
-        chain = GradedChain()
-        for sgn, string, _corr in self.big_omega_terms(simplex, entries, objects):
-            chain.add(sgn, string)
-        return chain
 
     def t_contributions(self, key):
         """Pull-style terms of T at a degree-n graded output cell."""
@@ -519,50 +498,13 @@ class Comparison:
         for sgn, string, corr in self.big_omega_terms(simplex, entries, list(objects)):
             simp = string_simp(base, list(string))
             objsx = tuple(string_objects(list(string)))
-            fmors = [self.CU.G.as_fiber_mor(e.as_gmor()) for e in string]
+            fmors = [self.CU.G.as_fiber_mor(e) for e in string]
+            block = M.left_block(u0, objects[0], corr)
             for coeff, nb in expand_multilinear(F, fmors):
                 in_key = (simp, objsx, nb)
-                yield in_key, sgn, (lambda vec, c=coeff, corr=corr:
-                                    M.left_act(u0, objects[0], corr,
-                                               [F.mul(c, v) for v in vec]))
-
-    def apply_T(self, psi):
-        """The homotopy T_{n+1} on a degree-(n+1) graded cochain."""
-        return pull_apply(self.t_contributions, self.CU, psi.degree - 1, psi)
+                yield in_key, scale_block(F, coeff if sgn == 1 else F.neg(coeff), block)
 
     def matrix_T(self, n):
         """T_n as a matrix from graded degree n to degree n-1."""
         return pull_matrix(self.t_contributions, self.CU.cells(n - 1),
-                           self.CU.index(n - 1), self.CU.index(n),
-                           self.CU.value_rank, self.field)
-
-    # Delta (chain-level diagnostic) -----------------------------------------------
-
-    def delta_chain(self, simplex, entries, objects):
-        """Delta_n: partitioned Seq strings with identity gradings minus the
-        input string."""
-        P = self.P
-        base = P.base
-        n = simplex.p
-        u0 = simplex.source
-        chain = GradedChain()
-        ident = base.identities[u0]
-        for part in partitions(n):
-            for xi in seq_elements(P, simplex.arrows, entries, objects, part):
-                string = tuple(StringEntry(ident, e.src, e.tgt, e.coords)
-                               for e in xi.entries)
-                chain.add(part.sign * xi.sign, string)
-        orig = []
-        for i, e in enumerate(entries):
-            u = simplex.arrows[n - 1 - i]
-            orig.append(StringEntry(u, objects[n - 1 - i], objects[n - i], e.coords))
-        chain.add(-1, tuple(orig))
-        return chain
-
-    # identities ---------------------------------------------------------------------
-
-    def check_gf_identity(self, phi):
-        """G(F(phi)) == phi for a normalized reduced cochain."""
-        if not (self.CG.is_normalized(phi) and self.CG.is_reduced(phi)):
-            raise ValueError("GF identity requires a normalized reduced cochain")
-        return self.apply_G(self.apply_F(phi)) == phi
+                           self.CU.index(n - 1), self.CU.index(n), self.field)

@@ -3,14 +3,16 @@
 A concrete complex supplies cell enumeration and value ranks; every operator
 between complexes (the differentials d and delta, the comparison maps F and G,
 the homotopy T) is given pull-style: for each output cell ``key`` it yields
-terms ``(in_key, sign, op)`` with ``sign`` in {1, -1} and ``op`` a linear map
-from the value coordinates at ``in_key`` to those at ``key``.  The operator
-sends a cochain phi to the cochain whose value at ``key`` is the sum of
-``sign * op(phi[in_key])`` over the terms.
+terms ``(in_key, block)``, where ``block`` is the matrix of a linear map from
+the value coordinates at ``in_key`` to those at ``key``, stored as a dict
+``{(r, b): v}`` with the term's sign folded in (``lincat`` builds blocks).
+The operator sends a cochain phi to the cochain whose value at ``key`` is the
+sum of ``block . phi[in_key]`` over the terms.
 
-Two kernels consume such a term stream, and nothing else calls an ``op``:
-``pull_apply`` applies the operator to a cochain and ``pull_matrix`` assembles
-its matrix.  Coordinate conversion and random cochains also live here.
+``pull_matrix`` is the only consumer of a term stream: it assembles the
+operator's matrix, and an operator is applied to a cochain as to_vector,
+matvec, from_vector.  Coordinate conversion and random cochains also live
+here.
 """
 
 from __future__ import annotations
@@ -48,13 +50,6 @@ class SparseCochain:
         else:
             self.data[key] = new
 
-    def scaled(self, c):
-        F = self.complex.field
-        out = SparseCochain(self.complex, self.degree)
-        for k, vec in self.data.items():
-            out.data[k] = [F.mul(c, v) for v in vec]
-        return out
-
     def is_zero(self):
         F = self.complex.field
         return all(all(F.is_zero(v) for v in vec) for vec in self.data.values())
@@ -77,50 +72,23 @@ class SparseCochain:
         return out
 
 
-def pull_apply(contrib, out_complex, n, phi):
-    """The operator with term stream ``contrib(key)`` applied to ``phi``: a
-    degree-n cochain of ``out_complex``."""
-    F = out_complex.field
-    out = SparseCochain(out_complex, n)
-    for key in out_complex.cells(n):
-        acc = [F.zero] * out_complex.value_rank(key)
-        for in_key, sgn, op in contrib(key):
-            vec = phi.data.get(in_key)
-            if vec is None:
-                continue
-            img = op(vec)
-            if sgn == 1:
-                acc = [F.add(a, b) for a, b in zip(acc, img)]
-            else:
-                acc = [F.sub(a, b) for a, b in zip(acc, img)]
-        if not all(F.is_zero(v) for v in acc):
-            out.data[key] = acc
-    return out
-
-
-def pull_matrix(contrib, out_keys, out_index, in_index, in_rank, field):
+def pull_matrix(contrib, out_keys, out_index, in_index, field):
     """The matrix of the term stream ``contrib`` on the given bases.
 
     ``out_index`` and ``in_index`` are (offsets by key, dim) pairs; terms whose
     input key has no offset are dropped, rows follow ``out_keys``.
     """
-    F = field
     out_off, out_dim = out_index
     in_off, in_dim = in_index
-    mat = SparseMatrix(out_dim, in_dim, F)
+    mat = SparseMatrix(out_dim, in_dim, field)
     for key in out_keys:
         row0 = out_off[key]
-        for in_key, sgn, op in contrib(key):
+        for in_key, block in contrib(key):
             col0 = in_off.get(in_key)
             if col0 is None:
                 continue
-            rank_in = in_rank(in_key)
-            for b in range(rank_in):
-                unit = [F.zero] * rank_in
-                unit[b] = F.one
-                for r, v in enumerate(op(unit)):
-                    if not F.is_zero(v):
-                        mat.add_entry(row0 + r, col0 + b, v if sgn == 1 else F.neg(v))
+            for (r, b), v in block.items():
+                mat.add_entry(row0 + r, col0 + b, v)
     return mat
 
 
@@ -133,7 +101,7 @@ class ComplexBase:
         self._index = {}
 
     # subclasses: cells(n) -> list of keys, value_rank(key) -> int,
-    # diff_contributions(key, n) -> iterable of (in_key, sign, op)
+    # diff_contributions(key, n) -> iterable of (in_key, block)
 
     def index(self, n):
         if n not in self._index:
@@ -145,7 +113,7 @@ class ComplexBase:
 
     def apply_diff(self, phi):
         n = phi.degree + 1
-        return pull_apply(lambda key: self.diff_contributions(key, n), self, n, phi)
+        return self.from_vector(n, self.matrix(n).matvec(self.to_vector(phi)))
 
     def matrix(self, n, keys_in=None, keys_out=None):
         """The differential C^{n-1} -> C^n as a sparse matrix."""
@@ -154,7 +122,7 @@ class ComplexBase:
             self.cells(n) if keys_out is None else keys_out,
             self.index(n) if keys_out is None else self._offsets(keys_out),
             self.index(n - 1) if keys_in is None else self._offsets(keys_in),
-            self.value_rank, self.field)
+            self.field)
 
     def _offsets(self, keys):
         offsets = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .basecat import Simplex
 from .complexbase import SparseCochain
 from .gscomplex import GSComplex
-from .lincat import LinearCategory, LinFunctor, NatTransform
+from .lincat import LinearCategory, LinFunctor, Mor, NatTransform, compose_functors
 from .linalg import DualNumbers
 from .prestack import Prestack
 
@@ -106,14 +106,11 @@ def build_deformation(prestack, datum):
             vec = phi.data.get(key)
             eps = vec if vec is not None else [zero] * len(m.coords)
             fib = fibers[P.base.src(f)]
-            from .lincat import Mor, compose_functors
             comps[a] = Mor(fib, m.src, m.tgt,
                            tuple((c, e) for c, e in zip(m.coords, eps)))
         src_fun = compose_functors(restr[f], restr[g])
         tgt_fun = restr[P.base.then(f, g)]
         twists[(f, g)] = NatTransform(src_fun, tgt_fun, comps)
-
-    from .lincat import compose_functors, Mor  # noqa: F401  (used above)
     return Prestack(P.name + "[e]", dual, P.base, fibers, restr, twists)
 
 
@@ -183,7 +180,6 @@ def check_equivalence_morphism(P, e, deformed, deformed2):
             for k, v in enumerate(vec):
                 eps_part[k] = F.add(eps_part[k], F.mul(c[0], v))
         new = [(c[0], F.add(c[1], ep)) for c, ep in zip(m.coords, eps_part)]
-        from .lincat import Mor
         return Mor(fib2, m.src, m.tgt, tuple(new))
 
     def tau(u_arrow, a_obj):
@@ -196,7 +192,6 @@ def check_equivalence_morphism(P, e, deformed, deformed2):
         vec = e.tau1.get((Simplex(v_obj, (u_arrow,)), (a_obj,), ()))
         if vec is None:
             return ident
-        from .lincat import Mor
         coords = [(c[0], F.add(c[1], v)) for c, v in zip(ident.coords, vec)]
         return Mor(fib2, tgt, tgt, tuple(coords))
 
@@ -294,7 +289,6 @@ def classify_h2(P, complex_=None):
 
     def reduce_vec(vec):
         v = dict(vec)
-        changed = True
         while v:
             lead = min(v)
             row = echelon.get(lead)

@@ -25,8 +25,8 @@ from __future__ import annotations
 from itertools import product
 
 from .combinatorics import _check_cap, enumerate_shuffles
-from .complexbase import ComplexBase, pull_apply
-from .lincat import diagonal_bimodule
+from .complexbase import ComplexBase
+from .lincat import compose_blocks, diagonal_bimodule, scale_block, unit_block
 
 
 def eval_shuffle(P, path, entries, objects, word):
@@ -150,9 +150,10 @@ class GSComplex(ComplexBase):
     # -- the differential --------------------------------------------------------
 
     def diff_contributions(self, key, n):
-        """Yield (input_key, sign, op) for the degree-n output cell ``key``."""
+        """Yield (input_key, block) for the degree-n output cell ``key``."""
         P, M = self.P, self.M
         F = self.field
+        minus = F.neg(F.one)
         base = P.base
         simplex, objects, btuple = key
         p = simplex.p
@@ -163,31 +164,30 @@ class GSComplex(ComplexBase):
         args = [self.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
         sgn_simp = -1 if n % 2 else 1  # (-1)^n on d_simp
 
+        def signed(sgn, block):
+            return block if sgn == 1 else scale_block(F, minus, block)
+
         # d_Hoch from C^{p, q-1}
         if q >= 1:
             a1 = P.sigma_lower(simplex).apply(args[0])
             in_key = (simplex, objects[:-1], btuple[1:])
             b_obj = P.sigma_upper(simplex).on_obj(objects[0])
-            yield in_key, 1, (lambda vec, a1=a1, b=b_obj: M.left_act(u0, b, a1, vec))
+            yield in_key, M.left_block(u0, b_obj, a1)
+            rank = self.value_rank(key)
             for i in range(1, q):
                 merged = fib.compose(args[i - 1], args[i])
                 lo = q - i - 1  # merged morphism spans objects[lo] -> objects[lo+2]
                 new_objects = objects[: lo + 1] + objects[lo + 2 :]
-                sgn = -1 if i % 2 else 1
                 for bm, coeff in enumerate(merged.coords):
                     if F.is_zero(coeff):
                         continue
                     nb = btuple[: i - 1] + (bm,) + btuple[i + 1 :]
                     in_key = (simplex, new_objects, nb)
-                    yield in_key, sgn, (lambda vec, c=coeff:
-                                        [F.mul(c, v) for v in vec])
+                    yield in_key, unit_block(F, rank, F.neg(coeff) if i % 2 else coeff)
             aq = P.sigma_upper(simplex).apply(args[q - 1])
             in_key = (simplex, objects[1:], btuple[:-1])
             a_obj = P.sigma_lower(simplex).on_obj(objects[-1])
-            b_old = P.sigma_upper(simplex).on_obj(objects[1])
-            sgn = -1 if q % 2 else 1
-            yield in_key, sgn, (lambda vec, aq=aq, a=a_obj, b=b_old:
-                                M.right_act(u0, a, vec, b, aq))
+            yield in_key, signed(-1 if q % 2 else 1, M.right_block(u0, a_obj, aq))
 
         # (-1)^n d_simp from C^{p-1, q}
         if p >= 1:
@@ -197,40 +197,33 @@ class GSComplex(ComplexBase):
             in_key = (d0, objects, btuple)
             bsub = P.sigma_upper(d0).on_obj(objects[0])
             asub = P.sigma_lower(d0).on_obj(objects[-1])
-
-            def op_simp0(vec, u1=u1, bsub=bsub, asub=asub, c1=c1):
-                w = M.restrict(u1, bsub, asub, vec)
-                return M.left_act(u0, P.restriction(u1).on_obj(bsub), c1, w)
-
-            yield in_key, sgn_simp, op_simp0
+            block = compose_blocks(F, M.left_block(u0, P.restriction(u1).on_obj(bsub), c1),
+                                   M.restrict_block(u1, bsub, asub))
+            yield in_key, signed(sgn_simp, block)
             for i in range(1, p):
                 di = base.face(simplex, i)
                 eps = P.epsilon_sigma_i(simplex, i).at(objects[0])
                 in_key = (di, objects, btuple)
                 a_obj = P.sigma_lower(di).on_obj(objects[-1])
-                b_old = P.sigma_upper(di).on_obj(objects[0])
-                sgn = sgn_simp * (-1 if i % 2 else 1)
-                yield in_key, sgn, (lambda vec, e=eps, a=a_obj, b=b_old:
-                                    M.right_act(u0, a, vec, b, e))
+                yield in_key, signed(sgn_simp * (-1 if i % 2 else 1),
+                                     M.right_block(u0, a_obj, eps))
             dp = base.face(simplex, p)
             cp = P.c_sigma_k(simplex, p - 1).at(objects[-1])
             up = P.restriction(simplex.arrows[-1])
             sgn = sgn_simp * (-1 if p % 2 else 1)
             restr_args = [up.apply(a) for a in args]
             new_objects = tuple(up.on_obj(o) for o in objects)
-            b_obj = P.sigma_upper(dp).on_obj(new_objects[0])
+            block = M.left_block(u0, P.sigma_upper(dp).on_obj(new_objects[0]), cp)
             for coeff, nb in expand_multilinear(F, restr_args):
                 in_key = (dp, new_objects, nb)
-                yield in_key, sgn, (lambda vec, c=coeff, cp=cp, b=b_obj:
-                                    M.left_act(u0, b, cp, [F.mul(c, v) for v in vec]))
+                yield in_key, scale_block(F, coeff if sgn == 1 else F.neg(coeff), block)
 
         # higher components d_j from C^{p-j, q+j-1}, 2 <= j <= p: one term per input cell
         for j in range(2, p + 1):
             c_pref = P.c_sigma_k(simplex, p - j).at(objects[-1])
             for in_key, coeff in self.higher_terms(key, j).items():
                 b_obj = P.sigma_upper(in_key[0]).on_obj(in_key[1][0])
-                yield in_key, 1, (lambda vec, c=coeff, cp=c_pref, b=b_obj:
-                                  M.left_act(u0, b, cp, [F.mul(c, v) for v in vec]))
+                yield in_key, scale_block(F, coeff, M.left_block(u0, b_obj, c_pref))
 
     def higher_terms(self, key, j):
         """The component d_j at the output cell ``key`` as {input key: coefficient}.
@@ -317,33 +310,6 @@ class GSComplex(ComplexBase):
                 sh_objects = tuple(e[0] for e in reversed(k)) + (k[0][1],)
                 out[(Lsimp, sh_objects, tuple(e[2] for e in k))] = v
         return out
-
-    # -- individual components -------------------------------------------------
-
-    def _component(self, phi, j):
-        """The terms of d that raise the simplicial degree by exactly j."""
-        n = phi.degree + 1
-
-        def contrib(key):
-            p = key[0].p
-            return (t for t in self.diff_contributions(key, n) if p - t[0][0].p == j)
-
-        return pull_apply(contrib, self, n, phi)
-
-    def d_hoch(self, phi):
-        """The Hochschild component, raising the fiber degree."""
-        return self._component(phi, 0)
-
-    def d_simp(self, phi):
-        """The simplicial component, without the total differential's sign."""
-        out = self._component(phi, 1)
-        return out.scaled(self.field.from_int(-1)) if out.degree % 2 else out
-
-    def d_higher(self, phi, j):
-        """The component raising the simplicial degree by j >= 2."""
-        if j < 2:
-            raise ValueError("higher components start at j = 2")
-        return self._component(phi, j)
 
     # -- normalized / reduced -------------------------------------------------
 

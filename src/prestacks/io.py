@@ -235,6 +235,7 @@ def cochain_to_text(complex_, phi):
 def cochain_from_text(complex_, degree, text):
     phi = SparseCochain(complex_, degree)
     field = complex_.field
+    cells = complex_.index(degree)[0]
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
@@ -243,6 +244,8 @@ def cochain_from_text(complex_, degree, text):
             key, vals = _cochain_line(complex_, ln)
         except (KeyError, ValueError, TypeError, IndexError) as exc:
             raise ParseError("bad cochain line %r: %s" % (ln, exc))
+        if key not in cells:
+            raise ParseError("cochain line %r is not a degree-%d cell" % (ln, degree))
         vec = phi.data.get(key)
         if vec is None:
             vec = [field.zero] * len(vals)

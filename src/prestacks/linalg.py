@@ -598,7 +598,3 @@ def betti_numbers(diffs):
     return [(d_out.cols - r_out) - r_in
             for d_out, r_in, r_out in zip(diffs[1:], ranks, ranks[1:])]
 
-
-def betti(d_in, d_out):
-    """dim ker(d_out) - rank(d_in) at one complex position."""
-    return betti_numbers([d_in, d_out])[0]

@@ -66,9 +66,6 @@ class LinearCategory:
     def rank(self, a, b):
         return len(self.hom_basis(a, b))
 
-    def zero_mor(self, a, b):
-        return Mor(self, a, b, tuple([self.field.zero] * self.rank(a, b)))
-
     def basis_mor(self, a, b, i):
         coords = [self.field.zero] * self.rank(a, b)
         coords[i] = self.field.one
@@ -340,7 +337,8 @@ def compose_transforms(second, first):
 
 class Bimodule:
     """An explicit bimodule over a prestack: free modules M^U(B, A) with
-    morphism actions and per-arrow restriction maps.
+    morphism actions and per-arrow restriction maps, each read off the stored
+    structure constants as a block (see below).
 
     Left action: by f: A -> A2, covariantly in the second slot.
     Right action: by g: B2 -> B, contravariantly in the first slot.
@@ -361,55 +359,35 @@ class Bimodule:
     def rank(self, u_obj, b, a):
         return len(self.basis(u_obj, b, a))
 
-    def zero(self, u_obj, b, a):
-        return [self.field.zero] * self.rank(u_obj, b, a)
-
-    def left_act(self, u_obj, b, f, vec):
-        """f . vec for f: A -> A2 in the fiber over u_obj, vec in M(B, A)."""
+    def left_block(self, u_obj, b, f):
+        """The block of m -> f . m, M(B, A) -> M(B, A2), for f: A -> A2 over u_obj."""
         F = self.field
-        out = [F.zero] * self.rank(u_obj, b, f.tgt)
+        out = {}
         for fi, fc in enumerate(f.coords):
             if F.is_zero(fc):
                 continue
-            for mi, mc in enumerate(vec):
-                if F.is_zero(mc):
-                    continue
-                w = F.mul(fc, mc)
+            for mi in range(self.rank(u_obj, b, f.src)):
                 for k, coeff in self._left.get((u_obj, b, f.src, f.tgt, fi, mi), {}).items():
-                    out[k] = F.add(out[k], F.mul(w, coeff))
+                    _add_entry(F, out, (k, mi), F.mul(fc, coeff))
         return out
 
-    def right_act(self, u_obj, a, vec, b_old, g):
-        """vec . g for g: B2 -> B, vec in M(B, A) with B = b_old."""
+    def right_block(self, u_obj, a, g):
+        """The block of m -> m . g, M(B, A) -> M(B2, A), for g: B2 -> B over u_obj."""
         F = self.field
-        if g.tgt != b_old:
-            raise ValueError("right action endpoint mismatch")
-        out = [F.zero] * self.rank(u_obj, g.src, a)
+        out = {}
         for gi, gc in enumerate(g.coords):
             if F.is_zero(gc):
                 continue
-            for mi, mc in enumerate(vec):
-                if F.is_zero(mc):
-                    continue
-                w = F.mul(gc, mc)
-                for k, coeff in self._right.get((u_obj, b_old, a, g.src, gi, mi), {}).items():
-                    out[k] = F.add(out[k], F.mul(w, coeff))
+            for mi in range(self.rank(u_obj, g.tgt, a)):
+                for k, coeff in self._right.get((u_obj, g.tgt, a, g.src, gi, mi), {}).items():
+                    _add_entry(F, out, (k, mi), F.mul(gc, coeff))
         return out
 
-    def restrict(self, u, b, a, vec):
-        """M^u applied to vec in M^{tgt u}(B, A)."""
+    def restrict_block(self, u, b, a):
+        """The block of M^u: M^{tgt u}(B, A) -> M^{src u}(u*B, u*A)."""
         F = self.field
-        cols = self._restr[(u, b, a)]
-        P = self.prestack
-        V = P.base.src(u)
-        fu = P.restriction(u)
-        out = [F.zero] * self.rank(V, fu.on_obj(b), fu.on_obj(a))
-        for mi, mc in enumerate(vec):
-            if F.is_zero(mc):
-                continue
-            for k, v in enumerate(cols[mi]):
-                out[k] = F.add(out[k], F.mul(mc, v))
-        return out
+        return {(k, mi): v for mi, col in enumerate(self._restr[(u, b, a)])
+                for k, v in enumerate(col) if not F.is_zero(v)}
 
     def validate(self):
         """Exhaustively check action and restriction coherence axioms."""
@@ -419,70 +397,99 @@ class Bimodule:
             cat = P.fiber(U)
             for b in cat.objects:
                 for a in cat.objects:
-                    n = self.rank(U, b, a)
-                    for mi in range(n):
-                        vec = self.zero(U, b, a)
-                        vec[mi] = F.one
-                        if self.left_act(U, b, cat.identity(a), vec) != vec:
-                            return "left unit fails at %s M(%s,%s)[%d]" % (U, b, a, mi)
-                        if self.right_act(U, a, vec, b, cat.identity(b)) != vec:
-                            return "right unit fails at %s M(%s,%s)[%d]" % (U, b, a, mi)
-            for b in cat.objects:
-                for a in cat.objects:
-                    for a2 in cat.objects:
-                        for a3 in cat.objects:
-                            for fi in range(cat.rank(a, a2)):
-                                f = cat.basis_mor(a, a2, fi)
-                                for gi in range(cat.rank(a2, a3)):
-                                    g = cat.basis_mor(a2, a3, gi)
-                                    for mi in range(self.rank(U, b, a)):
-                                        vec = self.zero(U, b, a)
-                                        vec[mi] = F.one
-                                        two = self.left_act(U, b, g, self.left_act(U, b, f, vec))
-                                        one = self.left_act(U, b, cat.compose(g, f), vec)
-                                        if one != two:
-                                            return "left associativity fails over %s" % U
-            # left/right commute
-            for b2 in cat.objects:
-                for b in cat.objects:
-                    for a in cat.objects:
-                        for a2 in cat.objects:
-                            for gi in range(cat.rank(b2, b)):
-                                g = cat.basis_mor(b2, b, gi)
-                                for fi in range(cat.rank(a, a2)):
-                                    f = cat.basis_mor(a, a2, fi)
-                                    for mi in range(self.rank(U, b, a)):
-                                        vec = self.zero(U, b, a)
-                                        vec[mi] = F.one
-                                        lr = self.right_act(U, a2, self.left_act(U, b, f, vec), b, g)
-                                        rl = self.left_act(U, b2, f, self.right_act(U, a, vec, b, g))
-                                        if lr != rl:
-                                            return "left/right actions do not commute over %s" % U
-        # restriction coherence: left_act(c, M^v M^u x) == right_act(M^{uv} x, c)
+                    one = unit_block(F, self.rank(U, b, a), F.one)
+                    mi = _first_column(self.left_block(U, b, cat.identity(a)), one)
+                    if mi is not None:
+                        return "left unit fails at %s M(%s,%s)[%d]" % (U, b, a, mi)
+                    mi = _first_column(self.right_block(U, a, cat.identity(b)), one)
+                    if mi is not None:
+                        return "right unit fails at %s M(%s,%s)[%d]" % (U, b, a, mi)
+            for b, a, a2, a3 in product(cat.objects, repeat=4):
+                for fi in range(cat.rank(a, a2)):
+                    f = cat.basis_mor(a, a2, fi)
+                    for gi in range(cat.rank(a2, a3)):
+                        g = cat.basis_mor(a2, a3, gi)
+                        two = compose_blocks(F, self.left_block(U, b, g), self.left_block(U, b, f))
+                        if self.left_block(U, b, cat.compose(g, f)) != two:
+                            return "left associativity fails over %s" % U
+            for b2, b, a, a2 in product(cat.objects, repeat=4):
+                for gi in range(cat.rank(b2, b)):
+                    g = cat.basis_mor(b2, b, gi)
+                    for fi in range(cat.rank(a, a2)):
+                        f = cat.basis_mor(a, a2, fi)
+                        lr = compose_blocks(F, self.right_block(U, a2, g), self.left_block(U, b, f))
+                        rl = compose_blocks(F, self.left_block(U, b2, f), self.right_block(U, a, g))
+                        if lr != rl:
+                            return "left/right actions do not commute over %s" % U
+        # restriction coherence: tw(a) . M^v M^u == M^{uv} . tw(b)
         base = P.base
         for u in base.arrow_ids:
             for v in base.arrow_ids:
                 if base.src(u) != base.tgt(v):
                     continue
                 uv = base.then(v, u)
-                U = base.tgt(u)
                 W = base.src(v)
                 fu, fv = P.restriction(u), P.restriction(v)
                 fuv = P.restriction(uv)
-                cat_u = P.fiber(U)
                 tw = P.twist(v, u)
-                for b in cat_u.objects:
-                    for a in cat_u.objects:
-                        for mi in range(self.rank(U, b, a)):
-                            vec = self.zero(U, b, a)
-                            vec[mi] = F.one
-                            step = self.restrict(v, fu.on_obj(b), fu.on_obj(a), self.restrict(u, b, a, vec))
-                            lhs = self.left_act(W, fv.on_obj(fu.on_obj(b)), tw.at(a), step)
-                            rhs = self.right_act(W, fuv.on_obj(a), self.restrict(uv, b, a, vec),
-                                                 fuv.on_obj(b), tw.at(b))
-                            if lhs != rhs:
-                                return "restriction coherence fails at (%s,%s) M(%s,%s)" % (u, v, b, a)
+                for b, a in product(P.fiber(base.tgt(u)).objects, repeat=2):
+                    step = compose_blocks(F, self.restrict_block(v, fu.on_obj(b), fu.on_obj(a)),
+                                          self.restrict_block(u, b, a))
+                    lhs = compose_blocks(F, self.left_block(W, fv.on_obj(fu.on_obj(b)), tw.at(a)),
+                                         step)
+                    rhs = compose_blocks(F, self.right_block(W, fuv.on_obj(a), tw.at(b)),
+                                         self.restrict_block(uv, b, a))
+                    if lhs != rhs:
+                        return "restriction coherence fails at (%s,%s) M(%s,%s)" % (u, v, b, a)
         return None
+
+
+# -- blocks ----------------------------------------------------------------------
+# A block is the matrix of a linear map between two free modules, stored as a
+# dict {(row, column): value} without zero values.
+
+
+def _add_entry(F, block, key, v):
+    cur = block.get(key)
+    if cur is not None:
+        v = F.add(cur, v)
+    if F.is_zero(v):
+        block.pop(key, None)
+    else:
+        block[key] = v
+
+
+def unit_block(F, rank, c):
+    """c times the identity of a rank-``rank`` module."""
+    return {} if F.is_zero(c) else {(i, i): c for i in range(rank)}
+
+
+def compose_blocks(F, a, b):
+    """The block of a o b (b applied first)."""
+    rows_of_b = {}
+    for (m, c), w in b.items():
+        rows_of_b.setdefault(m, []).append((c, w))
+    out = {}
+    for (r, m), v in a.items():
+        for c, w in rows_of_b.get(m, ()):
+            _add_entry(F, out, (r, c), F.mul(v, w))
+    return out
+
+
+def scale_block(F, c, a):
+    """c times the block a."""
+    out = {}
+    for k, v in a.items():
+        v = F.mul(c, v)
+        if not F.is_zero(v):
+            out[k] = v
+    return out
+
+
+def _first_column(a, b):
+    """The first column where two blocks differ, or None."""
+    cols = [k[1] for k in a.keys() | b.keys() if a.get(k) != b.get(k)]
+    return min(cols) if cols else None
 
 
 def diagonal_bimodule(prestack):

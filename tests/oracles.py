@@ -3,16 +3,32 @@
 These deliberately avoid the library's sparse elimination, nerve enumeration,
 shuffle machinery and differential formulas: dense textbook Gaussian
 elimination, double loops, permutation filters, and a direct-summation
-Hochschild differential for one-object fibers.  The exception is
-``higher_terms_bruteforce``: it sums the GS higher components one path and one
-shuffle at a time with the library's enumerations, so it checks the
-coarsening dynamic programming of ``GSComplex.higher_terms``, not the formula.
+Hochschild differential for one-object fibers.  The exceptions check how the
+library assembles its operators, not the formulas:
+
+- ``higher_terms_bruteforce`` sums the GS higher components one path and one
+  shuffle at a time with the library's enumerations, so it checks the
+  coarsening dynamic programming of ``GSComplex.higher_terms``;
+- the pointwise route (``left_act``, ``right_act``, ``restrict``, the
+  ``*_terms`` streams and ``pull_apply``) applies every term of d, delta, F, G
+  and T to a value vector as a closure, with the same enumerations, so it
+  checks the blocks and the matrix assembly of the library's term streams.
+
+Test-only diagnostics of the paper's constructions also live here: formal
+chains of tensor strings with their faces, and the chains omega, Omega and
+Delta of the homotopy.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 
-from prestacks.combinatorics import Path, ShufflePerm, enumerate_shuffles, paths_or_trivial
+from prestacks.basecat import Simplex
+from prestacks.combinatorics import (Path, ShufflePerm, enumerate_shuffles, partitions,
+                                     paths_or_trivial)
+from prestacks.compare import (_tail_composite, build_graded_string, c_sigma_partition,
+                               seq_elements, seqq_elements)
+from prestacks.complexbase import SparseCochain, pull_matrix
+from prestacks.graded import GMor, GradedCategory, string_objects, string_simp
 from prestacks.gscomplex import eval_shuffle, expand_multilinear
 from prestacks.lincat import NatTransform, compose_functor_chain, compose_functors
 
@@ -419,3 +435,449 @@ def higher_terms_bruteforce(C, key, j):
                 k = (left, tuple(sh_objects), nb)
                 out[k] = F.add(out.get(k, F.zero), coeff if sgn == 1 else F.neg(coeff))
     return {k: v for k, v in out.items() if not F.is_zero(v)}
+
+
+# -- the pointwise route ----------------------------------------------------------
+# Every term of an operator as a closure on value vectors: (in_key, sign, op).
+
+
+def left_act(M, u_obj, b, f, vec):
+    """f . vec for f: A -> A2 in the fiber over u_obj, vec in M(B, A)."""
+    F = M.field
+    out = [F.zero] * M.rank(u_obj, b, f.tgt)
+    for fi, fc in enumerate(f.coords):
+        if F.is_zero(fc):
+            continue
+        for mi, mc in enumerate(vec):
+            if F.is_zero(mc):
+                continue
+            w = F.mul(fc, mc)
+            for k, coeff in M._left.get((u_obj, b, f.src, f.tgt, fi, mi), {}).items():
+                out[k] = F.add(out[k], F.mul(w, coeff))
+    return out
+
+
+def right_act(M, u_obj, a, vec, b_old, g):
+    """vec . g for g: B2 -> B, vec in M(B, A) with B = b_old."""
+    F = M.field
+    if g.tgt != b_old:
+        raise ValueError("right action endpoint mismatch")
+    out = [F.zero] * M.rank(u_obj, g.src, a)
+    for gi, gc in enumerate(g.coords):
+        if F.is_zero(gc):
+            continue
+        for mi, mc in enumerate(vec):
+            if F.is_zero(mc):
+                continue
+            w = F.mul(gc, mc)
+            for k, coeff in M._right.get((u_obj, b_old, a, g.src, gi, mi), {}).items():
+                out[k] = F.add(out[k], F.mul(w, coeff))
+    return out
+
+
+def restrict(M, u, b, a, vec):
+    """M^u applied to vec in M^{tgt u}(B, A)."""
+    F = M.field
+    cols = M._restr[(u, b, a)]
+    P = M.prestack
+    fu = P.restriction(u)
+    out = [F.zero] * M.rank(P.base.src(u), fu.on_obj(b), fu.on_obj(a))
+    for mi, mc in enumerate(vec):
+        if F.is_zero(mc):
+            continue
+        for k, v in enumerate(cols[mi]):
+            out[k] = F.add(out[k], F.mul(mc, v))
+    return out
+
+
+def pull_apply(contrib, out_complex, n, phi):
+    """The operator with closure stream ``contrib(key)`` applied to ``phi``: a
+    degree-n cochain of ``out_complex``."""
+    F = out_complex.field
+    out = SparseCochain(out_complex, n)
+    for key in out_complex.cells(n):
+        acc = [F.zero] * out_complex.value_rank(key)
+        for in_key, sgn, op in contrib(key):
+            vec = phi.data.get(in_key)
+            if vec is None:
+                continue
+            img = op(vec)
+            if sgn == 1:
+                acc = [F.add(a, b) for a, b in zip(acc, img)]
+            else:
+                acc = [F.sub(a, b) for a, b in zip(acc, img)]
+        if not all(F.is_zero(v) for v in acc):
+            out.data[key] = acc
+    return out
+
+
+def _scaled(F, c, vec):
+    return [F.mul(c, v) for v in vec]
+
+
+def gs_terms(C, key, n):
+    """The terms of the GS differential at the degree-n cell ``key``; the
+    higher components come from ``higher_terms_bruteforce``."""
+    P, M = C.P, C.M
+    F = C.field
+    base = P.base
+    simplex, objects, btuple = key
+    p = simplex.p
+    q = len(btuple)
+    u0 = simplex.source
+    fib = P.fiber(base.objects_along(simplex)[-1])
+    args = [C.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
+    sgn_simp = -1 if n % 2 else 1  # (-1)^n on d_simp
+
+    # d_Hoch from C^{p, q-1}
+    if q >= 1:
+        a1 = P.sigma_lower(simplex).apply(args[0])
+        b_obj = P.sigma_upper(simplex).on_obj(objects[0])
+        yield ((simplex, objects[:-1], btuple[1:]), 1,
+               lambda vec, b=b_obj: left_act(M, u0, b, a1, vec))
+        for i in range(1, q):
+            merged = fib.compose(args[i - 1], args[i])
+            lo = q - i - 1  # merged morphism spans objects[lo] -> objects[lo+2]
+            new_objects = objects[: lo + 1] + objects[lo + 2 :]
+            for bm, coeff in enumerate(merged.coords):
+                if F.is_zero(coeff):
+                    continue
+                nb = btuple[: i - 1] + (bm,) + btuple[i + 1 :]
+                yield ((simplex, new_objects, nb), -1 if i % 2 else 1,
+                       lambda vec, c=coeff: _scaled(F, c, vec))
+        aq = P.sigma_upper(simplex).apply(args[q - 1])
+        a_obj = P.sigma_lower(simplex).on_obj(objects[-1])
+        b_old = P.sigma_upper(simplex).on_obj(objects[1])
+        yield ((simplex, objects[1:], btuple[:-1]), -1 if q % 2 else 1,
+               lambda vec, a=a_obj, b=b_old: right_act(M, u0, a, vec, b, aq))
+
+    # (-1)^n d_simp from C^{p-1, q}
+    if p >= 1:
+        d0 = base.face(simplex, 0)
+        c1 = P.c_sigma_k(simplex, 1).at(objects[-1])
+        u1 = simplex.arrows[0]
+        bsub = P.sigma_upper(d0).on_obj(objects[0])
+        asub = P.sigma_lower(d0).on_obj(objects[-1])
+        yield ((d0, objects, btuple), sgn_simp,
+               lambda vec: left_act(M, u0, P.restriction(u1).on_obj(bsub), c1,
+                                    restrict(M, u1, bsub, asub, vec)))
+        for i in range(1, p):
+            di = base.face(simplex, i)
+            eps = P.epsilon_sigma_i(simplex, i).at(objects[0])
+            a_obj = P.sigma_lower(di).on_obj(objects[-1])
+            b_old = P.sigma_upper(di).on_obj(objects[0])
+            yield ((di, objects, btuple), sgn_simp * (-1 if i % 2 else 1),
+                   lambda vec, e=eps, a=a_obj, b=b_old: right_act(M, u0, a, vec, b, e))
+        dp = base.face(simplex, p)
+        cp = P.c_sigma_k(simplex, p - 1).at(objects[-1])
+        up = P.restriction(simplex.arrows[-1])
+        new_objects = tuple(up.on_obj(o) for o in objects)
+        b_obj = P.sigma_upper(dp).on_obj(new_objects[0])
+        for coeff, nb in expand_multilinear(F, [up.apply(a) for a in args]):
+            yield ((dp, new_objects, nb), sgn_simp * (-1 if p % 2 else 1),
+                   lambda vec, c=coeff, b=b_obj: left_act(M, u0, b, cp, _scaled(F, c, vec)))
+
+    # higher components d_j from C^{p-j, q+j-1}, 2 <= j <= p
+    for j in range(2, p + 1):
+        c_pref = P.c_sigma_k(simplex, p - j).at(objects[-1])
+        for in_key, coeff in higher_terms_bruteforce(C, key, j).items():
+            b_obj = P.sigma_upper(in_key[0]).on_obj(in_key[1][0])
+            yield (in_key, 1, lambda vec, c=coeff, b=b_obj:
+                   left_act(M, u0, b, c_pref, _scaled(F, c, vec)))
+
+
+def left_mu(GM, b, v, a_obj, vec):
+    """mu(b, x) for b graded u from C to D, x a value in M~_v(A, C)."""
+    P, M = GM.P, GM.M
+    base = P.base
+    w_obj = base.src(v)
+    vb = P.restriction(v).apply(GradedCategory(P).as_fiber_mor(b))
+    y = left_act(M, w_obj, a_obj, vb, vec)
+    return left_act(M, w_obj, a_obj, P.twist(v, b.grading).at(b.tgt_obj), y)
+
+
+def right_mu(GM, v, b_obj, c_obj, vec, a):
+    """mu(x, a) for x a value in M~_v(B, C), a graded w from A to B."""
+    P, M = GM.P, GM.M
+    base = P.base
+    w = a.grading
+    t_obj = base.src(w)
+    fw = P.restriction(w)
+    y = restrict(M, w, b_obj, P.restriction(v).on_obj(c_obj), vec)
+    z = left_act(M, t_obj, fw.on_obj(b_obj), P.twist(w, v).at(c_obj), y)
+    return right_act(M, t_obj, P.restriction(base.then(w, v)).on_obj(c_obj),
+                     z, fw.on_obj(b_obj), GradedCategory(P).as_fiber_mor(a))
+
+
+def graded_terms(CU, key, n):
+    """The terms of the graded Hochschild differential at the degree-n cell."""
+    P, GM = CU.P, CU.GM
+    F = CU.field
+    base = P.base
+    simplex, objects, btuple = key
+    args = [CU.arg_gmor(simplex, objects, btuple, i) for i in range(1, n + 1)]
+
+    # i = 0: mu(a_1, psi(a_2..a_n))
+    sub = Simplex(simplex.source, simplex.arrows[:-1])
+    v0 = base.composite(sub)
+    yield ((sub, objects[:-1], btuple[1:]), 1,
+           lambda vec: left_mu(GM, args[0], v0, objects[0], vec))
+
+    # middle merges
+    for i in range(1, n):
+        merged = CU.G.mu(args[i - 1], args[i])
+        lo = n - i - 1
+        new_objects = objects[: lo + 1] + objects[lo + 2 :]
+        new_simplex = base.face(simplex, n - i)
+        for bm, coeff in enumerate(merged.coords):
+            if F.is_zero(coeff):
+                continue
+            nb = btuple[: i - 1] + (bm,) + btuple[i + 1 :]
+            yield ((new_simplex, new_objects, nb), -1 if i % 2 else 1,
+                   lambda vec, c=coeff: _scaled(F, c, vec))
+
+    # i = n: mu(psi(a_1..a_{n-1}), a_n)
+    sub = Simplex(base.tgt(simplex.arrows[0]), simplex.arrows[1:])
+    vn = base.composite(sub)
+    yield ((sub, objects[1:], btuple[:-1]), -1 if n % 2 else 1,
+           lambda vec: right_mu(GM, vn, objects[1], objects[-1], vec, args[n - 1]))
+
+
+def f_terms(cmp_, key):
+    """The terms of F at a graded output cell."""
+    P, M = cmp_.P, cmp_.M
+    F = cmp_.field
+    base = P.base
+    simplex, objects, btuple = key
+    n = simplex.p
+    u0 = simplex.source
+    entries = [cmp_.CU.G.as_fiber_mor(cmp_.CU.arg_gmor(simplex, objects, btuple, i))
+               for i in range(1, n + 1)]
+    for p in range(0, n + 1):
+        Lsimp = base.left_part(simplex, p)
+        tail = (_tail_composite(P, simplex.arrows, entries, n + 1 - p, u0)
+                if p >= 1 else None)
+        c_k = P.c_sigma_k(simplex, p).at(objects[-1])
+        r_arrows = simplex.arrows[p:]
+        for part in partitions(n - p):
+            if part.k == 0:
+                pref = c_k
+            else:
+                cb = c_sigma_partition(P, r_arrows, part).at(objects[-1])
+                pref = P.fiber(u0).compose(c_k, P.sigma_lower(Lsimp).apply(cb))
+            for xi in seq_elements(P, r_arrows, entries[: n - p], objects[p:], part):
+                xi_objects = tuple(xi.objects())
+                b_src = P.sigma_upper(Lsimp).on_obj(xi_objects[0])
+                for coeff, nb in expand_multilinear(F, xi.entries):
+
+                    def op(vec, coeff=coeff, pref=pref, tail=tail, b_src=b_src):
+                        w = left_act(M, u0, b_src, pref, _scaled(F, coeff, vec))
+                        if tail is not None:
+                            w = right_act(M, u0, pref.tgt, w, b_src, tail)
+                        return w
+
+                    yield (Lsimp, xi_objects, nb), part.sign * xi.sign, op
+
+
+def g_terms(cmp_, key):
+    """The terms of G at a GS output cell."""
+    P = cmp_.P
+    F = cmp_.field
+    base = P.base
+    simplex, objects, btuple = key
+    p = simplex.p
+    q = len(btuple)
+    top = base.objects_along(simplex)[-1]
+    args = [cmp_.CG.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
+    for part in partitions(p):
+        for zeta in seqq_elements(P, simplex.arrows, part):
+            for beta in enumerate_shuffles((q, p)):
+                string = build_graded_string(P, zeta, args, list(objects), beta.word, top)
+                if string:
+                    simp = string_simp(base, list(string))
+                    objsx = tuple(string_objects(list(string)))
+                else:
+                    simp = Simplex(top, ())
+                    objsx = (objects[0],)
+                fmors = [cmp_.CU.G.as_fiber_mor(e) for e in string]
+                for coeff, nb in expand_multilinear(F, fmors):
+                    yield ((simp, objsx, nb), beta.sign * zeta.sign,
+                           lambda vec, c=coeff: _scaled(F, c, vec))
+
+
+def t_terms(cmp_, key):
+    """The terms of the homotopy T at a graded output cell."""
+    P, M = cmp_.P, cmp_.M
+    F = cmp_.field
+    simplex, objects, btuple = key
+    n = simplex.p
+    if n == 0:
+        return
+    u0 = simplex.source
+    entries = [cmp_.CU.G.as_fiber_mor(cmp_.CU.arg_gmor(simplex, objects, btuple, i))
+               for i in range(1, n + 1)]
+    for sgn, string, corr in cmp_.big_omega_terms(simplex, entries, list(objects)):
+        simp = string_simp(P.base, list(string))
+        objsx = tuple(string_objects(list(string)))
+        fmors = [cmp_.CU.G.as_fiber_mor(e) for e in string]
+        for coeff, nb in expand_multilinear(F, fmors):
+            yield ((simp, objsx, nb), sgn, lambda vec, c=coeff, corr=corr:
+                   left_act(M, u0, objects[0], corr, _scaled(F, c, vec)))
+
+
+def apply_terms(contrib, out_complex, n, in_complex, phi):
+    """The operator of a block stream applied to ``phi`` through its matrix:
+    a degree-n cochain of ``out_complex``."""
+    mat = pull_matrix(contrib, out_complex.cells(n), out_complex.index(n),
+                      in_complex.index(phi.degree), out_complex.field)
+    return out_complex.from_vector(n, mat.matvec(in_complex.to_vector(phi)))
+
+
+# -- formal chains ------------------------------------------------------------------
+
+
+class GradedChain:
+    """An integer combination of tensor strings (tuples of GMor)."""
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            for coeff, string in terms:
+                self.add(coeff, string)
+
+    def add(self, coeff, string):
+        string = tuple(string)
+        cur = self.terms.get(string, 0) + coeff
+        if cur == 0:
+            self.terms.pop(string, None)
+        else:
+            self.terms[string] = cur
+
+    def add_chain(self, other, scale=1):
+        for string, coeff in other.terms.items():
+            self.add(scale * coeff, string)
+        return self
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedChain):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __len__(self):
+        return len(self.terms)
+
+
+def chain_face(P, string, i):
+    """The i-th face of a string: drop an end or merge two adjacent entries."""
+    n = len(string)
+    if n <= 1:
+        raise ValueError("faces of strings need length >= 2")
+    if not (0 <= i <= n):
+        raise IndexError("face index out of range")
+    if i == 0:
+        return string[1:]
+    if i == n:
+        return string[:-1]
+    merged = GradedCategory(P).mu(string[i - 1], string[i])
+    return string[: i - 1] + (merged,) + string[i + 1 :]
+
+
+def chain_face_sum(P, chain, i):
+    out = GradedChain()
+    for string, coeff in chain.terms.items():
+        out.add(coeff, chain_face(P, string, i))
+    return out
+
+
+def chain_concat(x, y):
+    """Concatenation: y is the source-side piece appended after x."""
+    if x and y and y[0].tgt_obj != x[-1].src_obj:
+        raise ValueError("strings not concatenable")
+    return tuple(x) + tuple(y)
+
+
+def eval_on_string(complex_, psi, string):
+    """Evaluate a cochain on one string, multilinearly over entry coordinates.
+
+    Returns (value_vector, value_module_signature) or None when the string's
+    length does not match the cochain degree or its cells carry rank zero.
+    """
+    F = complex_.field
+    if len(string) != psi.degree:
+        return None
+    simp = string_simp(complex_.P.base, list(string))
+    objects = tuple(string_objects(list(string)))
+    gmors = [complex_.G.as_fiber_mor(e) for e in string]
+    rank = complex_.value_rank((simp, objects, None))
+    acc = [F.zero] * rank
+    for coeff, nb in expand_multilinear(F, gmors):
+        key = (simp, objects, nb)
+        vec = psi.data.get(key)
+        if vec is None:
+            continue
+        for k, v in enumerate(vec):
+            acc[k] = F.add(acc[k], F.mul(coeff, v))
+    comp = complex_.P.base.composite(simp)
+    return acc, (comp, objects[0], objects[-1])
+
+
+def eval_on_chain(complex_, psi, chain):
+    """Linear extension of evaluation; strings of the wrong length give zero.
+
+    All contributing strings must share the value module; mixing modules is a
+    type error and raises.
+    """
+    F = complex_.field
+    acc = None
+    sig = None
+    for string, coeff in chain.terms.items():
+        res = eval_on_string(complex_, psi, string)
+        if res is None:
+            continue
+        vec, s = res
+        if acc is None:
+            acc = [F.zero] * len(vec)
+            sig = s
+        elif s != sig:
+            raise ValueError("chain mixes value modules %r and %r" % (sig, s))
+        c = F.from_int(coeff)
+        for k, v in enumerate(vec):
+            acc[k] = F.add(acc[k], F.mul(c, v))
+    return acc
+
+
+def omega_chain(cmp_, simplex, entries, objects, p):
+    """The plain formal sum omega_{n,p} in the free abelian group."""
+    chain = GradedChain()
+    for sgn, string, _pref in cmp_.omega_terms(simplex, entries, objects, p):
+        chain.add(sgn, string)
+    return chain
+
+
+def big_omega_chain(cmp_, simplex, entries, objects):
+    chain = GradedChain()
+    for sgn, string, _corr in cmp_.big_omega_terms(simplex, entries, objects):
+        chain.add(sgn, string)
+    return chain
+
+
+def delta_chain(cmp_, simplex, entries, objects):
+    """Delta_n: partitioned Seq strings with identity gradings minus the
+    input string."""
+    P = cmp_.P
+    n = simplex.p
+    chain = GradedChain()
+    ident = P.base.identities[simplex.source]
+    for part in partitions(n):
+        for xi in seq_elements(P, simplex.arrows, entries, objects, part):
+            string = tuple(GMor(ident, e.src, e.tgt, e.coords) for e in xi.entries)
+            chain.add(part.sign * xi.sign, string)
+    orig = []
+    for i, e in enumerate(entries):
+        u = simplex.arrows[n - 1 - i]
+        orig.append(GMor(u, objects[n - 1 - i], objects[n - i], e.coords))
+    chain.add(-1, tuple(orig))
+    return chain

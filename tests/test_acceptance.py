@@ -8,7 +8,8 @@ import random
 from math import comb, factorial
 
 from conftest import get_pair, get_prestack
-from oracles import dense_rank_of_sparse, shuffle_filter_count
+from oracles import (GradedChain, big_omega_chain, chain_face, chain_face_sum, delta_chain,
+                     dense_rank_of_sparse, shuffle_filter_count)
 from prestacks import combinatorics as cb
 from prestacks import fixtures
 from prestacks.basecat import chain_poset
@@ -18,7 +19,6 @@ from prestacks.deform import (DeformationDatum, EquivalenceDatum, build_deformat
                               classify_h2, deformation_is_cocycle,
                               equivalence_from_cochain, is_nr_coboundary,
                               validate_deformation)
-from prestacks.graded import GradedChain, chain_face, chain_face_sum
 from prestacks.io import prestack_from_doc, prestack_to_doc
 from prestacks.linalg import SparseMatrix
 
@@ -279,15 +279,14 @@ def test_10_presheaf_degeneration():
             low = SparseCochain(CG, n + 1)
             for key in CG.cells(n + 1):
                 acc = [F.zero] * CG.value_rank(key)
-                for in_key, sgn, op in CG.diff_contributions(key, n + 1):
+                for in_key, block in CG.diff_contributions(key, n + 1):
                     if key[0].p - in_key[0].p >= 2:
                         continue  # drop the higher components
                     vec = phi.data.get(in_key)
                     if vec is None:
                         continue
-                    img = op(vec)
-                    acc = [F.add(a, b) if sgn == 1 else F.sub(a, b)
-                           for a, b in zip(acc, img)]
+                    for (r, b), v in block.items():
+                        acc[r] = F.add(acc[r], F.mul(v, vec[b]))
                 if any(not F.is_zero(v) for v in acc):
                     low.data[key] = acc
             ok &= full == low
@@ -296,7 +295,7 @@ def test_10_presheaf_degeneration():
 
 def test_11_chain_level_homotopy_identity():
     from itertools import product as iproduct
-    from prestacks.graded import string_objects, string_simp, StringEntry
+    from prestacks.graded import GMor, string_objects, string_simp
     P = get_prestack("scalar-twist-2chain")
     cmp_ = get_cmp("scalar-twist-2chain")
     CU = cmp_.CU
@@ -314,7 +313,7 @@ def test_11_chain_level_homotopy_identity():
                 gmors = [CU.arg_gmor(simplex, objects, btuple, i)
                          for i in range(1, n + 1)]
                 entries = [G.as_fiber_mor(g) for g in gmors]
-                om = cmp_.big_omega_chain(simplex, entries, list(objects))
+                om = big_omega_chain(cmp_, simplex, entries, list(objects))
                 ok &= all(len(s) == n + 1 for s in om.terms)
                 lhs = GradedChain()
                 for i in range(0, n + 1):
@@ -322,16 +321,16 @@ def test_11_chain_level_homotopy_identity():
                 orig = []
                 for i, e in enumerate(entries):
                     u = simplex.arrows[n - 1 - i]
-                    orig.append(StringEntry(u, objects[n - 1 - i],
-                                            objects[n - i], e.coords))
+                    orig.append(GMor(u, objects[n - 1 - i],
+                                     objects[n - i], e.coords))
                 orig = tuple(orig)
                 for i in range(0, n):
                     face = chain_face(P, orig, i)
                     fsimp = string_simp(base, list(face))
                     fobjs = string_objects(list(face))
-                    fentries = [G.as_fiber_mor(x.as_gmor()) for x in face]
-                    lhs.add_chain(cmp_.big_omega_chain(fsimp, fentries, fobjs),
+                    fentries = [G.as_fiber_mor(x) for x in face]
+                    lhs.add_chain(big_omega_chain(cmp_, fsimp, fentries, fobjs),
                                   (-1) ** i)
-                delta = cmp_.delta_chain(simplex, entries, list(objects))
+                delta = delta_chain(cmp_, simplex, entries, list(objects))
                 ok &= lhs == delta
     report(11, "chain-level homotopy identity", ok)

@@ -222,6 +222,12 @@ BAD_INPUTS = [
                  {}, 2, "parse error:", id="cocycle-unknown-arrow"),
     pytest.param(["deform", "dual-pair", "--from-cocycle", "nofile.cochain"], {}, 2,
                  "parse error:", id="cocycle-missing-file"),
+    pytest.param(["deform", "dual-pair", "--from-cocycle",
+                  lambda t: _write(t, "index.cochain", "0 | * | X X X | 1 7 | 1 0\n")],
+                 {}, 2, "parse error:", id="cocycle-basis-index-out-of-range"),
+    pytest.param(["deform", "dual-pair", "--from-cocycle",
+                  lambda t: _write(t, "degree.cochain", "0 | * | X X X X | 0 0 0 | 1 0\n")],
+                 {}, 2, "parse error:", id="cocycle-wrong-degree"),
     pytest.param(["cohomology", "triv-A2"], {"PRESTACKS_ENUM_CAP": "x"}, 2,
                  "parse error:", id="enum-cap-not-int"),
     pytest.param(["cohomology", "triv-A2"], {"PRESTACKS_DEGREE_CAP": "x"}, 2,

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import get_pair, get_prestack
-from oracles import classical_hochschild, higher_terms_bruteforce
+from oracles import apply_terms, classical_hochschild, higher_terms_bruteforce
 from prestacks.basecat import Simplex, chain_poset
 from prestacks.combinatorics import EnumerationCapError
 from prestacks.complexbase import SparseCochain, pull_matrix
 from prestacks.fixtures import coboundary_lambdas, scalar_chain_prestack
 from prestacks.gscomplex import GSComplex
+from prestacks.lincat import scale_block
 
 
 def test_zero_cochain_maps_to_zero(twist2):
@@ -103,7 +104,7 @@ def test_presheaf_higher_components_vanish_on_nr(triv_a3):
         partial = SparseCochain(C, n + 1)
         for key in C.cells(n + 1):
             acc = [F.zero] * C.value_rank(key)
-            for in_key, sgn, op in C.diff_contributions(key, n + 1):
+            for in_key, block in C.diff_contributions(key, n + 1):
                 # keep only Hochschild and simplicial inputs: they come from
                 # cochains one bidegree away
                 dp = key[0].p - in_key[0].p
@@ -112,9 +113,8 @@ def test_presheaf_higher_components_vanish_on_nr(triv_a3):
                 vec = phi.data.get(in_key)
                 if vec is None:
                     continue
-                img = op(vec)
-                acc = [F.add(a, b) if sgn == 1 else F.sub(a, b)
-                       for a, b in zip(acc, img)]
+                for (r, b), v in block.items():
+                    acc[r] = F.add(acc[r], F.mul(v, vec[b]))
             if any(not F.is_zero(v) for v in acc):
                 partial.data[key] = acc
         assert full == partial
@@ -223,6 +223,35 @@ def test_cochain_text_round_trip(twist3):
     assert back == phi
 
 
+def _component(C, phi, j):
+    """The terms of d that raise the simplicial degree by exactly j."""
+    n = phi.degree + 1
+
+    def contrib(key):
+        p = key[0].p
+        return (t for t in C.diff_contributions(key, n) if p - t[0][0].p == j)
+
+    return apply_terms(contrib, C, n, C, phi)
+
+
+def d_hoch(C, phi):
+    """The Hochschild component, raising the fiber degree."""
+    return _component(C, phi, 0)
+
+
+def d_simp(C, phi):
+    """The simplicial component, without the total differential's sign."""
+    out = _component(C, phi, 1)
+    return SparseCochain(C, out.degree).sub(out) if out.degree % 2 else out
+
+
+def d_higher(C, phi, j):
+    """The component raising the simplicial degree by j >= 2."""
+    if j < 2:
+        raise ValueError("higher components start at j = 2")
+    return _component(C, phi, j)
+
+
 def test_total_differential_decomposes_into_components(twist3):
     C, _ = get_pair("scalar-twist-3chain")
     F = C.field
@@ -230,12 +259,12 @@ def test_total_differential_decomposes_into_components(twist3):
         phi = C.random_cochain(n0, seed=5)
         n = n0 + 1
         total = C.apply_diff(phi)
-        acc = SparseCochain(C, n, dict(C.d_hoch(phi).data))
+        acc = SparseCochain(C, n, dict(d_hoch(C, phi).data))
         sgn = F.neg(F.one) if n % 2 else F.one
-        for k, vec in C.d_simp(phi).data.items():
+        for k, vec in d_simp(C, phi).data.items():
             acc.add_to(k, vec, scale=sgn)
         for j in range(2, n + 1):
-            for k, vec in C.d_higher(phi, j).data.items():
+            for k, vec in d_higher(C, phi, j).data.items():
                 acc.add_to(k, vec)
         assert acc == total
 
@@ -247,14 +276,14 @@ def test_d_simp_boundary_degree(twist2):
     F = C.field
     phi = SparseCochain(C, 1)
     phi.data[(Simplex("1", ()), ("X", "X"), (0,))] = [F.parse(3)]
-    img = C.d_simp(phi)
+    img = d_simp(C, phi)
     key = (Simplex("0", ("u01",)), ("X", "X"), (0,))
     # d0 - d1: restriction of the value (3) minus phi at the lower fiber (0)
     assert img.data[key] == [F.parse(3)]
     phi2 = SparseCochain(C, 1)
     phi2.data[(Simplex("1", ()), ("X", "X"), (0,))] = [F.parse(3)]
     phi2.data[(Simplex("0", ()), ("X", "X"), (0,))] = [F.parse(1)]
-    img2 = C.d_simp(phi2)
+    img2 = d_simp(C, phi2)
     assert img2.data[key] == [F.parse(2)]  # 3 - 1
 
 
@@ -272,8 +301,7 @@ def _oracle_stream(C, n, cache):
             cp = P.c_sigma_k(simplex, p - j).at(objects[-1])
             for in_key, c in cache[(key, j)].items():
                 b = P.sigma_upper(in_key[0]).on_obj(in_key[1][0])
-                yield in_key, 1, (lambda vec, c=c, cp=cp, b=b, u0=simplex.source:
-                                  M.left_act(u0, b, cp, [F.mul(c, v) for v in vec]))
+                yield in_key, scale_block(F, c, M.left_block(simplex.source, b, cp))
 
     return contrib
 
@@ -300,12 +328,10 @@ def test_higher_terms_equal_path_by_path_sum(name):
     for n in range(1, 5):
         cache = _check_higher_terms(C, n)
         contrib = _oracle_stream(C, n, cache)
-        full = pull_matrix(contrib, C.cells(n), C.index(n), C.index(n - 1),
-                           C.value_rank, C.field)
+        full = pull_matrix(contrib, C.cells(n), C.index(n), C.index(n - 1), C.field)
         assert full == C.matrix(n)
         nr_out, nr_in = C.nr_keys(n), C.nr_keys(n - 1)
-        nr = pull_matrix(contrib, nr_out, C._offsets(nr_out), C._offsets(nr_in),
-                         C.value_rank, C.field)
+        nr = pull_matrix(contrib, nr_out, C._offsets(nr_out), C._offsets(nr_in), C.field)
         assert nr == C.nr_matrix(n)
 
 

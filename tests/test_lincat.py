@@ -1,11 +1,25 @@
 import random
+from itertools import product
 
 import pytest
 
 from conftest import get_prestack
-from oracles import whisker
+from oracles import left_act, restrict, right_act, whisker
 from prestacks.lincat import (Mor, NatTransform, compose_functors, diagonal_bimodule,
                               identity_functor, identity_transform)
+
+
+def zero_mor(cat, a, b):
+    return Mor(cat, a, b, tuple([cat.field.zero] * cat.rank(a, b)))
+
+
+def columns(F, block, rows, cols):
+    """The block as a list of columns."""
+    return [[block.get((r, b), F.zero) for r in range(rows)] for b in range(cols)]
+
+
+def units(F, n):
+    return [[F.one if i == b else F.zero for i in range(n)] for b in range(n)]
 
 
 @pytest.fixture
@@ -138,11 +152,62 @@ def test_diagonal_bimodule_restrictions_are_functor_matrices(triv_a2):
     fib = triv_a2.fiber("1")
     for b in fib.objects:
         for a in fib.objects:
+            block = M.restrict_block("u01", b, a)
+            out = columns(triv_a2.field, block, M.rank("0", b, a), fib.rank(b, a))
             for i in range(fib.rank(b, a)):
-                vec = M.zero("1", b, a)
-                vec[i] = triv_a2.field.one
-                out = M.restrict("u01", b, a, vec)
-                assert tuple(out) == fun.apply(fib.basis_mor(b, a, i)).coords
+                assert tuple(out[i]) == fun.apply(fib.basis_mor(b, a, i)).coords
+
+
+@pytest.mark.parametrize("name", ["dual-pair", "rank2-fiber", "scalar-twist-3chain"])
+def test_blocks_equal_oracle_actions(name):
+    # every column of a block is the vector-form action on a unit vector
+    P = get_prestack(name)
+    M = diagonal_bimodule(P)
+    F = P.field
+    for U in P.base.objects:
+        cat = P.fiber(U)
+        for b, a, a2 in product(cat.objects, repeat=3):
+            n = M.rank(U, b, a)
+            for fi in range(cat.rank(a, a2)):
+                f = cat.basis_mor(a, a2, fi)
+                got = columns(F, M.left_block(U, b, f), M.rank(U, b, a2), n)
+                assert got == [left_act(M, U, b, f, e) for e in units(F, n)]
+            # right action by g: a2 -> b, from M(b, a) to M(a2, a)
+            for gi in range(cat.rank(a2, b)):
+                g = cat.basis_mor(a2, b, gi)
+                got = columns(F, M.right_block(U, a, g), M.rank(U, a2, a), n)
+                assert got == [right_act(M, U, a, e, b, g) for e in units(F, n)]
+    # both sides read the stored tables; the fixtures' restriction matrices are
+    # diagonal, so a skewed 2x2 table is put in to expose a transposed block
+    for key, cols in M._restr.items():
+        if len(cols) == 2 and len(cols[0]) == 2:
+            M._restr[key] = ((F.one, F.from_int(2)), (F.from_int(3), F.from_int(4)))
+    for u in P.base.arrow_ids:
+        fu = P.restriction(u)
+        for b, a in product(P.fiber(P.base.tgt(u)).objects, repeat=2):
+            n = M.rank(P.base.tgt(u), b, a)
+            rows = M.rank(P.base.src(u), fu.on_obj(b), fu.on_obj(a))
+            got = columns(F, M.restrict_block(u, b, a), rows, n)
+            assert got == [restrict(M, u, b, a, e) for e in units(F, n)]
+
+
+@pytest.mark.parametrize("table,entry,value,message", [
+    # basis order on End(X) and End(Y) is (1, x) and (1, y); entry keys end
+    # with (index of the acting basis element, index of the acted-on one)
+    ("_left", ("*", "X", "X", "X", 0, 0), {0: 1, 1: 1},  # 1 . 1 = 1 + x
+     "left unit fails at * M(X,X)[0]"),
+    ("_right", ("*", "Y", "Y", "Y", 0, 1), {0: 1},  # y . 1 = 1
+     "right unit fails at * M(Y,Y)[1]"),
+    ("_left", ("*", "X", "X", "X", 1, 1), {1: 1},  # x . x = x on the left
+     "left associativity fails over *"),
+    ("_right", ("*", "X", "X", "X", 1, 1), {1: 1},  # x . x = x on the right
+     "left/right actions do not commute over *"),
+])
+def test_bimodule_validate_names_the_failing_axiom(dual_pair, table, entry, value, message):
+    M = diagonal_bimodule(dual_pair)
+    assert M.validate() is None
+    getattr(M, table)[entry] = value
+    assert M.validate() == message
 
 
 def test_diagonal_bimodule_hom_ranks(dual_pair):
@@ -179,5 +244,5 @@ def test_mor_inverse(parity):
     inv = parity.invert(odd)
     assert inv is not None
     assert parity.compose(inv, odd) == parity.identity("X")
-    zero = parity.zero_mor("X", "X")
+    zero = zero_mor(parity, "X", "X")
     assert parity.invert(zero) is None
