@@ -22,7 +22,7 @@ from .combinatorics import (
     partitions,
     paths_or_trivial,
 )
-from .complexbase import pull_matrix
+from .complexbase import apply_matrix, pull_matrix
 from .graded import GMor, string_objects, string_simp
 from .gscomplex import eval_shuffle, expand_multilinear
 from .lincat import compose_blocks, scale_block, unit_block
@@ -359,12 +359,11 @@ class Comparison:
                         block = compose_blocks(F, M.right_block(u0, pref.tgt, tail), block)
                     for coeff, nb in expand_multilinear(F, xi.entries):
                         in_key = (Lsimp, xi_objects, nb)
-                        yield in_key, scale_block(F, coeff if sgn == 1 else F.neg(coeff),
-                                                  block)
+                        yield in_key, scale_block(F, coeff, block, sgn)
 
     def apply_F(self, phi):
         n = phi.degree
-        return self.CU.from_vector(n, self.matrix_F(n).matvec(self.CG.to_vector(phi)))
+        return apply_matrix(self.matrix_F(n), phi, self.CU, n)
 
     def matrix_F(self, n):
         return pull_matrix(self.f_contributions, self.CU.cells(n), self.CU.index(n),
@@ -397,11 +396,11 @@ class Comparison:
                     fmors = [self.CU.G.as_fiber_mor(e) for e in string]
                     for coeff, nb in expand_multilinear(F, fmors):
                         in_key = (simp, objsx, nb)
-                        yield in_key, unit_block(F, rank, coeff if sgn == 1 else F.neg(coeff))
+                        yield in_key, unit_block(F, rank, coeff, sgn)
 
     def apply_G(self, psi):
         n = psi.degree
-        return self.CG.from_vector(n, self.matrix_G(n).matvec(self.CU.to_vector(psi)))
+        return apply_matrix(self.matrix_G(n), psi, self.CG, n)
 
     def matrix_G(self, n):
         return pull_matrix(self.g_contributions, self.CG.cells(n), self.CG.index(n),
@@ -502,7 +501,7 @@ class Comparison:
             block = M.left_block(u0, objects[0], corr)
             for coeff, nb in expand_multilinear(F, fmors):
                 in_key = (simp, objsx, nb)
-                yield in_key, scale_block(F, coeff if sgn == 1 else F.neg(coeff), block)
+                yield in_key, scale_block(F, coeff, block, sgn)
 
     def matrix_T(self, n):
         """T_n as a matrix from graded degree n to degree n-1."""

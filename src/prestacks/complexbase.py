@@ -10,7 +10,7 @@ The operator sends a cochain phi to the cochain whose value at ``key`` is the
 sum of ``block . phi[in_key]`` over the terms.
 
 ``pull_matrix`` is the only consumer of a term stream: it assembles the
-operator's matrix, and an operator is applied to a cochain as to_vector,
+operator's matrix, which ``apply_matrix`` applies to a cochain as to_vector,
 matvec, from_vector.  Coordinate conversion and random cochains also live
 here.
 """
@@ -92,6 +92,11 @@ def pull_matrix(contrib, out_keys, out_index, in_index, field):
     return mat
 
 
+def apply_matrix(mat, phi, out_complex, n):
+    """``mat`` applied to ``phi``, as a degree-n cochain of ``out_complex``."""
+    return out_complex.from_vector(n, mat.matvec(phi.complex.to_vector(phi)))
+
+
 class ComplexBase:
     """Cell bookkeeping plus differential application and assembly."""
 
@@ -113,7 +118,7 @@ class ComplexBase:
 
     def apply_diff(self, phi):
         n = phi.degree + 1
-        return self.from_vector(n, self.matrix(n).matvec(self.to_vector(phi)))
+        return apply_matrix(self.matrix(n), phi, self, n)
 
     def matrix(self, n, keys_in=None, keys_out=None):
         """The differential C^{n-1} -> C^n as a sparse matrix."""

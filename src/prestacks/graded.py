@@ -84,11 +84,11 @@ class GradedCategory:
 class GradedBimodule:
     """The graded bimodule of a prestack bimodule: values over M^V(A, u*B)."""
 
-    def __init__(self, prestack, bimodule):
-        self.P = prestack
+    def __init__(self, graded, bimodule):
+        self.G = graded
+        self.P = graded.P
         self.M = bimodule
-        self.field = prestack.field
-        self.G = GradedCategory(prestack)
+        self.field = graded.field
 
     def rank(self, u, a, b):
         P = self.P
@@ -132,7 +132,7 @@ class GradedComplex(ComplexBase):
         self.P = prestack
         self.M = bimodule if bimodule is not None else diagonal_bimodule(prestack)
         self.G = GradedCategory(prestack)
-        self.GM = GradedBimodule(prestack, self.M)
+        self.GM = GradedBimodule(self.G, self.M)
         self._rank_cache = {}
 
     # cells: (simplex, objects, btuple) with objects (A_0..A_n), A_i over U_i;
@@ -201,14 +201,14 @@ class GradedComplex(ComplexBase):
                     continue
                 nb = btuple[: i - 1] + (bm,) + btuple[i + 1 :]
                 in_key = (new_simplex, new_objects, nb)
-                yield in_key, unit_block(F, rank, F.neg(coeff) if i % 2 else coeff)
+                yield in_key, unit_block(F, rank, coeff, -1 if i % 2 else 1)
 
         # i = n: mu(psi(a_1..a_{n-1}), a_n)
         sub = Simplex(base.tgt(simplex.arrows[0]), simplex.arrows[1:])
         in_key = (sub, objects[1:], btuple[:-1])
         v = base.composite(sub)
         block = self.GM.right_mu(v, objects[1], objects[-1], args[n - 1])
-        yield in_key, block if n % 2 == 0 else scale_block(F, F.neg(F.one), block)
+        yield in_key, scale_block(F, F.one, block, -1 if n % 2 else 1)
 
 
 # -- strings ------------------------------------------------------------------

