@@ -19,7 +19,6 @@ from .graded import GradedComplex
 from .gscomplex import GSComplex
 from .io import (ParseError, cochain_from_text, cochain_to_text, load_prestack,
                  save_prestack)
-from .lincat import diagonal_bimodule
 from .linalg import SparseMatrix, betti_numbers
 
 
@@ -46,8 +45,7 @@ def _env_int(name, default):
 
 
 def _complexes(P):
-    M = diagonal_bimodule(P)
-    return GSComplex(P, M), GradedComplex(P, M)
+    return GSComplex(P), GradedComplex(P)
 
 
 def _violation(P):

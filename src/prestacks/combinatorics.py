@@ -21,14 +21,12 @@ class EnumerationCapError(ValueError):
     """An enumeration larger than its cap was refused."""
 
 
-def _check_cap(n, cap):
-    limit = DEFAULT_BLOCK_CAP if cap is None else cap
+def _check_cap(n):
     env = os.environ.get("PRESTACKS_ENUM_CAP")
-    if env:
-        limit = int(env)
+    limit = int(env) if env else DEFAULT_BLOCK_CAP
     if n > limit:
         raise EnumerationCapError(
-            "enumeration size %d exceeds cap %d (raise via cap= or PRESTACKS_ENUM_CAP)"
+            "enumeration size %d exceeds cap %d (raise via PRESTACKS_ENUM_CAP)"
             % (n, limit)
         )
 
@@ -80,11 +78,11 @@ class ShufflePerm:
         return firsts == sorted(firsts)
 
 
-def enumerate_shuffles(blocks, cap=None):
+def enumerate_shuffles(blocks):
     """All (n_i)-shuffles as ShufflePerm, in lexicographic word order."""
     blocks = tuple(blocks)
     n = sum(blocks)
-    _check_cap(n, cap)
+    _check_cap(n)
     words = []
 
     def rec(remaining, acc):
@@ -103,9 +101,9 @@ def enumerate_shuffles(blocks, cap=None):
     return [ShufflePerm(blocks, w) for w in words]
 
 
-def enumerate_conditioned(blocks, cap=None):
+def enumerate_conditioned(blocks):
     """The conditioned shuffles: block first-elements appear in block order."""
-    return [s for s in enumerate_shuffles(blocks, cap=cap) if s.is_conditioned()]
+    return [s for s in enumerate_shuffles(blocks) if s.is_conditioned()]
 
 
 def brute_force_shuffles(blocks):
@@ -176,9 +174,9 @@ class Path:
         return list(reversed(self.steps(base)))
 
 
-def enumerate_paths_raw(n, cap=None):
+def enumerate_paths_raw(n):
     """All merge recipes for a length-n chain; (n-1)! of them."""
-    _check_cap(n, cap)
+    _check_cap(n)
     if n < 1:
         raise ValueError("chain length must be >= 1")
     recipes = [()]
@@ -187,20 +185,20 @@ def enumerate_paths_raw(n, cap=None):
     return recipes
 
 
-def enumerate_paths(simplex_arrows, cap=None):
+def enumerate_paths(simplex_arrows):
     """All paths on a chain of p >= 2 arrows, with signs via Path.sign."""
     arrows = tuple(simplex_arrows)
     if len(arrows) < 2:
         raise ValueError("paths need a chain of length >= 2")
-    return [Path(arrows, r) for r in enumerate_paths_raw(len(arrows), cap=cap)]
+    return [Path(arrows, r) for r in enumerate_paths_raw(len(arrows))]
 
 
-def paths_or_trivial(arrows, cap=None):
+def paths_or_trivial(arrows):
     """Paths with the 1-chain convention: a single empty path of sign +1."""
     arrows = tuple(arrows)
     if len(arrows) == 1:
         return [Path(arrows, ())]
-    return enumerate_paths(arrows, cap=cap)
+    return enumerate_paths(arrows)
 
 
 def eval_path(prestack, path):

@@ -316,24 +316,24 @@ class Comparison:
     """F, G and T relative to a fixed GS complex and graded complex pair."""
 
     def __init__(self, gs, graded):
-        if gs.P is not graded.P or gs.M is not graded.M:
-            raise ValueError("the two complexes must share prestack and bimodule")
+        if gs.P is not graded.P:
+            raise ValueError("the two complexes must share one prestack")
         self.CG = gs
         self.CU = graded
         self.P = gs.P
-        self.M = gs.M
         self.field = gs.field
 
     # F: GS -> graded ------------------------------------------------------------
 
     def f_contributions(self, key):
         """Pull-style terms of F at a graded output cell."""
-        P, M = self.P, self.M
+        P = self.P
         F = self.field
         base = P.base
         simplex, objects, btuple = key
         n = simplex.p
         u0 = simplex.source
+        fib0 = P.fiber(u0)
         gmors = [self.CU.arg_gmor(simplex, objects, btuple, i) for i in range(1, n + 1)]
         entries = [self.CU.G.as_fiber_mor(g) for g in gmors]
         for p in range(0, n + 1):
@@ -348,15 +348,14 @@ class Comparison:
                     pref = c_k
                 else:
                     cb = c_sigma_partition(P, r_arrows, part).at(objects[-1])
-                    fib0 = P.fiber(u0)
                     pref = fib0.compose(c_k, lfun.apply(cb))
                 for xi in seq_elements(P, r_arrows, entries[: n - p],
                                        objects[p:], part):
                     xi_objects = tuple(xi.objects())
                     sgn = part.sign * xi.sign
-                    block = M.left_block(u0, P.sigma_upper(Lsimp).on_obj(xi_objects[0]), pref)
+                    block = fib0.left_block(P.sigma_upper(Lsimp).on_obj(xi_objects[0]), pref)
                     if tail is not None:
-                        block = compose_blocks(F, M.right_block(u0, pref.tgt, tail), block)
+                        block = compose_blocks(F, fib0.right_block(pref.tgt, tail), block)
                     for coeff, nb in expand_multilinear(F, xi.entries):
                         in_key = (Lsimp, xi_objects, nb)
                         yield in_key, scale_block(F, coeff, block, sgn)
@@ -412,7 +411,7 @@ class Comparison:
         """Signed corrected strings of omega_{n,p} for one graded component.
 
         Yields (sign, string, correction) with the correction morphism mapping
-        the string's value module into M(A_0, sigma^* A_n).
+        the string's value module into A(U_0)(A_0, sigma^* A_n).
         """
         P = self.P
         base = P.base
@@ -484,7 +483,7 @@ class Comparison:
 
     def t_contributions(self, key):
         """Pull-style terms of T at a degree-n graded output cell."""
-        P, M = self.P, self.M
+        P = self.P
         F = self.field
         base = P.base
         simplex, objects, btuple = key
@@ -498,7 +497,7 @@ class Comparison:
             simp = string_simp(base, list(string))
             objsx = tuple(string_objects(list(string)))
             fmors = [self.CU.G.as_fiber_mor(e) for e in string]
-            block = M.left_block(u0, objects[0], corr)
+            block = P.fiber(u0).left_block(objects[0], corr)
             for coeff, nb in expand_multilinear(F, fmors):
                 in_key = (simp, objsx, nb)
                 yield in_key, scale_block(F, coeff, block, sgn)

@@ -13,7 +13,7 @@ from itertools import product
 
 from .basecat import Simplex
 from .complexbase import ComplexBase
-from .lincat import compose_blocks, diagonal_bimodule, scale_block, unit_block
+from .lincat import compose_blocks, scale_block, unit_block
 
 
 @dataclass(frozen=True)
@@ -82,57 +82,51 @@ class GradedCategory:
 
 
 class GradedBimodule:
-    """The graded bimodule of a prestack bimodule: values over M^V(A, u*B)."""
+    """The actions of the graded category on its own morphisms by mu, as
+    blocks read off the fiber categories and restriction functors."""
 
-    def __init__(self, graded, bimodule):
+    def __init__(self, graded):
         self.G = graded
         self.P = graded.P
-        self.M = bimodule
         self.field = graded.field
 
-    def rank(self, u, a, b):
+    def left_mu(self, b, v, a_obj):
+        """The block of x -> mu(b, x) for b graded u from C to D, x in A~_v(A, C)."""
         P = self.P
-        v_obj = P.base.src(u)
-        return self.M.rank(v_obj, a, P.restriction(u).on_obj(b))
-
-    def left_mu(self, b, v, a_obj, c_obj):
-        """The block of x -> mu(b, x) for b graded u from C to D, x in M~_v(A, C)."""
-        P, M = self.P, self.M
         base = P.base
         u = b.grading
         if base.src(u) != base.tgt(v):
             raise ValueError("gradings not composable in left action")
-        w_obj = base.src(v)
+        fib = P.fiber(base.src(v))
         vb = P.restriction(v).apply(self.G.as_fiber_mor(b))
         tw = P.twist(v, u).at(b.tgt_obj)
-        return compose_blocks(self.field, M.left_block(w_obj, a_obj, tw),
-                              M.left_block(w_obj, a_obj, vb))
+        return compose_blocks(self.field, fib.left_block(a_obj, tw),
+                              fib.left_block(a_obj, vb))
 
     def right_mu(self, v, b_obj, c_obj, a):
-        """The block of x -> mu(x, a) for x in M~_v(B, C), a graded w from A to B."""
-        P, M, F = self.P, self.M, self.field
+        """The block of x -> mu(x, a) for x in A~_v(B, C), a graded w from A to B."""
+        P, F = self.P, self.field
         base = P.base
         w = a.grading
         if base.src(v) != base.tgt(w):
             raise ValueError("gradings not composable in right action")
-        t_obj = base.src(w)
+        fib = P.fiber(base.src(w))
         fw = P.restriction(w)
-        y = M.restrict_block(w, b_obj, P.restriction(v).on_obj(c_obj))
-        z = M.left_block(t_obj, fw.on_obj(b_obj), P.twist(w, v).at(c_obj))
-        r = M.right_block(t_obj, P.restriction(base.then(w, v)).on_obj(c_obj),
-                          self.G.as_fiber_mor(a))
+        y = fw.block(b_obj, P.restriction(v).on_obj(c_obj))
+        z = fib.left_block(fw.on_obj(b_obj), P.twist(w, v).at(c_obj))
+        r = fib.right_block(P.restriction(base.then(w, v)).on_obj(c_obj),
+                            self.G.as_fiber_mor(a))
         return compose_blocks(F, r, compose_blocks(F, z, y))
 
 
 class GradedComplex(ComplexBase):
-    """The Hochschild complex of the graded category with graded coefficients."""
+    """The Hochschild complex of the graded category with coefficients in itself."""
 
-    def __init__(self, prestack, bimodule=None):
+    def __init__(self, prestack):
         super().__init__(prestack.field)
         self.P = prestack
-        self.M = bimodule if bimodule is not None else diagonal_bimodule(prestack)
         self.G = GradedCategory(prestack)
-        self.GM = GradedBimodule(self.G, self.M)
+        self.GM = GradedBimodule(self.G)
         self._rank_cache = {}
 
     # cells: (simplex, objects, btuple) with objects (A_0..A_n), A_i over U_i;
@@ -144,7 +138,7 @@ class GradedComplex(ComplexBase):
         r = self._rank_cache.get(ck)
         if r is None:
             comp = self.P.base.composite(simplex)
-            r = self.GM.rank(comp, objects[0], objects[-1])
+            r = self.G.hom_rank(comp, objects[0], objects[-1])
             self._rank_cache[ck] = r
         return r
 
@@ -187,7 +181,7 @@ class GradedComplex(ComplexBase):
         sub = Simplex(simplex.source, simplex.arrows[:-1])
         in_key = (sub, objects[:-1], btuple[1:])
         v = base.composite(sub)
-        yield in_key, self.GM.left_mu(args[0], v, objects[0], objects[-2])
+        yield in_key, self.GM.left_mu(args[0], v, objects[0])
 
         # middle merges
         rank = self.value_rank(key)

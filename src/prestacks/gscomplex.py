@@ -1,9 +1,10 @@
 """The twisted Gerstenhaber-Schack complex.
 
 Cochains are keyed by (base simplex, fiber object tuple, hom basis tuple);
-the value at a key is a coordinate vector in M^{U_0}(sigma^star A_0,
-sigma^* A_q).  The total differential is d = d_Hoch + (-1)^n d_simp plus the
-higher components d_j, 2 <= j <= p.
+the value at a key is a coordinate vector in the hom module
+A(U_0)(sigma^star A_0, sigma^* A_q) of the fiber over the simplex's source:
+the coefficients are the prestack itself.  The total differential is
+d = d_Hoch + (-1)^n d_simp plus the higher components d_j, 2 <= j <= p.
 
 d_j at a cell whose simplex has right part R (j arrows) and q arguments is a
 signed sum over every path of whiskered twists on R and every (q, j-1)-shuffle
@@ -26,7 +27,7 @@ from itertools import product
 
 from .combinatorics import _check_cap, enumerate_shuffles
 from .complexbase import ComplexBase
-from .lincat import compose_blocks, diagonal_bimodule, scale_block, unit_block
+from .lincat import compose_blocks, scale_block, unit_block
 
 
 def eval_shuffle(P, path, entries, objects, word):
@@ -91,18 +92,18 @@ def expand_multilinear(field, mors):
 
 
 class GSComplex(ComplexBase):
-    """Cells, differential and matrix assembly of the GS complex of (P, M)."""
+    """Cells, differential and matrix assembly of the GS complex of P with
+    coefficients in P itself."""
 
-    def __init__(self, prestack, bimodule=None):
+    def __init__(self, prestack):
         super().__init__(prestack.field)
         self.P = prestack
-        self.M = bimodule if bimodule is not None else diagonal_bimodule(prestack)
         self._rank_cache = {}
 
     # -- cells -----------------------------------------------------------------
 
     def value_module(self, simplex, objects):
-        """(U0, B, A) locating M^{U0}(sigma^star A_0, sigma^* A_q)."""
+        """(U0, B, A) locating the value module A(U0)(sigma^star A_0, sigma^* A_q)."""
         P = self.P
         u0 = simplex.source
         b = P.sigma_upper(simplex).on_obj(objects[0])
@@ -115,7 +116,7 @@ class GSComplex(ComplexBase):
         r = self._rank_cache.get(ck)
         if r is None:
             u0, b, a = self.value_module(simplex, objects)
-            r = self.M.rank(u0, b, a)
+            r = self.P.fiber(u0).rank(b, a)
             self._rank_cache[ck] = r
         return r
 
@@ -151,13 +152,14 @@ class GSComplex(ComplexBase):
 
     def diff_contributions(self, key, n):
         """Yield (input_key, block) for the degree-n output cell ``key``."""
-        P, M = self.P, self.M
+        P = self.P
         F = self.field
         base = P.base
         simplex, objects, btuple = key
         p = simplex.p
         q = len(btuple)
         u0 = simplex.source
+        fib0 = P.fiber(u0)
         top = base.objects_along(simplex)[-1]
         fib = P.fiber(top)
         args = [self.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
@@ -168,7 +170,7 @@ class GSComplex(ComplexBase):
             a1 = P.sigma_lower(simplex).apply(args[0])
             in_key = (simplex, objects[:-1], btuple[1:])
             b_obj = P.sigma_upper(simplex).on_obj(objects[0])
-            yield in_key, M.left_block(u0, b_obj, a1)
+            yield in_key, fib0.left_block(b_obj, a1)
             rank = self.value_rank(key)
             for i in range(1, q):
                 merged = fib.compose(args[i - 1], args[i])
@@ -183,7 +185,7 @@ class GSComplex(ComplexBase):
             aq = P.sigma_upper(simplex).apply(args[q - 1])
             in_key = (simplex, objects[1:], btuple[:-1])
             a_obj = P.sigma_lower(simplex).on_obj(objects[-1])
-            yield in_key, scale_block(F, F.one, M.right_block(u0, a_obj, aq),
+            yield in_key, scale_block(F, F.one, fib0.right_block(a_obj, aq),
                                       -1 if q % 2 else 1)
 
         # (-1)^n d_simp from C^{p-1, q}
@@ -194,15 +196,16 @@ class GSComplex(ComplexBase):
             in_key = (d0, objects, btuple)
             bsub = P.sigma_upper(d0).on_obj(objects[0])
             asub = P.sigma_lower(d0).on_obj(objects[-1])
-            block = compose_blocks(F, M.left_block(u0, P.restriction(u1).on_obj(bsub), c1),
-                                   M.restrict_block(u1, bsub, asub))
+            fu1 = P.restriction(u1)
+            block = compose_blocks(F, fib0.left_block(fu1.on_obj(bsub), c1),
+                                   fu1.block(bsub, asub))
             yield in_key, scale_block(F, F.one, block, sgn_simp)
             for i in range(1, p):
                 di = base.face(simplex, i)
                 eps = P.epsilon_sigma_i(simplex, i).at(objects[0])
                 in_key = (di, objects, btuple)
                 a_obj = P.sigma_lower(di).on_obj(objects[-1])
-                yield in_key, scale_block(F, F.one, M.right_block(u0, a_obj, eps),
+                yield in_key, scale_block(F, F.one, fib0.right_block(a_obj, eps),
                                           sgn_simp * (-1 if i % 2 else 1))
             dp = base.face(simplex, p)
             cp = P.c_sigma_k(simplex, p - 1).at(objects[-1])
@@ -210,7 +213,7 @@ class GSComplex(ComplexBase):
             sgn = sgn_simp * (-1 if p % 2 else 1)
             restr_args = [up.apply(a) for a in args]
             new_objects = tuple(up.on_obj(o) for o in objects)
-            block = M.left_block(u0, P.sigma_upper(dp).on_obj(new_objects[0]), cp)
+            block = fib0.left_block(P.sigma_upper(dp).on_obj(new_objects[0]), cp)
             for coeff, nb in expand_multilinear(F, restr_args):
                 in_key = (dp, new_objects, nb)
                 yield in_key, scale_block(F, coeff, block, sgn)
@@ -220,7 +223,7 @@ class GSComplex(ComplexBase):
             c_pref = P.c_sigma_k(simplex, p - j).at(objects[-1])
             for in_key, coeff in self.higher_terms(key, j).items():
                 b_obj = P.sigma_upper(in_key[0]).on_obj(in_key[1][0])
-                yield in_key, scale_block(F, coeff, M.left_block(u0, b_obj, c_pref))
+                yield in_key, scale_block(F, coeff, fib0.left_block(b_obj, c_pref))
 
     def higher_terms(self, key, j):
         """The component d_j at the output cell ``key`` as {input key: coefficient}.
@@ -236,7 +239,7 @@ class GSComplex(ComplexBase):
         pp = simplex.p - j
         R = simplex.arrows[pp:]
         args = [self.arg_mor(simplex, objects, btuple, i) for i in range(1, len(btuple) + 1)]
-        _check_cap(j, None)  # the same refusal as listing the paths on R
+        _check_cap(j)  # the same refusal as listing the paths on R
         chains = {}
 
         def chain(cuts):

@@ -1,5 +1,5 @@
-"""Finite k-linear categories with free hom modules, and their functors,
-natural transformations and bimodules.
+"""Finite k-linear categories with free hom modules, and their functors and
+natural transformations.
 
 Morphisms are coordinate vectors over chosen hom bases; every axiom check is
 an exhaustive exact comparison on basis elements, so validators are proofs at
@@ -109,6 +109,32 @@ class LinearCategory:
                     out[k] = F.add(out[k], F.mul(w, coeff))
         return Mor(self, f.src, g.tgt, tuple(out))
 
+    def left_block(self, b, f):
+        """The block of m -> f o m, hom(B, A) -> hom(B, A2), for f: A -> A2."""
+        F = self.field
+        table = self.comp.get((b, f.src, f.tgt), {})
+        out = {}
+        for fi, fc in enumerate(f.coords):
+            if F.is_zero(fc):
+                continue
+            for mi in range(self.rank(b, f.src)):
+                for k, coeff in table.get((fi, mi), {}).items():
+                    _add_entry(F, out, (k, mi), F.mul(fc, coeff))
+        return out
+
+    def right_block(self, a, g):
+        """The block of m -> m o g, hom(B, A) -> hom(B2, A), for g: B2 -> B."""
+        F = self.field
+        table = self.comp.get((g.src, g.tgt, a), {})
+        out = {}
+        for gi, gc in enumerate(g.coords):
+            if F.is_zero(gc):
+                continue
+            for mi in range(self.rank(g.tgt, a)):
+                for k, coeff in table.get((mi, gi), {}).items():
+                    _add_entry(F, out, (k, mi), F.mul(gc, coeff))
+        return out
+
     def invert(self, f):
         """Two-sided inverse of f, or None.  Solves small exact linear systems."""
         if f.src == f.tgt and f == self.identity(f.src):
@@ -214,6 +240,12 @@ class LinFunctor:
             for k, v in enumerate(cols[i]):
                 out[k] = F.add(out[k], F.mul(c, v))
         return Mor(self.tgt_cat, fa, fb, tuple(out))
+
+    def block(self, b, a):
+        """The block of the functor on hom(B, A): its matrix, column by column."""
+        F = self.tgt_cat.field
+        return {(k, mi): v for mi, col in enumerate(self.mats.get((b, a), ()))
+                for k, v in enumerate(col) if not F.is_zero(v)}
 
     def validate(self):
         C, D = self.src_cat, self.tgt_cat
@@ -335,115 +367,6 @@ def compose_transforms(second, first):
     return NatTransform(first.src_functor, second.tgt_functor, comps)
 
 
-class Bimodule:
-    """An explicit bimodule over a prestack: free modules M^U(B, A) with
-    morphism actions and per-arrow restriction maps, each read off the stored
-    structure constants as a block (see below).
-
-    Left action: by f: A -> A2, covariantly in the second slot.
-    Right action: by g: B2 -> B, contravariantly in the first slot.
-    Restriction along u: V -> U maps M^U(B, A) to M^V(u*B, u*A).
-    """
-
-    def __init__(self, prestack, bases, left, right, restr):
-        self.prestack = prestack
-        self.field = prestack.field
-        self._bases = bases   # (U, B, A) -> list of names
-        self._left = left     # (U, B, A, A2, fi, mi) -> {k: coeff}
-        self._right = right   # (U, B, A, B2, gi, mi) -> {k: coeff}
-        self._restr = restr   # (u, B, A) -> tuple of columns
-
-    def basis(self, u_obj, b, a):
-        return self._bases.get((u_obj, b, a), [])
-
-    def rank(self, u_obj, b, a):
-        return len(self.basis(u_obj, b, a))
-
-    def left_block(self, u_obj, b, f):
-        """The block of m -> f . m, M(B, A) -> M(B, A2), for f: A -> A2 over u_obj."""
-        F = self.field
-        out = {}
-        for fi, fc in enumerate(f.coords):
-            if F.is_zero(fc):
-                continue
-            for mi in range(self.rank(u_obj, b, f.src)):
-                for k, coeff in self._left.get((u_obj, b, f.src, f.tgt, fi, mi), {}).items():
-                    _add_entry(F, out, (k, mi), F.mul(fc, coeff))
-        return out
-
-    def right_block(self, u_obj, a, g):
-        """The block of m -> m . g, M(B, A) -> M(B2, A), for g: B2 -> B over u_obj."""
-        F = self.field
-        out = {}
-        for gi, gc in enumerate(g.coords):
-            if F.is_zero(gc):
-                continue
-            for mi in range(self.rank(u_obj, g.tgt, a)):
-                for k, coeff in self._right.get((u_obj, g.tgt, a, g.src, gi, mi), {}).items():
-                    _add_entry(F, out, (k, mi), F.mul(gc, coeff))
-        return out
-
-    def restrict_block(self, u, b, a):
-        """The block of M^u: M^{tgt u}(B, A) -> M^{src u}(u*B, u*A)."""
-        F = self.field
-        return {(k, mi): v for mi, col in enumerate(self._restr[(u, b, a)])
-                for k, v in enumerate(col) if not F.is_zero(v)}
-
-    def validate(self):
-        """Exhaustively check action and restriction coherence axioms."""
-        P = self.prestack
-        F = self.field
-        for U in P.base.objects:
-            cat = P.fiber(U)
-            for b in cat.objects:
-                for a in cat.objects:
-                    one = unit_block(F, self.rank(U, b, a), F.one)
-                    mi = _first_column(self.left_block(U, b, cat.identity(a)), one)
-                    if mi is not None:
-                        return "left unit fails at %s M(%s,%s)[%d]" % (U, b, a, mi)
-                    mi = _first_column(self.right_block(U, a, cat.identity(b)), one)
-                    if mi is not None:
-                        return "right unit fails at %s M(%s,%s)[%d]" % (U, b, a, mi)
-            for b, a, a2, a3 in product(cat.objects, repeat=4):
-                for fi in range(cat.rank(a, a2)):
-                    f = cat.basis_mor(a, a2, fi)
-                    for gi in range(cat.rank(a2, a3)):
-                        g = cat.basis_mor(a2, a3, gi)
-                        two = compose_blocks(F, self.left_block(U, b, g), self.left_block(U, b, f))
-                        if self.left_block(U, b, cat.compose(g, f)) != two:
-                            return "left associativity fails over %s" % U
-            for b2, b, a, a2 in product(cat.objects, repeat=4):
-                for gi in range(cat.rank(b2, b)):
-                    g = cat.basis_mor(b2, b, gi)
-                    for fi in range(cat.rank(a, a2)):
-                        f = cat.basis_mor(a, a2, fi)
-                        lr = compose_blocks(F, self.right_block(U, a2, g), self.left_block(U, b, f))
-                        rl = compose_blocks(F, self.left_block(U, b2, f), self.right_block(U, a, g))
-                        if lr != rl:
-                            return "left/right actions do not commute over %s" % U
-        # restriction coherence: tw(a) . M^v M^u == M^{uv} . tw(b)
-        base = P.base
-        for u in base.arrow_ids:
-            for v in base.arrow_ids:
-                if base.src(u) != base.tgt(v):
-                    continue
-                uv = base.then(v, u)
-                W = base.src(v)
-                fu, fv = P.restriction(u), P.restriction(v)
-                fuv = P.restriction(uv)
-                tw = P.twist(v, u)
-                for b, a in product(P.fiber(base.tgt(u)).objects, repeat=2):
-                    step = compose_blocks(F, self.restrict_block(v, fu.on_obj(b), fu.on_obj(a)),
-                                          self.restrict_block(u, b, a))
-                    lhs = compose_blocks(F, self.left_block(W, fv.on_obj(fu.on_obj(b)), tw.at(a)),
-                                         step)
-                    rhs = compose_blocks(F, self.right_block(W, fuv.on_obj(a), tw.at(b)),
-                                         self.restrict_block(uv, b, a))
-                    if lhs != rhs:
-                        return "restriction coherence fails at (%s,%s) M(%s,%s)" % (u, v, b, a)
-        return None
-
-
 # -- blocks ----------------------------------------------------------------------
 # A block is the matrix of a linear map between two free modules, stored as a
 # dict {(row, column): value} without zero values.
@@ -486,50 +409,3 @@ def scale_block(F, c, a, sign=1):
         if not F.is_zero(v):
             out[k] = v
     return out
-
-
-def _first_column(a, b):
-    """The first column where two blocks differ, or None."""
-    cols = [k[1] for k in a.keys() | b.keys() if a.get(k) != b.get(k)]
-    return min(cols) if cols else None
-
-
-def diagonal_bimodule(prestack):
-    """The bimodule M = A itself: hom modules with composition actions and
-    restriction along the structure functors."""
-    P = prestack
-    F = P.field
-    bases = {}
-    left = {}
-    right = {}
-    restr = {}
-    for U in P.base.objects:
-        cat = P.fiber(U)
-        for b in cat.objects:
-            for a in cat.objects:
-                bases[(U, b, a)] = list(cat.hom_basis(b, a))
-        for b in cat.objects:
-            for a in cat.objects:
-                for a2 in cat.objects:
-                    for fi in range(cat.rank(a, a2)):
-                        for mi in range(cat.rank(b, a)):
-                            tab = cat.compose_basis(b, a, a2, fi, mi)
-                            if tab:
-                                left[(U, b, a, a2, fi, mi)] = tab
-                for b2 in cat.objects:
-                    for gi in range(cat.rank(b2, b)):
-                        for mi in range(cat.rank(b, a)):
-                            tab = cat.compose_basis(b2, b, a, mi, gi)
-                            if tab:
-                                right[(U, b, a, b2, gi, mi)] = tab
-    for u in P.base.arrow_ids:
-        U = P.base.tgt(u)
-        cat = P.fiber(U)
-        fu = P.restriction(u)
-        for b in cat.objects:
-            for a in cat.objects:
-                cols = []
-                for mi in range(cat.rank(b, a)):
-                    cols.append(fu.apply(cat.basis_mor(b, a, mi)).coords)
-                restr[(u, b, a)] = tuple(cols)
-    return Bimodule(P, bases, left, right, restr)

@@ -204,7 +204,7 @@ class Prestack:
                                     % (f, g, h, a))
         return None
 
-    def c_for_blocks(self, block_composites, at_fiber_obj=None):
+    def c_for_blocks(self, block_composites):
         """Evaluated path transform on a chain of composite arrows.
 
         For a chain (v_1, ..., v_k) of composable base arrows this is the

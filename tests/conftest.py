@@ -8,7 +8,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 from prestacks import fixtures
 from prestacks.gscomplex import GSComplex
 from prestacks.graded import GradedComplex
-from prestacks.lincat import diagonal_bimodule
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -25,11 +24,11 @@ _pair_cache = {}
 
 
 def get_pair(name):
-    """A GS complex and graded complex sharing one diagonal bimodule."""
+    """The GS complex and the graded complex of one fixture prestack, both
+    with coefficients in the prestack itself."""
     if name not in _pair_cache:
         P = get_prestack(name)
-        M = diagonal_bimodule(P)
-        _pair_cache[name] = (GSComplex(P, M), GradedComplex(P, M))
+        _pair_cache[name] = (GSComplex(P), GradedComplex(P))
     return _pair_cache[name]
 
 

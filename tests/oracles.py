@@ -11,8 +11,10 @@ library assembles its operators, not the formulas:
   coarsening dynamic programming of ``GSComplex.higher_terms``;
 - the pointwise route (``left_act``, ``right_act``, ``restrict``, the
   ``*_terms`` streams and ``pull_apply``) applies every term of d, delta, F, G
-  and T to a value vector as a closure, with the same enumerations, so it
-  checks the blocks and the matrix assembly of the library's term streams.
+  and T to a value vector as a closure, with the same enumerations; the
+  actions go through ``LinearCategory.compose`` and ``LinFunctor.apply``, not
+  the block readers, so it checks the blocks and the matrix assembly of the
+  library's term streams.
 
 Test-only diagnostics of the paper's constructions also live here: formal
 chains of tensor strings with their faces, and the chains omega, Omega and
@@ -31,7 +33,7 @@ from prestacks.complexbase import SparseCochain, apply_matrix, pull_matrix
 from prestacks.graded import (GMor, GradedCategory, GradedComplex, string_objects,
                               string_simp)
 from prestacks.gscomplex import eval_shuffle, expand_multilinear
-from prestacks.lincat import NatTransform, compose_functor_chain, compose_functors
+from prestacks.lincat import Mor, NatTransform, compose_functor_chain, compose_functors
 
 
 def dense_rank(rows_of_entries, nrows, ncols):
@@ -442,53 +444,20 @@ def higher_terms_bruteforce(C, key, j):
 # Every term of an operator as a closure on value vectors: (in_key, sign, op).
 
 
-def left_act(M, u_obj, b, f, vec):
-    """f . vec for f: A -> A2 in the fiber over u_obj, vec in M(B, A)."""
-    F = M.field
-    out = [F.zero] * M.rank(u_obj, b, f.tgt)
-    for fi, fc in enumerate(f.coords):
-        if F.is_zero(fc):
-            continue
-        for mi, mc in enumerate(vec):
-            if F.is_zero(mc):
-                continue
-            w = F.mul(fc, mc)
-            for k, coeff in M._left.get((u_obj, b, f.src, f.tgt, fi, mi), {}).items():
-                out[k] = F.add(out[k], F.mul(w, coeff))
-    return out
+def left_act(cat, b, f, vec):
+    """f o m for f: A -> A2 in ``cat`` and m in hom(B, A) with coordinates vec."""
+    return list(cat.compose(f, Mor(cat, b, f.src, tuple(vec))).coords)
 
 
-def right_act(M, u_obj, a, vec, b_old, g):
-    """vec . g for g: B2 -> B, vec in M(B, A) with B = b_old."""
-    F = M.field
-    if g.tgt != b_old:
-        raise ValueError("right action endpoint mismatch")
-    out = [F.zero] * M.rank(u_obj, g.src, a)
-    for gi, gc in enumerate(g.coords):
-        if F.is_zero(gc):
-            continue
-        for mi, mc in enumerate(vec):
-            if F.is_zero(mc):
-                continue
-            w = F.mul(gc, mc)
-            for k, coeff in M._right.get((u_obj, b_old, a, g.src, gi, mi), {}).items():
-                out[k] = F.add(out[k], F.mul(w, coeff))
-    return out
+def right_act(cat, a, vec, b_old, g):
+    """m o g for g: B2 -> B in ``cat`` and m in hom(B, A) with coordinates vec,
+    B = b_old."""
+    return list(cat.compose(Mor(cat, b_old, a, tuple(vec)), g).coords)
 
 
-def restrict(M, u, b, a, vec):
-    """M^u applied to vec in M^{tgt u}(B, A)."""
-    F = M.field
-    cols = M._restr[(u, b, a)]
-    P = M.prestack
-    fu = P.restriction(u)
-    out = [F.zero] * M.rank(P.base.src(u), fu.on_obj(b), fu.on_obj(a))
-    for mi, mc in enumerate(vec):
-        if F.is_zero(mc):
-            continue
-        for k, v in enumerate(cols[mi]):
-            out[k] = F.add(out[k], F.mul(mc, v))
-    return out
+def restrict(fu, b, a, vec):
+    """The functor fu applied to the morphism B -> A with coordinates vec."""
+    return list(fu.apply(Mor(fu.src_cat, b, a, tuple(vec))).coords)
 
 
 def pull_apply(contrib, out_complex, n, phi):
@@ -527,13 +496,14 @@ def _scaled(F, c, vec):
 def gs_terms(C, key, n):
     """The terms of the GS differential at the degree-n cell ``key``; the
     higher components come from ``higher_terms_bruteforce``."""
-    P, M = C.P, C.M
+    P = C.P
     F = C.field
     base = P.base
     simplex, objects, btuple = key
     p = simplex.p
     q = len(btuple)
     u0 = simplex.source
+    fib0 = P.fiber(u0)
     fib = P.fiber(base.objects_along(simplex)[-1])
     args = [C.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
     sgn_simp = -1 if n % 2 else 1  # (-1)^n on d_simp
@@ -543,7 +513,7 @@ def gs_terms(C, key, n):
         a1 = P.sigma_lower(simplex).apply(args[0])
         b_obj = P.sigma_upper(simplex).on_obj(objects[0])
         yield ((simplex, objects[:-1], btuple[1:]), 1,
-               lambda vec, b=b_obj: left_act(M, u0, b, a1, vec))
+               lambda vec, b=b_obj: left_act(fib0, b, a1, vec))
         for i in range(1, q):
             merged = fib.compose(args[i - 1], args[i])
             lo = q - i - 1  # merged morphism spans objects[lo] -> objects[lo+2]
@@ -558,7 +528,7 @@ def gs_terms(C, key, n):
         a_obj = P.sigma_lower(simplex).on_obj(objects[-1])
         b_old = P.sigma_upper(simplex).on_obj(objects[1])
         yield ((simplex, objects[1:], btuple[:-1]), -1 if q % 2 else 1,
-               lambda vec, a=a_obj, b=b_old: right_act(M, u0, a, vec, b, aq))
+               lambda vec, a=a_obj, b=b_old: right_act(fib0, a, vec, b, aq))
 
     # (-1)^n d_simp from C^{p-1, q}
     if p >= 1:
@@ -568,15 +538,15 @@ def gs_terms(C, key, n):
         bsub = P.sigma_upper(d0).on_obj(objects[0])
         asub = P.sigma_lower(d0).on_obj(objects[-1])
         yield ((d0, objects, btuple), sgn_simp,
-               lambda vec: left_act(M, u0, P.restriction(u1).on_obj(bsub), c1,
-                                    restrict(M, u1, bsub, asub, vec)))
+               lambda vec: left_act(fib0, P.restriction(u1).on_obj(bsub), c1,
+                                    restrict(P.restriction(u1), bsub, asub, vec)))
         for i in range(1, p):
             di = base.face(simplex, i)
             eps = P.epsilon_sigma_i(simplex, i).at(objects[0])
             a_obj = P.sigma_lower(di).on_obj(objects[-1])
             b_old = P.sigma_upper(di).on_obj(objects[0])
             yield ((di, objects, btuple), sgn_simp * (-1 if i % 2 else 1),
-                   lambda vec, e=eps, a=a_obj, b=b_old: right_act(M, u0, a, vec, b, e))
+                   lambda vec, e=eps, a=a_obj, b=b_old: right_act(fib0, a, vec, b, e))
         dp = base.face(simplex, p)
         cp = P.c_sigma_k(simplex, p - 1).at(objects[-1])
         up = P.restriction(simplex.arrows[-1])
@@ -584,7 +554,7 @@ def gs_terms(C, key, n):
         b_obj = P.sigma_upper(dp).on_obj(new_objects[0])
         for coeff, nb in expand_multilinear(F, [up.apply(a) for a in args]):
             yield ((dp, new_objects, nb), sgn_simp * (-1 if p % 2 else 1),
-                   lambda vec, c=coeff, b=b_obj: left_act(M, u0, b, cp, _scaled(F, c, vec)))
+                   lambda vec, c=coeff, b=b_obj: left_act(fib0, b, cp, _scaled(F, c, vec)))
 
     # higher components d_j from C^{p-j, q+j-1}, 2 <= j <= p
     for j in range(2, p + 1):
@@ -592,35 +562,32 @@ def gs_terms(C, key, n):
         for in_key, coeff in higher_terms_bruteforce(C, key, j).items():
             b_obj = P.sigma_upper(in_key[0]).on_obj(in_key[1][0])
             yield (in_key, 1, lambda vec, c=coeff, b=b_obj:
-                   left_act(M, u0, b, c_pref, _scaled(F, c, vec)))
+                   left_act(fib0, b, c_pref, _scaled(F, c, vec)))
 
 
-def left_mu(GM, b, v, a_obj, vec):
-    """mu(b, x) for b graded u from C to D, x a value in M~_v(A, C)."""
-    P, M = GM.P, GM.M
-    base = P.base
-    w_obj = base.src(v)
+def left_mu(P, b, v, a_obj, vec):
+    """mu(b, x) for b graded u from C to D, x a value in A~_v(A, C)."""
+    fib = P.fiber(P.base.src(v))
     vb = P.restriction(v).apply(GradedCategory(P).as_fiber_mor(b))
-    y = left_act(M, w_obj, a_obj, vb, vec)
-    return left_act(M, w_obj, a_obj, P.twist(v, b.grading).at(b.tgt_obj), y)
+    y = left_act(fib, a_obj, vb, vec)
+    return left_act(fib, a_obj, P.twist(v, b.grading).at(b.tgt_obj), y)
 
 
-def right_mu(GM, v, b_obj, c_obj, vec, a):
-    """mu(x, a) for x a value in M~_v(B, C), a graded w from A to B."""
-    P, M = GM.P, GM.M
+def right_mu(P, v, b_obj, c_obj, vec, a):
+    """mu(x, a) for x a value in A~_v(B, C), a graded w from A to B."""
     base = P.base
     w = a.grading
-    t_obj = base.src(w)
+    fib = P.fiber(base.src(w))
     fw = P.restriction(w)
-    y = restrict(M, w, b_obj, P.restriction(v).on_obj(c_obj), vec)
-    z = left_act(M, t_obj, fw.on_obj(b_obj), P.twist(w, v).at(c_obj), y)
-    return right_act(M, t_obj, P.restriction(base.then(w, v)).on_obj(c_obj),
+    y = restrict(fw, b_obj, P.restriction(v).on_obj(c_obj), vec)
+    z = left_act(fib, fw.on_obj(b_obj), P.twist(w, v).at(c_obj), y)
+    return right_act(fib, P.restriction(base.then(w, v)).on_obj(c_obj),
                      z, fw.on_obj(b_obj), GradedCategory(P).as_fiber_mor(a))
 
 
 def graded_terms(CU, key, n):
     """The terms of the graded Hochschild differential at the degree-n cell."""
-    P, GM = CU.P, CU.GM
+    P = CU.P
     F = CU.field
     base = P.base
     simplex, objects, btuple = key
@@ -630,7 +597,7 @@ def graded_terms(CU, key, n):
     sub = Simplex(simplex.source, simplex.arrows[:-1])
     v0 = base.composite(sub)
     yield ((sub, objects[:-1], btuple[1:]), 1,
-           lambda vec: left_mu(GM, args[0], v0, objects[0], vec))
+           lambda vec: left_mu(P, args[0], v0, objects[0], vec))
 
     # middle merges
     for i in range(1, n):
@@ -649,17 +616,18 @@ def graded_terms(CU, key, n):
     sub = Simplex(base.tgt(simplex.arrows[0]), simplex.arrows[1:])
     vn = base.composite(sub)
     yield ((sub, objects[1:], btuple[:-1]), -1 if n % 2 else 1,
-           lambda vec: right_mu(GM, vn, objects[1], objects[-1], vec, args[n - 1]))
+           lambda vec: right_mu(P, vn, objects[1], objects[-1], vec, args[n - 1]))
 
 
 def f_terms(cmp_, key):
     """The terms of F at a graded output cell."""
-    P, M = cmp_.P, cmp_.M
+    P = cmp_.P
     F = cmp_.field
     base = P.base
     simplex, objects, btuple = key
     n = simplex.p
     u0 = simplex.source
+    fib0 = P.fiber(u0)
     entries = [cmp_.CU.G.as_fiber_mor(cmp_.CU.arg_gmor(simplex, objects, btuple, i))
                for i in range(1, n + 1)]
     for p in range(0, n + 1):
@@ -673,16 +641,16 @@ def f_terms(cmp_, key):
                 pref = c_k
             else:
                 cb = c_sigma_partition(P, r_arrows, part).at(objects[-1])
-                pref = P.fiber(u0).compose(c_k, P.sigma_lower(Lsimp).apply(cb))
+                pref = fib0.compose(c_k, P.sigma_lower(Lsimp).apply(cb))
             for xi in seq_elements(P, r_arrows, entries[: n - p], objects[p:], part):
                 xi_objects = tuple(xi.objects())
                 b_src = P.sigma_upper(Lsimp).on_obj(xi_objects[0])
                 for coeff, nb in expand_multilinear(F, xi.entries):
 
                     def op(vec, coeff=coeff, pref=pref, tail=tail, b_src=b_src):
-                        w = left_act(M, u0, b_src, pref, _scaled(F, coeff, vec))
+                        w = left_act(fib0, b_src, pref, _scaled(F, coeff, vec))
                         if tail is not None:
-                            w = right_act(M, u0, pref.tgt, w, b_src, tail)
+                            w = right_act(fib0, pref.tgt, w, b_src, tail)
                         return w
 
                     yield (Lsimp, xi_objects, nb), part.sign * xi.sign, op
@@ -716,7 +684,7 @@ def g_terms(cmp_, key):
 
 def t_terms(cmp_, key):
     """The terms of the homotopy T at a graded output cell."""
-    P, M = cmp_.P, cmp_.M
+    P = cmp_.P
     F = cmp_.field
     simplex, objects, btuple = key
     n = simplex.p
@@ -731,7 +699,7 @@ def t_terms(cmp_, key):
         fmors = [cmp_.CU.G.as_fiber_mor(e) for e in string]
         for coeff, nb in expand_multilinear(F, fmors):
             yield ((simp, objsx, nb), sgn, lambda vec, c=coeff, corr=corr:
-                   left_act(M, u0, objects[0], corr, _scaled(F, c, vec)))
+                   left_act(P.fiber(u0), objects[0], corr, _scaled(F, c, vec)))
 
 
 def apply_terms(contrib, out_complex, n, in_complex, phi):

@@ -67,18 +67,19 @@ def test_01_path_combinatorics():
     report(1, "path combinatorics", ok)
 
 
-def test_02_shuffle_counts():
+def test_02_shuffle_counts(monkeypatch):
+    monkeypatch.setenv("PRESTACKS_ENUM_CAP", "10")
     ok = len(cb.enumerate_shuffles((2, 1))) == 3
     ok &= len(cb.enumerate_conditioned((2, 2))) == 3
     for m in range(0, 6):
         for n in range(0, 6):
-            count = len(cb.enumerate_shuffles((m, n), cap=10))
+            count = len(cb.enumerate_shuffles((m, n)))
             ok &= count == comb(m + n, m)
             if m + n <= 8:
                 ok &= count == shuffle_filter_count((m, n))
     # the largest blocks get the brute-force treatment too
-    ok &= len(cb.enumerate_shuffles((5, 4), cap=10)) == shuffle_filter_count((5, 4))
-    ok &= len(cb.enumerate_shuffles((5, 5), cap=10)) == shuffle_filter_count((5, 5))
+    ok &= len(cb.enumerate_shuffles((5, 4))) == shuffle_filter_count((5, 4))
+    ok &= len(cb.enumerate_shuffles((5, 5))) == shuffle_filter_count((5, 5))
     report(2, "shuffle counts", ok)
 
 

@@ -149,11 +149,12 @@ def test_paths_reject_short_chains():
         cb.enumerate_paths(("u01",))
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     arrows = tuple("a%d" % i for i in range(9))
     with pytest.raises(ValueError):
         cb.enumerate_paths(arrows)
-    assert cb.enumerate_paths(arrows, cap=9)
+    monkeypatch.setenv("PRESTACKS_ENUM_CAP", "9")
+    assert cb.enumerate_paths(arrows)
 
 
 def test_flip_involution_sign_membership():

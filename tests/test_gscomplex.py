@@ -290,7 +290,7 @@ def test_d_simp_boundary_degree(twist2):
 
 def _oracle_stream(C, n, cache):
     """d's term stream with every higher component from the term-by-term oracle."""
-    P, M, F = C.P, C.M, C.field
+    P, F = C.P, C.field
 
     def contrib(key):
         simplex, objects, _ = key
@@ -302,7 +302,7 @@ def _oracle_stream(C, n, cache):
             cp = P.c_sigma_k(simplex, p - j).at(objects[-1])
             for in_key, c in cache[(key, j)].items():
                 b = P.sigma_upper(in_key[0]).on_obj(in_key[1][0])
-                yield in_key, scale_block(F, c, M.left_block(simplex.source, b, cp))
+                yield in_key, scale_block(F, c, P.fiber(simplex.source).left_block(b, cp))
 
     return contrib
 

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import get_prestack
 from oracles import left_act, restrict, right_act, whisker
-from prestacks.lincat import (Mor, NatTransform, compose_functors, diagonal_bimodule,
-                              identity_functor, identity_transform)
+from prestacks.lincat import (LinearCategory, LinFunctor, Mor, NatTransform, compose_functors,
+                              identity_functor)
 
 
 def zero_mor(cat, a, b):
@@ -135,108 +135,93 @@ def test_functor_with_corrupted_entry_fails(rank2):
     cols = list(mats[("X", "Y")])
     cols[0] = (F.from_int(1), F.from_int(1))  # no longer multiplicative
     mats[("X", "Y")] = tuple(cols)
-    from prestacks.lincat import LinFunctor
     bad = LinFunctor(fib, fib, good.obj_map, mats)
     assert bad.validate() is not None
 
 
-def test_diagonal_bimodule_validates(twist3, rank2, dual_pair):
-    for P in (twist3, rank2, dual_pair):
-        M = diagonal_bimodule(P)
-        assert M.validate() is None
-
-
 def test_diagonal_bimodule_restrictions_are_functor_matrices(triv_a2):
-    M = diagonal_bimodule(triv_a2)
+    # the restriction maps of the coefficients A are the matrices of the
+    # restriction functors, column by column
     fun = triv_a2.restriction("u01")
     fib = triv_a2.fiber("1")
     for b in fib.objects:
         for a in fib.objects:
-            block = M.restrict_block("u01", b, a)
-            out = columns(triv_a2.field, block, M.rank("0", b, a), fib.rank(b, a))
+            rows = fun.tgt_cat.rank(fun.on_obj(b), fun.on_obj(a))
+            out = columns(triv_a2.field, fun.block(b, a), rows, fib.rank(b, a))
             for i in range(fib.rank(b, a)):
                 assert tuple(out[i]) == fun.apply(fib.basis_mor(b, a, i)).coords
 
 
 @pytest.mark.parametrize("name", ["dual-pair", "rank2-fiber", "scalar-twist-3chain"])
 def test_blocks_equal_oracle_actions(name):
-    # every column of a block is the vector-form action on a unit vector
+    # every column of a block is the action on a unit vector, computed by
+    # composing morphisms and applying functors
     P = get_prestack(name)
-    M = diagonal_bimodule(P)
     F = P.field
     for U in P.base.objects:
         cat = P.fiber(U)
         for b, a, a2 in product(cat.objects, repeat=3):
-            n = M.rank(U, b, a)
+            n = cat.rank(b, a)
             for fi in range(cat.rank(a, a2)):
                 f = cat.basis_mor(a, a2, fi)
-                got = columns(F, M.left_block(U, b, f), M.rank(U, b, a2), n)
-                assert got == [left_act(M, U, b, f, e) for e in units(F, n)]
-            # right action by g: a2 -> b, from M(b, a) to M(a2, a)
+                got = columns(F, cat.left_block(b, f), cat.rank(b, a2), n)
+                assert got == [left_act(cat, b, f, e) for e in units(F, n)]
+            # right action by g: a2 -> b, from hom(b, a) to hom(a2, a)
             for gi in range(cat.rank(a2, b)):
                 g = cat.basis_mor(a2, b, gi)
-                got = columns(F, M.right_block(U, a, g), M.rank(U, a2, a), n)
-                assert got == [right_act(M, U, a, e, b, g) for e in units(F, n)]
-    # both sides read the stored tables; the fixtures' restriction matrices are
-    # diagonal, so a skewed 2x2 table is put in to expose a transposed block
-    for key, cols in M._restr.items():
-        if len(cols) == 2 and len(cols[0]) == 2:
-            M._restr[key] = ((F.one, F.from_int(2)), (F.from_int(3), F.from_int(4)))
+                got = columns(F, cat.right_block(a, g), cat.rank(a2, a), n)
+                assert got == [right_act(cat, a, e, b, g) for e in units(F, n)]
+    # the fixtures' restriction matrices are diagonal, so every 2x2 matrix is
+    # replaced by a skewed one to expose a transposed block
+    skew = ((F.one, F.from_int(2)), (F.from_int(3), F.from_int(4)))
     for u in P.base.arrow_ids:
         fu = P.restriction(u)
-        for b, a in product(P.fiber(P.base.tgt(u)).objects, repeat=2):
-            n = M.rank(P.base.tgt(u), b, a)
-            rows = M.rank(P.base.src(u), fu.on_obj(b), fu.on_obj(a))
-            got = columns(F, M.restrict_block(u, b, a), rows, n)
-            assert got == [restrict(M, u, b, a, e) for e in units(F, n)]
+        mats = {k: skew if len(cols) == 2 and len(cols[0]) == 2 else cols
+                for k, cols in fu.mats.items()}
+        fu = LinFunctor(fu.src_cat, fu.tgt_cat, fu.obj_map, mats)
+        for b, a in product(fu.src_cat.objects, repeat=2):
+            n = fu.src_cat.rank(b, a)
+            rows = fu.tgt_cat.rank(fu.on_obj(b), fu.on_obj(a))
+            got = columns(F, fu.block(b, a), rows, n)
+            assert got == [restrict(fu, b, a, e) for e in units(F, n)]
 
 
-@pytest.mark.parametrize("table,entry,value,message", [
-    # basis order on End(X) and End(Y) is (1, x) and (1, y); entry keys end
-    # with (index of the acting basis element, index of the acted-on one)
-    ("_left", ("*", "X", "X", "X", 0, 0), {0: 1, 1: 1},  # 1 . 1 = 1 + x
-     "left unit fails at * M(X,X)[0]"),
-    ("_right", ("*", "Y", "Y", "Y", 0, 1), {0: 1},  # y . 1 = 1
-     "right unit fails at * M(Y,Y)[1]"),
-    ("_left", ("*", "X", "X", "X", 1, 1), {1: 1},  # x . x = x on the left
-     "left associativity fails over *"),
-    ("_right", ("*", "X", "X", "X", 1, 1), {1: 1},  # x . x = x on the right
-     "left/right actions do not commute over *"),
-])
-def test_bimodule_validate_names_the_failing_axiom(dual_pair, table, entry, value, message):
-    M = diagonal_bimodule(dual_pair)
-    assert M.validate() is None
-    getattr(M, table)[entry] = value
-    assert M.validate() == message
-
-
-def test_diagonal_bimodule_hom_ranks(dual_pair):
-    M = diagonal_bimodule(dual_pair)
-    fib = dual_pair.fiber("*")
-    for b in fib.objects:
-        for a in fib.objects:
-            assert M.rank("*", b, a) == fib.rank(b, a)
+@pytest.mark.parametrize("name,key,entry,value,message", [
+    # basis order on End(X) and End(Y) is (1, x) and (1, y) in dual-pair and
+    # (ev, od) in rank2-fiber; an entry is (index of g, index of f) in g o f
+    ("dual-pair", ("X", "X", "X"), (0, 0), {0: 1, 1: 1},  # 1 o 1 = 1 + x
+     "right unit fails at X->X basis 0"),
+    ("dual-pair", ("Y", "Y", "Y"), (0, 1), {0: 1},  # 1 o y = 1
+     "left unit fails at Y->Y basis 1"),
+    ("rank2-fiber", ("X", "X", "X"), (1, 1), {0: 2},  # od o od = 2 ev
+     "associativity fails at X,X,X,Y (1,1,0)"),
+], ids=["right-unit", "left-unit", "associativity"])
+def test_fiber_validate_names_the_failing_axiom(name, key, entry, value, message):
+    cat = get_prestack(name).fiber("*")
+    F = cat.field
+    assert cat.validate() is None
+    comp = {k: dict(table) for k, table in cat.comp.items()}
+    comp[key][entry] = {k: F.from_int(v) for k, v in value.items()}
+    bad = LinearCategory(cat.name, F, cat.objects, cat._hom, comp, cat.identity_coords)
+    assert bad.validate() == message
 
 
 def test_twist_naturality_drives_bimodule_coherence(rank2):
-    # restriction coherence of the diagonal bimodule is exactly naturality of
-    # the twist; a non-natural replacement must be caught
-    from prestacks.lincat import NatTransform
+    # restriction coherence of the coefficients A is exactly naturality of
+    # the twist, which Prestack.validate checks; a non-natural replacement
+    # must be caught
     P = rank2
-    M = diagonal_bimodule(P)
-    assert M.validate() is None
+    assert P.validate() is None
     tw = P.twists[("g1", "g1")]
     fib = P.fiber("*")
     broken = NatTransform(tw.src_functor, tw.tgt_functor,
                           {"X": fib.basis_mor("X", "X", 1),
                            "Y": fib.identity("Y")})
-    saved = P.twists[("g1", "g1")]
     P.twists[("g1", "g1")] = broken
     try:
-        M2 = diagonal_bimodule(P)
-        assert M2.validate() is not None
+        assert P.validate() == "twist (g1,g1): naturality fails at X->Y basis 0"
     finally:
-        P.twists[("g1", "g1")] = saved
+        P.twists[("g1", "g1")] = tw
 
 
 def test_mor_inverse(parity):
