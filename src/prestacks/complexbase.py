@@ -13,6 +13,11 @@ sum of ``block . phi[in_key]`` over the terms.
 operator's matrix, which ``apply_matrix`` applies to a cochain as to_vector,
 matvec, from_vector.  Coordinate conversion and random cochains also live
 here.
+
+A block may be shared between terms: a complex may memoize blocks on the data
+they depend on and hand the same dict to many terms.  So no consumer mutates
+a block; ``pull_matrix`` only reads them, and ``lincat.compose_blocks`` and
+``scale_block`` return new dicts.
 """
 
 from __future__ import annotations

@@ -120,7 +120,15 @@ class GradedBimodule:
 
 
 class GradedComplex(ComplexBase):
-    """The Hochschild complex of the graded category with coefficients in itself."""
+    """The Hochschild complex of the graded category with coefficients in itself.
+
+    Each term of the differential at a cell reads at most two of its
+    arguments: the i = 0 term is mu(a_1, -), a middle term mu(a_i, a_{i+1})
+    and the i = n term mu(-, a_n).  ``_blocks`` memoizes what a term computes
+    on exactly the data it reads (an argument is its grading, endpoints and
+    basis index), never on the cell, so it holds one entry per distinct
+    argument datum and is shared by every degree.
+    """
 
     def __init__(self, prestack):
         super().__init__(prestack.field)
@@ -128,6 +136,7 @@ class GradedComplex(ComplexBase):
         self.G = GradedCategory(prestack)
         self.GM = GradedBimodule(self.G)
         self._rank_cache = {}
+        self._blocks = {}
 
     # cells: (simplex, objects, btuple) with objects (A_0..A_n), A_i over U_i;
     # entry slot i (1-based) is graded by arrow u_{n+1-i}.
@@ -147,10 +156,13 @@ class GradedComplex(ComplexBase):
         u = simplex.arrows[n - i]
         return self.G.hom_rank(u, objects[n - i], objects[n - i + 1])
 
-    def arg_gmor(self, simplex, objects, btuple, i):
+    def arg_key(self, simplex, objects, btuple, i):
+        """What argument slot i of a cell is: (grading, source, target, basis index)."""
         n = simplex.p
-        u = simplex.arrows[n - i]
-        return self.G.basis_gmor(u, objects[n - i], objects[n - i + 1], btuple[i - 1])
+        return (simplex.arrows[n - i], objects[n - i], objects[n - i + 1], btuple[i - 1])
+
+    def arg_gmor(self, simplex, objects, btuple, i):
+        return self.G.basis_gmor(*self.arg_key(simplex, objects, btuple, i))
 
     def cells(self, n):
         if n in self._cells:
@@ -171,38 +183,58 @@ class GradedComplex(ComplexBase):
         return out
 
     def diff_contributions(self, key, n):
+        """The terms (in_key, block) of the differential at the degree-n cell.
+
+        Blocks come from ``_blocks`` and are shared between terms and cells;
+        no consumer may mutate one.
+        """
         P = self.P
         F = self.field
         base = P.base
+        blocks = self._blocks
         simplex, objects, btuple = key
-        args = [self.arg_gmor(simplex, objects, btuple, i) for i in range(1, n + 1)]
+        args = [self.arg_key(simplex, objects, btuple, i) for i in range(1, n + 1)]
 
         # i = 0: mu(a_1, psi(a_2..a_n))
         sub = Simplex(simplex.source, simplex.arrows[:-1])
         in_key = (sub, objects[:-1], btuple[1:])
         v = base.composite(sub)
-        yield in_key, self.GM.left_mu(args[0], v, objects[0])
+        memo_key = ("left", args[0], v, objects[0])
+        block = blocks.get(memo_key)
+        if block is None:
+            block = blocks[memo_key] = self.GM.left_mu(
+                self.arg_gmor(simplex, objects, btuple, 1), v, objects[0])
+        yield in_key, block
 
-        # middle merges
+        # middle merges: the nonzero coordinates of mu(a_i, a_{i+1})
         rank = self.value_rank(key)
         for i in range(1, n):
-            merged = self.G.mu(args[i - 1], args[i])
+            memo_key = ("merge", args[i - 1], args[i])
+            merged = blocks.get(memo_key)
+            if merged is None:
+                mu = self.G.mu(self.arg_gmor(simplex, objects, btuple, i),
+                               self.arg_gmor(simplex, objects, btuple, i + 1))
+                merged = blocks[memo_key] = tuple(
+                    (bm, c) for bm, c in enumerate(mu.coords) if not F.is_zero(c))
             lo = n - i - 1
             new_objects = objects[: lo + 1] + objects[lo + 2 :]
             new_simplex = base.face(simplex, n - i)
-            for bm, coeff in enumerate(merged.coords):
-                if F.is_zero(coeff):
-                    continue
+            for bm, coeff in merged:
                 nb = btuple[: i - 1] + (bm,) + btuple[i + 1 :]
                 in_key = (new_simplex, new_objects, nb)
                 yield in_key, unit_block(F, rank, coeff, -1 if i % 2 else 1)
 
-        # i = n: mu(psi(a_1..a_{n-1}), a_n)
+        # i = n: mu(psi(a_1..a_{n-1}), a_n), whose sign is that of n's parity
         sub = Simplex(base.tgt(simplex.arrows[0]), simplex.arrows[1:])
         in_key = (sub, objects[1:], btuple[:-1])
         v = base.composite(sub)
-        block = self.GM.right_mu(v, objects[1], objects[-1], args[n - 1])
-        yield in_key, scale_block(F, F.one, block, -1 if n % 2 else 1)
+        memo_key = ("right", v, objects[1], objects[-1], args[n - 1], n % 2)
+        block = blocks.get(memo_key)
+        if block is None:
+            block = self.GM.right_mu(v, objects[1], objects[-1],
+                                     self.arg_gmor(simplex, objects, btuple, n))
+            block = blocks[memo_key] = scale_block(F, F.one, block, -1 if n % 2 else 1)
+        yield in_key, block
 
 
 # -- strings ------------------------------------------------------------------

@@ -99,6 +99,7 @@ class GSComplex(ComplexBase):
         super().__init__(prestack.field)
         self.P = prestack
         self._rank_cache = {}
+        self._shuffles = {}  # (q, j-1) -> [(word, sign)] of the (q, j-1)-shuffles
 
     # -- cells -----------------------------------------------------------------
 
@@ -231,6 +232,7 @@ class GSComplex(ComplexBase):
         The sum runs over every (q, j-1)-shuffle and every path on the right
         part R of the simplex; for one shuffle, the paths are summed by dynamic
         programming over the coarsenings of R (see the module docstring).
+        The shuffles of each shape are listed once and kept on the complex.
         Zero sums are left out.
         """
         P, F = self.P, self.field
@@ -296,9 +298,14 @@ class GSComplex(ComplexBase):
 
         total = {}
         sgn_t = -1 if len(btuple) % 2 else 1
-        for beta in enumerate_shuffles((len(btuple), j - 1)):
-            neg = sgn_t * beta.sign < 0
-            for k, v in suffix(0, 0, beta.word).items():
+        shape = (len(btuple), j - 1)
+        shuffles = self._shuffles.get(shape)
+        if shuffles is None:
+            shuffles = self._shuffles[shape] = [(beta.word, beta.sign)
+                                                 for beta in enumerate_shuffles(shape)]
+        for word, sign in shuffles:
+            neg = sgn_t * sign < 0
+            for k, v in suffix(0, 0, word).items():
                 prev = total.get(k)
                 if neg:
                     v = F.neg(v)

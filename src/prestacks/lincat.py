@@ -212,7 +212,11 @@ class LinearCategory:
 
 class LinFunctor:
     """A k-linear functor between fiber categories, stored as an object map
-    plus one matrix per hom pair (columns indexed by source basis)."""
+    plus one matrix per hom pair (columns indexed by source basis).
+
+    ``is_identity`` is set only by ``identity_functor``; ``apply`` then returns
+    its argument without multiplying out the identity matrices.
+    """
 
     def __init__(self, src_cat, tgt_cat, obj_map, mats, name=""):
         self.src_cat = src_cat
@@ -220,6 +224,7 @@ class LinFunctor:
         self.obj_map = dict(obj_map)
         self.mats = mats  # (A,B) -> tuple of coord tuples, one per source basis elt
         self.name = name
+        self.is_identity = False
 
     def on_obj(self, a):
         return self.obj_map[a]
@@ -230,6 +235,8 @@ class LinFunctor:
     def apply(self, f):
         if f.cat is not self.src_cat:
             raise ValueError("functor applied to foreign morphism")
+        if self.is_identity:
+            return f
         F = self.tgt_cat.field
         fa, fb = self.on_obj(f.src), self.on_obj(f.tgt)
         out = [F.zero] * self.tgt_cat.rank(fa, fb)
@@ -273,7 +280,9 @@ def identity_functor(cat):
             col[i] = cat.field.one
             cols.append(tuple(col))
         mats[(a, b)] = tuple(cols)
-    return LinFunctor(cat, cat, {a: a for a in cat.objects}, mats, name="id")
+    functor = LinFunctor(cat, cat, {a: a for a in cat.objects}, mats, name="id")
+    functor.is_identity = True
+    return functor
 
 
 def compose_functors(g, f):

@@ -1,12 +1,14 @@
+import copy
 import random
 
 import pytest
 
 from conftest import get_pair, get_prestack
 from oracles import GradedChain, chain_concat, chain_face, eval_on_chain, pointwise_diff
+from prestacks import cli
 from prestacks.basecat import Simplex
 from prestacks.complexbase import SparseCochain
-from prestacks.graded import GMor, GradedCategory, string_objects, string_simp
+from prestacks.graded import GMor, GradedCategory, GradedComplex, string_objects, string_simp
 from prestacks.lincat import NatTransform
 
 
@@ -218,3 +220,20 @@ def test_graded_cochain_text_round_trip(twist2):
     assert "u01 u12" in text  # grading arrows appear in the simplex field
     back = cochain_from_text(CU, 2, text)
     assert back == psi
+
+
+@pytest.mark.parametrize("name", ["rank2-fiber", "dual-pair", "scalar-twist-3chain"])
+def test_block_memo_keys_are_complete_and_blocks_never_written(name, monkeypatch):
+    P = get_prestack(name)
+    shared = GradedComplex(P)
+    # high degrees first: a block memoized in one degree is reused in the next
+    for n in (4, 3, 2, 1):
+        assert (shared.matrix(n).to_triplet_text()
+                == GradedComplex(P).matrix(n).to_triplet_text())
+    snapshot = copy.deepcopy(shared._blocks)
+    monkeypatch.setattr(cli, "GradedComplex", lambda Q: shared)
+    cli.cohomology_table(P, "graded", 3)
+    assert shared._blocks == snapshot
+    if name == "rank2-fiber":
+        assert len(shared.cells(4)) == 8192
+        assert len(shared._blocks) < 8192 / 10

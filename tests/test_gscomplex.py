@@ -9,7 +9,7 @@ from conftest import get_pair, get_prestack
 from oracles import (apply_terms, classical_hochschild, higher_terms_bruteforce,
                      pointwise_diff)
 from prestacks.basecat import Simplex, chain_poset
-from prestacks.combinatorics import EnumerationCapError
+from prestacks.combinatorics import EnumerationCapError, enumerate_shuffles
 from prestacks.complexbase import SparseCochain, pull_matrix
 from prestacks.fixtures import coboundary_lambdas, scalar_chain_prestack
 from prestacks.gscomplex import GSComplex
@@ -355,3 +355,20 @@ def test_path_cap_refuses_before_the_shuffle_cap(monkeypatch):
     C = GSComplex(get_prestack("scalar-twist-3chain"))
     with pytest.raises(EnumerationCapError, match=r"^enumeration size 3 exceeds cap 2 "):
         C.matrix(3)
+
+
+def test_each_shuffle_shape_is_enumerated_once_per_complex(monkeypatch):
+    from prestacks import gscomplex
+    P = get_prestack("scalar-twist-3chain")
+    expected = {n: GSComplex(P).matrix(n) for n in (2, 3, 4)}
+    shapes = []
+
+    def counted(blocks):
+        shapes.append(tuple(blocks))
+        return enumerate_shuffles(blocks)
+
+    monkeypatch.setattr(gscomplex, "enumerate_shuffles", counted)
+    C = GSComplex(P)
+    for n in (2, 3, 4):
+        assert C.matrix(n) == expected[n]
+    assert shapes and len(shapes) == len(set(shapes))

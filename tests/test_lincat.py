@@ -59,11 +59,17 @@ def test_random_triple_associativity(parity):
 
 def test_identity_functor_fixes_morphisms(parity):
     ident = identity_functor(parity)
+    # the same matrices given as a plain functor, as a file would give them
+    plain = LinFunctor(parity, parity, ident.obj_map, ident.mats)
+    assert ident.is_identity and not plain.is_identity
     for a in parity.objects:
         for b in parity.objects:
             for i in range(parity.rank(a, b)):
                 f = parity.basis_mor(a, b, i)
-                assert ident.apply(f) == f
+                assert ident.apply(f) == f == plain.apply(f)
+    other = get_prestack("dual-pair").fiber("*")
+    with pytest.raises(ValueError, match="foreign morphism"):
+        ident.apply(other.identity(other.objects[0]))
 
 
 def test_functor_composition_evaluation_order(rank2):
