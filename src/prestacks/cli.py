@@ -374,6 +374,10 @@ def main(argv=None):
     p.set_defaults(fn=cmd_export_matrix)
 
     args = ap.parse_args(argv)
+    for name in ("max_degree", "degree", "trials"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            _parse_error("--%s must be >= 0, got %d" % (name.replace("_", "-"), value))
     # PRESTACKS_ENUM_CAP is read deep inside enumeration; reject it up front.
     _env_int("PRESTACKS_ENUM_CAP", None)
     try:

@@ -106,6 +106,29 @@ def enumerate_conditioned(blocks):
     return [s for s in enumerate_shuffles(blocks) if s.is_conditioned()]
 
 
+class Memo(dict):
+    """A per-owner memo: a missing key is filled with ``fill(key)`` on first use.
+
+    Memos of enumerations live on an instance (a complex, a comparison), never
+    module-wide: a miss goes through the public enumerator, which reads
+    ``PRESTACKS_ENUM_CAP`` and so still refuses a shape on its first use.
+    """
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def signed_words(enumerate_):
+    """A ``Memo`` from a block shape to the (word, sign) pairs of
+    ``enumerate_(shape)``: ``ShufflePerm.sign`` runs once per word."""
+    return Memo(lambda blocks: [(s.word, s.sign) for s in enumerate_(blocks)])
+
+
 def brute_force_shuffles(blocks):
     """Oracle: filter all of S_n for the block-monotonicity property."""
     blocks = tuple(blocks)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .combinatorics import _check_cap, enumerate_shuffles
+from .combinatorics import _check_cap, enumerate_shuffles, signed_words
 from .complexbase import ComplexBase
 from .lincat import compose_blocks, scale_block, unit_block
 
@@ -99,7 +99,7 @@ class GSComplex(ComplexBase):
         super().__init__(prestack.field)
         self.P = prestack
         self._rank_cache = {}
-        self._shuffles = {}  # (q, j-1) -> [(word, sign)] of the (q, j-1)-shuffles
+        self._shuffles = signed_words(enumerate_shuffles)  # (q, j-1) -> [(word, sign)]
 
     # -- cells -----------------------------------------------------------------
 
@@ -298,12 +298,7 @@ class GSComplex(ComplexBase):
 
         total = {}
         sgn_t = -1 if len(btuple) % 2 else 1
-        shape = (len(btuple), j - 1)
-        shuffles = self._shuffles.get(shape)
-        if shuffles is None:
-            shuffles = self._shuffles[shape] = [(beta.word, beta.sign)
-                                                 for beta in enumerate_shuffles(shape)]
-        for word, sign in shuffles:
+        for word, sign in self._shuffles[(len(btuple), j - 1)]:
             neg = sgn_t * sign < 0
             for k, v in suffix(0, 0, word).items():
                 prev = total.get(k)

@@ -418,3 +418,18 @@ def scale_block(F, c, a, sign=1):
         if not F.is_zero(v):
             out[k] = v
     return out
+
+
+def sum_blocks(F, terms):
+    """The block sum of c * block over ``terms``, a list of (c, block) pairs.
+
+    A single term with c = 1 gives its block itself, shared and not copied.
+    """
+    if len(terms) == 1:
+        c, block = terms[0]
+        return block if F.eq(c, F.one) else scale_block(F, c, block)
+    out = {}
+    for c, block in terms:
+        for k, v in block.items():
+            _add_entry(F, out, k, F.mul(c, v))
+    return out

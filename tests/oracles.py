@@ -14,7 +14,12 @@ library assembles its operators, not the formulas:
   and T to a value vector as a closure, with the same enumerations; the
   actions go through ``LinearCategory.compose`` and ``LinFunctor.apply``, not
   the block readers, so it checks the blocks and the matrix assembly of the
-  library's term streams.
+  library's term streams;
+- ``f_terms``, ``g_terms`` and ``t_terms`` read the Seq recursion, the graded
+  shuffle product and the Omega recursion term by term (``seq_elements``,
+  ``build_graded_string``, ``omega_terms``, ``big_omega_terms`` below), not
+  the library's shape skeletons, string plans and memos, so they check those
+  and the per-input-cell sums of F and T.
 
 Test-only diagnostics of the paper's constructions also live here: formal
 chains of tensor strings with their faces, and the chains omega, Omega and
@@ -25,10 +30,10 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from prestacks.basecat import Simplex
-from prestacks.combinatorics import (Path, ShufflePerm, enumerate_shuffles, partitions,
-                                     paths_or_trivial)
-from prestacks.compare import (_tail_composite, build_graded_string, c_sigma_partition,
-                               seq_elements, seqq_elements)
+from prestacks.combinatorics import (Partition, Path, ShufflePerm, enumerate_shuffles,
+                                     partitions, paths_or_trivial)
+from prestacks.compare import c_sigma_partition
+from prestacks.shapes import SeqElement, seqq_elements
 from prestacks.complexbase import SparseCochain, apply_matrix, pull_matrix
 from prestacks.graded import (GMor, GradedCategory, GradedComplex, string_objects,
                               string_simp)
@@ -619,6 +624,253 @@ def graded_terms(CU, key, n):
            lambda vec: right_mu(P, vn, objects[1], objects[-1], vec, args[n - 1]))
 
 
+# -- the comparison maps term by term ------------------------------------------------
+# The Seq recursion, the graded shuffle product and the Omega recursion as the
+# library had them before its shape skeletons, string plans and memos: one Seq
+# element, path and shuffle at a time, each string built token by token, and
+# Omega_{n-1} recomputed at every cell.  ``f_terms``, ``g_terms`` and
+# ``t_terms`` read them.
+
+
+def _underlined(P, arrows, entries, i, bottom_obj):
+    """u_1* ... u_{n-i}* applied to the i-th string entry (1-based)."""
+    n = len(arrows)
+    fun = P.stars(arrows[: n - i], end_obj=bottom_obj)
+    return fun.apply(entries[i - 1])
+
+
+def _tail_composite(P, arrows, entries, start, bottom_obj):
+    """The composite of underlined entries start..n (an initial segment of
+    the string, source side)."""
+    n = len(arrows)
+    acc = None
+    for i in range(n, start - 1, -1):
+        m = _underlined(P, arrows, entries, i, bottom_obj)
+        acc = m if acc is None else m.cat.compose(m, acc)
+    return acc
+
+
+def seq_elements(P, arrows, entries, objects, part):
+    """All Seq elements for a string over ``arrows`` and a partition.
+
+    ``entries`` lists the string's fiber morphisms (slot 1 over the last
+    arrow), ``objects`` the graded object chain A_0..A_n.  Elements are fiber
+    simplices over the chain's source with signs and token tags.
+    """
+    base = P.base
+    n = len(arrows)
+    if part.n != n:
+        raise ValueError("partition does not match chain length")
+    if n == 0:
+        return [SeqElement((), 1, (), objects[0], objects[0])]
+    bottom = base.src(arrows[0])
+    blocks = part.blocks
+    if len(blocks) == 1:
+        out = []
+        a_total = _tail_composite(P, arrows, entries, 1, bottom)
+        top_obj = objects[-1]
+        for r in paths_or_trivial(arrows):
+            ents = []
+            for chain_before, i in r.entries(base):
+                ents.append(P.epsilon_for(chain_before, i).at(top_obj))
+            ents.append(a_total)
+            out.append(SeqElement(tuple(ents), r.sign,
+                                  tuple([("tw", 0)] * (n - 1)) + (("a", 0),),
+                                  a_total.src, ents[0].tgt))
+        return out
+    mk = blocks[0]
+    rest = Partition(blocks[1:])
+    subs = seq_elements(P, arrows[mk:], entries[: n - mk], objects[mk:], rest)
+    out = []
+    if mk == 1:
+        fu = P.restriction(arrows[0])
+        a_n = entries[n - 1]
+        for s in subs:
+            ents = tuple(fu.apply(e) for e in s.entries) + (a_n,)
+            tags = tuple((kind, b + 1) for kind, b in s.tags) + (("a", 0),)
+            out.append(SeqElement(ents, s.sign, tags, a_n.src, ents[0].tgt))
+        return out
+    tail = _tail_composite(P, arrows, entries, n + 1 - mk, bottom)
+    for s in subs:
+        sub_objects = s.objects()
+        for path in paths_or_trivial(arrows[:mk]):
+            for beta in enumerate_shuffles((n - mk, mk - 1)):
+                ents, _objs = eval_shuffle(P, path, list(s.entries), sub_objects,
+                                           beta.word)
+                ents = tuple(ents) + (tail,)
+                tags = []
+                it = iter(tuple((kind, b + 1) for kind, b in s.tags))
+                for tok in beta.word:
+                    tags.append(next(it) if tok == 0 else ("tw", 0))
+                tags.append(("a", 0))
+                out.append(SeqElement(ents, path.sign * beta.sign * s.sign,
+                                      tuple(tags), tail.src, ents[0].tgt))
+    return out
+
+
+def build_graded_string(P, zeta, fiber_entries, fiber_objects, word, top_obj):
+    """The shuffle product of a fiber simplex with a conditioned shuffle
+    product, as a tuple of graded string entries (target-first).
+
+    ``word`` interleaves fiber tokens (0) with zeta tokens (1); the fiber
+    simplex lives over ``top_obj`` (entries target-first, objects
+    source-first).
+    """
+    base = P.base
+    levels = []
+    for block, path in zeta.levels:
+        chains = [block]
+        cur = block
+        steps = path.steps(base)
+        for (c, i) in steps:
+            cur = c[: i - 1] + (base.then(c[i - 1], c[i]),) + c[i + 1 :]
+            chains.append(cur)
+        levels.append({
+            "block": block,
+            "steps": steps,
+            "chains": chains,
+            "m": len(block),
+            "consumed": 0,
+            "started": False,
+            "z_top": base.tgt(block[-1]),
+            "z_bot": base.src(block[0]),
+        })
+    ztokens = zeta.tokens()
+    zpos = 0
+    consumed_f = 0
+    cur_obj = fiber_objects[-1]
+    out = []
+
+    def level_functor(lv):
+        st = levels[lv]
+        return P.stars(st["chains"][st["m"] - 1 - st["consumed"]],
+                       end_obj=st["z_top"])
+
+    def apply_below(lv, obj):
+        for i in range(lv):
+            obj = level_functor(i).on_obj(obj)
+        return obj
+
+    def apply_range(lo, mor):
+        for i in range(lo, len(levels)):
+            if levels[i]["started"]:
+                mor = level_functor(i).apply(mor)
+        return mor
+
+    def top_fiber_obj():
+        for i in range(len(levels) - 1, -1, -1):
+            if levels[i]["started"]:
+                return levels[i]["z_bot"]
+        return top_obj
+
+    for tok in word:
+        if tok == 0:
+            x = fiber_entries[consumed_f]
+            m = apply_range(0, x)
+            z = top_fiber_obj()
+            out.append(GMor(base.identities[z], m.src, m.tgt, m.coords))
+            consumed_f += 1
+            cur_obj = fiber_objects[len(fiber_objects) - 1 - consumed_f]
+        else:
+            ztok = ztokens[zpos]
+            zpos += 1
+            lv = ztok[1]
+            st = levels[lv]
+            if ztok[0] == "start":
+                y = apply_below(lv, cur_obj)
+                v = base.composite(Simplex(st["z_bot"], st["block"]))
+                src = P.restriction(v).on_obj(y)
+                fib = P.fiber(st["z_bot"])
+                st["started"] = True
+                out.append(GMor(v, src, y, fib.identity(src).coords))
+            else:
+                j = ztok[2]  # displayed path entry r_j of this level
+                chain_before, i = st["steps"][st["m"] - j - 1]
+                eps = P.epsilon_for(chain_before, i)
+                x_obj = apply_below(lv, cur_obj)
+                m0 = eps.at(x_obj)
+                m = apply_range(lv + 1, m0)
+                st["consumed"] += 1
+                z = top_fiber_obj()
+                out.append(GMor(base.identities[z], m.src, m.tgt, m.coords))
+    return tuple(out)
+
+
+def omega_terms(cmp_, simplex, entries, objects, p):
+    """Signed corrected strings of omega_{n,p} for one graded component.
+
+    Yields (sign, string, correction) with the correction morphism mapping
+    the string's value module into A(U_0)(A_0, sigma^* A_n).
+    """
+    P = cmp_.P
+    base = P.base
+    n = simplex.p
+    u0 = simplex.source
+    arrows = simplex.arrows
+    Lsimp = base.left_part(simplex, p)
+    lfun = P.sigma_lower(Lsimp)
+    fib0 = P.fiber(u0)
+    c_k = P.c_sigma_k(simplex, p).at(objects[-1])
+    tail = _tail_composite(P, arrows, entries, n + 1 - p, u0)
+    tail_entry = GMor(base.identities[u0], tail.src, tail.tgt, tail.coords)
+    r_arrows = arrows[p:]
+    for part in partitions(n - p):
+        if part.k == 0:
+            pref = c_k
+        else:
+            cb = c_sigma_partition(P, r_arrows, part).at(objects[-1])
+            pref = fib0.compose(c_k, lfun.apply(cb))
+        for xi in seq_elements(P, r_arrows, entries[: n - p], objects[p:], part):
+            xi_objects = xi.objects()
+            for part2 in partitions(p):
+                for zeta in seqq_elements(P, arrows[:p], part2):
+                    for beta in enumerate_shuffles((n - p, p)):
+                        body = build_graded_string(
+                            P, zeta, list(xi.entries), xi_objects,
+                            beta.word, base.objects_along(simplex)[p])
+                        string = body + (tail_entry,)
+                        sgn = part.sign * xi.sign * zeta.sign * beta.sign
+                        yield sgn, string, pref
+
+def big_omega_terms(cmp_, simplex, entries, objects):
+    """Corrected strings of Omega_n, including the recursion tail."""
+    P = cmp_.P
+    base = P.base
+    n = simplex.p
+    u0 = simplex.source
+    fib0 = P.fiber(u0)
+    if n == 1:
+        u1 = simplex.arrows[0]
+        a1 = entries[0]
+        top = P.restriction(u1).on_obj(objects[1])
+        fib = P.fiber(u0)
+        id_entry = GMor(u1, top, objects[1], fib.identity(top).coords)
+        a_entry = GMor(base.identities[u0], a1.src, a1.tgt, a1.coords)
+        corr = fib.identity(top)
+        return [(1, (id_entry, a_entry), corr)]
+    out = []
+    s = -1 if (n + 1) % 2 else 1
+    for p in range(1, n + 1):
+        for sgn, string, pref in omega_terms(cmp_, simplex, entries, objects, p):
+            out.append((s * sgn, string, pref))
+    u1 = simplex.arrows[0]
+    sub_simplex = base.face(simplex, 0)
+    comp_sub = base.composite(sub_simplex)
+    a_n = entries[n - 1]
+    a_entry = GMor(u1, a_n.src, a_n.tgt, a_n.coords)
+    fu1 = P.restriction(u1)
+    for c, y, corr_y in big_omega_terms(cmp_, sub_simplex, entries[: n - 1],
+                                             objects[1:]):
+        x = y + (a_entry,)
+        comp_y = base.composite(string_simp(base, list(y)))
+        y_tgt = y[0].tgt_obj
+        back = P.twist_inverse(u1, comp_y).at(y_tgt)
+        fwd = P.twist(u1, comp_sub).at(objects[-1])
+        corr_x = fib0.compose(fwd, fib0.compose(fu1.apply(corr_y), back))
+        out.append((c, x, corr_x))
+    return out
+
+
 def f_terms(cmp_, key):
     """The terms of F at a graded output cell."""
     P = cmp_.P
@@ -693,7 +945,7 @@ def t_terms(cmp_, key):
     u0 = simplex.source
     entries = [cmp_.CU.G.as_fiber_mor(cmp_.CU.arg_gmor(simplex, objects, btuple, i))
                for i in range(1, n + 1)]
-    for sgn, string, corr in cmp_.big_omega_terms(simplex, entries, list(objects)):
+    for sgn, string, corr in big_omega_terms(cmp_, simplex, entries, list(objects)):
         simp = string_simp(P.base, list(string))
         objsx = tuple(string_objects(list(string)))
         fmors = [cmp_.CU.G.as_fiber_mor(e) for e in string]

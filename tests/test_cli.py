@@ -234,6 +234,17 @@ BAD_INPUTS = [
                  "parse error:", id="degree-cap-not-int"),
     pytest.param(["cohomology", "scalar-twist-3chain", "--max-degree", "4"],
                  {"PRESTACKS_ENUM_CAP": "2"}, 1, "enumeration size", id="enum-cap-exceeded"),
+    pytest.param(["verify", "scalar-twist-3chain", "--law", "fd", "--degree", "4"],
+                 {"PRESTACKS_ENUM_CAP": "2"}, 1, "enumeration size",
+                 id="enum-cap-exceeded-comparison"),
+    pytest.param(["cohomology", "triv-A2", "--max-degree", "-1"], {}, 2, "parse error:",
+                 id="negative-max-degree"),
+    pytest.param(["verify", "triv-A2", "--law", "fd", "--degree", "-1"], {}, 2,
+                 "parse error:", id="negative-verify-degree"),
+    pytest.param(["verify", "triv-A2", "--law", "d2", "--trials", "-3"], {}, 2,
+                 "parse error:", id="negative-trials"),
+    pytest.param(["export-matrix", "triv-A2", "--degree", "-2", "--out", "m.txt"], {}, 2,
+                 "parse error:", id="negative-export-degree"),
     pytest.param(["deform", "dual-pair", "--out-dir",
                   lambda t: os.path.join(_write(t, "afile", ""), "sub")],
                  {}, 2, "parse error:", id="deform-out-dir-under-file"),

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import factorial
@@ -11,11 +12,12 @@ from oracles import (GradedChain, big_omega_chain, chain_face_sum, delta_chain, 
 from prestacks import combinatorics as cb
 from prestacks import fixtures
 from prestacks.basecat import Simplex, chain_poset
-from prestacks.compare import (Comparison, build_graded_string,
-                               c_sigma_partition, seq_elements, seqq_elements)
-from prestacks.complexbase import SparseCochain, apply_matrix
-from prestacks.graded import GradedCategory, string_objects, string_simp
+from prestacks.compare import Comparison, c_sigma_partition, seq_elements, seqq_elements
+from prestacks.complexbase import SparseCochain, apply_matrix, pull_matrix
+from prestacks.graded import GradedCategory, GradedComplex, string_objects, string_simp
+from prestacks.gscomplex import GSComplex
 from prestacks.lincat import identity_transform
+from prestacks.shapes import build_graded_string
 
 
 def four_chain():
@@ -242,6 +244,68 @@ def test_pointwise_route_equals_matrix_route(name, which):
         want = pull_apply(lambda key: terms(key, m), tgt, m, phi)
         assert want == apply_(phi)
         assert want == tgt.from_vector(m, matrix(n).matvec(src.to_vector(phi)))
+
+
+def oracle_blocks(terms, in_index, in_complex, field):
+    """A closure stream as a block stream: each term's op applied to the unit
+    vectors of its input cell, with its sign folded in."""
+    def contrib(key):
+        for in_key, sgn, op in terms(key):
+            if in_key not in in_index[0]:
+                continue
+            rank = in_complex.value_rank(in_key)
+            block = {}
+            for b in range(rank):
+                unit = [field.zero] * rank
+                unit[b] = field.one
+                for r, v in enumerate(op(unit)):
+                    if not field.is_zero(v):
+                        block[(r, b)] = v if sgn == 1 else field.neg(v)
+            yield in_key, block
+    return contrib
+
+
+@pytest.mark.parametrize("name,top", [("scalar-twist-3chain", 4), ("rank2-fiber", 3),
+                                      ("dual-pair", 3)])
+def test_comparison_matrices_equal_term_by_term_oracle(name, top):
+    # the oracle sums one Seq element, path, shuffle and Omega string at a time
+    cmp_ = comparison(name)
+    CG, CU, F = cmp_.CG, cmp_.CU, cmp_.field
+    for n in range(0, top + 1):
+        maps = [("F", f_terms, CU, n, CG, n), ("G", g_terms, CG, n, CU, n)]
+        if n >= 1:
+            maps.append(("T", t_terms, CU, n - 1, CU, n))
+        for which, terms, out_c, m, in_c, k in maps:
+            want = pull_matrix(oracle_blocks(lambda key: terms(cmp_, key), in_c.index(k), in_c, F),
+                               out_c.cells(m), out_c.index(m), in_c.index(k), F)
+            got = getattr(cmp_, "matrix_" + which)(n)
+            assert got.to_triplet_text() == want.to_triplet_text(), (which, n)
+        for stream in (cmp_.f_contributions, cmp_.t_contributions):
+            for key in CU.cells(n):
+                in_keys = [in_key for in_key, _ in stream(key)]
+                assert len(in_keys) == len(set(in_keys))
+
+
+@pytest.mark.parametrize("name", ["rank2-fiber", "dual-pair", "scalar-twist-3chain"])
+def test_comparison_memos_are_scoped_and_shapes_never_written(name):
+    P = get_prestack(name)
+
+    def fresh():
+        return Comparison(GSComplex(P), GradedComplex(P))
+
+    shared = fresh()
+    # high degrees first: shapes listed in one degree are read in the next
+    for n in (3, 2, 1):
+        for which in ("F", "T", "G"):
+            got = getattr(shared, "matrix_" + which)(n).to_triplet_text()
+            assert got == getattr(fresh(), "matrix_" + which)(n).to_triplet_text()
+            assert shared._frames == shared._seqs == shared._omega == shared._strings == {}
+    snapshot = copy.deepcopy(vars(shared.shapes))
+    for n in (3, 2, 1):
+        shared.matrix_F(n)
+        shared.matrix_T(n)
+        shared.matrix_G(n)
+    assert vars(shared.shapes) == snapshot
 
 
 @pytest.mark.parametrize("name", ["rank2-fiber", "scalar-twist-3chain"])
