@@ -7,11 +7,11 @@ the coefficients are the prestack itself.  The total differential is
 d = d_Hoch + (-1)^n d_simp plus the higher components d_j, 2 <= j <= p.
 
 d_j at a cell whose simplex has right part R (j arrows) and q arguments is a
-signed sum over every path of whiskered twists on R and every (q, j-1)-shuffle
-(``eval_shuffle`` evaluates one such term).  The (j-1)! paths are not listed:
-every state along a path is a coarsening of R, given by its set of interior
-cuts, so for each shuffle word the paths are summed by dynamic programming
-over the 2^(j-1) coarsenings.  Reading the word target-first from the fully
+signed sum over every path of whiskered twists on R and every
+(q, j-1)-shuffle.  The (j-1)! paths are not listed: every state along a path
+is a coarsening of R, given by its set of interior cuts, so for each shuffle
+word the paths are summed by dynamic programming over the 2^(j-1)
+coarsenings.  Reading the word target-first from the fully
 composed chain, a fiber token applies the star functor of the current
 coarsening to the next argument, and a path token un-merges one interval at a
 cut c: the coarsening ``pred`` with c added merges back at index i, the token
@@ -28,48 +28,6 @@ from itertools import product
 from .combinatorics import _check_cap, enumerate_shuffles, signed_words
 from .complexbase import ComplexBase
 from .lincat import compose_blocks, scale_block, unit_block
-
-
-def eval_shuffle(P, path, entries, objects, word):
-    """Shuffle a fiber simplex through a path of twist transforms, evaluating.
-
-    ``entries`` lists the fiber morphisms target-first, ``objects`` the object
-    chain source-first.  ``word`` has 0 for a fiber token and 1 for a path
-    token, in output order (target-first).  Returns (entries, objects) of the
-    shuffled simplex in the fiber at the path's codomain end.
-    """
-    base = P.base
-    steps = path.steps(base)
-    chains = [path.arrows]
-    cur = path.arrows
-    for (c, i) in steps:
-        cur = c[: i - 1] + (base.then(c[i - 1], c[i]),) + c[i + 1 :]
-        chains.append(cur)
-    m = path.n
-    top_obj = base.tgt(path.arrows[-1])
-    consumed_f = 0
-    consumed_p = 0
-    cur_obj = objects[-1]
-    out = []
-    for tok in word:
-        if tok == 0:
-            x = entries[consumed_f]
-            fun = P.stars(chains[m - 1 - consumed_p], end_obj=top_obj)
-            out.append(fun.apply(x))
-            consumed_f += 1
-            cur_obj = objects[len(objects) - 1 - consumed_f]
-        else:
-            j = consumed_p + 1  # next displayed path entry r_j
-            chain_before, i = steps[m - j - 1]
-            eps = P.epsilon_for(chain_before, i)
-            out.append(eps.at(cur_obj))
-            consumed_p += 1
-    if not out:
-        fun = P.stars(chains[-1], end_obj=top_obj)
-        return [], [fun.on_obj(objects[-1])]
-    out_objects = [e.src for e in reversed(out)]
-    out_objects.append(out[0].tgt)
-    return out, out_objects
 
 
 def expand_multilinear(field, mors):

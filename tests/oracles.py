@@ -37,7 +37,7 @@ from prestacks.shapes import SeqElement, seqq_elements
 from prestacks.complexbase import SparseCochain, apply_matrix, pull_matrix
 from prestacks.graded import (GMor, GradedCategory, GradedComplex, string_objects,
                               string_simp)
-from prestacks.gscomplex import eval_shuffle, expand_multilinear
+from prestacks.gscomplex import expand_multilinear
 from prestacks.lincat import Mor, NatTransform, compose_functor_chain, compose_functors
 
 
@@ -421,6 +421,48 @@ def _replay_side(arrows, side_events):
     return Path(tuple(arrows), tuple(recipe))
 
 
+def eval_shuffle(P, path, entries, objects, word):
+    """Shuffle a fiber simplex through a path of twist transforms, evaluating.
+
+    ``entries`` lists the fiber morphisms target-first, ``objects`` the object
+    chain source-first.  ``word`` has 0 for a fiber token and 1 for a path
+    token, in output order (target-first).  Returns (entries, objects) of the
+    shuffled simplex in the fiber at the path's codomain end.
+    """
+    base = P.base
+    steps = path.steps(base)
+    chains = [path.arrows]
+    cur = path.arrows
+    for (c, i) in steps:
+        cur = c[: i - 1] + (base.then(c[i - 1], c[i]),) + c[i + 1 :]
+        chains.append(cur)
+    m = path.n
+    top_obj = base.tgt(path.arrows[-1])
+    consumed_f = 0
+    consumed_p = 0
+    cur_obj = objects[-1]
+    out = []
+    for tok in word:
+        if tok == 0:
+            x = entries[consumed_f]
+            fun = P.stars(chains[m - 1 - consumed_p], end_obj=top_obj)
+            out.append(fun.apply(x))
+            consumed_f += 1
+            cur_obj = objects[len(objects) - 1 - consumed_f]
+        else:
+            j = consumed_p + 1  # next displayed path entry r_j
+            chain_before, i = steps[m - j - 1]
+            eps = P.epsilon_for(chain_before, i)
+            out.append(eps.at(cur_obj))
+            consumed_p += 1
+    if not out:
+        fun = P.stars(chains[-1], end_obj=top_obj)
+        return [], [fun.on_obj(objects[-1])]
+    out_objects = [e.src for e in reversed(out)]
+    out_objects.append(out[0].tgt)
+    return out, out_objects
+
+
 def higher_terms_bruteforce(C, key, j):
     """The component d_j of a GS complex at the output cell ``key``, summed
     term by term: every path on the right part R of the simplex times every
@@ -625,11 +667,11 @@ def graded_terms(CU, key, n):
 
 
 # -- the comparison maps term by term ------------------------------------------------
-# The Seq recursion, the graded shuffle product and the Omega recursion as the
-# library had them before its shape skeletons, string plans and memos: one Seq
-# element, path and shuffle at a time, each string built token by token, and
-# Omega_{n-1} recomputed at every cell.  ``f_terms``, ``g_terms`` and
-# ``t_terms`` read them.
+# The Seq recursion, the graded shuffle product and the Omega recursion one
+# term at a time: one Seq element, path and shuffle at a time, each string
+# built token by token, and Omega_{n-1} recomputed at every cell.  ``f_terms``,
+# ``g_terms`` and ``t_terms`` read them, so they check the library's shape
+# skeletons, string plans, memos and per-input-cell sums.
 
 
 def _underlined(P, arrows, entries, i, bottom_obj):

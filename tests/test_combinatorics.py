@@ -288,7 +288,7 @@ def test_part0_convention():
 def test_eval_shuffle_three_interleavings():
     # shuffle a path of twist transforms through one fiber morphism: the
     # functor is applied before/after the transform components per position
-    from prestacks.gscomplex import eval_shuffle
+    from oracles import eval_shuffle
     P = get_prestack("rank2-fiber")
     fib = P.fiber("*")
     path = cb.enumerate_paths(("g1", "g1"))[0]  # single entry: the twist
@@ -309,7 +309,7 @@ def test_eval_shuffle_three_interleavings():
 
 
 def test_eval_shuffle_composite_independent_on_scalar_chain():
-    from prestacks.gscomplex import eval_shuffle
+    from oracles import eval_shuffle
     P = six_chain()
     fib = P.fiber("4")
     path = cb.enumerate_paths(("u12", "u23", "u34"))[0]

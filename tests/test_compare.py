@@ -276,8 +276,8 @@ def test_comparison_matrices_equal_term_by_term_oracle(name, top):
         if n >= 1:
             maps.append(("T", t_terms, CU, n - 1, CU, n))
         for which, terms, out_c, m, in_c, k in maps:
-            want = pull_matrix(oracle_blocks(lambda key: terms(cmp_, key), in_c.index(k), in_c, F),
-                               out_c.cells(m), out_c.index(m), in_c.index(k), F)
+            oracle = oracle_blocks(lambda key: terms(cmp_, key), in_c.index(k), in_c, F)
+            want = pull_matrix(oracle, out_c.cells(m), out_c.index(m), in_c.index(k), F)
             got = getattr(cmp_, "matrix_" + which)(n)
             assert got.to_triplet_text() == want.to_triplet_text(), (which, n)
         for stream in (cmp_.f_contributions, cmp_.t_contributions):
