@@ -166,17 +166,14 @@ def _law_gf(P, CG, CU, cmp_, N, T, seed, report):
 def _law_homotopy(P, CG, CU, cmp_, N, T, seed, report):
     ok = True
     F = P.field
-    # T and delta are needed at n and n + 1; each is built once.  Only fresh
-    # products are mutated below, never these.
+    # T and delta are needed at n and n + 1; each is built once.
     T_mats = {n: cmp_.matrix_T(n) for n in range(1, N + 2)}
     delta_mats = {n: CU.matrix(n) for n in range(1, N + 2)}
     for n in range(1, N + 1):
-        lhs = cmp_.matrix_F(n).mul(cmp_.matrix_G(n))
-        for i in range(CU.dim(n)):
-            lhs.add_entry(i, i, F.neg(F.one))
-        rhs = delta_mats[n].mul(T_mats[n])
-        for entry, v in T_mats[n + 1].mul(delta_mats[n + 1]).data.items():
-            rhs.add_entry(entry[0], entry[1], v)
+        dim = CU.dim(n)
+        minus_one = SparseMatrix(dim, dim, F, [{i: F.neg(F.one)} for i in range(dim)])
+        lhs = cmp_.matrix_F(n).mul(cmp_.matrix_G(n)).plus(minus_one)
+        rhs = delta_mats[n].mul(T_mats[n]).plus(T_mats[n + 1].mul(delta_mats[n + 1]))
         if lhs != rhs:
             report("FG - 1 != delta T + T delta at degree %d" % n)
             ok = False

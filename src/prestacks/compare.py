@@ -26,11 +26,11 @@ F and T sum their terms per input cell: each stream yields one block per
 from __future__ import annotations
 
 from .basecat import Simplex
-from .combinatorics import Memo, partition_block_slices
+from .combinatorics import Memo, Path, eval_path, partition_block_slices
 from .complexbase import apply_matrix, pull_matrix
 from .graded import GMor, string_objects, string_simp
 from .gscomplex import expand_multilinear
-from .lincat import Mor, compose_blocks, sum_blocks, unit_block
+from .lincat import Mor, compose_blocks, identity_transform, sum_blocks, unit_block
 # seq_elements and seqq_elements, the one-shot forms of Seq and Seqq, stay
 # part of this module's interface
 from .shapes import (  # noqa: F401
@@ -59,7 +59,10 @@ def c_sigma_partition(P, arrows, part):
     for lo, hi in partition_block_slices(part):
         seg = arrows[lo:hi]
         comps.append(P.base.composite(Simplex(P.base.src(seg[0]), tuple(seg))))
-    return P.c_for_blocks(tuple(comps))
+    if part.k == 1:
+        return identity_transform(P.restriction(comps[0]))
+    # merging at index 1 at every step: one path, and every path has this value
+    return eval_path(P, Path(tuple(comps), (1,) * (part.k - 1)))
 
 
 # -- the maps ------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, accumulate
 
 
 class SparseCochain:
@@ -85,7 +85,7 @@ def pull_matrix(contrib, out_keys, out_index, in_index, field):
     """
     out_off, out_dim = out_index
     in_off, in_dim = in_index
-    mat = SparseMatrix(out_dim, in_dim, field)
+    rows = [{} for _ in range(out_dim)]
     for key in out_keys:
         row0 = out_off[key]
         for in_key, block in contrib(key):
@@ -93,8 +93,8 @@ def pull_matrix(contrib, out_keys, out_index, in_index, field):
             if col0 is None:
                 continue
             for (r, b), v in block.items():
-                mat.add_entry(row0 + r, col0 + b, v)
-    return mat
+                accumulate(field, rows[row0 + r], col0 + b, v)
+    return SparseMatrix(out_dim, in_dim, field, rows)
 
 
 def apply_matrix(mat, phi, out_complex, n):
@@ -109,9 +109,19 @@ class ComplexBase:
         self.field = field
         self._cells = {}
         self._index = {}
+        self._rank_cache = {}
 
-    # subclasses: cells(n) -> list of keys, value_rank(key) -> int,
+    # subclasses: cells(n) -> list of keys, _rank(simplex, objects) -> int,
     # diff_contributions(key, n) -> iterable of (in_key, block)
+
+    def value_rank(self, key):
+        """The rank of the value module of a cell; it depends only on
+        (simplex, objects)."""
+        ck = (key[0], key[1])
+        r = self._rank_cache.get(ck)
+        if r is None:
+            r = self._rank_cache[ck] = self._rank(*ck)
+        return r
 
     def index(self, n):
         if n not in self._index:

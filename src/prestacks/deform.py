@@ -280,12 +280,7 @@ def classify_h2(P, complex_=None):
     d3 = C.nr_matrix(3)
     d2 = C.nr_matrix(2)
     kernel = d3.kernel_basis()
-    # echelon basis of the image
-    image = []
-    cols = d2.col_lists()
-    for col in cols:
-        image.append(dict(col))
-    echelon = {}
+    echelon = {}  # echelon basis of the image
 
     def reduce_vec(vec):
         v = dict(vec)
@@ -313,7 +308,7 @@ def classify_h2(P, complex_=None):
         echelon[lead] = v
         return v
 
-    for col in image:
+    for col in d2.col_lists():
         if col:
             insert(col)
     reps = []

@@ -135,21 +135,13 @@ class GradedComplex(ComplexBase):
         self.P = prestack
         self.G = GradedCategory(prestack)
         self.GM = GradedBimodule(self.G)
-        self._rank_cache = {}
         self._blocks = {}
 
     # cells: (simplex, objects, btuple) with objects (A_0..A_n), A_i over U_i;
     # entry slot i (1-based) is graded by arrow u_{n+1-i}.
 
-    def value_rank(self, key):
-        simplex, objects = key[0], key[1]
-        ck = (simplex, objects)
-        r = self._rank_cache.get(ck)
-        if r is None:
-            comp = self.P.base.composite(simplex)
-            r = self.G.hom_rank(comp, objects[0], objects[-1])
-            self._rank_cache[ck] = r
-        return r
+    def _rank(self, simplex, objects):
+        return self.G.hom_rank(self.P.base.composite(simplex), objects[0], objects[-1])
 
     def entry_rank(self, simplex, objects, i):
         n = simplex.p

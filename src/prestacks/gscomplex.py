@@ -56,7 +56,6 @@ class GSComplex(ComplexBase):
     def __init__(self, prestack):
         super().__init__(prestack.field)
         self.P = prestack
-        self._rank_cache = {}
         self._shuffles = signed_words(enumerate_shuffles)  # (q, j-1) -> [(word, sign)]
 
     # -- cells -----------------------------------------------------------------
@@ -69,15 +68,9 @@ class GSComplex(ComplexBase):
         a = P.sigma_lower(simplex).on_obj(objects[-1])
         return u0, b, a
 
-    def value_rank(self, key):
-        simplex, objects = key[0], key[1]
-        ck = (simplex, objects)
-        r = self._rank_cache.get(ck)
-        if r is None:
-            u0, b, a = self.value_module(simplex, objects)
-            r = self.P.fiber(u0).rank(b, a)
-            self._rank_cache[ck] = r
-        return r
+    def _rank(self, simplex, objects):
+        u0, b, a = self.value_module(simplex, objects)
+        return self.P.fiber(u0).rank(b, a)
 
     def arg_mor(self, simplex, objects, btuple, i):
         """The i-th argument (1-based): basis b_i of hom(A_{q-i}, A_{q-i+1})."""

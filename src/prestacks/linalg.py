@@ -263,96 +263,98 @@ def ring_tag(field):
 
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix over an exact field.
+    """A sparse matrix over an exact field, stored as its rows.
 
-    Entries live in a dict keyed by (row, col); zeros are never stored.
+    ``row_data[i]`` is a dict column -> value of row i without zeros.  The
+    rows are handed to the constructor and never written afterwards, so a
+    result may share rows with its operands.
     """
 
-    def __init__(self, rows, cols, field, entries=None):
+    def __init__(self, rows, cols, field, row_data=None):
+        if row_data is None:
+            row_data = [{}] * rows
+        elif len(row_data) != rows:
+            raise IndexError("%d rows given for a %d-row matrix" % (len(row_data), rows))
+        for i, r in enumerate(row_data):
+            if r:
+                lo, hi = min(r), max(r)
+                if lo < 0 or hi >= cols:
+                    raise IndexError("entry (%d,%d) out of range"
+                                     % (i, lo if lo < 0 else hi))
         self.rows = rows
         self.cols = cols
         self.field = field
-        self.data = {}
-        if entries:
-            for (i, j), v in entries.items() if isinstance(entries, dict) else entries:
-                self.add_entry(i, j, v)
-
-    def add_entry(self, i, j, v):
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("entry (%d,%d) out of range" % (i, j))
-        key = (i, j)
-        cur = self.data.get(key)
-        if cur is not None:
-            v = self.field.add(cur, v)
-        if self.field.is_zero(v):
-            self.data.pop(key, None)
-        else:
-            self.data[key] = v
-
-    def get(self, i, j):
-        return self.data.get((i, j), self.field.zero)
-
-    @property
-    def nnz(self):
-        return len(self.data)
+        self.row_data = row_data
+        self.nnz = sum(map(len, row_data))
 
     def is_zero(self):
-        return not self.data
-
-    def row_lists(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.data.items():
-            rows[i][j] = v
-        return rows
+        return not self.nnz
 
     def col_lists(self):
         cols = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.data.items():
-            cols[j][i] = v
+        for i, r in enumerate(self.row_data):
+            for j, v in r.items():
+                cols[j][i] = v
         return cols
 
     def matvec(self, vec):
         F = self.field
-        out = [F.zero] * self.rows
-        for (i, j), v in self.data.items():
-            x = vec[j]
-            if not F.is_zero(x):
-                out[i] = F.add(out[i], F.mul(v, x))
+        add, mul = F.add, F.mul
+        zero = F.zero
+        out = [zero] * self.rows
+        for i, r in enumerate(self.row_data):
+            if r:
+                acc = zero
+                for j, v in r.items():
+                    acc = add(acc, mul(v, vec[j]))
+                out[i] = acc
         return out
 
     def mul(self, other):
-        """Sparse product self * other."""
+        """Sparse product self * other, row by row."""
         if other.rows != self.cols:
             raise ValueError("shape mismatch in matrix product")
         F = self.field
-        cols_of_self = [dict() for _ in range(self.cols)]
-        for (i, j), v in self.data.items():
-            cols_of_self[j][i] = v
-        out = SparseMatrix(self.rows, other.cols, F)
-        acc = {}
-        by_col = {}
-        for (k, j), w in other.data.items():
-            by_col.setdefault(j, []).append((k, w))
-        for j, col in by_col.items():
-            acc.clear()
-            for k, w in col:
-                for i, v in cols_of_self[k].items():
-                    key = i
-                    cur = acc.get(key, F.zero)
-                    acc[key] = F.add(cur, F.mul(v, w))
-            for i, v in acc.items():
-                if not F.is_zero(v):
-                    out.data[(i, j)] = v
-        return out
+        add, mul, is_zero = F.add, F.mul, F.is_zero
+        rows_of_other = other.row_data
+        out = []
+        for r in self.row_data:
+            acc = {}
+            for k, v in r.items():
+                for j, w in rows_of_other[k].items():
+                    cur = acc.get(j)
+                    acc[j] = mul(v, w) if cur is None else add(cur, mul(v, w))
+            for j in [j for j, x in acc.items() if is_zero(x)]:
+                del acc[j]
+            out.append(acc)
+        return SparseMatrix(self.rows, other.cols, F, out)
+
+    def plus(self, other):
+        """The sum self + other."""
+        if (other.rows, other.cols) != (self.rows, self.cols):
+            raise ValueError("shape mismatch in matrix sum")
+        F = self.field
+        out = []
+        for a, b in zip(self.row_data, other.row_data):
+            if not b or not a:
+                out.append(a or b)
+                continue
+            r = dict(a)
+            for j, v in b.items():
+                accumulate(F, r, j, v)
+            out.append(r)
+        return SparseMatrix(self.rows, self.cols, F, out)
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        if set(self.data) != set(other.data):
-            return False
-        return all(self.field.eq(v, other.data[k]) for k, v in self.data.items())
+        eq = self.field.eq
+        for a, b in zip(self.row_data, other.row_data):
+            if a.keys() != b.keys() or not all(eq(v, b[j]) for j, v in a.items()):
+                return False
+        return True
 
     def _integer_rows(self):
         """The nonzero rows as dicts col -> int, and the modulus (0 over Q).
@@ -368,7 +370,7 @@ class SparseMatrix:
             p = F.p
         else:
             raise TypeError("elimination needs a field (Q or F_p), not %r" % (F,))
-        rows = [r for r in self.row_lists() if r]
+        rows = [dict(r) for r in self.row_data if r]
         if p:
             return rows, p
         for r in rows:
@@ -473,12 +475,11 @@ class SparseMatrix:
         F = self.field
         if isinstance(F, DualNumbers):
             return self._solve_dual(b)
-        aug = SparseMatrix(self.rows, self.cols + 1, F)
-        aug.data = dict(self.data)
-        for i, v in enumerate(b):
+        rows = [dict(r) for r in self.row_data]
+        for r, v in zip(rows, b):
             if not F.is_zero(v):
-                aug.data[(i, self.cols)] = v
-        pivots = aug.rref_pivots()
+                r[self.cols] = v
+        pivots = SparseMatrix(self.rows, self.cols + 1, F, rows).rref_pivots()
         if self.cols in pivots:
             return None
         x = [F.zero] * self.cols
@@ -495,13 +496,14 @@ class SparseMatrix:
         """
         K = self.field.base
         n, m = self.rows, self.cols
-        block = SparseMatrix(2 * n, 2 * m, K)
-        for (i, j), (v0, v1) in self.data.items():
-            if not K.is_zero(v0):
-                block.data[(i, j)] = v0
-                block.data[(n + i, m + j)] = v0
-            if not K.is_zero(v1):
-                block.data[(n + i, j)] = v1
+        top = [{j: v0 for j, (v0, _) in r.items() if not K.is_zero(v0)}
+               for r in self.row_data]
+        bottom = [{j: v1 for j, (_, v1) in r.items() if not K.is_zero(v1)}
+                  for r in self.row_data]
+        for r, t in zip(bottom, top):
+            for j, v0 in t.items():
+                r[m + j] = v0
+        block = SparseMatrix(2 * n, 2 * m, K, top + bottom)
         x = block.solve([v[0] for v in b] + [v[1] for v in b])
         if x is None:
             return None
@@ -511,22 +513,39 @@ class SparseMatrix:
 
     def to_triplet_text(self):
         """First line "rows cols nnz", then one "i j value" line per entry."""
+        show = self.field.show
         lines = ["%d %d %d" % (self.rows, self.cols, self.nnz)]
-        for (i, j) in sorted(self.data):
-            lines.append("%d %d %s" % (i, j, self.field.show(self.data[(i, j)])))
+        for i, r in enumerate(self.row_data):
+            for j in sorted(r):
+                lines.append("%d %d %s" % (i, j, show(r[j])))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_triplet_text(cls, text, field):
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
         rows, cols, nnz = (int(t) for t in lines[0].split())
-        m = cls(rows, cols, field)
+        row_data = [{} for _ in range(rows)]
         for ln in lines[1:]:
             i, j, val = ln.split(None, 2)
-            m.add_entry(int(i), int(j), field.parse(val))
+            i, j = int(i), int(j)
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError("entry (%d,%d) out of range" % (i, j))
+            accumulate(field, row_data[i], j, field.parse(val))
+        m = cls(rows, cols, field, row_data)
         if m.nnz != nnz:
             raise ValueError("triplet header nnz %d != %d entries" % (nnz, m.nnz))
         return m
+
+
+def accumulate(F, d, key, v):
+    """d[key] += v in place, dropping the key when the sum is zero."""
+    cur = d.get(key)
+    if cur is not None:
+        v = F.add(cur, v)
+    if F.is_zero(v):
+        d.pop(key, None)
+    else:
+        d[key] = v
 
 
 def _reduce(r, prow, c, p):

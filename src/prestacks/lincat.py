@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .linalg import SparseMatrix, accumulate
+
 
 @dataclass(frozen=True)
 class Mor:
@@ -78,12 +80,6 @@ class LinearCategory:
         F = self.field
         return Mor(self, f.src, f.tgt, tuple(F.mul(c, x) for x in f.coords))
 
-    def add(self, f, g):
-        if (f.src, f.tgt) != (g.src, g.tgt):
-            raise ValueError("cannot add morphisms with different endpoints")
-        F = self.field
-        return Mor(self, f.src, f.tgt, tuple(F.add(a, b) for a, b in zip(f.coords, g.coords)))
-
     def compose_basis(self, a, b, c, gi, fi):
         """Coefficients of (basis g_i) o (basis f_i) over hom(a, c)."""
         table = self.comp.get((a, b, c), {})
@@ -119,7 +115,7 @@ class LinearCategory:
                 continue
             for mi in range(self.rank(b, f.src)):
                 for k, coeff in table.get((fi, mi), {}).items():
-                    _add_entry(F, out, (k, mi), F.mul(fc, coeff))
+                    accumulate(F, out, (k, mi), F.mul(fc, coeff))
         return out
 
     def right_block(self, a, g):
@@ -132,21 +128,20 @@ class LinearCategory:
                 continue
             for mi in range(self.rank(g.tgt, a)):
                 for k, coeff in table.get((mi, gi), {}).items():
-                    _add_entry(F, out, (k, mi), F.mul(gc, coeff))
+                    accumulate(F, out, (k, mi), F.mul(gc, coeff))
         return out
 
     def invert(self, f):
         """Two-sided inverse of f, or None.  Solves small exact linear systems."""
         if f.src == f.tgt and f == self.identity(f.src):
             return f
-        from .linalg import SparseMatrix
         F = self.field
         n = self.rank(f.tgt, f.src)
         if n == 0:
             return None
         # unknowns: coords of g in hom(tgt, src); demand g o f = id_src, f o g = id_tgt
         rows = self.rank(f.src, f.src) + self.rank(f.tgt, f.tgt)
-        m = SparseMatrix(rows, n, F)
+        row_data = [{} for _ in range(rows)]
         rhs = [F.zero] * rows
         for k, c in enumerate(self.identity_coords[f.src]):
             rhs[k] = c
@@ -158,12 +153,12 @@ class LinearCategory:
             gf = self.compose(g, f)
             for k, c in enumerate(gf.coords):
                 if not F.is_zero(c):
-                    m.add_entry(k, gi, c)
+                    row_data[k][gi] = c
             fg = self.compose(f, g)
             for k, c in enumerate(fg.coords):
                 if not F.is_zero(c):
-                    m.add_entry(off + k, gi, c)
-        sol = m.solve(rhs)
+                    row_data[off + k][gi] = c
+        sol = SparseMatrix(rows, n, F, row_data).solve(rhs)
         if sol is None:
             return None
         return Mor(self, f.tgt, f.src, tuple(sol))
@@ -228,9 +223,6 @@ class LinFunctor:
 
     def on_obj(self, a):
         return self.obj_map[a]
-
-    def column(self, a, b, i):
-        return self.mats[(a, b)][i]
 
     def apply(self, f):
         if f.cat is not self.src_cat:
@@ -381,16 +373,6 @@ def compose_transforms(second, first):
 # dict {(row, column): value} without zero values.
 
 
-def _add_entry(F, block, key, v):
-    cur = block.get(key)
-    if cur is not None:
-        v = F.add(cur, v)
-    if F.is_zero(v):
-        block.pop(key, None)
-    else:
-        block[key] = v
-
-
 def unit_block(F, rank, c, sign=1):
     """sign * c times the identity of a rank-``rank`` module (sign is 1 or -1)."""
     c = c if sign == 1 else F.neg(c)
@@ -405,7 +387,7 @@ def compose_blocks(F, a, b):
     out = {}
     for (r, m), v in a.items():
         for c, w in rows_of_b.get(m, ()):
-            _add_entry(F, out, (r, c), F.mul(v, w))
+            accumulate(F, out, (r, c), F.mul(v, w))
     return out
 
 
@@ -431,5 +413,5 @@ def sum_blocks(F, terms):
     out = {}
     for c, block in terms:
         for k, v in block.items():
-            _add_entry(F, out, k, F.mul(c, v))
+            accumulate(F, out, k, F.mul(c, v))
     return out

@@ -14,7 +14,6 @@ from .lincat import (
     NatTransform,
     compose_functor_chain,
     compose_functors,
-    compose_transforms,
     identity_functor,
     identity_transform,
 )
@@ -100,7 +99,7 @@ class Prestack:
         right = self.base.composite(self.base.right_part(s, k))
         return self.twist(left, right)
 
-    def epsilon_for(self, arrows, i, end_obj=None):
+    def epsilon_for(self, arrows, i):
         """The whiskered twist merging positions i, i+1 of an arrow chain.
 
         ``arrows`` lists base arrows source-first; the result maps the chain's
@@ -138,24 +137,23 @@ class Prestack:
 
     # -- validation -------------------------------------------------------------
 
-    def validate(self, check_fibers=True):
+    def validate(self):
         """None if the prestack axioms hold, else the first violation found."""
         base = self.base
         bad = base.validate()
         if bad is not None:
             return "base category: " + bad
-        if check_fibers:
-            for u_obj, cat in self.fibers.items():
-                bad = cat.validate()
-                if bad is not None:
-                    return "fiber %s: %s" % (u_obj, bad)
-            for a in base.arrow_ids:
-                fun = self.restriction(a)
-                if fun.src_cat is not self.fiber(base.tgt(a)) or fun.tgt_cat is not self.fiber(base.src(a)):
-                    return "restriction %s has wrong fibers" % a
-                bad = fun.validate()
-                if bad is not None:
-                    return "restriction %s: %s" % (a, bad)
+        for u_obj, cat in self.fibers.items():
+            bad = cat.validate()
+            if bad is not None:
+                return "fiber %s: %s" % (u_obj, bad)
+        for a in base.arrow_ids:
+            fun = self.restriction(a)
+            if fun.src_cat is not self.fiber(base.tgt(a)) or fun.tgt_cat is not self.fiber(base.src(a)):
+                return "restriction %s has wrong fibers" % a
+            bad = fun.validate()
+            if bad is not None:
+                return "restriction %s: %s" % (a, bad)
         for obj in base.objects:
             e = base.identities[obj]
             fun = self.restriction(e)
@@ -203,24 +201,3 @@ class Prestack:
                             return ("coherence fails at triple (%s,%s,%s) object %s"
                                     % (f, g, h, a))
         return None
-
-    def c_for_blocks(self, block_composites):
-        """Evaluated path transform on a chain of composite arrows.
-
-        For a chain (v_1, ..., v_k) of composable base arrows this is the
-        common value of all paths from v_1* ... v_k* to (v_k ... v_1)*
-        (path independence); the 1-chain convention is the identity.
-        """
-        arrows = tuple(block_composites)
-        if len(arrows) == 0:
-            raise ValueError("empty block chain")
-        if len(arrows) == 1:
-            return identity_transform(self.restriction(arrows[0]))
-        # greedy left-to-right merge: one particular path, value is path independent
-        t = None
-        cur = arrows
-        while len(cur) > 1:
-            step = self.epsilon_for(cur, 1)
-            t = step if t is None else compose_transforms(step, t)
-            cur = (self.base.then(cur[0], cur[1]),) + cur[2:]
-        return t

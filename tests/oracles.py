@@ -70,8 +70,13 @@ def dense_rank(rows_of_entries, nrows, ncols):
     return rank
 
 
+def entry_dict(mat):
+    """The nonzero entries of a sparse matrix as a dict (row, col) -> value."""
+    return {(i, j): v for i, row in enumerate(mat.row_data) for j, v in row.items()}
+
+
 def dense_rank_of_sparse(mat):
-    return dense_rank(dict(mat.data), mat.rows, mat.cols)
+    return dense_rank(entry_dict(mat), mat.rows, mat.cols)
 
 
 def dense_rref(rows_of_entries, nrows, ncols, p=None):

@@ -134,12 +134,12 @@ def _nr_inclusion(CG, n):
     keys = CG.nr_keys(n)
     sub_off, sub_dim = CG._offsets(keys)
     full_off, full_dim = CG.index(n)
-    mat = SparseMatrix(full_dim, sub_dim, CG.field)
+    row_data = [{} for _ in range(full_dim)]
     for key in keys:
         r = CG.value_rank(key)
         for i in range(r):
-            mat.add_entry(full_off[key] + i, sub_off[key] + i, CG.field.one)
-    return mat
+            row_data[full_off[key] + i][sub_off[key] + i] = CG.field.one
+    return SparseMatrix(full_dim, sub_dim, CG.field, row_data)
 
 
 def test_06_gf_identity_on_nr():
@@ -163,12 +163,11 @@ def test_07_homotopy():
         CU = cmp_.CU
         F = CU.field
         for n in range(1, N + 1):
-            lhs = cmp_.matrix_F(n).mul(cmp_.matrix_G(n))
-            for i in range(CU.dim(n)):
-                lhs.add_entry(i, i, F.neg(F.one))
-            rhs = CU.matrix(n).mul(cmp_.matrix_T(n))
-            for (i, j), v in cmp_.matrix_T(n + 1).mul(CU.matrix(n + 1)).data.items():
-                rhs.add_entry(i, j, v)
+            dim = CU.dim(n)
+            minus_one = SparseMatrix(dim, dim, F, [{i: F.neg(F.one)} for i in range(dim)])
+            lhs = cmp_.matrix_F(n).mul(cmp_.matrix_G(n)).plus(minus_one)
+            rhs = CU.matrix(n).mul(cmp_.matrix_T(n)).plus(
+                cmp_.matrix_T(n + 1).mul(CU.matrix(n + 1)))
             ok &= lhs == rhs
     report(7, "FG - 1 = delta T + T delta", ok)
 

@@ -16,6 +16,7 @@ from prestacks.compare import Comparison, c_sigma_partition, seq_elements, seqq_
 from prestacks.complexbase import SparseCochain, apply_matrix, pull_matrix
 from prestacks.graded import GradedCategory, GradedComplex, string_objects, string_simp
 from prestacks.gscomplex import GSComplex
+from prestacks.linalg import SparseMatrix
 from prestacks.lincat import identity_transform
 from prestacks.shapes import build_graded_string
 
@@ -314,9 +315,9 @@ def test_q_matrix_entries_are_normalised(name):
     # denominator > 1, so hom arithmetic stays on ints until a division
     cmp_ = comparison(name)
     for m in (cmp_.CG.matrix(3), cmp_.CU.matrix(3), cmp_.matrix_F(2)):
-        assert m.data
+        assert m.nnz
         assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
-                   for v in m.data.values())
+                   for row in m.row_data for v in row.values())
 
 
 def test_f_and_g_of_zero(twist2):
@@ -429,12 +430,11 @@ def test_homotopy_identity(name, N):
     CU = cmp_.CU
     F = CU.field
     for n in range(1, N + 1):
-        lhs = cmp_.matrix_F(n).mul(cmp_.matrix_G(n))
-        for i in range(CU.dim(n)):
-            lhs.add_entry(i, i, F.neg(F.one))
-        rhs = CU.matrix(n).mul(cmp_.matrix_T(n))
-        for (i, j), v in cmp_.matrix_T(n + 1).mul(CU.matrix(n + 1)).data.items():
-            rhs.add_entry(i, j, v)
+        dim = CU.dim(n)
+        minus_one = SparseMatrix(dim, dim, F, [{i: F.neg(F.one)} for i in range(dim)])
+        lhs = cmp_.matrix_F(n).mul(cmp_.matrix_G(n)).plus(minus_one)
+        rhs = CU.matrix(n).mul(cmp_.matrix_T(n)).plus(
+            cmp_.matrix_T(n + 1).mul(CU.matrix(n + 1)))
         assert lhs == rhs
 
 

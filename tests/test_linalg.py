@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_kernel, dense_rank_of_sparse
-from prestacks.linalg import (DualNumbers, PrimeField, QQ, SparseMatrix, betti_numbers,
-                              is_prime, make_field)
+from oracles import dense_kernel, dense_rank_of_sparse, entry_dict
+from prestacks.linalg import (DualNumbers, PrimeField, QQ, SparseMatrix, accumulate,
+                              betti_numbers, is_prime, make_field)
 
 
 def betti(d_in, d_out):
@@ -15,15 +15,20 @@ def betti(d_in, d_out):
     return betti_numbers([d_in, d_out])[0]
 
 
+def from_entries(nrows, ncols, field, entries):
+    """The matrix whose (i, j) entry is the sum of the values given at (i, j)."""
+    row_data = [{} for _ in range(nrows)]
+    for i, j, v in entries:
+        accumulate(field, row_data[i], j, v)
+    return SparseMatrix(nrows, ncols, field, row_data)
+
+
 def mat_from_rows(rows, field=QQ):
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    m = SparseMatrix(nrows, ncols, field)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                m.add_entry(i, j, field.parse(v))
-    return m
+    return from_entries(nrows, ncols, field, [(i, j, field.parse(v))
+                                              for i, row in enumerate(rows)
+                                              for j, v in enumerate(row) if v])
 
 
 def test_rank_identity():
@@ -53,10 +58,8 @@ def test_kernel_one_relation():
 @pytest.mark.parametrize("seed", range(8))
 def test_random_sparse_rank_matches_dense_oracle(seed):
     rng = random.Random(seed)
-    m = SparseMatrix(30, 30, QQ)
-    for _ in range(120):
-        m.add_entry(rng.randrange(30), rng.randrange(30),
-                    Fraction(rng.randint(-3, 3)))
+    m = from_entries(30, 30, QQ, [(rng.randrange(30), rng.randrange(30),
+                                   Fraction(rng.randint(-3, 3))) for _ in range(120)])
     assert m.rank() == dense_rank_of_sparse(m)
     ker = m.kernel_basis()
     assert len(ker) == 30 - m.rank()
@@ -68,13 +71,14 @@ def test_random_sparse_rank_matches_dense_oracle(seed):
 def test_random_rank_over_prime_field(p):
     F = PrimeField(p)
     rng = random.Random(p)
-    m = SparseMatrix(20, 25, F)
+    entries = []
     dense = {}
     for _ in range(90):
         i, j = rng.randrange(20), rng.randrange(25)
         v = rng.randint(-5, 5)
-        m.add_entry(i, j, F.from_int(v))
+        entries.append((i, j, F.from_int(v)))
         dense[(i, j)] = dense.get((i, j), 0) + v
+    m = from_entries(20, 25, F, entries)
     from oracles import dense_rank
     # compare against the dense oracle run over Q only when no entry is a
     # multiple of p (rank can genuinely differ otherwise)
@@ -131,6 +135,44 @@ def test_triplet_round_trip():
 def test_triplet_zero_matrix_header():
     m = SparseMatrix(4, 3, QQ)
     assert m.to_triplet_text().splitlines()[0] == "4 3 0"
+
+
+@pytest.mark.parametrize("i,j", [(-1, 0), (2, 0), (0, -1), (0, 3)])
+def test_entry_outside_the_shape_raises_index_error(i, j):
+    with pytest.raises(IndexError):
+        SparseMatrix.from_triplet_text("2 3 1\n%d %d 1\n" % (i, j), QQ)
+    # at construction a column is a key of a row dict and a row a position in
+    # the list, so a row outside the shape is one row dict too many or too few
+    row_data = [{j: 1}, {}] if i == 0 else [{}, {}, {0: 1}] if i > 0 else [{0: 1}]
+    with pytest.raises(IndexError):
+        SparseMatrix(2, 3, QQ, row_data)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), DualNumbers(QQ)], ids=["Q", "F7", "Q[e]"])
+def test_operations_leave_their_operands_unchanged(field):
+    rng = random.Random(5)
+
+    def scalar():
+        if isinstance(field, DualNumbers):
+            return field.parse([rng.randint(-2, 2), rng.randint(-2, 2)])
+        return field.parse(rng.choice([0, 1, -1, 2, "1/2"]))
+
+    def matrix(rows, cols):
+        return from_entries(rows, cols, field, [(i, j, scalar()) for i in range(rows)
+                                                for j in range(cols)])
+
+    a, b, c = matrix(4, 5), matrix(5, 3), matrix(4, 5)
+    rhs = [scalar() for _ in range(4)]
+    before = [m.to_triplet_text() for m in (a, b, c)]
+    a.mul(b)
+    a.plus(c)
+    a.solve(rhs)
+    if not isinstance(field, DualNumbers):  # elimination needs a field
+        for m in (a, b, c):
+            m.rank()
+            m.rref_pivots()
+            m.kernel_basis()
+    assert [m.to_triplet_text() for m in (a, b, c)] == before
 
 
 rationals = st.fractions(min_value=-50, max_value=50)
@@ -207,18 +249,15 @@ def test_sparse_rank_matches_dense_oracle_bulk(seed):
     rows, cols = rng.randint(1, 14), rng.randint(1, 14)
     entries = [(rng.randrange(rows), rng.randrange(cols), rng.randint(-4, 4))
                for _ in range(rng.randint(0, 3 * max(rows, cols)))]
-    mq = SparseMatrix(rows, cols, QQ)
+    mq = from_entries(rows, cols, QQ, [(i, j, Fraction(v)) for i, j, v in entries])
     acc = {}
     for i, j, v in entries:
-        mq.add_entry(i, j, Fraction(v))
         acc[(i, j)] = acc.get((i, j), 0) + v
     assert mq.rank() == dense_rank_of_sparse(mq)
     p = 1000003
     F = PrimeField(p)
-    mp = SparseMatrix(rows, cols, F)
-    for (i, j), v in acc.items():
-        if v % p:
-            mp.add_entry(i, j, F.from_int(v))
+    mp = from_entries(rows, cols, F, [(i, j, F.from_int(v))
+                                      for (i, j), v in acc.items() if v % p])
     # entries stay far below p, so the prime-field rank agrees with Q
     assert mp.rank() == mq.rank()
 
@@ -232,10 +271,9 @@ def test_kernel_matches_dense_rref_oracle(seed):
     rows, cols = rng.randint(1, 12), rng.randint(1, 12)
     cells = [(rng.randrange(rows), rng.randrange(cols))
              for _ in range(rng.randint(0, 3 * max(rows, cols)))]
-    mq = SparseMatrix(rows, cols, QQ)
-    for i, j in cells:
-        mq.add_entry(i, j, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
-    assert mq.kernel_basis() == dense_kernel(dict(mq.data), rows, cols)
+    mq = from_entries(rows, cols, QQ, [(i, j, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                                       for i, j in cells])
+    assert mq.kernel_basis() == dense_kernel(entry_dict(mq), rows, cols)
     assert all(is_q_normal(v) for vec in mq.kernel_basis() for v in vec)
     assert mq.rank() == cols - len(mq.kernel_basis())
     # an integer matrix with RREF [I | B], B integral, hidden by unimodular
@@ -248,22 +286,20 @@ def test_kernel_matches_dense_rref_oracle(seed):
         a, b = rng.sample(range(rows), 2)
         k = rng.randint(-2, 2)
         dense[a] = [x + k * y for x, y in zip(dense[a], dense[b])]
-    mi = SparseMatrix(rows, cols, QQ, {(i, j): v for i, row in enumerate(dense)
-                                       for j, v in enumerate(row) if v})
-    assert mi.kernel_basis() == dense_kernel(dict(mi.data), rows, cols)
+    mi = SparseMatrix(rows, cols, QQ, [{j: v for j, v in enumerate(row) if v}
+                                       for row in dense])
+    assert mi.kernel_basis() == dense_kernel(entry_dict(mi), rows, cols)
     assert sorted(mi.rref_pivots()) == list(range(r))
     assert all(type(v) is int for row in mi.rref_pivots().values() for v in row.values())
     assert all(type(v) is int for vec in mi.kernel_basis() for v in vec)
     F = PrimeField(7)
-    mp = SparseMatrix(rows, cols, F)
-    for i, j in cells:
-        mp.add_entry(i, j, F.from_int(rng.randint(1, 6)))
-    assert mp.kernel_basis() == dense_kernel(dict(mp.data), rows, cols, p=7)
+    mp = from_entries(rows, cols, F, [(i, j, F.from_int(rng.randint(1, 6))) for i, j in cells])
+    assert mp.kernel_basis() == dense_kernel(entry_dict(mp), rows, cols, p=7)
     assert mp.rank() == cols - len(mp.kernel_basis())
 
 
 def test_rank_rejects_non_field():
-    m = SparseMatrix(1, 1, DualNumbers(QQ), {(0, 0): (Fraction(1), Fraction(0))})
+    m = SparseMatrix(1, 1, DualNumbers(QQ), [{0: (Fraction(1), Fraction(0))}])
     with pytest.raises(TypeError):
         m.rank()
 
@@ -271,7 +307,7 @@ def test_rank_rejects_non_field():
 @pytest.mark.parametrize("base", [QQ, PrimeField(101)], ids=["Q", "F101"])
 def test_dual_solve_non_invertible_pivot(base):
     D = DualNumbers(base)
-    e = SparseMatrix(1, 1, D, {(0, 0): D.eps})
+    e = SparseMatrix(1, 1, D, [{0: D.eps}])
     x = e.solve([D.eps])
     assert x is not None and e.matvec(x) == [D.eps]
     assert e.solve([D.one]) is None
@@ -288,10 +324,7 @@ def test_dual_solve_random_consistent_systems(base, seed):
         # many entries with a zero or non-invertible part
         return D.parse([rng.choice([0, 0, 1, -1, 2]), rng.choice([0, 1, -2])])
 
-    A = SparseMatrix(n, m, D)
-    for i in range(n):
-        for j in range(m):
-            A.add_entry(i, j, scalar())
+    A = from_entries(n, m, D, [(i, j, scalar()) for i in range(n) for j in range(m)])
     b = A.matvec([scalar() for _ in range(m)])
     x = A.solve(b)
     assert x is not None and A.matvec(x) == b
@@ -303,10 +336,7 @@ def test_dual_solve_agrees_with_brute_force(seed):
     rng = random.Random(seed)
     D = DualNumbers(PrimeField(3))
     scalars = [(a, b) for a in range(3) for b in range(3)]
-    A = SparseMatrix(2, 2, D)
-    for i in range(2):
-        for j in range(2):
-            A.add_entry(i, j, rng.choice(scalars))
+    A = from_entries(2, 2, D, [(i, j, rng.choice(scalars)) for i in range(2) for j in range(2)])
     b = [rng.choice(scalars) for _ in range(2)]
     solvable = any(A.matvec([x0, x1]) == b for x0 in scalars for x1 in scalars)
     x = A.solve(b)
