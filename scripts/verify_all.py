@@ -9,8 +9,8 @@ HERE = os.path.dirname(__file__)
 FIXDIR = os.path.join(HERE, "..", "fixtures")
 
 PLANS = {
-    "d2": ["--degree", "3", "--trials", "10"],
-    "delta2": ["--degree", "3", "--trials", "10"],
+    "d2": ["--degree", "3"],
+    "delta2": ["--degree", "3"],
     "fd": ["--degree", "2"],
     "gd": ["--degree", "2"],
     "gf": ["--degree", "2"],

@@ -91,64 +91,66 @@ def cmd_cohomology(args):
     return 0
 
 
-def _witness_keys(complex_, degree, vec, limit=3):
-    """The first few cell keys carrying nonzero coordinates."""
-    bad = complex_.from_vector(degree, vec)
-    keys = []
-    for simplex, objects, btuple in sorted(bad.data, key=repr)[:limit]:
-        keys.append("(%s; %s; %s)" % (" ".join(simplex.arrows) or simplex.source,
-                                      " ".join(objects),
-                                      " ".join(map(str, btuple))))
-    return ", ".join(keys)
+def _cell(C, n, i):
+    """The degree-n cell of C whose coordinates include i, as (arrows; objects; basis)."""
+    offsets = C.index(n)[0]
+    for key in C.cells(n):
+        if offsets[key] + C.value_rank(key) > i:
+            break
+    simplex, objects, btuple = key
+    return "(%s; %s; %s)" % (" ".join(simplex.arrows) or simplex.source,
+                             " ".join(objects), " ".join(map(str, btuple)))
 
 
-def _square_zero_law(name, complex_, P, N, T, seed, report):
+def _same(report, what, n, lhs, rhs, out, inp):
+    """Compare two matrices exactly.  On a difference, report its first entry
+    (first differing row, least differing column) as a cell of ``out`` and a
+    cell of ``inp``, each a (complex, degree) pair, and return False."""
+    if lhs == rhs:
+        return True
+    i, j = lhs.first_difference(rhs)
+    report("%s at degree %d: output cell %s, input cell %s"
+           % (what, n, _cell(*out, i), _cell(*inp, j)))
+    return False
+
+
+def _square_zero_law(name, C, N, report):
     ok = True
-    mats = {n: complex_.matrix(n) for n in range(1, N + 2)}
+    mats = {n: C.matrix(n) for n in range(1, N + 2)}
     for n in range(1, N + 1):
-        if not mats[n + 1].mul(mats[n]).is_zero():
-            report("%s.%s != 0 at degree %d" % (name, name, n))
-            ok = False
-    for n in range(1, N + 1):
-        for t in range(T):
-            phi = complex_.random_cochain(n - 1, seed + 1000 * n + t)
-            out = mats[n + 1].matvec(mats[n].matvec(complex_.to_vector(phi)))
-            if any(not P.field.is_zero(v) for v in out):
-                report("pointwise %s(%s(phi)) != 0, degree %d trial %d, witness %s"
-                       % (name, name, n, t, _witness_keys(complex_, n + 1, out)))
-                ok = False
+        prod = mats[n + 1].mul(mats[n])
+        ok &= _same(report, "%s.%s != 0" % (name, name), n, prod,
+                    SparseMatrix(prod.rows, prod.cols, C.field), (C, n + 1), (C, n - 1))
     return ok
 
 
-def _law_d2(P, CG, CU, cmp_, N, T, seed, report):
-    return _square_zero_law("d", CG, P, N, T, seed, report)
+def _law_d2(P, CG, CU, cmp_, N, report):
+    return _square_zero_law("d", CG, N, report)
 
 
-def _law_delta2(P, CG, CU, cmp_, N, T, seed, report):
-    return _square_zero_law("delta", CU, P, N, T, seed, report)
+def _law_delta2(P, CG, CU, cmp_, N, report):
+    return _square_zero_law("delta", CU, N, report)
 
 
-def _law_fd(P, CG, CU, cmp_, N, T, seed, report):
+def _law_fd(P, CG, CU, cmp_, N, report):
     ok = True
     F_mats = {n: cmp_.matrix_F(n) for n in range(0, N + 1)}
     for n in range(1, N + 1):
-        if F_mats[n].mul(CG.matrix(n)) != CU.matrix(n).mul(F_mats[n - 1]):
-            report("F.d != delta.F at degree %d" % n)
-            ok = False
+        ok &= _same(report, "F.d != delta.F", n, F_mats[n].mul(CG.matrix(n)),
+                    CU.matrix(n).mul(F_mats[n - 1]), (CU, n), (CG, n - 1))
     return ok
 
 
-def _law_gd(P, CG, CU, cmp_, N, T, seed, report):
+def _law_gd(P, CG, CU, cmp_, N, report):
     ok = True
     G_mats = {n: cmp_.matrix_G(n) for n in range(0, N + 1)}
     for n in range(1, N + 1):
-        if G_mats[n].mul(CU.matrix(n)) != CG.matrix(n).mul(G_mats[n - 1]):
-            report("G.delta != d.G at degree %d" % n)
-            ok = False
+        ok &= _same(report, "G.delta != d.G", n, G_mats[n].mul(CU.matrix(n)),
+                    CG.matrix(n).mul(G_mats[n - 1]), (CG, n), (CU, n - 1))
     return ok
 
 
-def _law_gf(P, CG, CU, cmp_, N, T, seed, report):
+def _law_gf(P, CG, CU, cmp_, N, report):
     """GF is the identity on the columns of the nr basis vectors."""
     ok = True
     F = P.field
@@ -163,7 +165,7 @@ def _law_gf(P, CG, CU, cmp_, N, T, seed, report):
     return ok
 
 
-def _law_homotopy(P, CG, CU, cmp_, N, T, seed, report):
+def _law_homotopy(P, CG, CU, cmp_, N, report):
     ok = True
     F = P.field
     # T and delta are needed at n and n + 1; each is built once.
@@ -174,13 +176,11 @@ def _law_homotopy(P, CG, CU, cmp_, N, T, seed, report):
         minus_one = SparseMatrix(dim, dim, F, [{i: F.neg(F.one)} for i in range(dim)])
         lhs = cmp_.matrix_F(n).mul(cmp_.matrix_G(n)).plus(minus_one)
         rhs = delta_mats[n].mul(T_mats[n]).plus(T_mats[n + 1].mul(delta_mats[n + 1]))
-        if lhs != rhs:
-            report("FG - 1 != delta T + T delta at degree %d" % n)
-            ok = False
+        ok &= _same(report, "FG - 1 != delta T + T delta", n, lhs, rhs, (CU, n), (CU, n))
     return ok
 
 
-def _law_paths(P, CG, CU, cmp_, N, T, seed, report):
+def _law_paths(P, CG, CU, cmp_, N, report):
     from math import factorial
     from .combinatorics import enumerate_paths, eval_path, flip
     ok = True
@@ -208,7 +208,7 @@ def _law_paths(P, CG, CU, cmp_, N, T, seed, report):
     return ok
 
 
-def _law_shuffles(P, CG, CU, cmp_, N, T, seed, report):
+def _law_shuffles(P, CG, CU, cmp_, N, report):
     from math import comb
     from .combinatorics import brute_force_shuffles, enumerate_conditioned, enumerate_shuffles
     ok = True
@@ -230,6 +230,9 @@ def _law_shuffles(P, CG, CU, cmp_, N, T, seed, report):
     return ok
 
 
+# law -> (function, default degree, default trials).  Every law is checked on
+# matrices, without random trials; the trial count and --seed are only echoed
+# in the PASS line, whose form perfbench's known answers pin.
 LAWS = {
     "d2": (_law_d2, 4, 50),
     "delta2": (_law_delta2, 4, 50),
@@ -252,7 +255,7 @@ def cmd_verify(args):
     CG, CU = _complexes(P)
     cmp_ = Comparison(CG, CU)
     failures = []
-    ok = fn(P, CG, CU, cmp_, N, T, args.seed, failures.append)
+    ok = fn(P, CG, CU, cmp_, N, failures.append)
     if ok:
         print("law %s\tdegree<=%d\ttrials=%d\tseed=%d\tPASS" % (args.law, N, T, args.seed))
         return 0

@@ -9,8 +9,9 @@ cross-checked against each other.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .basecat import Simplex
-from .complexbase import SparseCochain
 from .gscomplex import GSComplex
 from .lincat import LinearCategory, LinFunctor, Mor, NatTransform, compose_functors
 from .linalg import DualNumbers
@@ -128,145 +129,90 @@ def deformation_is_cocycle(complex_, datum):
 
 
 class EquivalenceDatum:
-    """(g1, tau1); the matching 1-cochain is (g1, -tau1)."""
+    """A degree-1 cochain (g1, -tau1), read as the first-order equivalence
+    (1 + g1 e, 1 + tau1 e): its C^{0,1} part perturbs the identity functor of
+    each fiber, its C^{1,0} part the identity transformation at each arrow."""
 
-    def __init__(self, complex_, g1_data, tau1_data):
-        self.complex = complex_
-        self.g1 = dict(g1_data)    # (Simplex(U,()), (A,B), (i,)) -> vector
-        self.tau1 = dict(tau1_data)  # (Simplex(V,(u,)), (A,), ()) -> vector
-
-    @classmethod
-    def from_cochain(cls, complex_, cochain):
+    def __init__(self, complex_, cochain):
         if cochain.degree != 1:
             raise ValueError("equivalence data are degree-1 cochains")
-        F = complex_.field
-        g1 = {}
-        tau1 = {}
-        for key, vec in cochain.data.items():
-            if key[0].p == 0:
-                g1[key] = list(vec)
-            else:
-                tau1[key] = [F.neg(v) for v in vec]
-        return cls(complex_, g1, tau1)
-
-    def cochain(self):
-        """The 1-cochain (g1, -tau1)."""
-        F = self.complex.field
-        phi = SparseCochain(self.complex, 1)
-        for key, vec in self.g1.items():
-            phi.data[key] = list(vec)
-        for key, vec in self.tau1.items():
-            phi.data[key] = [F.neg(v) for v in vec]
-        return phi
+        self.complex = complex_
+        self.cochain = cochain
 
 
 def check_equivalence_morphism(P, e, deformed, deformed2):
     """Verify that (1 + g1 eps, 1 + tau1 eps) is a prestack morphism between
-    the two deformations.  Returns None or the first failing axiom."""
-    dual = deformed.field
-    base = P.base
+    the two deformations.  Returns None or the first failing axiom.
 
-    def g_apply(u_obj, m):
-        """(1 + g1 eps): a morphism of the first deformation's fiber, landing
-        in the second deformation's fiber over the same base object."""
-        fib2 = deformed2.fiber(u_obj)
-        # g(m) = m + eps * g1(m); only the base part rides onto g1 at first order
-        F = P.field
-        eps_part = [F.zero] * len(m.coords)
-        for i, c in enumerate(m.coords):
-            vec = e.g1.get((Simplex(u_obj, ()), (m.src, m.tgt), (i,)))
-            if vec is None:
-                continue
-            for k, v in enumerate(vec):
-                eps_part[k] = F.add(eps_part[k], F.mul(c[0], v))
-        new = [(c[0], F.add(c[1], ep)) for c, ep in zip(m.coords, eps_part)]
-        return Mor(fib2, m.src, m.tgt, tuple(new))
+    g is one functor per base object and tau one natural transformation
+    u'* g_U -> g_V u* per arrow u: V -> U, so their own validators check the
+    functor axioms and naturality; the unit axiom at identity arrows and the
+    twist compatibility are checked here."""
+    base, F = P.base, P.field
+    phi = e.cochain.data
 
-    def tau(u_arrow, a_obj):
-        """tau^{u,A} = 1 + tau1 eps, a morphism of the second deformation."""
-        v_obj = base.src(u_arrow)
-        fib2 = deformed2.fiber(v_obj)
-        tgt = deformed2.restriction(u_arrow).on_obj(a_obj)
-        ident = fib2.identity(tgt)
-        F = P.field
-        vec = e.tau1.get((Simplex(v_obj, (u_arrow,)), (a_obj,), ()))
-        if vec is None:
-            return ident
-        coords = [(c[0], F.add(c[1], v)) for c, v in zip(ident.coords, vec)]
-        return Mor(fib2, tgt, tgt, tuple(coords))
+    def plus_eps(coords, key, sign=1):
+        """coords + sign * eps * (the cochain's value at key), over dual numbers."""
+        vec = phi.get(key) or [F.zero] * len(coords)
+        return tuple((c, v if sign == 1 else F.neg(v)) for c, v in zip(coords, vec))
 
-    # functor axioms for g
+    g = {}
     for u_obj in base.objects:
-        fib = deformed.fiber(u_obj)
-        fib2 = deformed2.fiber(u_obj)
-        for a in fib.objects:
-            ga = g_apply(u_obj, fib.identity(a))
-            if ga.coords != fib2.identity(a).coords:
-                return "g does not preserve the identity at %s/%s" % (u_obj, a)
-        for a in fib.objects:
-            for b in fib.objects:
-                for c in fib.objects:
-                    for fi in range(fib.rank(a, b)):
-                        fm = fib.basis_mor(a, b, fi)
-                        for gi in range(fib.rank(b, c)):
-                            gm = fib.basis_mor(b, c, gi)
-                            lhs = g_apply(u_obj, fib.compose(gm, fm))
-                            rhs = fib2.compose(g_apply(u_obj, gm), g_apply(u_obj, fm))
-                            if lhs.coords != rhs.coords:
-                                return ("g is not a functor over %s at (%s,%s,%s)"
-                                        % (u_obj, a, b, c))
-    # unit axiom for tau
-    for u_obj in base.objects:
-        eid = base.identities[u_obj]
-        for a in deformed.fiber(u_obj).objects:
-            t = tau(eid, a)
-            if t.coords != deformed.fiber(u_obj).identity(a).coords:
-                return "tau at identity arrow %s is not the identity" % eid
-    # naturality: m'(g(u* a), tau^{u,A}) = m'(tau^{u,B}, u'*(g a))
+        fib = P.fiber(u_obj)
+        unit = Simplex(u_obj, ())
+        mats = {(a, b): tuple(plus_eps(fib.basis_mor(a, b, i).coords, (unit, (a, b), (i,)))
+                              for i in range(fib.rank(a, b)))
+                for a, b in product(fib.objects, repeat=2)}
+        g[u_obj] = LinFunctor(deformed.fiber(u_obj), deformed2.fiber(u_obj),
+                              {a: a for a in fib.objects}, mats)
+        bad = g[u_obj].validate()
+        if bad is not None:
+            return "g over %s: %s" % (u_obj, bad)
+    tau = {}
     for u in base.arrow_ids:
         v_obj, u_obj = base.src(u), base.tgt(u)
-        fib_top = deformed.fiber(u_obj)
-        fib2_bot = deformed2.fiber(v_obj)
-        for a in fib_top.objects:
-            for b in fib_top.objects:
-                for fi in range(fib_top.rank(a, b)):
-                    m = fib_top.basis_mor(a, b, fi)
-                    lhs = fib2_bot.compose(
-                        g_apply(v_obj, deformed.restriction(u).apply(m)), tau(u, a))
-                    rhs = fib2_bot.compose(
-                        tau(u, b), deformed2.restriction(u).apply(g_apply(u_obj, m)))
-                    if lhs.coords != rhs.coords:
-                        return "naturality of tau fails at arrow %s, basis %s->%s[%d]" \
-                               % (u, a, b, fi)
-    # twist axiom: m'(tau^{gf}, c'^{f,g}) = m'(g(c^{f,g}), tau^{f, g*A}, f'*(tau^g))
-    for (f, g), tw2 in deformed2.twists.items():
-        if base.is_identity(f) or base.is_identity(g):
+        restr2 = deformed2.restriction(u)
+        comps = {}
+        for a in P.fiber(u_obj).objects:
+            x = restr2.on_obj(a)
+            coords = plus_eps(P.fiber(v_obj).identity_coords[x],
+                              (Simplex(v_obj, (u,)), (a,), ()), -1)
+            comps[a] = Mor(deformed2.fiber(v_obj), x, x, coords)
+        tau[u] = NatTransform(compose_functors(restr2, g[u_obj]),
+                              compose_functors(g[v_obj], deformed.restriction(u)), comps)
+    for u_obj in base.objects:
+        eid = base.identities[u_obj]
+        for a, m in tau[eid].components.items():
+            if m != deformed2.fiber(u_obj).identity(a):
+                return "tau at identity arrow %s is not the identity" % eid
+    for u, t in tau.items():
+        bad = t.validate()
+        if bad is not None:
+            return "tau at arrow %s: %s" % (u, bad)
+    # twist axiom: m'(tau^{hf}, c'^{f,h}) = m'(g(c^{f,h}), tau^{f, h*A}, f'*(tau^h))
+    for (f, h), tw2 in deformed2.twists.items():
+        if base.is_identity(f) or base.is_identity(h):
             continue
-        gf = base.then(f, g)
         w_obj = base.src(f)
         fib2 = deformed2.fiber(w_obj)
-        tw1 = deformed.twists[(f, g)]
-        for a in deformed.fiber(base.tgt(g)).objects:
-            lhs = fib2.compose(tau(gf, a), tw2.at(a))
-            mid = deformed2.restriction(f).apply(tau(g, a))
-            rhs = fib2.compose(g_apply(w_obj, tw1.at(a)),
-                               fib2.compose(tau(f, deformed.restriction(g).on_obj(a)), mid))
+        tw1 = deformed.twists[(f, h)]
+        for a in deformed.fiber(base.tgt(h)).objects:
+            lhs = fib2.compose(tau[base.then(f, h)].at(a), tw2.at(a))
+            mid = deformed2.restriction(f).apply(tau[h].at(a))
+            rhs = fib2.compose(g[w_obj].apply(tw1.at(a)),
+                               fib2.compose(tau[f].at(deformed.restriction(h).on_obj(a)), mid))
             if lhs.coords != rhs.coords:
-                return "twist compatibility fails at pair (%s,%s), object %s" % (f, g, a)
+                return "twist compatibility fails at pair (%s,%s), object %s" % (f, h, a)
     return None
 
 
 def equivalence_from_cochain(P, complex_, e, d1, d2):
     """Both routes of the equivalence dictionary; returns (morphism_ok,
     coboundary_ok, detail)."""
-    q1 = build_deformation(P, d1)
-    q2 = build_deformation(P, d2)
-    detail = check_equivalence_morphism(P, e, q1, q2)
-    morphism_ok = detail is None
-    diff = complex_.apply_diff(e.cochain())
-    want = d1.cochain.sub(d2.cochain)
-    coboundary_ok = (diff == want)
-    return morphism_ok, coboundary_ok, detail
+    detail = check_equivalence_morphism(P, e, build_deformation(P, d1),
+                                        build_deformation(P, d2))
+    coboundary_ok = complex_.apply_diff(e.cochain) == d1.cochain.sub(d2.cochain)
+    return detail is None, coboundary_ok, detail
 
 
 def classify_h2(P, complex_=None):

@@ -345,16 +345,22 @@ class SparseMatrix:
             out.append(r)
         return SparseMatrix(self.rows, self.cols, F, out)
 
+    def first_difference(self, other):
+        """The first entry (row, column) where this matrix and ``other``, of the
+        same shape, differ: the first differing row and its least differing
+        column; None if they are equal."""
+        eq, zero = self.field.eq, self.field.zero
+        for i, (a, b) in enumerate(zip(self.row_data, other.row_data)):
+            if a.keys() != b.keys() or not all(eq(v, b[j]) for j, v in a.items()):
+                return i, min(j for j in a.keys() | b.keys()
+                              if not eq(a.get(j, zero), b.get(j, zero)))
+        return None
+
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        eq = self.field.eq
-        for a, b in zip(self.row_data, other.row_data):
-            if a.keys() != b.keys() or not all(eq(v, b[j]) for j, v in a.items()):
-                return False
-        return True
+        return ((self.rows, self.cols) == (other.rows, other.cols)
+                and self.first_difference(other) is None)
 
     def _integer_rows(self):
         """The nonzero rows as dicts col -> int, and the modulus (0 over Q).

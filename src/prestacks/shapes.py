@@ -422,18 +422,6 @@ def graded_string(P, plan, fiber_entries, fiber_objects, top_obj):
     return tuple(out)
 
 
-def build_graded_string(P, zeta, fiber_entries, fiber_objects, word, top_obj):
-    """The shuffle product of a fiber simplex with a conditioned shuffle
-    product, as a tuple of graded string entries (target-first).
-
-    ``word`` interleaves fiber tokens (0) with zeta tokens (1); the fiber
-    simplex lives over ``top_obj`` (entries target-first, objects
-    source-first).
-    """
-    return graded_string(P, string_plans(P.base, zeta, [word])[0], fiber_entries,
-                         fiber_objects, top_obj)
-
-
 class Shapes:
     """What the comparison maps read that depends only on shape, each listed on
     first use and never written after:

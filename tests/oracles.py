@@ -22,8 +22,9 @@ library assembles its operators, not the formulas:
   and the per-input-cell sums of F and T.
 
 Test-only diagnostics of the paper's constructions also live here: formal
-chains of tensor strings with their faces, and the chains omega, Omega and
-Delta of the homotopy.
+chains of tensor strings with their faces, the chains omega, Omega and Delta
+of the homotopy, and ``planned_graded_string``, the library's string plans
+run on a single word.
 """
 
 from fractions import Fraction
@@ -33,7 +34,7 @@ from prestacks.basecat import Simplex
 from prestacks.combinatorics import (Partition, Path, ShufflePerm, enumerate_shuffles,
                                      partitions, paths_or_trivial)
 from prestacks.compare import c_sigma_partition
-from prestacks.shapes import SeqElement, seqq_elements
+from prestacks.shapes import SeqElement, graded_string, seqq_elements, string_plans
 from prestacks.complexbase import SparseCochain, apply_matrix, pull_matrix
 from prestacks.graded import (GMor, GradedCategory, GradedComplex, string_objects,
                               string_simp)
@@ -841,6 +842,13 @@ def build_graded_string(P, zeta, fiber_entries, fiber_objects, word, top_obj):
                 z = top_fiber_obj()
                 out.append(GMor(base.identities[z], m.src, m.tgt, m.coords))
     return tuple(out)
+
+
+def planned_graded_string(P, zeta, fiber_entries, fiber_objects, word, top_obj):
+    """``build_graded_string`` by the library's route: the one string plan of
+    ``shapes.string_plans`` for ``word``, run by ``shapes.graded_string``."""
+    return graded_string(P, string_plans(P.base, zeta, [word])[0], fiber_entries,
+                         fiber_objects, top_obj)
 
 
 def omega_terms(cmp_, simplex, entries, objects, p):

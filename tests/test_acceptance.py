@@ -247,7 +247,7 @@ def test_09_deformation_dictionary():
         for k, vec in shift.data.items():
             d2_coch.add_to(k, [F.neg(v) for v in vec])
         d2 = DeformationDatum(CG, d2_coch)
-        e = EquivalenceDatum.from_cochain(CG, e_coch)
+        e = EquivalenceDatum(CG, e_coch)
         m_ok, c_ok, _ = equivalence_from_cochain(P, CG, e, d1, d2)
         ok &= m_ok and c_ok
     dB = DeformationDatum(CG, reps[1])
@@ -258,7 +258,7 @@ def test_09_deformation_dictionary():
         for k in CG.nr_keys(1):
             e_coch.data[k] = [F.from_int(rng3.randint(-2, 2))
                               for _ in range(CG.value_rank(k))]
-        e = EquivalenceDatum.from_cochain(CG, e_coch)
+        e = EquivalenceDatum(CG, e_coch)
         m_ok, c_ok, _ = equivalence_from_cochain(P, CG, e, d1, dB)
         ok &= (not m_ok) and (not c_ok)
     report(9, "HH^2 deformation dictionary", ok)

@@ -7,7 +7,10 @@ import pytest
 
 from conftest import fixture_path, get_pair
 from prestacks.cli import main
-from prestacks.linalg import QQ, SparseMatrix
+from prestacks.compare import Comparison
+from prestacks.graded import GradedComplex
+from prestacks.gscomplex import GSComplex
+from prestacks.linalg import QQ, SparseMatrix, accumulate
 
 
 def run(capsys, *argv):
@@ -118,7 +121,6 @@ def test_verify_d2_deterministic(capsys):
 
 
 def test_verify_gf_names_failing_nr_key(capsys, monkeypatch):
-    from prestacks.compare import Comparison
     monkeypatch.setattr(Comparison, "matrix_F", lambda self, n: SparseMatrix(
         self.CU.dim(n), self.CG.dim(n), self.field))
     code, out = run(capsys, "verify", fixture_path("triv-A2"), "--law", "gf",
@@ -127,6 +129,75 @@ def test_verify_gf_names_failing_nr_key(capsys, monkeypatch):
     CG, _ = get_pair("triv-A2")
     key = CG.nr_keys(0)[0]
     assert "GF != 1 on nr basis vector %r at degree 0" % (key,) in out
+
+
+def _cell_text(key):
+    simplex, objects, btuple = key
+    return "(%s; %s; %s)" % (" ".join(simplex.arrows) or simplex.source,
+                             " ".join(objects), " ".join(map(str, btuple)))
+
+
+def _check_witness(capsys, monkeypatch, law, owner, attr, degree, factor, what, out, inp):
+    """Add one at (last row, c) to the degree-``degree`` matrix ``owner.attr``,
+    where c is the first nonzero row of ``factor``, the matrix it multiplies on
+    the right.  The two sides of the law then differ by the last row times row
+    c of ``factor``: ``verify --degree 1`` must fail with one line naming the
+    cell of the last row of ``out`` and the cell of that row's least column of
+    ``inp``, each a (complex, degree) pair of scalar-twist-2chain."""
+    original = getattr(owner, attr)
+
+    def bumped(self, n, *rest):
+        mat = original(self, n, *rest)
+        if n != degree or rest:
+            return mat
+        F = mat.field
+        rows = list(mat.row_data)
+        rows[-1] = dict(rows[-1])
+        accumulate(F, rows[-1], c, F.one)
+        return SparseMatrix(mat.rows, mat.cols, F, rows)
+
+    c = next(i for i, row in enumerate(factor.row_data) if row)
+    for C, n in (out, inp):  # one coordinate per cell, so a cell is cells(n)[i]
+        assert C.dim(n) == len(C.cells(n))
+    out_cell = out[0].cells(out[1])[out[0].dim(out[1]) - 1]
+    in_cell = inp[0].cells(inp[1])[min(factor.row_data[c])]
+    monkeypatch.setattr(owner, attr, bumped)
+    code, text = run(capsys, "verify", fixture_path("scalar-twist-2chain"),
+                     "--law", law, "--degree", "1")
+    assert code == 1
+    assert text == "law %s\tFAIL\n  %s at degree 1: output cell %s, input cell %s\n" % (
+        law, what, _cell_text(out_cell), _cell_text(in_cell))
+
+
+def test_verify_d2_names_failing_cells(capsys, monkeypatch):
+    CG, _ = get_pair("scalar-twist-2chain")
+    _check_witness(capsys, monkeypatch, "d2", GSComplex, "matrix", 2, CG.matrix(1),
+                   "d.d != 0", (CG, 2), (CG, 0))
+
+
+def test_verify_delta2_names_failing_cells(capsys, monkeypatch):
+    _, CU = get_pair("scalar-twist-2chain")
+    _check_witness(capsys, monkeypatch, "delta2", GradedComplex, "matrix", 2, CU.matrix(1),
+                   "delta.delta != 0", (CU, 2), (CU, 0))
+
+
+def test_verify_fd_names_failing_cells(capsys, monkeypatch):
+    CG, CU = get_pair("scalar-twist-2chain")
+    _check_witness(capsys, monkeypatch, "fd", Comparison, "matrix_F", 1, CG.matrix(1),
+                   "F.d != delta.F", (CU, 1), (CG, 0))
+
+
+def test_verify_gd_names_failing_cells(capsys, monkeypatch):
+    CG, CU = get_pair("scalar-twist-2chain")
+    _check_witness(capsys, monkeypatch, "gd", Comparison, "matrix_G", 1, CU.matrix(1),
+                   "G.delta != d.G", (CG, 1), (CU, 0))
+
+
+def test_verify_homotopy_names_failing_cells(capsys, monkeypatch):
+    CG, CU = get_pair("scalar-twist-2chain")
+    _check_witness(capsys, monkeypatch, "homotopy", Comparison, "matrix_F", 1,
+                   Comparison(CG, CU).matrix_G(1), "FG - 1 != delta T + T delta",
+                   (CU, 1), (CU, 1))
 
 
 def test_deform_writes_validating_representatives(tmp_path, capsys):

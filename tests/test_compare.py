@@ -6,9 +6,9 @@ from math import factorial
 import pytest
 
 from conftest import get_pair, get_prestack
-from oracles import (GradedChain, big_omega_chain, chain_face_sum, delta_chain, f_terms,
-                     g_terms, graded_terms, gs_terms, omega_chain, pull_apply, seq_count,
-                     t_terms)
+from oracles import (GradedChain, big_omega_chain, build_graded_string, chain_face_sum,
+                     delta_chain, f_terms, g_terms, graded_terms, gs_terms, omega_chain,
+                     planned_graded_string, pull_apply, seq_count, t_terms)
 from prestacks import combinatorics as cb
 from prestacks import fixtures
 from prestacks.basecat import Simplex, chain_poset
@@ -18,7 +18,6 @@ from prestacks.graded import GradedCategory, GradedComplex, string_objects, stri
 from prestacks.gscomplex import GSComplex
 from prestacks.linalg import SparseMatrix
 from prestacks.lincat import identity_transform
-from prestacks.shapes import build_graded_string
 
 
 def four_chain():
@@ -164,7 +163,8 @@ def test_graded_shuffle_example_p2_q1(twist2):
     a = fib.basis_mor("X", "X", 0)
     strings = []
     for beta in cb.enumerate_shuffles((1, 2)):
-        s = build_graded_string(P, zeta, [a], ["X", "X"], beta.word, "2")
+        s = planned_graded_string(P, zeta, [a], ["X", "X"], beta.word, "2")
+        assert s == build_graded_string(P, zeta, [a], ["X", "X"], beta.word, "2")
         strings.append(tuple((e.grading, e.coords) for e in s))
         # grading composite equals the simplex composite
         simp = string_simp(P.base, list(s))
@@ -182,7 +182,8 @@ def test_graded_shuffle_empty_fiber_block(twist2):
     part = cb.Partition((1, 1))
     for zeta in seqq_elements(P, arrows, part):
         (beta,) = cb.enumerate_shuffles((0, 2))
-        s = build_graded_string(P, zeta, [], ["X"], beta.word, "2")
+        s = planned_graded_string(P, zeta, [], ["X"], beta.word, "2")
+        assert s == build_graded_string(P, zeta, [], ["X"], beta.word, "2")
         assert len(s) == 2
         assert string_objects(list(s))[0] == "X"
 

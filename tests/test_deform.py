@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import get_pair, get_prestack
+from prestacks.basecat import Simplex
 from prestacks.complexbase import SparseCochain
 from prestacks.deform import (DeformationDatum, EquivalenceDatum, build_deformation,
                               classify_h2, deformation_is_cocycle,
@@ -113,7 +114,7 @@ def test_coboundary_shift_gives_equivalence(dual_pair):
         for k, vec in shift.data.items():
             d2_coch.add_to(k, [F.neg(v) for v in vec])
         d2 = DeformationDatum(C, d2_coch)
-        e = EquivalenceDatum.from_cochain(C, e_coch)
+        e = EquivalenceDatum(C, e_coch)
         m_ok, c_ok, detail = equivalence_from_cochain(P, C, e, d1, d2)
         assert m_ok and c_ok, detail
 
@@ -123,7 +124,7 @@ def test_identity_equivalence(dual_pair):
     C, _ = get_pair("dual-pair")
     reps = classify_h2(P, C)
     d1 = DeformationDatum(C, reps[0])
-    e0 = EquivalenceDatum.from_cochain(C, SparseCochain(C, 1))
+    e0 = EquivalenceDatum(C, SparseCochain(C, 1))
     m_ok, c_ok, detail = equivalence_from_cochain(P, C, e0, d1, d1)
     assert m_ok and c_ok
 
@@ -135,7 +136,7 @@ def test_distinct_classes_not_equivalent(dual_pair):
     d1 = DeformationDatum(C, reps[0])
     d2 = DeformationDatum(C, reps[1])
     for seed in range(4):
-        e = EquivalenceDatum.from_cochain(C, nr_random(C, 1, 50 + seed))
+        e = EquivalenceDatum(C, nr_random(C, 1, 50 + seed))
         m_ok, c_ok, _ = equivalence_from_cochain(P, C, e, d1, d2)
         assert not m_ok and not c_ok
 
@@ -148,7 +149,42 @@ def test_both_equivalence_routes_agree_on_random_data(dual_pair):
     for seed in range(6):
         e_coch = nr_random(C, 1, 200 + seed)
         # random d2: either the shifted one or an unrelated cocycle
-        e = EquivalenceDatum.from_cochain(C, e_coch)
+        e = EquivalenceDatum(C, e_coch)
         d2 = DeformationDatum(C, reps[seed % 2])
         m_ok, c_ok, _ = equivalence_from_cochain(P, C, e, d1, d2)
         assert m_ok == c_ok
+
+
+def _zero_deformation(name):
+    """The prestack, its GS complex and the zero deformation datum."""
+    P = get_prestack(name)
+    C, _ = get_pair(name)
+    return P, C, DeformationDatum(C, SparseCochain(C, 2))
+
+
+def test_tau_at_an_identity_arrow_fails_the_unit_axiom(dual_pair):
+    P, C, d0 = _zero_deformation("dual-pair")
+    u = P.base.objects[0]
+    eid = P.base.identities[u]
+    a = P.fiber(u).objects[0]
+    key = (Simplex(u, (eid,)), (a,), ())
+    assert key in C.cells(1)
+    e = EquivalenceDatum(
+        C, SparseCochain(C, 1, {key: [C.field.one] * C.value_rank(key)}))
+    m_ok, _, detail = equivalence_from_cochain(P, C, e, d0, d0)
+    assert not m_ok
+    assert detail == "tau at identity arrow %s is not the identity" % eid
+
+
+def test_g_moving_an_identity_fails_the_functor_validator(dual_pair):
+    P, C, d0 = _zero_deformation("dual-pair")
+    u = P.base.objects[0]
+    fib = P.fiber(u)
+    a = fib.objects[0]
+    key = (Simplex(u, ()), (a, a), (fib.identity_basis_index(a),))
+    assert key in C.cells(1)
+    e = EquivalenceDatum(
+        C, SparseCochain(C, 1, {key: [C.field.one] * C.value_rank(key)}))
+    m_ok, _, detail = equivalence_from_cochain(P, C, e, d0, d0)
+    assert not m_ok
+    assert detail == "g over %s: functor does not preserve identity at %s" % (u, a)

@@ -61,7 +61,7 @@ def test_carry_cocycle_prestack(n, c):
     cmp_ = Comparison(CG, CU)
     failures = []
     for law in ("gf", "fd", "gd", "homotopy"):
-        LAWS[law][0](P, CG, CU, cmp_, 3, 0, 0, failures.append)
+        LAWS[law][0](P, CG, CU, cmp_, 3, failures.append)
     assert failures == []
 
 
@@ -92,5 +92,5 @@ def test_comparison_laws_on_a_restriction_that_merges_objects():
     cmp_ = Comparison(CG, CU)
     failures = []
     for law in ("gf", "fd", "gd", "homotopy"):
-        LAWS[law][0](P, CG, CU, cmp_, 3, 0, 0, failures.append)
+        LAWS[law][0](P, CG, CU, cmp_, 3, failures.append)
     assert failures == []
