@@ -8,24 +8,28 @@ d = d_Hoch + (-1)^n d_simp plus the higher components d_j, 2 <= j <= p.
 
 d_j at a cell whose simplex has right part R (j arrows) and q arguments is a
 signed sum over every path of whiskered twists on R and every
-(q, j-1)-shuffle.  The (j-1)! paths are not listed: every state along a path
-is a coarsening of R, given by its set of interior cuts, so for each shuffle
-word the paths are summed by dynamic programming over the 2^(j-1)
-coarsenings.  Reading the word target-first from the fully
-composed chain, a fiber token applies the star functor of the current
-coarsening to the next argument, and a path token un-merges one interval at a
-cut c: the coarsening ``pred`` with c added merges back at index i, the token
-contributes ``epsilon_for(pred, i)`` and the step sign (-1)^[i odd], whose
-product along a path is ``Path.sign``.  Suffix sums are memoized on (cuts,
-rest of the word), so words sharing a tail share the work.  The terms are
-summed per input cell and d_j yields one term per input cell.
+(q, j-1)-shuffle.  Neither the (j-1)! paths nor the shuffle words are
+listed.  A word is read target-first from the fully composed chain: a fiber
+token applies the star functor of the current coarsening of R (its set of
+interior cuts) to the next argument, and a path token un-merges one interval
+at a cut c: the coarsening ``pred`` with c added merges back at index i, and
+the token contributes ``epsilon_for(pred, i)`` with the step sign (-1)^[i odd],
+whose product along a path is ``Path.sign``.  A shuffle's inversions are, over
+its path tokens, the number of fiber tokens after each, so its sign factors
+per step too: a path token read after f fiber tokens also carries (-1)^(q-f).
+Every step then depends only on the state (cuts, f), and the sum over all
+paths and words is dynamic programming over at most 2^(j-1) (q+1) such
+states, from (no cuts, 0) to (all cuts, q), with the overall sign (-1)^q.
+The sum reads only R, the objects and the basis tuple, so it is memoized on
+them for the life of the complex.  The terms are summed per input cell and
+d_j yields one term per input cell.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .combinatorics import _check_cap, enumerate_shuffles, signed_words
+from .combinatorics import _check_cap, enumerate_shuffles
 from .complexbase import ComplexBase
 from .lincat import compose_blocks, scale_block, unit_block
 
@@ -56,7 +60,9 @@ class GSComplex(ComplexBase):
     def __init__(self, prestack):
         super().__init__(prestack.field)
         self.P = prestack
-        self._shuffles = signed_words(enumerate_shuffles)  # (q, j-1) -> [(word, sign)]
+        self._higher = {}  # (R, objects, btuple) -> d_j terms without the left part
+        self._canon = {}  # one copy of each object and basis tuple the memo holds
+        self._shapes = set()  # (q, j-1)-shuffle shapes the cap has let through
 
     # -- cells -----------------------------------------------------------------
 
@@ -180,19 +186,41 @@ class GSComplex(ComplexBase):
     def higher_terms(self, key, j):
         """The component d_j at the output cell ``key`` as {input key: coefficient}.
 
-        The sum runs over every (q, j-1)-shuffle and every path on the right
-        part R of the simplex; for one shuffle, the paths are summed by dynamic
-        programming over the coarsenings of R (see the module docstring).
-        The shuffles of each shape are listed once and kept on the complex.
-        Zero sums are left out.
+        The sum over every path on the right part R of the simplex and every
+        (q, j-1)-shuffle runs as dynamic programming over the states
+        (coarsening of R, fiber tokens read); see the module docstring.  It
+        reads only R, the objects and the basis tuple, so it is memoized on
+        them for the life of the complex, with the input keys stored without
+        their left part; the left part is attached on each call, to a fresh
+        dict.  Zero sums are left out.  Each shuffle shape is still listed
+        once per complex, and its words are not read: the listing refuses a
+        shape over ``PRESTACKS_ENUM_CAP`` with the same error, at the same
+        first use, as when the sum ran word by word.
         """
+        simplex, objects, btuple = key
+        q = len(btuple)
+        pp = simplex.p - j
+        _check_cap(j)  # the same refusal as listing the paths on R
+        shape = (q, j - 1)
+        if shape not in self._shapes:
+            enumerate_shuffles(shape)
+            self._shapes.add(shape)
+        memo_key = (simplex.arrows[pp:], objects, btuple)
+        terms = self._higher.get(memo_key)
+        if terms is None:
+            terms = self._higher[memo_key] = self._higher_sum(key, j)
+        Lsimp = self.P.base.left_part(simplex, pp)
+        return {(Lsimp, sh_objects, nb): v for sh_objects, nb, v in terms}
+
+    def _higher_sum(self, key, j):
+        """The terms of d_j at ``key`` as (input objects, input btuple, coefficient)."""
         P, F = self.P, self.field
         base = P.base
         simplex, objects, btuple = key
-        pp = simplex.p - j
-        R = simplex.arrows[pp:]
-        args = [self.arg_mor(simplex, objects, btuple, i) for i in range(1, len(btuple) + 1)]
-        _check_cap(j)  # the same refusal as listing the paths on R
+        q = len(btuple)
+        R = simplex.arrows[simplex.p - j:]
+        args = [self.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
+        full = (1 << (j - 1)) - 1
         chains = {}
 
         def chain(cuts):
@@ -221,48 +249,39 @@ class GSComplex(ComplexBase):
                     v = F.mul(c, v)
                     acc[k] = v if prev is None else F.add(prev, v)
 
-        memo = {}
+        memo = {(full, q): {(): F.one}}
 
-        def suffix(cuts, f, rest):
-            """Sum over the ways to read the word ``rest`` from the coarsening
-            ``cuts`` after f fiber tokens: {((src, tgt, basis), ...): coeff}."""
-            hit = memo.get((cuts, rest))
+        def suffix(cuts, f):
+            """Sum over the ways to read the rest of every word from the
+            coarsening ``cuts`` after f fiber tokens: {((src, tgt, basis), ...): coeff}."""
+            hit = memo.get((cuts, f))
             if hit is not None:
                 return hit
             acc = {}
-            if not rest:
-                acc[()] = F.one
-            elif rest[0] == 0:
+            if f < q:
                 mor = P.stars(chain(cuts)).apply(args[f])
-                prepend(mor, 1, suffix(cuts, f + 1, rest[1:]), acc)
-            else:
-                for c in range(1, j):
-                    bit = 1 << (c - 1)
-                    if cuts & bit:
-                        continue
-                    i = 1 + bin(cuts & (bit - 1)).count("1")  # merge index in pred
-                    pred = cuts | bit
-                    mor = P.epsilon_for(chain(pred), i).at(objects[-1 - f])
-                    prepend(mor, -1 if i % 2 else 1, suffix(pred, f, rest[1:]), acc)
-            memo[(cuts, rest)] = acc
+                prepend(mor, 1, suffix(cuts, f + 1), acc)
+            sgn_f = -1 if (q - f) % 2 else 1  # fiber tokens after this path token
+            for c in range(1, j):
+                bit = 1 << (c - 1)
+                if cuts & bit:
+                    continue
+                i = 1 + bin(cuts & (bit - 1)).count("1")  # merge index in pred
+                pred = cuts | bit
+                mor = P.epsilon_for(chain(pred), i).at(objects[-1 - f])
+                prepend(mor, sgn_f * (-1 if i % 2 else 1), suffix(pred, f), acc)
+            memo[(cuts, f)] = acc
             return acc
 
-        total = {}
-        sgn_t = -1 if len(btuple) % 2 else 1
-        for word, sign in self._shuffles[(len(btuple), j - 1)]:
-            neg = sgn_t * sign < 0
-            for k, v in suffix(0, 0, word).items():
-                prev = total.get(k)
-                if neg:
-                    v = F.neg(v)
-                total[k] = v if prev is None else F.add(prev, v)
-        Lsimp = base.left_part(simplex, pp)
-        out = {}
-        for k, v in total.items():
+        canon = self._canon
+        out = []
+        for k, v in suffix(0, 0).items():
             if not F.is_zero(v):
                 sh_objects = tuple(e[0] for e in reversed(k)) + (k[0][1],)
-                out[(Lsimp, sh_objects, tuple(e[2] for e in k))] = v
-        return out
+                nb = tuple(e[2] for e in k)
+                out.append((canon.setdefault(sh_objects, sh_objects), canon.setdefault(nb, nb),
+                            F.neg(v) if q % 2 else v))
+        return tuple(out)
 
     # -- normalized / reduced -------------------------------------------------
 

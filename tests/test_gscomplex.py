@@ -14,6 +14,7 @@ from prestacks.complexbase import SparseCochain, pull_matrix
 from prestacks.fixtures import coboundary_lambdas, scalar_chain_prestack
 from prestacks.gscomplex import GSComplex
 from prestacks.lincat import scale_block
+from prestacks.linalg import QQ
 
 
 def test_zero_cochain_maps_to_zero(twist2):
@@ -372,3 +373,47 @@ def test_each_shuffle_shape_is_enumerated_once_per_complex(monkeypatch):
     for n in (2, 3, 4):
         assert C.matrix(n) == expected[n]
     assert shapes and len(shapes) == len(set(shapes))
+
+
+def test_gs_assembly_reads_no_shuffle_words(monkeypatch):
+    # the shuffle shapes are still listed for the cap's refusal; the sum over
+    # them reads none of the words, so listing none changes no matrix
+    from prestacks import combinatorics, gscomplex
+    P = get_prestack("scalar-twist-3chain")
+    expected = {n: GSComplex(P).matrix(n) for n in (2, 3, 4)}
+    monkeypatch.setattr(gscomplex, "enumerate_shuffles", lambda blocks: [])
+    monkeypatch.setattr(combinatorics, "enumerate_shuffles", lambda blocks: [])
+    C = GSComplex(P)
+    for n in (2, 3, 4):
+        assert C.matrix(n) == expected[n]
+
+
+def test_higher_terms_memo_attaches_each_left_part():
+    C = GSComplex(get_prestack("rank2-fiber"))
+    by_input = {}
+    for n in (3, 4):
+        for key in C.cells(n):
+            simplex, objects, btuple = key
+            if simplex.p >= 2:
+                by_input.setdefault((simplex.arrows[-2:], objects, btuple), []).append(key)
+    pairs = ((keys[0], keys[-1]) for keys in by_input.values()
+             if keys[0][0].arrows[:-2] != keys[-1][0].arrows[:-2])
+    first, second = next(pair for pair in pairs if higher_terms_bruteforce(C, pair[0], 2))
+    want = [higher_terms_bruteforce(C, key, 2) for key in (first, second)]
+    assert set(want[0]).isdisjoint(want[1])
+    got = C.higher_terms(first, 2)
+    assert got == want[0]
+    size = len(C._higher)
+    assert C.higher_terms(second, 2) == want[1]
+    assert len(C._higher) == size  # the second cell reused the first one's sum
+    got.clear()
+    assert C.higher_terms(first, 2) == want[0]
+
+
+@pytest.mark.parametrize("c", [2, -5])
+def test_higher_terms_over_a_cyclic_base(c):
+    # coarsenings of a chain in Z/3 compose to identities, which no chain poset gives
+    from test_generated import carry_prestack
+    C = GSComplex(carry_prestack(3, c, QQ))
+    for n in range(2, 5):
+        _check_higher_terms(C, n)
