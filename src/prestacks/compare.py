@@ -13,24 +13,27 @@ What the maps read is built once per scope (see ``shapes``):
 - per ``Comparison``, everything that depends only on shape: partitions,
   paths, shuffle words with signs, Seq skeletons and Seqq elements
   (``Comparison.shapes``);
-- per ``matrix_F``, ``matrix_G`` or ``matrix_T`` call, what is keyed by
-  cell data or by the degree: F's frame per (simplex, A_n), the Seq values
-  on each right part of a string, Omega_{n-1} per argument tuple of the
-  recursion, and the graded string plans of G and T.  These are emptied
+- per prestack, the value at one object of the paths of twists on a chain
+  (``Prestack.path_value``), which F's and Omega's frames read;
+- per ``matrix_F`` or ``matrix_T`` call, what is keyed by cell data: the
+  frame per (simplex, A_n), the Seq values on each right part of a string
+  and Omega_{n-1} per argument tuple of the recursion.  These are emptied
   when the call returns, so memory stays bounded by one degree.
 
-F and T sum their terms per input cell: each stream yields one block per
-(output cell, input cell), as the differentials do.
+G and Omega build each graded string in one pass from the Seqq element's
+levels on the chain and the shuffle word (``shapes.graded_string``).  F and
+T sum their terms per input cell: each stream yields one block per (output
+cell, input cell), as the differentials do.
 """
 
 from __future__ import annotations
 
 from .basecat import Simplex
-from .combinatorics import Memo, Path, eval_path, partition_block_slices
+from .combinatorics import Memo, partition_block_slices
 from .complexbase import apply_matrix, pull_matrix
 from .graded import GMor, string_objects, string_simp
 from .gscomplex import expand_multilinear
-from .lincat import Mor, compose_blocks, identity_transform, sum_blocks, unit_block
+from .lincat import Mor, compose_blocks, sum_blocks, unit_block
 # seq_elements and seqq_elements, the one-shot forms of Seq and Seqq, stay
 # part of this module's interface
 from .shapes import (  # noqa: F401
@@ -41,28 +44,8 @@ from .shapes import (  # noqa: F401
     seq_values,
     seq_vector,
     seqq_elements,
+    zeta_levels,
 )
-
-
-# -- partitioned path transforms -------------------------------------------------
-
-
-def c_sigma_partition(P, arrows, part):
-    """The common evaluated path on the block composites of a partition.
-
-    Single-block partitions give the identity transform; empty partitions are
-    the caller's job.
-    """
-    if part.k == 0:
-        raise ValueError("empty partition has no block transform")
-    comps = []
-    for lo, hi in partition_block_slices(part):
-        seg = arrows[lo:hi]
-        comps.append(P.base.composite(Simplex(P.base.src(seg[0]), tuple(seg))))
-    if part.k == 1:
-        return identity_transform(P.restriction(comps[0]))
-    # merging at index 1 at every step: one path, and every path has this value
-    return eval_path(P, Path(tuple(comps), (1,) * (part.k - 1)))
 
 
 # -- the maps ------------------------------------------------------------------------
@@ -73,13 +56,12 @@ class Comparison:
 
     ``shapes`` lives as long as the comparison, and so does ``_args``, the
     fiber morphism of each argument datum (grading, source, target, basis
-    index).  The other memos live for one matrix call and are emptied when it
-    returns: ``_frames`` holds the frame
-    per (simplex, A_n), ``_seqs`` the Seq values per right part of F's
-    strings, ``_omega`` the Omega recursion per argument tuple, and
-    ``_strings`` the graded string plans per (arrows, partition, q) of G and
-    T, whose q ties them to one degree.  A term stream read outside a matrix
-    call fills them too, until the next matrix call empties them.
+    index).  The other memos live for one ``matrix_F`` or ``matrix_T`` call
+    and are emptied when it returns: ``_frames`` holds the frame per
+    (simplex, A_n), ``_seqs`` the Seq values per right part of F's strings
+    and ``_omega`` the Omega recursion per argument tuple.  A term stream
+    read outside a matrix call fills them too, until the next such call
+    empties them.  G keeps no memo of its own.
     """
 
     def __init__(self, gs, graded):
@@ -93,7 +75,6 @@ class Comparison:
         self._frames = {}
         self._seqs = {}
         self._omega = {}
-        self._strings = Memo(lambda key: self.shapes.strings(self.P.base, *key))
         self._args = Memo(lambda key: graded.G.as_fiber_mor(graded.G.basis_gmor(*key)))
 
     def _entries(self, simplex, objects, btuple):
@@ -108,7 +89,8 @@ class Comparison:
         Per p: the left part L_p, its sigma^star, the chains underlining the
         first p slots (for ``block_tail``), and per partition of n - p its
         sign, the morphism pref and a memo of ``left_block(b, pref)`` per Seq
-        source object b.
+        source object b.  pref is the path value at A_n on the chain of L_p's
+        composite followed by the partition's block composites.
         """
         key = (simplex, objects[-1])
         frame = self._frames.get(key)
@@ -117,22 +99,17 @@ class Comparison:
         P = self.P
         base = P.base
         n = simplex.p
-        u0 = simplex.source
-        fib0 = P.fiber(u0)
         frame = []
         for p in range(0, n + 1):
             Lsimp = base.left_part(simplex, p)
-            lfun = P.sigma_lower(Lsimp)
-            c_k = P.c_sigma_k(simplex, p).at(objects[-1])
+            left = (base.composite(Lsimp),)
             r_arrows = simplex.arrows[p:]
             parts = []
             for part in self.shapes.partitions[n - p]:
-                if part.k == 0:
-                    pref = c_k
-                else:
-                    cb = c_sigma_partition(P, r_arrows, part).at(objects[-1])
-                    pref = fib0.compose(c_k, lfun.apply(cb))
-                parts.append((part, part.sign, pref, {}))
+                chain = left + tuple(
+                    base.composite(Simplex(base.src(r_arrows[lo]), r_arrows[lo:hi]))
+                    for lo, hi in partition_block_slices(part))
+                parts.append((part, part.sign, P.path_value(chain, objects[-1]), {}))
             under = tuple(simplex.arrows[: n - i] for i in range(n, n - p, -1))
             frame.append((Lsimp, P.sigma_upper(Lsimp), under, parts))
         self._frames[key] = frame
@@ -210,22 +187,26 @@ class Comparison:
         q = len(btuple)
         top = base.objects_along(simplex)[-1]
         args = [self.CG.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
+        words = shapes.shuffles[(q, p)]
         acc = {}
         for part in shapes.partitions[p]:
-            for sign, plan in self._strings[(simplex.arrows, part, q)]:
-                string = graded_string(P, plan, args, objects, top)
-                if string:
-                    simp = string_simp(base, list(string))
-                    objsx = tuple(string_objects(list(string)))
-                else:
-                    simp = Simplex(top, ())
-                    objsx = (objects[0],)
-                for coeff, nb in expand_multilinear(F, string):
-                    in_key = (simp, objsx, nb)
-                    c = acc.get(in_key)
-                    if sign < 0:
-                        coeff = F.neg(coeff)
-                    acc[in_key] = coeff if c is None else F.add(c, coeff)
+            for zeta in shapes.zetas[part]:
+                levels = zeta_levels(base, zeta, simplex.arrows)
+                for word, wsign in words:
+                    string = graded_string(P, levels, word, args, objects, top)
+                    if string:
+                        simp = string_simp(base, list(string))
+                        objsx = tuple(string_objects(list(string)))
+                    else:
+                        simp = Simplex(top, ())
+                        objsx = (objects[0],)
+                    neg = zeta.sign * wsign < 0
+                    for coeff, nb in expand_multilinear(F, string):
+                        in_key = (simp, objsx, nb)
+                        c = acc.get(in_key)
+                        if neg:
+                            coeff = F.neg(coeff)
+                        acc[in_key] = coeff if c is None else F.add(c, coeff)
         rank = self.CG.value_rank(key)
         for in_key, c in acc.items():
             if not F.is_zero(c):
@@ -236,11 +217,8 @@ class Comparison:
         return apply_matrix(self.matrix_G(n), psi, self.CG, n)
 
     def matrix_G(self, n):
-        try:
-            return pull_matrix(self.g_contributions, self.CG.cells(n), self.CG.index(n),
-                               self.CU.index(n), self.field)
-        finally:
-            self._strings.clear()
+        return pull_matrix(self.g_contributions, self.CG.cells(n), self.CG.index(n),
+                           self.CU.index(n), self.field)
 
     # omega / Omega / T ------------------------------------------------------------
 
@@ -262,14 +240,20 @@ class Comparison:
         tail = block_tail(P, under, u0, entries, caches[0])
         tail_entry = GMor(base.identities[u0], tail.src, tail.tgt, tail.coords)
         top = base.objects_along(simplex)[p]
+        zetas = None
         for part, psign, pref, _ in parts:
             shape = shapes.seq[(arrows[p:], part)]
+            if zetas is None:
+                # listed after the first Seq shape: the cap refuses in that order
+                words = shapes.shuffles[(n - p, p)]
+                zetas = [(zeta.sign, zeta_levels(base, zeta, arrows[:p]))
+                         for part2 in shapes.partitions[p] for zeta in shapes.zetas[part2]]
             values = seq_values(P, shape, entries[: n - p], objects[p:], caches, p)
             for (_, _, xsign), (ents, objs) in zip(shape.elements, values):
-                for part2 in shapes.partitions[p]:
-                    for sign, plan in self._strings[(arrows[:p], part2, n - p)]:
-                        body = graded_string(P, plan, ents, objs, top)
-                        yield psign * xsign * sign, body + (tail_entry,), pref
+                for zsign, levels in zetas:
+                    for word, wsign in words:
+                        body = graded_string(P, levels, word, ents, objs, top)
+                        yield psign * xsign * zsign * wsign, body + (tail_entry,), pref
 
     def big_omega_terms(self, simplex, entries, objects):
         """Corrected strings of Omega_n, including the recursion tail.
@@ -359,4 +343,3 @@ class Comparison:
         finally:
             self._frames.clear()
             self._omega.clear()
-            self._strings.clear()

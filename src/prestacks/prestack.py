@@ -10,6 +10,8 @@ f* g*  ->  (g o f)*.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .lincat import (
     NatTransform,
     compose_functor_chain,
@@ -31,6 +33,7 @@ class Prestack:
         self._stars_cache = {}
         self._eps_cache = {}
         self._twist_inv_cache = {}
+        self._path_cache = {}
 
     def fiber(self, u_obj):
         return self.fibers[u_obj]
@@ -130,6 +133,27 @@ class Prestack:
             tgt = self.stars(merged, end_obj=self.base.tgt(arrows[-1]))
             self._eps_cache[key] = NatTransform(src, tgt, comps)
         return self._eps_cache[key]
+
+    def path_value(self, chain, obj):
+        """The component at ``obj`` of the value of every path of twists on an
+        arrow chain (source-first): chain[0]* ... chain[-1]* obj -> (composite)*
+        obj, one morphism by coherence, the identity for one arrow.  It is the
+        twist of the first arrow and the rest's composite after the first
+        arrow's functor applied to the rest's value, kept per (chain, obj).
+        """
+        key = (chain, obj)
+        m = self._path_cache.get(key)
+        if m is None:
+            first = self.restriction(chain[0])
+            fib = self.fiber(self.base.src(chain[0]))
+            if len(chain) == 1:
+                m = fib.identity(first.on_obj(obj))
+            else:
+                rest = chain[1:]
+                m = fib.compose(self.twist(chain[0], reduce(self.base.then, rest)).at(obj),
+                                first.apply(self.path_value(rest, obj)))
+            self._path_cache[key] = m
+        return m
 
     def epsilon_sigma_i(self, s, i):
         """u_1* ... c^{u_i, u_{i+1}} ... u_p*: merges positions i, i+1 of sigma."""

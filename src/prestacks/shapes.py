@@ -5,10 +5,10 @@ A Seq element is a fiber simplex built from a string of fiber morphisms by a
 partition of its chain: per block a path of twists, shuffled with the Seq
 elements of the rest.  ``SeqShape`` lists which path, shuffle, token and sign
 make up each element; ``seq_values`` evaluates a shape on a string's entries.
-A Seqq element (``Zeta``) is pure combinatorics on the chain's indices, and
-``string_plans`` lists what building the graded shuffle product of a Zeta
-and a fiber simplex does, which ``graded_string`` then runs on the simplex.
-``Shapes`` keeps all of it for one ``compare.Comparison``.
+A Seqq element (``Zeta``) is pure combinatorics on the chain's indices;
+``zeta_levels`` reads what it does on an arrow chain, and ``graded_string``
+builds its graded shuffle product with a fiber simplex for one word in one
+pass.  ``Shapes`` keeps the shape data for one ``compare.Comparison``.
 """
 
 from __future__ import annotations
@@ -272,33 +272,6 @@ class Zeta:
                 out.append(("tw", lv, j))
         return out
 
-    def simp_gradings(self, base):
-        """Grading arrow per token: block composites on run starts, identities
-        at the current deepest fiber otherwise."""
-        out = []
-        deepest = None
-        for tok in self.tokens():
-            lv = tok[1]
-            block, _ = self.levels[lv]
-            if tok[0] == "start":
-                deepest = base.src(block[0])
-                out.append(base.composite(Simplex(deepest, block)))
-            else:
-                out.append(base.identities[deepest])
-        return out
-
-    def simp(self, base):
-        return Simplex(base.src(self.arrows[0]),
-                       tuple(reversed(self.simp_gradings(base))))
-
-    def on(self, arrows):
-        """This element listed on the index chain 0..p-1, moved onto ``arrows``."""
-        levels = []
-        for block, path in self.levels:
-            moved = tuple(arrows[block[0]: block[-1] + 1])
-            levels.append((moved, Path(moved, path.recipe)))
-        return Zeta(tuple(arrows), tuple(levels), self.word, self.sign)
-
 
 def seqq_elements(P, arrows, part):
     """All conditioned shuffle products for a partition of the chain."""
@@ -333,92 +306,66 @@ def seqq_elements(P, arrows, part):
     return out
 
 
-def string_plans(base, zeta, words):
-    """What building the graded string of ``zeta`` and each shuffle word does,
-    as data that depends on neither the fiber simplex nor its objects.
-
-    A word interleaves fiber tokens (0) with zeta tokens (1).  A plan has one
-    op per output entry, k counting the fiber tokens before it and a functor
-    given by the chain of its ``P.stars``:
-
-    - (0, k, functors, z): the functors applied to fiber entry k, graded by
-      the identity of z (None: the top object);
-    - (1, k, below, v, z): a level starts: the identity of v* y, graded by the
-      level's block composite v, y being fiber object k from the target end
-      moved by the ``below`` functors;
-    - (2, k, below, (chain, i), functors, z): the twist ``epsilon_for(chain,
-      i)`` at that object, then the functors, graded by the identity of z.
-    """
-    levels = []  # per level: block, path steps, merged chains, source, composite
+def zeta_levels(base, zeta, arrows):
+    """What the graded strings of ``zeta``, listed on the index chain, read of
+    it once moved onto ``arrows``: per token of ``zeta.tokens()`` its level and
+    the path step (chain, i) of a twist, None at the level's start; and per
+    level the block's source and composite."""
+    steps, ends = [], []
     for block, path in zeta.levels:
-        steps = path.steps(base)
-        chains = [block] + [c[: i - 1] + (base.then(c[i - 1], c[i]),) + c[i + 1:]
-                            for c, i in steps]
-        bottom = base.src(block[0])
-        levels.append((block, steps, chains, bottom,
-                       base.composite(Simplex(bottom, block))))
-    ztokens = zeta.tokens()
-    plans = []
-    for word in words:
-        consumed = [0] * len(levels)
-        started = [False] * len(levels)
-
-        def functor(lv):
-            block, _, chains, _, _ = levels[lv]
-            return chains[len(block) - 1 - consumed[lv]]
-
-        zeta_tokens = iter(ztokens)
-        fed = 0
-        ops = []
-        for tok in word:
-            live = [lv for lv, on in enumerate(started) if on]
-            top = levels[live[-1]][3] if live else None
-            if tok == 0:
-                ops.append((0, fed, tuple(functor(lv) for lv in live), top))
-                fed += 1
-                continue
-            ztok = next(zeta_tokens)
-            lv = ztok[1]
-            block, steps, _, bottom, composite = levels[lv]
-            below = tuple(functor(i) for i in range(lv))
-            if ztok[0] == "start":
-                started[lv] = True
-                ops.append((1, fed, below, composite, bottom))
-            else:
-                above = tuple(functor(i) for i in live if i > lv)
-                ops.append((2, fed, below, steps[len(block) - ztok[2] - 1], above, top))
-                consumed[lv] += 1
-        plans.append(tuple(ops))
-    return plans
+        moved = tuple(arrows[block[0]: block[-1] + 1])
+        steps.append(Path(moved, path.recipe).steps(base))
+        bottom = base.src(moved[0])
+        ends.append((bottom, base.composite(Simplex(bottom, moved))))
+    tokens = tuple((tok[1], None if tok[0] == "start" else steps[tok[1]][-tok[2]])
+                   for tok in zeta.tokens())
+    return tokens, tuple(ends)
 
 
-def graded_string(P, plan, fiber_entries, fiber_objects, top_obj):
-    """The graded string of a plan of ``string_plans`` on a fiber simplex over
-    ``top_obj`` (entries target-first, objects source-first)."""
+def graded_string(P, levels, word, fiber_entries, fiber_objects, top_obj):
+    """The graded shuffle product of a Seqq element and a fiber simplex over
+    ``top_obj`` (entries target-first, objects source-first) for one word,
+    which takes the next fiber entry at 0 and the next token of the element
+    at 1; ``levels`` is the element's ``zeta_levels``.
+
+    The levels start in order, so the started ones are 0..s-1, each applying
+    the star functor of its chain: the block composite at its start, the
+    source chain of its last twist after that.  A fiber entry passes under
+    all of them, a twist under those above its level, and both are graded by
+    the identity at the last started level's source.  A start or a twist
+    reads the next fiber object moved by the levels below it.
+    """
+    tokens, ends = levels
+    stars = P.stars
     ident = P.base.identities
     last = len(fiber_objects) - 1
+    current = []  # per started level, its chain
+    z = top_obj
+    zeta_tokens = iter(tokens)
+    fed = 0
     out = []
-    for op in plan:
-        kind, k = op[0], op[1]
-        if kind == 0:
-            m = fiber_entries[k]
-            for chain in op[2]:
-                m = P.stars(chain).apply(m)
-            z = op[3]
+    for tok in word:
+        if tok == 0:
+            m = fiber_entries[fed]
+            fed += 1
+            above = current
         else:
-            x = fiber_objects[last - k]
-            for chain in op[2]:
-                x = P.stars(chain).on_obj(x)
-            if kind == 1:
-                v, z = op[3], op[4]
+            lv, step = next(zeta_tokens)
+            x = fiber_objects[last - fed]
+            for chain in current[:lv]:
+                x = stars(chain).on_obj(x)
+            if step is None:
+                z, v = ends[lv]
                 src = P.restriction(v).on_obj(x)
                 out.append(GMor(v, src, x, tuple(P.fiber(z).identity_coords[src])))
+                current.append((v,))
                 continue
-            m = P.epsilon_for(*op[3]).at(x)
-            for chain in op[4]:
-                m = P.stars(chain).apply(m)
-            z = op[5]
-        out.append(GMor(ident[top_obj if z is None else z], m.src, m.tgt, m.coords))
+            m = P.epsilon_for(*step).at(x)
+            current[lv] = step[0]
+            above = current[lv + 1:]
+        for chain in above:
+            m = stars(chain).apply(m)
+        out.append(GMor(ident[z], m.src, m.tgt, m.coords))
     return tuple(out)
 
 
@@ -439,13 +386,3 @@ class Shapes:
         self.shuffles = signed_words(enumerate_shuffles)
         self.seq = Memo(lambda key: seq_shape(P.base, *key, self))
         self.zetas = Memo(lambda part: seqq_elements(P, tuple(range(part.n)), part))
-
-    def strings(self, base, arrows, part, q):
-        """(sign, plan of ``string_plans``) per Seqq element of ``part`` moved onto
-        ``arrows`` and per (q, p)-shuffle, p the length of ``arrows``."""
-        words = self.shuffles[(q, len(arrows))]
-        out = []
-        for zeta in self.zetas[part]:
-            plans = string_plans(base, zeta.on(arrows), [word for word, _ in words])
-            out.extend((zeta.sign * sign, plan) for (_, sign), plan in zip(words, plans))
-        return out

@@ -17,14 +17,15 @@ library assembles its operators, not the formulas:
   library's term streams;
 - ``f_terms``, ``g_terms`` and ``t_terms`` read the Seq recursion, the graded
   shuffle product and the Omega recursion term by term (``seq_elements``,
-  ``build_graded_string``, ``omega_terms``, ``big_omega_terms`` below), not
-  the library's shape skeletons, string plans and memos, so they check those
-  and the per-input-cell sums of F and T.
+  ``build_graded_string``, ``omega_terms``, ``big_omega_terms`` below), and
+  the partition twists as whole natural transformations
+  (``c_sigma_partition``), not the library's shape skeletons, one-pass
+  strings, path values and memos, so they check those and the
+  per-input-cell sums of F and T.
 
 Test-only diagnostics of the paper's constructions also live here: formal
-chains of tensor strings with their faces, the chains omega, Omega and Delta
-of the homotopy, and ``planned_graded_string``, the library's string plans
-run on a single word.
+chains of tensor strings with their faces and the chains omega, Omega and
+Delta of the homotopy.
 """
 
 from fractions import Fraction
@@ -32,14 +33,15 @@ from itertools import permutations, product
 
 from prestacks.basecat import Simplex
 from prestacks.combinatorics import (Partition, Path, ShufflePerm, enumerate_shuffles,
-                                     partitions, paths_or_trivial)
-from prestacks.compare import c_sigma_partition
-from prestacks.shapes import SeqElement, graded_string, seqq_elements, string_plans
+                                     eval_path, partition_block_slices, partitions,
+                                     paths_or_trivial)
+from prestacks.shapes import SeqElement, seqq_elements
 from prestacks.complexbase import SparseCochain, apply_matrix, pull_matrix
 from prestacks.graded import (GMor, GradedCategory, GradedComplex, string_objects,
                               string_simp)
 from prestacks.gscomplex import expand_multilinear
-from prestacks.lincat import Mor, NatTransform, compose_functor_chain, compose_functors
+from prestacks.lincat import (Mor, NatTransform, compose_functor_chain, compose_functors,
+                              identity_transform)
 
 
 def dense_rank(rows_of_entries, nrows, ncols):
@@ -844,11 +846,23 @@ def build_graded_string(P, zeta, fiber_entries, fiber_objects, word, top_obj):
     return tuple(out)
 
 
-def planned_graded_string(P, zeta, fiber_entries, fiber_objects, word, top_obj):
-    """``build_graded_string`` by the library's route: the one string plan of
-    ``shapes.string_plans`` for ``word``, run by ``shapes.graded_string``."""
-    return graded_string(P, string_plans(P.base, zeta, [word])[0], fiber_entries,
-                         fiber_objects, top_obj)
+def c_sigma_partition(P, arrows, part):
+    """The common evaluated path on the block composites of a partition, as a
+    whole natural transformation.
+
+    Single-block partitions give the identity transform; empty partitions are
+    the caller's job.
+    """
+    if part.k == 0:
+        raise ValueError("empty partition has no block transform")
+    comps = []
+    for lo, hi in partition_block_slices(part):
+        seg = arrows[lo:hi]
+        comps.append(P.base.composite(Simplex(P.base.src(seg[0]), tuple(seg))))
+    if part.k == 1:
+        return identity_transform(P.restriction(comps[0]))
+    # merging at index 1 at every step: one path, and every path has this value
+    return eval_path(P, Path(tuple(comps), (1,) * (part.k - 1)))
 
 
 def omega_terms(cmp_, simplex, entries, objects, p):
@@ -912,7 +926,9 @@ def big_omega_terms(cmp_, simplex, entries, objects):
     sub_simplex = base.face(simplex, 0)
     comp_sub = base.composite(sub_simplex)
     a_n = entries[n - 1]
-    a_entry = GMor(u1, a_n.src, a_n.tgt, a_n.coords)
+    # graded by u1, from A_0 to A_1: its fiber target u1* A_1 is not A_1 when
+    # the restriction renames objects
+    a_entry = GMor(u1, a_n.src, objects[1], a_n.coords)
     fu1 = P.restriction(u1)
     for c, y, corr_y in big_omega_terms(cmp_, sub_simplex, entries[: n - 1],
                                              objects[1:]):

@@ -1,6 +1,7 @@
 import copy
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -8,16 +9,17 @@ import pytest
 from conftest import get_pair, get_prestack
 from oracles import (GradedChain, big_omega_chain, build_graded_string, chain_face_sum,
                      delta_chain, f_terms, g_terms, graded_terms, gs_terms, omega_chain,
-                     planned_graded_string, pull_apply, seq_count, t_terms)
+                     pull_apply, seq_count, t_terms)
 from prestacks import combinatorics as cb
 from prestacks import fixtures
 from prestacks.basecat import Simplex, chain_poset
-from prestacks.compare import Comparison, c_sigma_partition, seq_elements, seqq_elements
+from prestacks.compare import (Comparison, graded_string, seq_elements, seqq_elements,
+                               zeta_levels)
 from prestacks.complexbase import SparseCochain, apply_matrix, pull_matrix
 from prestacks.graded import GradedCategory, GradedComplex, string_objects, string_simp
 from prestacks.gscomplex import GSComplex
-from prestacks.linalg import SparseMatrix
-from prestacks.lincat import identity_transform
+from prestacks.linalg import QQ, SparseMatrix
+from test_generated import carry_prestack, fold_prestack
 
 
 def four_chain():
@@ -31,29 +33,27 @@ def comparison(name):
     return Comparison(CG, CU)
 
 
-# -- c^{sigma, mbar} -----------------------------------------------------------------
+# -- path values ----------------------------------------------------------------------
 
 
-def test_c_partition_single_block_identity(twist2):
-    part = [p for p in cb.partitions(2) if p.blocks == (2,)][0]
-    tw = c_sigma_partition(twist2, ("u01", "u12"), part)
-    assert tw.eq_components(identity_transform(tw.src_functor))
-
-
-def test_c_partition_two_blocks_is_twist(twist2):
-    part = [p for p in cb.partitions(2) if p.blocks == (1, 1)][0]
-    tw = c_sigma_partition(twist2, ("u01", "u12"), part)
-    assert tw.at("X").coords == (twist2.field.parse(5),)
-
-
-def test_c_partition_path_independence():
-    P = four_chain()
-    part = [p for p in cb.partitions(3) if p.blocks == (1, 1, 1)][0]
-    arrows = ("u01", "u12", "u23")
-    tw = c_sigma_partition(P, arrows, part)
-    # all paths on the block chain evaluate to the same transform
-    for r in cb.enumerate_paths(arrows):
-        assert cb.eval_path(P, r).at("X") == tw.at("X")
+@pytest.mark.parametrize("name", sorted(fixtures.BUILDERS))
+def test_path_value_is_every_path_at_one_object(name):
+    # on every nerve chain of 1-4 arrows and at every object: the identity for
+    # one arrow, else the component of the value of each path of twists
+    P = get_prestack(name)
+    base = P.base
+    for p in range(1, 5):
+        for simplex in base.nerve(p):
+            chain = simplex.arrows
+            values = {a: P.path_value(chain, a) for a in P.fiber(base.tgt(chain[-1])).objects}
+            if p == 1:
+                first = P.restriction(chain[0])
+                assert values == {a: P.fiber(simplex.source).identity(first.on_obj(a))
+                                  for a in values}
+                continue
+            for r in cb.enumerate_paths(chain):
+                t = cb.eval_path(P, r)
+                assert {a: t.at(a) for a in values} == values
 
 
 # -- Seq ----------------------------------------------------------------------------
@@ -119,6 +119,41 @@ def test_seq_elements_compose_to_constant():
 # -- Seqq --------------------------------------------------------------------------
 
 
+def zeta_simp(zeta, base):
+    """The simplex of a Seqq element's gradings, source-first: per token the
+    block composite at a level's start, else the identity at the source of the
+    last started level."""
+    gradings = []
+    for tok in zeta.tokens():
+        block, _ = zeta.levels[tok[1]]
+        if tok[0] == "start":
+            deepest = base.src(block[0])
+            gradings.append(base.composite(Simplex(deepest, block)))
+        else:
+            gradings.append(base.identities[deepest])
+    return Simplex(base.src(zeta.arrows[0]), tuple(reversed(gradings)))
+
+
+def one_pass_strings(P, arrows, part, entries, objects, word, top):
+    """Per Seqq element of ``part`` on ``arrows``: the element, for the oracle,
+    and the library's graded string of ``word``, built from the element on
+    the index chain."""
+    p = len(arrows)
+    for zeta, moved in zip(seqq_elements(P, tuple(range(p)), part),
+                           seqq_elements(P, arrows, part)):
+        yield moved, graded_string(P, zeta_levels(P.base, zeta, arrows), word, entries,
+                                   objects, top)
+
+
+def basis_strings(fib, q):
+    """Every string of q composable basis morphisms of a fiber, as (entries
+    target-first, objects source-first)."""
+    for objects in product(fib.objects, repeat=q + 1):
+        homs = [(objects[q - 1 - k], objects[q - k]) for k in range(q)]
+        for idx in product(*(range(fib.rank(a, b)) for a, b in homs)):
+            yield [fib.basis_mor(a, b, i) for (a, b), i in zip(homs, idx)], list(objects)
+
+
 def test_seqq_22_matches_example():
     P = four_chain()
     arrows = ("u01", "u12", "u23", "u34")
@@ -126,7 +161,7 @@ def test_seqq_22_matches_example():
     zetas = seqq_elements(P, arrows, part)
     assert len(zetas) == 3  # three conditioned formal shuffles
     base = P.base
-    simps = sorted(tuple(z.simp(base).arrows) for z in zetas)
+    simps = sorted(tuple(zeta_simp(z, base).arrows) for z in zetas)
     assert simps == sorted([
         ("i0", "u02", "i2", "u24"),
         ("i0", "i0", "u02", "u24"),
@@ -140,7 +175,7 @@ def test_seqq_all_ones_contains_identity_element(twist3):
     arrows = ("u01", "u12", "u23")
     part = cb.Partition((1, 1, 1))
     zetas = seqq_elements(twist3, arrows, part)
-    with_simp = [z for z in zetas if tuple(z.simp(twist3.base).arrows) == arrows]
+    with_simp = [z for z in zetas if tuple(zeta_simp(z, twist3.base).arrows) == arrows]
     assert len(with_simp) == 1 and with_simp[0].sign == 1
 
 
@@ -158,12 +193,11 @@ def test_graded_shuffle_example_p2_q1(twist2):
     P = twist2
     arrows = ("u01", "u12")
     part = cb.Partition((2,))
-    (zeta,) = seqq_elements(P, arrows, part)
     fib = P.fiber("2")
     a = fib.basis_mor("X", "X", 0)
     strings = []
     for beta in cb.enumerate_shuffles((1, 2)):
-        s = planned_graded_string(P, zeta, [a], ["X", "X"], beta.word, "2")
+        ((zeta, s),) = one_pass_strings(P, arrows, part, [a], ["X", "X"], beta.word, "2")
         assert s == build_graded_string(P, zeta, [a], ["X", "X"], beta.word, "2")
         strings.append(tuple((e.grading, e.coords) for e in s))
         # grading composite equals the simplex composite
@@ -180,12 +214,31 @@ def test_graded_shuffle_empty_fiber_block(twist2):
     P = twist2
     arrows = ("u01", "u12")
     part = cb.Partition((1, 1))
-    for zeta in seqq_elements(P, arrows, part):
-        (beta,) = cb.enumerate_shuffles((0, 2))
-        s = planned_graded_string(P, zeta, [], ["X"], beta.word, "2")
+    (beta,) = cb.enumerate_shuffles((0, 2))
+    for zeta, s in one_pass_strings(P, arrows, part, [], ["X"], beta.word, "2"):
         assert s == build_graded_string(P, zeta, [], ["X"], beta.word, "2")
         assert len(s) == 2
         assert string_objects(list(s))[0] == "X"
+
+
+@pytest.mark.parametrize("name", ["scalar-twist-3chain", "rank2-fiber"])
+def test_one_pass_strings_equal_oracle(name):
+    # every Seqq element on every chain of p <= 3 arrows, with every
+    # (q, p)-shuffle word for q <= 2 and every string of basis morphisms
+    P = get_prestack(name)
+    base = P.base
+    for p in range(4):
+        for simplex in base.nerve(p):
+            top = base.objects_along(simplex)[-1]
+            for q in range(3):
+                words = [beta.word for beta in cb.enumerate_shuffles((q, p))]
+                for entries, objects in basis_strings(P.fiber(top), q):
+                    for part in cb.partitions(p):
+                        for word in words:
+                            for zeta, s in one_pass_strings(P, simplex.arrows, part, entries,
+                                                            objects, word, top):
+                                assert s == build_graded_string(P, zeta, entries, objects,
+                                                                word, top)
 
 
 # -- F, G, T ------------------------------------------------------------------------
@@ -267,11 +320,19 @@ def oracle_blocks(terms, in_index, in_complex, field):
     return contrib
 
 
+GENERATED = {"carry-3-5": lambda: carry_prestack(3, 5, QQ), "fold": fold_prestack}
+
+
 @pytest.mark.parametrize("name,top", [("scalar-twist-3chain", 4), ("rank2-fiber", 3),
-                                      ("dual-pair", 3)])
+                                      ("dual-pair", 3), ("carry-3-5", 3), ("fold", 3)])
 def test_comparison_matrices_equal_term_by_term_oracle(name, top):
-    # the oracle sums one Seq element, path, shuffle and Omega string at a time
-    cmp_ = comparison(name)
+    # the oracle sums one Seq element, path, shuffle and Omega string at a time;
+    # a cyclic base composes chains to identities, a fold merges objects
+    if name in GENERATED:
+        P = GENERATED[name]()
+        cmp_ = Comparison(GSComplex(P), GradedComplex(P))
+    else:
+        cmp_ = comparison(name)
     CG, CU, F = cmp_.CG, cmp_.CU, cmp_.field
     for n in range(0, top + 1):
         maps = [("F", f_terms, CU, n, CG, n), ("G", g_terms, CG, n, CU, n)]
@@ -301,7 +362,7 @@ def test_comparison_memos_are_scoped_and_shapes_never_written(name):
         for which in ("F", "T", "G"):
             got = getattr(shared, "matrix_" + which)(n).to_triplet_text()
             assert got == getattr(fresh(), "matrix_" + which)(n).to_triplet_text()
-            assert shared._frames == shared._seqs == shared._omega == shared._strings == {}
+            assert shared._frames == shared._seqs == shared._omega == {}
     snapshot = copy.deepcopy(vars(shared.shapes))
     for n in (3, 2, 1):
         shared.matrix_F(n)
