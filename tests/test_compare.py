@@ -7,8 +7,8 @@ from math import factorial
 import pytest
 
 from conftest import get_pair, get_prestack
-from oracles import (GradedChain, big_omega_chain, build_graded_string, chain_face_sum,
-                     delta_chain, f_terms, g_terms, graded_terms, gs_terms, omega_chain,
+from oracles import (GradedChain, big_omega_chain, build_graded_string, c_sigma_partition,
+                     chain_face_sum, delta_chain, f_terms, g_terms, graded_terms, gs_terms, omega_chain,
                      pull_apply, seq_count, t_terms)
 from prestacks import combinatorics as cb
 from prestacks import fixtures
@@ -19,6 +19,7 @@ from prestacks.complexbase import SparseCochain, apply_matrix, pull_matrix
 from prestacks.graded import GradedCategory, GradedComplex, string_objects, string_simp
 from prestacks.gscomplex import GSComplex
 from prestacks.linalg import QQ, SparseMatrix
+from prestacks.lincat import identity_transform
 from test_generated import carry_prestack, fold_prestack
 
 
@@ -34,6 +35,22 @@ def comparison(name):
 
 
 # -- path values ----------------------------------------------------------------------
+
+
+def test_c_partition_single_block_identity(twist2):
+    part = [p for p in cb.partitions(2) if p.blocks == (2,)][0]
+    tw = c_sigma_partition(twist2, ("u01", "u12"), part)
+    assert tw.eq_components(identity_transform(tw.src_functor))
+    # the library reads the one block's composite as a chain of one arrow
+    block = twist2.base.composite(Simplex(twist2.base.src("u01"), ("u01", "u12")))
+    assert twist2.path_value((block,), "X") == tw.at("X")
+
+
+def test_c_partition_two_blocks_is_twist(twist2):
+    part = [p for p in cb.partitions(2) if p.blocks == (1, 1)][0]
+    tw = c_sigma_partition(twist2, ("u01", "u12"), part)
+    assert tw.at("X").coords == (twist2.field.parse(5),)
+    assert twist2.path_value(("u01", "u12"), "X") == tw.at("X")
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.BUILDERS))
