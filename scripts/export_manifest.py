@@ -3,9 +3,10 @@
 
     python3 scripts/export_manifest.py OUTDIR
 
-For each fixture under fixtures/ this runs ``export-matrix`` for the gs, nr
-and graded complexes in degrees 1-4, and ``deform --out-dir``, all writing
-into OUTDIR.  It then prints one ``sha256  path`` line per file, path relative
+For each fixture under fixtures/ this runs ``export-matrix`` for the gs and
+nr complexes in degrees 1-5 and the graded complex in degrees 1-4 (graded d5
+of rank2-fiber is 131072x16384), and ``deform --out-dir``, all writing into
+OUTDIR.  It then prints one ``sha256  path`` line per file, path relative
 to OUTDIR, sorted by path.  Two checkouts produce byte-identical outputs
 exactly when their manifests are equal, so a change that must not alter any
 output is checked with ``diff`` of the two manifests.
@@ -23,8 +24,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from prestacks.cli import main as cli_main  # noqa: E402
 
 FIXDIR = os.path.join(ROOT, "fixtures")
-COMPLEXES = ("gs", "nr", "graded")
-DEGREES = (1, 2, 3, 4)
+DEGREES = {"gs": (1, 2, 3, 4, 5), "nr": (1, 2, 3, 4, 5), "graded": (1, 2, 3, 4)}
 
 
 def run(argv):
@@ -45,8 +45,8 @@ def main():
             continue
         path = os.path.join(FIXDIR, fname)
         name = fname[: -len(".json")]
-        for which in COMPLEXES:
-            for n in DEGREES:
+        for which, degrees in DEGREES.items():
+            for n in degrees:
                 out = os.path.join(outdir, "%s-%s-d%d.txt" % (name, which, n))
                 run(["export-matrix", path, "--degree", str(n), "--complex", which,
                      "--out", out])

@@ -76,10 +76,17 @@ def cohomology_table(P, which, max_degree):
     return betti_numbers([SparseMatrix(diffs[0].cols, 0, P.field)] + diffs)
 
 
-def cmd_cohomology(args):
+def _over_degree_cap(n, slack=0):
+    """True, after one stderr line, if degree n exceeds PRESTACKS_DEGREE_CAP + slack."""
     cap = _env_int("PRESTACKS_DEGREE_CAP", 5)
-    if args.max_degree > cap:
-        print("degree %d exceeds cap %d" % (args.max_degree, cap), file=sys.stderr)
+    if n > cap + slack:
+        print("degree %d exceeds cap %d" % (n, cap), file=sys.stderr)
+        return True
+    return False
+
+
+def cmd_cohomology(args):
+    if _over_degree_cap(args.max_degree):
         return 1
     P = _load(args.file, fp=args.fp)
     if _violation(P):
@@ -246,11 +253,13 @@ LAWS = {
 
 
 def cmd_verify(args):
+    fn, default_n, default_t = LAWS[args.law]
+    N = args.degree if args.degree is not None else default_n
+    if _over_degree_cap(N):
+        return 1
     P = _load(args.file)
     if _violation(P):
         return 1
-    fn, default_n, default_t = LAWS[args.law]
-    N = args.degree if args.degree is not None else default_n
     T = args.trials if args.trials is not None else default_t
     CG, CU = _complexes(P)
     cmp_ = Comparison(CG, CU)
@@ -323,6 +332,9 @@ def cmd_deform(args):
 
 
 def cmd_export_matrix(args):
+    # d(cap + 1) is the largest differential that cohomology --max-degree cap builds
+    if _over_degree_cap(args.degree, slack=1):
+        return 1
     P = _load(args.file)
     if _violation(P):
         return 1

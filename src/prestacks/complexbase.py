@@ -14,10 +14,18 @@ operator's matrix, which ``apply_matrix`` applies to a cochain as to_vector,
 matvec, from_vector.  Coordinate conversion and random cochains also live
 here.
 
+A cell is a frame, its (simplex, objects) pair, plus a basis tuple, and
+``cells(n)`` lists each frame's cells one after another.  A complex's
+``_frame`` step computes once what every cell of a frame reads (faces,
+composites, functors, the blocks that read no argument) and memoizes per
+basis index the blocks that read one.  Only the most recent frame is kept, in
+one slot that is rebuilt when the frame changes; a term stream holds on to
+the frame it started with, so streams of different frames may interleave.
+
 A block may be shared between terms: a complex may memoize blocks on the data
-they depend on and hand the same dict to many terms.  So no consumer mutates
-a block; ``pull_matrix`` only reads them, and ``lincat.compose_blocks`` and
-``scale_block`` return new dicts.
+they depend on, for its life or for one frame, and hand the same dict to many
+terms and cells.  So no consumer mutates a block; ``pull_matrix`` only reads
+them, and ``lincat.compose_blocks`` and ``scale_block`` return new dicts.
 """
 
 from __future__ import annotations
@@ -110,9 +118,20 @@ class ComplexBase:
         self._cells = {}
         self._index = {}
         self._rank_cache = {}
+        self._slot = (None, None)  # the most recent frame: its key and its data
 
     # subclasses: cells(n) -> list of keys, _rank(simplex, objects) -> int,
+    # _new_frame(simplex, objects, n) -> frame data,
     # diff_contributions(key, n) -> iterable of (in_key, block)
+
+    def _frame(self, simplex, objects, n):
+        """The data of the frame (simplex, objects) in degree n, which every
+        cell of the frame reads.  Only the most recent frame is kept: cells(n)
+        lists each frame's cells one after another."""
+        key = (simplex, objects, n)
+        if self._slot[0] != key:
+            self._slot = (key, self._new_frame(simplex, objects, n))
+        return self._slot[1]
 
     def value_rank(self, key):
         """The rank of the value module of a cell; it depends only on

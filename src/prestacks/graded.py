@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from types import SimpleNamespace
 
 from .basecat import Simplex
 from .complexbase import ComplexBase
@@ -127,7 +128,10 @@ class GradedComplex(ComplexBase):
     and the i = n term mu(-, a_n).  ``_blocks`` memoizes what a term computes
     on exactly the data it reads (an argument is its grading, endpoints and
     basis index), never on the cell, so it holds one entry per distinct
-    argument datum and is shared by every degree.
+    argument datum and is shared by every degree.  The frame of a cell (see
+    ``complexbase``) holds the two sub-simplices with their composites and
+    the merge faces, the blocks by b_1, b_n and (i, b_i, b_{i+1}), and the
+    unit blocks by (coefficient, parity).
     """
 
     def __init__(self, prestack):
@@ -174,59 +178,82 @@ class GradedComplex(ComplexBase):
         self._cells[n] = out
         return out
 
+    def _new_frame(self, simplex, objects, n):
+        """What every cell of the frame reads: the two sub-simplices with their
+        composites, the merge faces, and empty memos for the blocks by basis index."""
+        base = self.P.base
+        arrows = simplex.arrows
+        head = Simplex(simplex.source, arrows[:-1])
+        tail = Simplex(base.tgt(arrows[0]), arrows[1:])
+        return SimpleNamespace(
+            rank=self.value_rank((simplex, objects, None)),
+            head=head, head_objects=objects[:-1], v_head=base.composite(head),
+            tail=tail, tail_objects=objects[1:], v_tail=base.composite(tail),
+            faces=[(base.face(simplex, n - i), objects[: n - i] + objects[n - i + 1 :])
+                   for i in range(1, n)],
+            lefts={}, rights={}, merges={}, units={})
+
     def diff_contributions(self, key, n):
         """The terms (in_key, block) of the differential at the degree-n cell.
 
-        Blocks come from ``_blocks`` and are shared between terms and cells;
-        no consumer may mutate one.
+        Blocks come from ``_blocks`` and the frame's unit blocks, and are
+        shared between terms and cells; no consumer may mutate one.
         """
-        P = self.P
         F = self.field
-        base = P.base
         blocks = self._blocks
         simplex, objects, btuple = key
-        args = [self.arg_key(simplex, objects, btuple, i) for i in range(1, n + 1)]
+        fr = self._frame(simplex, objects, n)
 
         # i = 0: mu(a_1, psi(a_2..a_n))
-        sub = Simplex(simplex.source, simplex.arrows[:-1])
-        in_key = (sub, objects[:-1], btuple[1:])
-        v = base.composite(sub)
-        memo_key = ("left", args[0], v, objects[0])
-        block = blocks.get(memo_key)
+        b = btuple[0]
+        block = fr.lefts.get(b)
         if block is None:
-            block = blocks[memo_key] = self.GM.left_mu(
-                self.arg_gmor(simplex, objects, btuple, 1), v, objects[0])
-        yield in_key, block
+            arg = self.arg_key(simplex, objects, btuple, 1)
+            memo_key = ("left", arg, fr.v_head, objects[0])
+            block = blocks.get(memo_key)
+            if block is None:
+                block = blocks[memo_key] = self.GM.left_mu(
+                    self.G.basis_gmor(*arg), fr.v_head, objects[0])
+            fr.lefts[b] = block
+        yield (fr.head, fr.head_objects, btuple[1:]), block
 
         # middle merges: the nonzero coordinates of mu(a_i, a_{i+1})
-        rank = self.value_rank(key)
         for i in range(1, n):
-            memo_key = ("merge", args[i - 1], args[i])
-            merged = blocks.get(memo_key)
-            if merged is None:
-                mu = self.G.mu(self.arg_gmor(simplex, objects, btuple, i),
-                               self.arg_gmor(simplex, objects, btuple, i + 1))
-                merged = blocks[memo_key] = tuple(
-                    (bm, c) for bm, c in enumerate(mu.coords) if not F.is_zero(c))
-            lo = n - i - 1
-            new_objects = objects[: lo + 1] + objects[lo + 2 :]
-            new_simplex = base.face(simplex, n - i)
-            for bm, coeff in merged:
-                nb = btuple[: i - 1] + (bm,) + btuple[i + 1 :]
-                in_key = (new_simplex, new_objects, nb)
-                yield in_key, unit_block(F, rank, coeff, -1 if i % 2 else 1)
+            mkey = (i, btuple[i - 1], btuple[i])
+            terms = fr.merges.get(mkey)
+            if terms is None:
+                a, c = (self.arg_key(simplex, objects, btuple, k) for k in (i, i + 1))
+                memo_key = ("merge", a, c)
+                merged = blocks.get(memo_key)
+                if merged is None:
+                    mu = self.G.mu(self.G.basis_gmor(*a), self.G.basis_gmor(*c))
+                    merged = blocks[memo_key] = tuple(
+                        (bm, v) for bm, v in enumerate(mu.coords) if not F.is_zero(v))
+                terms = fr.merges[mkey] = [(bm, self._unit(fr, v, i % 2)) for bm, v in merged]
+            face, face_objects = fr.faces[i - 1]
+            for bm, block in terms:
+                yield (face, face_objects, btuple[: i - 1] + (bm,) + btuple[i + 1 :]), block
 
         # i = n: mu(psi(a_1..a_{n-1}), a_n), whose sign is that of n's parity
-        sub = Simplex(base.tgt(simplex.arrows[0]), simplex.arrows[1:])
-        in_key = (sub, objects[1:], btuple[:-1])
-        v = base.composite(sub)
-        memo_key = ("right", v, objects[1], objects[-1], args[n - 1], n % 2)
-        block = blocks.get(memo_key)
+        b = btuple[-1]
+        block = fr.rights.get(b)
         if block is None:
-            block = self.GM.right_mu(v, objects[1], objects[-1],
-                                     self.arg_gmor(simplex, objects, btuple, n))
-            block = blocks[memo_key] = scale_block(F, F.one, block, -1 if n % 2 else 1)
-        yield in_key, block
+            arg = self.arg_key(simplex, objects, btuple, n)
+            memo_key = ("right", fr.v_tail, objects[1], objects[-1], arg, n % 2)
+            block = blocks.get(memo_key)
+            if block is None:
+                block = self.GM.right_mu(fr.v_tail, objects[1], objects[-1],
+                                         self.G.basis_gmor(*arg))
+                block = blocks[memo_key] = scale_block(F, F.one, block, -1 if n % 2 else 1)
+            fr.rights[b] = block
+        yield (fr.tail, fr.tail_objects, btuple[:-1]), block
+
+    def _unit(self, fr, c, odd):
+        """The frame's unit block of (-1)^odd c, one per (coefficient, parity)."""
+        block = fr.units.get((c, odd))
+        if block is None:
+            block = fr.units[(c, odd)] = unit_block(self.field, fr.rank, c, -1 if odd else 1)
+        return block
 
 
 # -- strings ------------------------------------------------------------------

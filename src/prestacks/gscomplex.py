@@ -23,11 +23,21 @@ states, from (no cuts, 0) to (all cuts, q), with the overall sign (-1)^q.
 The sum reads only R, the objects and the basis tuple, so it is memoized on
 them for the life of the complex.  The terms are summed per input cell and
 d_j yields one term per input cell.
+
+The differential is assembled frame by frame (see ``complexbase``).  A frame
+(simplex, objects) fixes the star functors, the input simplices and objects of
+every term, the d_simp blocks of face 0 and of the middle faces, d_p's block
+and sign, and the twist c_pref of each d_j.  Only the argument blocks read
+the basis tuple: the left block of a_1 by b_1, the right block of a_q by b_q,
+the merges by (i, b_i, b_{i+1}), d_p's restricted supports by (i, b_i) and
+d_j's left blocks by input object, each memoized for the frame; an
+argument's image under a functor is a column of its matrix.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from types import SimpleNamespace
 
 from .combinatorics import _check_cap, enumerate_shuffles
 from .complexbase import ComplexBase
@@ -40,12 +50,12 @@ def expand_multilinear(field, mors):
     Yields (coefficient, basis index tuple); tuples with a zero factor are
     skipped.  Slot order matches the input order.
     """
-    supports = []
-    for m in mors:
-        sup = [(i, c) for i, c in enumerate(m.coords) if not field.is_zero(c)]
-        if not sup:
-            return
-        supports.append(sup)
+    return expand_supports(field, [[(i, c) for i, c in enumerate(m.coords)
+                                    if not field.is_zero(c)] for m in mors])
+
+
+def expand_supports(field, supports):
+    """``expand_multilinear`` on the morphisms' nonzero (index, coordinate) lists."""
     for combo in product(*supports):
         coeff = field.one
         for _, c in combo:
@@ -108,109 +118,155 @@ class GSComplex(ComplexBase):
 
     # -- the differential --------------------------------------------------------
 
-    def diff_contributions(self, key, n):
-        """Yield (input_key, block) for the degree-n output cell ``key``."""
-        P = self.P
-        F = self.field
+    def _new_frame(self, simplex, objects, n):
+        """What every cell of the frame reads: input simplices and objects, the
+        blocks that do not read the arguments, and empty memos for those that do."""
+        P, F = self.P, self.field
         base = P.base
-        simplex, objects, btuple = key
-        p = simplex.p
-        q = len(btuple)
-        u0 = simplex.source
-        fib0 = P.fiber(u0)
-        top = base.objects_along(simplex)[-1]
-        fib = P.fiber(top)
-        args = [self.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
-        sgn_simp = -1 if n % 2 else 1  # (-1)^n on d_simp
-
-        # d_Hoch from C^{p, q-1}
-        if q >= 1:
-            a1 = P.sigma_lower(simplex).apply(args[0])
-            in_key = (simplex, objects[:-1], btuple[1:])
-            b_obj = P.sigma_upper(simplex).on_obj(objects[0])
-            yield in_key, fib0.left_block(b_obj, a1)
-            rank = self.value_rank(key)
-            for i in range(1, q):
-                merged = fib.compose(args[i - 1], args[i])
-                lo = q - i - 1  # merged morphism spans objects[lo] -> objects[lo+2]
-                new_objects = objects[: lo + 1] + objects[lo + 2 :]
-                for bm, coeff in enumerate(merged.coords):
-                    if F.is_zero(coeff):
-                        continue
-                    nb = btuple[: i - 1] + (bm,) + btuple[i + 1 :]
-                    in_key = (simplex, new_objects, nb)
-                    yield in_key, unit_block(F, rank, coeff, -1 if i % 2 else 1)
-            aq = P.sigma_upper(simplex).apply(args[q - 1])
-            in_key = (simplex, objects[1:], btuple[:-1])
-            a_obj = P.sigma_lower(simplex).on_obj(objects[-1])
-            yield in_key, scale_block(F, F.one, fib0.right_block(a_obj, aq),
-                                      -1 if q % 2 else 1)
-
-        # (-1)^n d_simp from C^{p-1, q}
+        p, q = simplex.p, len(objects) - 1
+        fib0 = P.fiber(simplex.source)
+        lower, upper = P.sigma_lower(simplex), P.sigma_upper(simplex)
+        fr = SimpleNamespace(
+            fib0=fib0, fib=P.fiber(base.objects_along(simplex)[-1]),
+            rank=self.value_rank((simplex, objects, None)), lower=lower, upper=upper,
+            b_obj=upper.on_obj(objects[0]), a_obj=lower.on_obj(objects[-1]),
+            head=objects[:-1], tail=objects[1:],
+            merge_objects=[objects[:q - i] + objects[q - i + 1:] for i in range(1, q)],
+            firsts={}, lasts={}, merges={}, faces=[], dp=None, supports={}, dp_blocks={},
+            higher=[])
         if p >= 1:
+            sgn_simp = -1 if n % 2 else 1  # (-1)^n on d_simp
             d0 = base.face(simplex, 0)
             c1 = P.c_sigma_k(simplex, 1).at(objects[-1])
-            u1 = simplex.arrows[0]
-            in_key = (d0, objects, btuple)
+            fu1 = P.restriction(simplex.arrows[0])
             bsub = P.sigma_upper(d0).on_obj(objects[0])
             asub = P.sigma_lower(d0).on_obj(objects[-1])
-            fu1 = P.restriction(u1)
             block = compose_blocks(F, fib0.left_block(fu1.on_obj(bsub), c1),
                                    fu1.block(bsub, asub))
-            yield in_key, scale_block(F, F.one, block, sgn_simp)
+            fr.faces.append((d0, scale_block(F, F.one, block, sgn_simp)))
             for i in range(1, p):
                 di = base.face(simplex, i)
                 eps = P.epsilon_sigma_i(simplex, i).at(objects[0])
-                in_key = (di, objects, btuple)
                 a_obj = P.sigma_lower(di).on_obj(objects[-1])
-                yield in_key, scale_block(F, F.one, fib0.right_block(a_obj, eps),
-                                          sgn_simp * (-1 if i % 2 else 1))
+                fr.faces.append((di, scale_block(F, F.one, fib0.right_block(a_obj, eps),
+                                                 sgn_simp * (-1 if i % 2 else 1))))
             dp = base.face(simplex, p)
-            cp = P.c_sigma_k(simplex, p - 1).at(objects[-1])
             up = P.restriction(simplex.arrows[-1])
-            sgn = sgn_simp * (-1 if p % 2 else 1)
-            restr_args = [up.apply(a) for a in args]
-            new_objects = tuple(up.on_obj(o) for o in objects)
-            block = fib0.left_block(P.sigma_upper(dp).on_obj(new_objects[0]), cp)
-            for coeff, nb in expand_multilinear(F, restr_args):
-                in_key = (dp, new_objects, nb)
-                yield in_key, scale_block(F, coeff, block, sgn)
+            dp_objects = tuple(up.on_obj(o) for o in objects)
+            cp = P.c_sigma_k(simplex, p - 1).at(objects[-1])
+            fr.dp = (dp, dp_objects, up,
+                     fib0.left_block(P.sigma_upper(dp).on_obj(dp_objects[0]), cp),
+                     sgn_simp * (-1 if p % 2 else 1))
+        for j in range(2, p + 1):
+            left = base.left_part(simplex, p - j)
+            fr.higher.append((j, left, P.sigma_upper(left),
+                              P.c_sigma_k(simplex, p - j).at(objects[-1]), {}))
+        return fr
+
+    def diff_contributions(self, key, n):
+        """Yield (input_key, block) for the degree-n output cell ``key``.
+
+        Everything but the argument blocks comes from the cell's frame; the
+        blocks are shared by the cells of the frame, so no consumer may
+        mutate one.
+        """
+        F = self.field
+        simplex, objects, btuple = key
+        fr = self._frame(simplex, objects, n)
+        fib0 = fr.fib0
+        q = len(btuple)
+
+        # d_Hoch from C^{p, q-1}
+        if q >= 1:
+            b = btuple[0]  # a_1 in hom(A_{q-1}, A_q)
+            block = fr.firsts.get(b)
+            if block is None:
+                a1 = fr.lower.basis_image(objects[-2], objects[-1], b)
+                block = fr.firsts[b] = fib0.left_block(fr.b_obj, a1)
+            yield (simplex, fr.head, btuple[1:]), block
+            for i in range(1, q):
+                mkey = (i, btuple[i - 1], btuple[i])
+                terms = fr.merges.get(mkey)
+                if terms is None:
+                    fib, lo = fr.fib, q - i - 1  # a_i a_{i+1} spans objects[lo] -> objects[lo+2]
+                    merged = fib.compose(fib.basis_mor(objects[lo + 1], objects[lo + 2], mkey[1]),
+                                         fib.basis_mor(objects[lo], objects[lo + 1], mkey[2]))
+                    terms = fr.merges[mkey] = [
+                        (bm, unit_block(F, fr.rank, c, -1 if i % 2 else 1))
+                        for bm, c in enumerate(merged.coords) if not F.is_zero(c)]
+                in_objects = fr.merge_objects[i - 1]
+                for bm, block in terms:
+                    yield (simplex, in_objects, btuple[: i - 1] + (bm,) + btuple[i + 1 :]), block
+            b = btuple[-1]  # a_q in hom(A_0, A_1)
+            block = fr.lasts.get(b)
+            if block is None:
+                aq = fr.upper.basis_image(objects[0], objects[1], b)
+                block = fr.lasts[b] = scale_block(F, F.one, fib0.right_block(fr.a_obj, aq),
+                                                  -1 if q % 2 else 1)
+            yield (simplex, fr.tail, btuple[:-1]), block
+
+        # (-1)^n d_simp from C^{p-1, q}
+        for face, block in fr.faces:
+            yield (face, objects, btuple), block
+        if fr.dp is not None:
+            dp, dp_objects, up, dp_block, sgn = fr.dp
+            supports = []
+            for i in range(1, q + 1):
+                skey = (i, btuple[i - 1])
+                sup = fr.supports.get(skey)
+                if sup is None:
+                    col = up.mats[(objects[q - i], objects[q - i + 1])][skey[1]]
+                    sup = fr.supports[skey] = [(k, c) for k, c in enumerate(col)
+                                               if not F.is_zero(c)]
+                supports.append(sup)
+            for coeff, nb in expand_supports(F, supports):
+                block = fr.dp_blocks.get(coeff)
+                if block is None:
+                    block = fr.dp_blocks[coeff] = scale_block(F, coeff, dp_block, sgn)
+                yield (dp, dp_objects, nb), block
 
         # higher components d_j from C^{p-j, q+j-1}, 2 <= j <= p: one term per input cell
-        for j in range(2, p + 1):
-            c_pref = P.c_sigma_k(simplex, p - j).at(objects[-1])
-            for in_key, coeff in self.higher_terms(key, j).items():
-                b_obj = P.sigma_upper(in_key[0]).on_obj(in_key[1][0])
-                yield in_key, scale_block(F, coeff, fib0.left_block(b_obj, c_pref))
+        for j, left, left_upper, c_pref, lefts in fr.higher:
+            for in_objects, nb, coeff in self._right_terms(key, j):
+                block = lefts.get(in_objects[0])
+                if block is None:
+                    block = lefts[in_objects[0]] = fib0.left_block(
+                        left_upper.on_obj(in_objects[0]), c_pref)
+                yield (left, in_objects, nb), scale_block(F, coeff, block)
 
     def higher_terms(self, key, j):
         """The component d_j at the output cell ``key`` as {input key: coefficient}.
+
+        The input keys are ``_right_terms``' with the left part of the simplex
+        attached, in a fresh dict.
+        """
+        left = self.P.base.left_part(key[0], key[0].p - j)
+        return {(left, in_objects, nb): v for in_objects, nb, v in self._right_terms(key, j)}
+
+    def _right_terms(self, key, j):
+        """The terms of d_j at ``key`` as (input objects, input btuple, coefficient).
 
         The sum over every path on the right part R of the simplex and every
         (q, j-1)-shuffle runs as dynamic programming over the states
         (coarsening of R, fiber tokens read); see the module docstring.  It
         reads only R, the objects and the basis tuple, so it is memoized on
-        them for the life of the complex, with the input keys stored without
-        their left part; the left part is attached on each call, to a fresh
-        dict.  Zero sums are left out.  Each shuffle shape is still listed
-        once per complex, and its words are not read: the listing refuses a
-        shape over ``PRESTACKS_ENUM_CAP`` with the same error, at the same
-        first use, as when the sum ran word by word.
+        them for the life of the complex.  Zero sums are left out.  Each
+        shuffle shape is still listed once per complex, and its words are not
+        read: the listing refuses a shape over ``PRESTACKS_ENUM_CAP`` with the
+        same error, at the same first use, as when the sum ran word by word.
         """
         simplex, objects, btuple = key
         q = len(btuple)
-        pp = simplex.p - j
         _check_cap(j)  # the same refusal as listing the paths on R
         shape = (q, j - 1)
         if shape not in self._shapes:
             enumerate_shuffles(shape)
             self._shapes.add(shape)
-        memo_key = (simplex.arrows[pp:], objects, btuple)
+        memo_key = (simplex.arrows[simplex.p - j:], objects, btuple)
         terms = self._higher.get(memo_key)
         if terms is None:
             terms = self._higher[memo_key] = self._higher_sum(key, j)
-        Lsimp = self.P.base.left_part(simplex, pp)
-        return {(Lsimp, sh_objects, nb): v for sh_objects, nb, v in terms}
+        return terms
 
     def _higher_sum(self, key, j):
         """The terms of d_j at ``key`` as (input objects, input btuple, coefficient)."""
@@ -219,7 +275,6 @@ class GSComplex(ComplexBase):
         simplex, objects, btuple = key
         q = len(btuple)
         R = simplex.arrows[simplex.p - j:]
-        args = [self.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
         full = (1 << (j - 1)) - 1
         chains = {}
 
@@ -259,7 +314,8 @@ class GSComplex(ComplexBase):
                 return hit
             acc = {}
             if f < q:
-                mor = P.stars(chain(cuts)).apply(args[f])
+                mor = P.stars(chain(cuts)).basis_image(objects[q - f - 1], objects[q - f],
+                                                       btuple[f])
                 prepend(mor, 1, suffix(cuts, f + 1), acc)
             sgn_f = -1 if (q - f) % 2 else 1  # fiber tokens after this path token
             for c in range(1, j):

@@ -240,6 +240,10 @@ class LinFunctor:
                 out[k] = F.add(out[k], F.mul(c, v))
         return Mor(self.tgt_cat, fa, fb, tuple(out))
 
+    def basis_image(self, a, b, i):
+        """The image of basis element i of hom(A, B): column i of the matrix."""
+        return Mor(self.tgt_cat, self.on_obj(a), self.on_obj(b), self.mats[(a, b)][i])
+
     def block(self, b, a):
         """The block of the functor on hom(B, A): its matrix, column by column."""
         F = self.tgt_cat.field

@@ -103,6 +103,14 @@ def test_cohomology_degree_cap(capsys, monkeypatch):
     assert code == 1
 
 
+def test_export_matrix_degree_cap_allows_the_last_differential(capsys, monkeypatch, tmp_path):
+    # cohomology --max-degree 2 builds d(3), so export-matrix may too
+    monkeypatch.setenv("PRESTACKS_DEGREE_CAP", "2")
+    code, out = run(capsys, "export-matrix", fixture_path("triv-A2"), "--degree", "3",
+                    "--out", str(tmp_path / "d3.txt"))
+    assert code == 0 and (tmp_path / "d3.txt").exists()
+
+
 def test_verify_shuffles_and_paths(capsys):
     code, out = run(capsys, "verify", fixture_path("scalar-twist-2chain"),
                     "--law", "shuffles")
@@ -308,6 +316,16 @@ BAD_INPUTS = [
     pytest.param(["verify", "scalar-twist-3chain", "--law", "fd", "--degree", "4"],
                  {"PRESTACKS_ENUM_CAP": "2"}, 1, "enumeration size",
                  id="enum-cap-exceeded-comparison"),
+    pytest.param(["verify", "triv-A2", "--law", "d2", "--degree", "7"], {}, 1,
+                 "degree 7 exceeds cap 5", id="verify-degree-over-cap"),
+    pytest.param(["verify", "missing.json", "--law", "d2", "--degree", "3"],
+                 {"PRESTACKS_DEGREE_CAP": "2"}, 1, "degree 3 exceeds cap 2",
+                 id="verify-degree-cap-before-load"),
+    pytest.param(["export-matrix", "triv-A2", "--degree", "7", "--out", "m.txt"], {}, 1,
+                 "degree 7 exceeds cap 5", id="export-degree-over-cap"),
+    pytest.param(["export-matrix", "missing.json", "--degree", "4", "--out", "m.txt"],
+                 {"PRESTACKS_DEGREE_CAP": "2"}, 1, "degree 4 exceeds cap 2",
+                 id="export-degree-cap-before-load"),
     pytest.param(["cohomology", "triv-A2", "--max-degree", "-1"], {}, 2, "parse error:",
                  id="negative-max-degree"),
     pytest.param(["verify", "triv-A2", "--law", "fd", "--degree", "-1"], {}, 2,
