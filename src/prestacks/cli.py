@@ -16,7 +16,7 @@ from .compare import Comparison
 from .deform import (DeformationDatum, build_deformation, classify_h2,
                      deformation_is_cocycle, validate_deformation)
 from .graded import GradedComplex
-from .gscomplex import GSComplex
+from .gscomplex import GSComplex, NrBasisError
 from .io import (ParseError, cochain_from_text, cochain_to_text, load_prestack,
                  save_prestack)
 from .linalg import SparseMatrix, betti_numbers
@@ -394,7 +394,7 @@ def main(argv=None):
     _env_int("PRESTACKS_ENUM_CAP", None)
     try:
         return args.fn(args)
-    except EnumerationCapError as exc:
+    except (EnumerationCapError, NrBasisError) as exc:
         print(exc, file=sys.stderr)
         return 1
 

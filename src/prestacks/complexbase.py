@@ -18,9 +18,17 @@ A cell is a frame, its (simplex, objects) pair, plus a basis tuple, and
 ``cells(n)`` lists each frame's cells one after another.  A complex's
 ``_frame`` step computes once what every cell of a frame reads (faces,
 composites, functors, the blocks that read no argument) and memoizes per
-basis index the blocks that read one.  Only the most recent frame is kept, in
-one slot that is rebuilt when the frame changes; a term stream holds on to
-the frame it started with, so streams of different frames may interleave.
+basis index, in ``combinatorics.Memo``s, the blocks that read one.  Only the
+most recent frame is kept, in one slot that is rebuilt when the frame
+changes; a term stream holds on to the frame it started with, so streams of
+different frames may interleave.
+
+Both complexes share their Hochschild part: the bar differential of the
+fibers (GS) or of the Grothendieck construction (graded).  ``_bar_terms`` is
+its one kernel.  It yields a cell's terms from the frame that ``_bar_frame``
+builds: a_1 acting on the left, each adjacent pair a_i a_{i+1} merged, as
+unit blocks of (-1)^i times the composite's coordinates, and a_q acting on
+the right.  A complex supplies only the input frames and the blocks.
 
 A block may be shared between terms: a complex may memoize blocks on the data
 they depend on, for its life or for one frame, and hand the same dict to many
@@ -31,8 +39,11 @@ them, and ``lincat.compose_blocks`` and ``scale_block`` return new dicts.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
+from .combinatorics import Memo
 from .linalg import SparseMatrix, accumulate
+from .lincat import unit_block
 
 
 class SparseCochain:
@@ -121,7 +132,7 @@ class ComplexBase:
         self._slot = (None, None)  # the most recent frame: its key and its data
 
     # subclasses: cells(n) -> list of keys, _rank(simplex, objects) -> int,
-    # _new_frame(simplex, objects, n) -> frame data,
+    # _new_frame(simplex, objects, n) -> frame data (a _bar_frame namespace),
     # diff_contributions(key, n) -> iterable of (in_key, block)
 
     def _frame(self, simplex, objects, n):
@@ -132,6 +143,41 @@ class ComplexBase:
         if self._slot[0] != key:
             self._slot = (key, self._new_frame(simplex, objects, n))
         return self._slot[1]
+
+    def _bar_frame(self, simplex, objects, head, tail, merge_in, left, right, merged):
+        """The frame data that ``_bar_terms`` reads, for the frame (simplex, objects).
+
+        ``head``, ``tail`` and ``merge_in[i - 1]`` are the (simplex, objects) of
+        the input cells of the left action, the right action and the i-th
+        merge.  ``left(b_1)`` and ``right(b_q)`` are the blocks of the first
+        and last argument, sign folded in; ``merged((i, b_i, b_{i+1}))`` gives
+        the (basis index, coordinate) pairs of the composite a_i a_{i+1}.
+        Each is memoized for the frame, and so is the unit block of each
+        (coordinate, parity of i).
+        """
+        F = self.field
+        rank = self.value_rank((simplex, objects, None))
+        units = Memo(lambda cp: unit_block(F, rank, cp[0], -1 if cp[1] else 1))
+        return SimpleNamespace(
+            head=head, tail=tail, merge_in=merge_in, lefts=Memo(left), rights=Memo(right),
+            merges=Memo(lambda k: [(b, units[(c, k[0] % 2)]) for b, c in merged(k)
+                                   if not F.is_zero(c)]),
+            units=units)
+
+    def _bar_terms(self, fr, btuple):
+        """The Hochschild terms (in_key, block) of the cell with basis tuple
+        ``btuple`` in the frame ``fr``: a_1 on the left, the merges, a_q on the
+        right.  A cell without arguments has none."""
+        if not btuple:
+            return
+        simplex, objects = fr.head
+        yield (simplex, objects, btuple[1:]), fr.lefts[btuple[0]]
+        for i in range(1, len(btuple)):
+            simplex, objects = fr.merge_in[i - 1]
+            for b, block in fr.merges[(i, btuple[i - 1], btuple[i])]:
+                yield (simplex, objects, btuple[: i - 1] + (b,) + btuple[i + 1 :]), block
+        simplex, objects = fr.tail
+        yield (simplex, objects, btuple[:-1]), fr.rights[btuple[-1]]
 
     def value_rank(self, key):
         """The rank of the value module of a cell; it depends only on

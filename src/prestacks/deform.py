@@ -14,7 +14,7 @@ from itertools import product
 from .basecat import Simplex
 from .gscomplex import GSComplex
 from .lincat import LinearCategory, LinFunctor, Mor, NatTransform, compose_functors
-from .linalg import DualNumbers
+from .linalg import DualNumbers, SparseMatrix
 from .prestack import Prestack
 
 
@@ -218,55 +218,28 @@ def equivalence_from_cochain(P, complex_, e, d1, d2):
 def classify_h2(P, complex_=None):
     """dim H^2 of the normalized reduced complex with representative cocycles.
 
-    Representatives are kernel vectors reduced to echelon form modulo the
-    image, so the choice is deterministic.
+    The representatives are the rows of the reduced row echelon form of the
+    cocycles Z^2 (d3's kernel) whose pivot is not a pivot of the coboundaries
+    B^2 (d2's columns), in pivot order.  They are the unique reduced basis of
+    a complement of B^2 in Z^2, so the choice is deterministic.  Earlier
+    releases reduced each kernel vector only at its leading entries; on some
+    inputs their representatives differ from these.
     """
     C = complex_ if complex_ is not None else GSComplex(P)
     F = C.field
-    d3 = C.nr_matrix(3)
-    d2 = C.nr_matrix(2)
+    d3, d2 = C.nr_matrix(3), C.nr_matrix(2)
+    image = SparseMatrix(d2.cols, d2.rows, F, d2.col_lists()).rref_pivots()
     kernel = d3.kernel_basis()
-    echelon = {}  # echelon basis of the image
-
-    def reduce_vec(vec):
-        v = dict(vec)
-        while v:
-            lead = min(v)
-            row = echelon.get(lead)
-            if row is None:
-                return v
-            coef = v[lead]
-            for j, w in row.items():
-                x = F.sub(v.get(j, F.zero), F.mul(coef, w))
-                if F.is_zero(x):
-                    v.pop(j, None)
-                else:
-                    v[j] = x
-        return v
-
-    def insert(vecdict):
-        v = reduce_vec(vecdict)
-        if not v:
-            return None
-        lead = min(v)
-        inv = F.inv(v[lead])
-        v = {j: F.mul(inv, w) for j, w in v.items()}
-        echelon[lead] = v
-        return v
-
-    for col in d2.col_lists():
-        if col:
-            insert(col)
-    reps = []
+    cocycles = SparseMatrix(len(kernel), d3.cols, F,
+                            [{i: v for i, v in enumerate(vec) if not F.is_zero(v)}
+                             for vec in kernel]).rref_pivots()
     nr2 = C.nr_keys(2)
-    for vec in kernel:
-        vd = {i: v for i, v in enumerate(vec) if not F.is_zero(v)}
-        v = insert(vd)
-        if v is not None:
-            full = [F.zero] * d3.cols
-            for i, w in v.items():
-                full[i] = w
-            reps.append(C.from_vector(2, full, keys=nr2))
+    reps = []
+    for col in sorted(set(cocycles) - set(image)):
+        full = [F.zero] * d3.cols
+        for i, v in cocycles[col].items():
+            full[i] = v
+        reps.append(C.from_vector(2, full, keys=nr2))
     return reps
 
 

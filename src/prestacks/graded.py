@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from types import SimpleNamespace
 
 from .basecat import Simplex
+from .combinatorics import Memo
 from .complexbase import ComplexBase
-from .lincat import compose_blocks, scale_block, unit_block
+from .lincat import compose_blocks, scale_block
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,8 @@ class GradedComplex(ComplexBase):
     and the i = n term mu(-, a_n).  ``_blocks`` memoizes what a term computes
     on exactly the data it reads (an argument is its grading, endpoints and
     basis index), never on the cell, so it holds one entry per distinct
-    argument datum and is shared by every degree.  The frame of a cell (see
-    ``complexbase``) holds the two sub-simplices with their composites and
-    the merge faces, the blocks by b_1, b_n and (i, b_i, b_{i+1}), and the
-    unit blocks by (coefficient, parity).
+    argument datum and is shared by every degree.  The differential is the
+    bar kernel of ``complexbase`` over the cell's frame.
     """
 
     def __init__(self, prestack):
@@ -139,7 +137,7 @@ class GradedComplex(ComplexBase):
         self.P = prestack
         self.G = GradedCategory(prestack)
         self.GM = GradedBimodule(self.G)
-        self._blocks = {}
+        self._blocks = Memo(self._new_block)
 
     # cells: (simplex, objects, btuple) with objects (A_0..A_n), A_i over U_i;
     # entry slot i (1-based) is graded by arrow u_{n+1-i}.
@@ -156,9 +154,6 @@ class GradedComplex(ComplexBase):
         """What argument slot i of a cell is: (grading, source, target, basis index)."""
         n = simplex.p
         return (simplex.arrows[n - i], objects[n - i], objects[n - i + 1], btuple[i - 1])
-
-    def arg_gmor(self, simplex, objects, btuple, i):
-        return self.G.basis_gmor(*self.arg_key(simplex, objects, btuple, i))
 
     def cells(self, n):
         if n in self._cells:
@@ -179,19 +174,40 @@ class GradedComplex(ComplexBase):
         return out
 
     def _new_frame(self, simplex, objects, n):
-        """What every cell of the frame reads: the two sub-simplices with their
-        composites, the merge faces, and empty memos for the blocks by basis index."""
-        base = self.P.base
+        """The bar frame of the cell's frame: the head and tail sub-simplices
+        and the merge faces, with the blocks of ``_blocks`` under their keys."""
+        base, blocks = self.P.base, self._blocks
         arrows = simplex.arrows
         head = Simplex(simplex.source, arrows[:-1])
         tail = Simplex(base.tgt(arrows[0]), arrows[1:])
-        return SimpleNamespace(
-            rank=self.value_rank((simplex, objects, None)),
-            head=head, head_objects=objects[:-1], v_head=base.composite(head),
-            tail=tail, tail_objects=objects[1:], v_tail=base.composite(tail),
-            faces=[(base.face(simplex, n - i), objects[: n - i] + objects[n - i + 1 :])
-                   for i in range(1, n)],
-            lefts={}, rights={}, merges={}, units={})
+        v_head, v_tail = base.composite(head), base.composite(tail)
+
+        def arg(i, b):  # argument slot i with basis index b, as ``arg_key`` gives it
+            return (arrows[n - i], objects[n - i], objects[n - i + 1], b)
+
+        return self._bar_frame(
+            simplex, objects, (head, objects[:-1]), (tail, objects[1:]),
+            [(base.face(simplex, n - i), objects[: n - i] + objects[n - i + 1 :])
+             for i in range(1, n)],
+            lambda b: blocks[("left", arg(1, b), v_head, objects[0])],
+            lambda b: blocks[("right", v_tail, objects[1], objects[-1], arg(n, b), n % 2)],
+            lambda k: blocks[("merge", arg(k[0], k[1]), arg(k[0] + 1, k[2]))])
+
+    def _new_block(self, key):
+        """The ``_blocks`` entry at ``key``.  i = 0: mu(a_1, -) on the head's
+        composite; a middle term: the nonzero coordinates of mu(a_i, a_{i+1});
+        i = n: mu(-, a_n) on the tail's composite, whose sign is that of n's
+        parity."""
+        G, F = self.G, self.field
+        if key[0] == "left":
+            _, arg, v, a_obj = key
+            return self.GM.left_mu(G.basis_gmor(*arg), v, a_obj)
+        if key[0] == "merge":
+            mu = G.mu(G.basis_gmor(*key[1]), G.basis_gmor(*key[2]))
+            return tuple((b, c) for b, c in enumerate(mu.coords) if not F.is_zero(c))
+        _, v, b_obj, c_obj, arg, odd = key
+        return scale_block(F, F.one, self.GM.right_mu(v, b_obj, c_obj, G.basis_gmor(*arg)),
+                           -1 if odd else 1)
 
     def diff_contributions(self, key, n):
         """The terms (in_key, block) of the differential at the degree-n cell.
@@ -199,61 +215,8 @@ class GradedComplex(ComplexBase):
         Blocks come from ``_blocks`` and the frame's unit blocks, and are
         shared between terms and cells; no consumer may mutate one.
         """
-        F = self.field
-        blocks = self._blocks
         simplex, objects, btuple = key
-        fr = self._frame(simplex, objects, n)
-
-        # i = 0: mu(a_1, psi(a_2..a_n))
-        b = btuple[0]
-        block = fr.lefts.get(b)
-        if block is None:
-            arg = self.arg_key(simplex, objects, btuple, 1)
-            memo_key = ("left", arg, fr.v_head, objects[0])
-            block = blocks.get(memo_key)
-            if block is None:
-                block = blocks[memo_key] = self.GM.left_mu(
-                    self.G.basis_gmor(*arg), fr.v_head, objects[0])
-            fr.lefts[b] = block
-        yield (fr.head, fr.head_objects, btuple[1:]), block
-
-        # middle merges: the nonzero coordinates of mu(a_i, a_{i+1})
-        for i in range(1, n):
-            mkey = (i, btuple[i - 1], btuple[i])
-            terms = fr.merges.get(mkey)
-            if terms is None:
-                a, c = (self.arg_key(simplex, objects, btuple, k) for k in (i, i + 1))
-                memo_key = ("merge", a, c)
-                merged = blocks.get(memo_key)
-                if merged is None:
-                    mu = self.G.mu(self.G.basis_gmor(*a), self.G.basis_gmor(*c))
-                    merged = blocks[memo_key] = tuple(
-                        (bm, v) for bm, v in enumerate(mu.coords) if not F.is_zero(v))
-                terms = fr.merges[mkey] = [(bm, self._unit(fr, v, i % 2)) for bm, v in merged]
-            face, face_objects = fr.faces[i - 1]
-            for bm, block in terms:
-                yield (face, face_objects, btuple[: i - 1] + (bm,) + btuple[i + 1 :]), block
-
-        # i = n: mu(psi(a_1..a_{n-1}), a_n), whose sign is that of n's parity
-        b = btuple[-1]
-        block = fr.rights.get(b)
-        if block is None:
-            arg = self.arg_key(simplex, objects, btuple, n)
-            memo_key = ("right", fr.v_tail, objects[1], objects[-1], arg, n % 2)
-            block = blocks.get(memo_key)
-            if block is None:
-                block = self.GM.right_mu(fr.v_tail, objects[1], objects[-1],
-                                         self.G.basis_gmor(*arg))
-                block = blocks[memo_key] = scale_block(F, F.one, block, -1 if n % 2 else 1)
-            fr.rights[b] = block
-        yield (fr.tail, fr.tail_objects, btuple[:-1]), block
-
-    def _unit(self, fr, c, odd):
-        """The frame's unit block of (-1)^odd c, one per (coefficient, parity)."""
-        block = fr.units.get((c, odd))
-        if block is None:
-            block = fr.units[(c, odd)] = unit_block(self.field, fr.rank, c, -1 if odd else 1)
-        return block
+        return self._bar_terms(self._frame(simplex, objects, n), btuple)
 
 
 # -- strings ------------------------------------------------------------------

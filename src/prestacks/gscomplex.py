@@ -27,21 +27,22 @@ d_j yields one term per input cell.
 The differential is assembled frame by frame (see ``complexbase``).  A frame
 (simplex, objects) fixes the star functors, the input simplices and objects of
 every term, the d_simp blocks of face 0 and of the middle faces, d_p's block
-and sign, and the twist c_pref of each d_j.  Only the argument blocks read
-the basis tuple: the left block of a_1 by b_1, the right block of a_q by b_q,
-the merges by (i, b_i, b_{i+1}), d_p's restricted supports by (i, b_i) and
-d_j's left blocks by input object, each memoized for the frame; an
-argument's image under a functor is a column of its matrix.
+and sign, and the twist c_pref of each d_j.  d_Hoch is the bar kernel
+``_bar_terms`` over the frame, with sigma_* a_1 acting on the left of the
+source fiber, the composites in the top fiber and sigma^* a_q acting on the
+right with (-1)^q.  Only the argument blocks read the basis tuple: besides
+the bar kernel's, d_p's restricted supports by (i, b_i) and d_j's left
+blocks by input object, each memoized for the frame; an argument's image
+under a functor is a column of its matrix.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from types import SimpleNamespace
 
-from .combinatorics import _check_cap, enumerate_shuffles
+from .combinatorics import Memo, _check_cap, enumerate_shuffles
 from .complexbase import ComplexBase
-from .lincat import compose_blocks, scale_block, unit_block
+from .lincat import compose_blocks, scale_block
 
 
 def expand_multilinear(field, mors):
@@ -63,6 +64,10 @@ def expand_supports(field, supports):
         yield coeff, tuple(i for i, _ in combo)
 
 
+class NrBasisError(ValueError):
+    """A fiber identity is not a basis vector, so the nr cells cannot be listed."""
+
+
 class GSComplex(ComplexBase):
     """Cells, differential and matrix assembly of the GS complex of P with
     coefficients in P itself."""
@@ -70,7 +75,7 @@ class GSComplex(ComplexBase):
     def __init__(self, prestack):
         super().__init__(prestack.field)
         self.P = prestack
-        self._higher = {}  # (R, objects, btuple) -> d_j terms without the left part
+        self._higher = Memo(self._higher_sum)  # (R, objects, btuple) -> d_j terms
         self._canon = {}  # one copy of each object and basis tuple the memo holds
         self._shapes = set()  # (q, j-1)-shuffle shapes the cap has let through
 
@@ -119,21 +124,34 @@ class GSComplex(ComplexBase):
     # -- the differential --------------------------------------------------------
 
     def _new_frame(self, simplex, objects, n):
-        """What every cell of the frame reads: input simplices and objects, the
-        blocks that do not read the arguments, and empty memos for those that do."""
+        """What every cell of the frame reads: the bar frame of d_Hoch, the
+        d_simp blocks that do not read the arguments and memos for those that do."""
         P, F = self.P, self.field
         base = P.base
         p, q = simplex.p, len(objects) - 1
-        fib0 = P.fiber(simplex.source)
+        fib0, fib = P.fiber(simplex.source), P.fiber(base.objects_along(simplex)[-1])
         lower, upper = P.sigma_lower(simplex), P.sigma_upper(simplex)
-        fr = SimpleNamespace(
-            fib0=fib0, fib=P.fiber(base.objects_along(simplex)[-1]),
-            rank=self.value_rank((simplex, objects, None)), lower=lower, upper=upper,
-            b_obj=upper.on_obj(objects[0]), a_obj=lower.on_obj(objects[-1]),
-            head=objects[:-1], tail=objects[1:],
-            merge_objects=[objects[:q - i] + objects[q - i + 1:] for i in range(1, q)],
-            firsts={}, lasts={}, merges={}, faces=[], dp=None, supports={}, dp_blocks={},
-            higher=[])
+        b_obj, a_obj = upper.on_obj(objects[0]), lower.on_obj(objects[-1])
+
+        def first(b):  # sigma_* a_1, a_1 in hom(A_{q-1}, A_q), on the left of fib0
+            return fib0.left_block(b_obj, lower.basis_image(objects[-2], objects[-1], b))
+
+        def last(b):  # sigma^* a_q, a_q in hom(A_0, A_1), on the right, with (-1)^q
+            aq = upper.basis_image(objects[0], objects[1], b)
+            return scale_block(F, F.one, fib0.right_block(a_obj, aq), -1 if q % 2 else 1)
+
+        def merged(key):  # a_i a_{i+1} spans objects[lo] -> objects[lo + 2]
+            i, b_i, b_next = key
+            lo = q - i - 1
+            return enumerate(fib.compose(fib.basis_mor(objects[lo + 1], objects[lo + 2], b_i),
+                                         fib.basis_mor(objects[lo], objects[lo + 1], b_next)
+                                         ).coords)
+
+        fr = self._bar_frame(
+            simplex, objects, (simplex, objects[:-1]), (simplex, objects[1:]),
+            [(simplex, objects[:q - i] + objects[q - i + 1:]) for i in range(1, q)],
+            first, last, merged)
+        fr.faces, fr.dp, fr.higher = [], None, []
         if p >= 1:
             sgn_simp = -1 if n % 2 else 1  # (-1)^n on d_simp
             d0 = base.face(simplex, 0)
@@ -147,20 +165,31 @@ class GSComplex(ComplexBase):
             for i in range(1, p):
                 di = base.face(simplex, i)
                 eps = P.epsilon_sigma_i(simplex, i).at(objects[0])
-                a_obj = P.sigma_lower(di).on_obj(objects[-1])
-                fr.faces.append((di, scale_block(F, F.one, fib0.right_block(a_obj, eps),
+                a_sub = P.sigma_lower(di).on_obj(objects[-1])
+                fr.faces.append((di, scale_block(F, F.one, fib0.right_block(a_sub, eps),
                                                  sgn_simp * (-1 if i % 2 else 1))))
             dp = base.face(simplex, p)
             up = P.restriction(simplex.arrows[-1])
             dp_objects = tuple(up.on_obj(o) for o in objects)
             cp = P.c_sigma_k(simplex, p - 1).at(objects[-1])
-            fr.dp = (dp, dp_objects, up,
-                     fib0.left_block(P.sigma_upper(dp).on_obj(dp_objects[0]), cp),
-                     sgn_simp * (-1 if p % 2 else 1))
+            dp_block = fib0.left_block(P.sigma_upper(dp).on_obj(dp_objects[0]), cp)
+            sgn_p = sgn_simp * (-1 if p % 2 else 1)
+
+            def support(key):  # the nonzero coordinates of up(a_i), a_i = basis b
+                i, b = key
+                col = up.mats[(objects[q - i], objects[q - i + 1])][b]
+                return [(k, c) for k, c in enumerate(col) if not F.is_zero(c)]
+
+            fr.dp = (dp, dp_objects, Memo(support),
+                     Memo(lambda coeff: scale_block(F, coeff, dp_block, sgn_p)))
+
+        def left_blocks(functor, c):  # A -> the block of c on the left of fib0 at functor(A)
+            return Memo(lambda obj: fib0.left_block(functor.on_obj(obj), c))
+
         for j in range(2, p + 1):
             left = base.left_part(simplex, p - j)
-            fr.higher.append((j, left, P.sigma_upper(left),
-                              P.c_sigma_k(simplex, p - j).at(objects[-1]), {}))
+            fr.higher.append((j, left, left_blocks(
+                P.sigma_upper(left), P.c_sigma_k(simplex, p - j).at(objects[-1]))))
         return fr
 
     def diff_contributions(self, key, n):
@@ -173,66 +202,23 @@ class GSComplex(ComplexBase):
         F = self.field
         simplex, objects, btuple = key
         fr = self._frame(simplex, objects, n)
-        fib0 = fr.fib0
-        q = len(btuple)
 
         # d_Hoch from C^{p, q-1}
-        if q >= 1:
-            b = btuple[0]  # a_1 in hom(A_{q-1}, A_q)
-            block = fr.firsts.get(b)
-            if block is None:
-                a1 = fr.lower.basis_image(objects[-2], objects[-1], b)
-                block = fr.firsts[b] = fib0.left_block(fr.b_obj, a1)
-            yield (simplex, fr.head, btuple[1:]), block
-            for i in range(1, q):
-                mkey = (i, btuple[i - 1], btuple[i])
-                terms = fr.merges.get(mkey)
-                if terms is None:
-                    fib, lo = fr.fib, q - i - 1  # a_i a_{i+1} spans objects[lo] -> objects[lo+2]
-                    merged = fib.compose(fib.basis_mor(objects[lo + 1], objects[lo + 2], mkey[1]),
-                                         fib.basis_mor(objects[lo], objects[lo + 1], mkey[2]))
-                    terms = fr.merges[mkey] = [
-                        (bm, unit_block(F, fr.rank, c, -1 if i % 2 else 1))
-                        for bm, c in enumerate(merged.coords) if not F.is_zero(c)]
-                in_objects = fr.merge_objects[i - 1]
-                for bm, block in terms:
-                    yield (simplex, in_objects, btuple[: i - 1] + (bm,) + btuple[i + 1 :]), block
-            b = btuple[-1]  # a_q in hom(A_0, A_1)
-            block = fr.lasts.get(b)
-            if block is None:
-                aq = fr.upper.basis_image(objects[0], objects[1], b)
-                block = fr.lasts[b] = scale_block(F, F.one, fib0.right_block(fr.a_obj, aq),
-                                                  -1 if q % 2 else 1)
-            yield (simplex, fr.tail, btuple[:-1]), block
+        yield from self._bar_terms(fr, btuple)
 
         # (-1)^n d_simp from C^{p-1, q}
         for face, block in fr.faces:
             yield (face, objects, btuple), block
         if fr.dp is not None:
-            dp, dp_objects, up, dp_block, sgn = fr.dp
-            supports = []
-            for i in range(1, q + 1):
-                skey = (i, btuple[i - 1])
-                sup = fr.supports.get(skey)
-                if sup is None:
-                    col = up.mats[(objects[q - i], objects[q - i + 1])][skey[1]]
-                    sup = fr.supports[skey] = [(k, c) for k, c in enumerate(col)
-                                               if not F.is_zero(c)]
-                supports.append(sup)
-            for coeff, nb in expand_supports(F, supports):
-                block = fr.dp_blocks.get(coeff)
-                if block is None:
-                    block = fr.dp_blocks[coeff] = scale_block(F, coeff, dp_block, sgn)
-                yield (dp, dp_objects, nb), block
+            dp, dp_objects, supports, dp_blocks = fr.dp
+            for coeff, nb in expand_supports(
+                    F, [supports[(i, b)] for i, b in enumerate(btuple, 1)]):
+                yield (dp, dp_objects, nb), dp_blocks[coeff]
 
         # higher components d_j from C^{p-j, q+j-1}, 2 <= j <= p: one term per input cell
-        for j, left, left_upper, c_pref, lefts in fr.higher:
+        for j, left, lefts in fr.higher:
             for in_objects, nb, coeff in self._right_terms(key, j):
-                block = lefts.get(in_objects[0])
-                if block is None:
-                    block = lefts[in_objects[0]] = fib0.left_block(
-                        left_upper.on_obj(in_objects[0]), c_pref)
-                yield (left, in_objects, nb), scale_block(F, coeff, block)
+                yield (left, in_objects, nb), scale_block(F, coeff, lefts[in_objects[0]])
 
     def higher_terms(self, key, j):
         """The component d_j at the output cell ``key`` as {input key: coefficient}.
@@ -262,19 +248,15 @@ class GSComplex(ComplexBase):
         if shape not in self._shapes:
             enumerate_shuffles(shape)
             self._shapes.add(shape)
-        memo_key = (simplex.arrows[simplex.p - j:], objects, btuple)
-        terms = self._higher.get(memo_key)
-        if terms is None:
-            terms = self._higher[memo_key] = self._higher_sum(key, j)
-        return terms
+        return self._higher[(simplex.arrows[simplex.p - j:], objects, btuple)]
 
-    def _higher_sum(self, key, j):
-        """The terms of d_j at ``key`` as (input objects, input btuple, coefficient)."""
+    def _higher_sum(self, memo_key):
+        """The terms of d_j, for the right part R (j arrows), objects and basis
+        tuple ``memo_key``, as (input objects, input btuple, coefficient)."""
         P, F = self.P, self.field
         base = P.base
-        simplex, objects, btuple = key
-        q = len(btuple)
-        R = simplex.arrows[simplex.p - j:]
+        R, objects, btuple = memo_key
+        j, q = len(R), len(btuple)
         full = (1 << (j - 1)) - 1
         chains = {}
 
@@ -380,7 +362,8 @@ class GSComplex(ComplexBase):
     def nr_keys(self, n):
         """Cells spanning the normalized reduced subcomplex.
 
-        Requires every fiber identity to be a basis vector of its hom module.
+        Requires every fiber identity to be a basis vector of its hom module;
+        raises ``NrBasisError`` otherwise.
         """
         P = self.P
         base = P.base
@@ -390,7 +373,7 @@ class GSComplex(ComplexBase):
             for a in fib.objects:
                 idx = fib.identity_basis_index(a)
                 if idx is None:
-                    raise ValueError(
+                    raise NrBasisError(
                         "fiber %s: identity of %s is not a basis vector; "
                         "nr basis enumeration unavailable" % (u, a))
                 id_idx[(u, a)] = idx

@@ -640,13 +640,20 @@ def right_mu(P, v, b_obj, c_obj, vec, a):
                      z, fw.on_obj(b_obj), GradedCategory(P).as_fiber_mor(a))
 
 
+def cell_gmors(CU, key):
+    """The arguments a_1..a_n of a graded cell, as graded morphisms."""
+    simplex, objects, btuple = key
+    return [CU.G.basis_gmor(*CU.arg_key(simplex, objects, btuple, i))
+            for i in range(1, len(btuple) + 1)]
+
+
 def graded_terms(CU, key, n):
     """The terms of the graded Hochschild differential at the degree-n cell."""
     P = CU.P
     F = CU.field
     base = P.base
     simplex, objects, btuple = key
-    args = [CU.arg_gmor(simplex, objects, btuple, i) for i in range(1, n + 1)]
+    args = cell_gmors(CU, key)
 
     # i = 0: mu(a_1, psi(a_2..a_n))
     sub = Simplex(simplex.source, simplex.arrows[:-1])
@@ -947,12 +954,11 @@ def f_terms(cmp_, key):
     P = cmp_.P
     F = cmp_.field
     base = P.base
-    simplex, objects, btuple = key
+    simplex, objects, _ = key
     n = simplex.p
     u0 = simplex.source
     fib0 = P.fiber(u0)
-    entries = [cmp_.CU.G.as_fiber_mor(cmp_.CU.arg_gmor(simplex, objects, btuple, i))
-               for i in range(1, n + 1)]
+    entries = [cmp_.CU.G.as_fiber_mor(g) for g in cell_gmors(cmp_.CU, key)]
     for p in range(0, n + 1):
         Lsimp = base.left_part(simplex, p)
         tail = (_tail_composite(P, simplex.arrows, entries, n + 1 - p, u0)
@@ -1009,13 +1015,12 @@ def t_terms(cmp_, key):
     """The terms of the homotopy T at a graded output cell."""
     P = cmp_.P
     F = cmp_.field
-    simplex, objects, btuple = key
+    simplex, objects, _ = key
     n = simplex.p
     if n == 0:
         return
     u0 = simplex.source
-    entries = [cmp_.CU.G.as_fiber_mor(cmp_.CU.arg_gmor(simplex, objects, btuple, i))
-               for i in range(1, n + 1)]
+    entries = [cmp_.CU.G.as_fiber_mor(g) for g in cell_gmors(cmp_.CU, key)]
     for sgn, string, corr in big_omega_terms(cmp_, simplex, entries, list(objects)):
         simp = string_simp(P.base, list(string))
         objsx = tuple(string_objects(list(string)))

@@ -8,8 +8,8 @@ import random
 from math import comb, factorial
 
 from conftest import get_pair, get_prestack
-from oracles import (GradedChain, big_omega_chain, chain_face, chain_face_sum, delta_chain,
-                     dense_rank_of_sparse, pointwise_diff, shuffle_filter_count)
+from oracles import (GradedChain, big_omega_chain, cell_gmors, chain_face, chain_face_sum,
+                     delta_chain, dense_rank_of_sparse, pointwise_diff, shuffle_filter_count)
 from prestacks import combinatorics as cb
 from prestacks import fixtures
 from prestacks.basecat import chain_poset
@@ -310,8 +310,7 @@ def test_11_chain_level_homotopy_identity():
             if any(r == 0 for r in ranks):
                 continue
             for btuple in iproduct(*(range(r) for r in ranks)):
-                gmors = [CU.arg_gmor(simplex, objects, btuple, i)
-                         for i in range(1, n + 1)]
+                gmors = cell_gmors(CU, (simplex, objects, btuple))
                 entries = [G.as_fiber_mor(g) for g in gmors]
                 om = big_omega_chain(cmp_, simplex, entries, list(objects))
                 ok &= all(len(s) == n + 1 for s in om.terms)

@@ -283,6 +283,18 @@ def _fp_doc(tmp_path):
     return _write(tmp_path, "fp4.json", json.dumps(doc))
 
 
+def _split_unit_doc(tmp_path):
+    """A valid prestack whose fiber identity a + b is not a basis vector:
+    End(X) has basis a, b with a^2 = a, b^2 = b and ab = ba = 0."""
+    doc = json.loads(open(fixture_path("dual-pair")).read())
+    doc["fibers"]["*"] = {
+        "objects": ["X"], "homs": {"X|X": ["a", "b"]},
+        "compose": [{"f": f, "g": f, "pair": ["X", "X", "X"], "result": {f: "1"}}
+                    for f in ("a", "b")],
+        "identities": {"X": {"a": "1", "b": "1"}}}
+    return _write(tmp_path, "split-unit.json", json.dumps(doc))
+
+
 # one bad input per row: argv (a callable of tmp_path gives a path), extra
 # environment, expected exit code, expected start of the one stderr line
 BAD_INPUTS = [
@@ -337,6 +349,12 @@ BAD_INPUTS = [
     pytest.param(["deform", "dual-pair", "--out-dir",
                   lambda t: os.path.join(_write(t, "afile", ""), "sub")],
                  {}, 2, "parse error:", id="deform-out-dir-under-file"),
+    pytest.param(["cohomology", _split_unit_doc, "--complex", "nr"], {}, 1,
+                 "fiber *: identity of X is not a basis vector", id="nr-identity-not-basis"),
+    pytest.param(["deform", _split_unit_doc], {}, 1,
+                 "fiber *: identity of X is not a basis vector", id="deform-identity-not-basis"),
+    pytest.param(["verify", _split_unit_doc, "--law", "gf"], {}, 1,
+                 "fiber *: identity of X is not a basis vector", id="gf-identity-not-basis"),
 ]
 
 

@@ -3,13 +3,17 @@ import random
 import pytest
 
 from conftest import get_pair, get_prestack
+from oracles import dense_rref, entry_dict
 from prestacks.basecat import Simplex
+from prestacks.cli import cohomology_table
 from prestacks.complexbase import SparseCochain
 from prestacks.deform import (DeformationDatum, EquivalenceDatum, build_deformation,
                               classify_h2, deformation_is_cocycle,
                               equivalence_from_cochain, is_nr_coboundary,
                               validate_deformation)
-from prestacks.linalg import DualNumbers
+from prestacks.gscomplex import GSComplex
+from prestacks.linalg import DualNumbers, PrimeField
+from test_generated import carry_prestack, fold_prestack
 
 
 def nr_random(C, n, seed):
@@ -99,6 +103,40 @@ def test_h2_representatives_validate(dual_pair):
     # pairwise differences are not coboundaries
     diff = reps[0].sub(reps[1])
     assert not is_nr_coboundary(C, diff)
+
+
+H2_INPUTS = {
+    "dual-pair": lambda: get_prestack("dual-pair"),
+    "fold": fold_prestack,
+    **{"carry-3-%d-F3" % c: (lambda c=c: carry_prestack(3, c, PrimeField(3)))
+       for c in range(2, 6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(H2_INPUTS))
+def test_h2_representatives_are_the_reduced_complement_basis(name):
+    """The representatives are dim H^2 normalized reduced cocycles in pivot
+    order, each with pivot 1 at a column that is not a pivot of the image of
+    d2, and zero at every image pivot and at every other one's pivot."""
+    P = H2_INPUTS[name]()
+    C = GSComplex(P)
+    F = C.field
+    reps = classify_h2(P, C)
+    assert len(reps) == cohomology_table(P, "nr", 2)[2] > 0
+    d2 = C.nr_matrix(2)
+    _, image_pivots = dense_rref({(j, i): v for (i, j), v in entry_dict(d2).items()},
+                                 d2.cols, d2.rows, getattr(F, "p", None))
+    vecs = [C.to_vector(rep, keys=C.nr_keys(2)) for rep in reps]
+    pivots = []
+    for rep, vec in zip(reps, vecs):
+        assert deformation_is_cocycle(C, DeformationDatum(C, rep))
+        lead = next(j for j, v in enumerate(vec) if not F.is_zero(v))
+        assert F.eq(vec[lead], F.one) and lead not in image_pivots
+        pivots.append(lead)
+    assert pivots == sorted(pivots)
+    for vec, lead in zip(vecs, pivots):
+        assert all(F.is_zero(vec[j]) for j in image_pivots)
+        assert all(F.is_zero(vec[j]) for j in pivots if j != lead)
 
 
 def test_coboundary_shift_gives_equivalence(dual_pair):
