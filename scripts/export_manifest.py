@@ -5,11 +5,13 @@
 
 For each fixture under fixtures/ this runs ``export-matrix`` for the gs and
 nr complexes in degrees 1-5 and the graded complex in degrees 1-4 (graded d5
-of rank2-fiber is 131072x16384), and ``deform --out-dir``, all writing into
-OUTDIR.  It then prints one ``sha256  path`` line per file, path relative
-to OUTDIR, sorted by path.  Two checkouts produce byte-identical outputs
-exactly when their manifests are equal, so a change that must not alter any
-output is checked with ``diff`` of the two manifests.
+of rank2-fiber is 131072x16384), writes the comparison maps F_n and G_n for
+n = 0-4 and the homotopy T_n for n = 1-4 in the same triplet form, and runs
+``deform --out-dir``, all writing into OUTDIR.  It then prints one
+``sha256  path`` line per file, path relative to OUTDIR, sorted by path.
+Two checkouts produce byte-identical outputs exactly when their manifests
+are equal, so a change that must not alter any output is checked with
+``diff`` of the two manifests.
 """
 
 import contextlib
@@ -22,9 +24,14 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from prestacks.cli import main as cli_main  # noqa: E402
+from prestacks.compare import Comparison  # noqa: E402
+from prestacks.graded import GradedComplex  # noqa: E402
+from prestacks.gscomplex import GSComplex  # noqa: E402
+from prestacks.io import load_prestack  # noqa: E402
 
 FIXDIR = os.path.join(ROOT, "fixtures")
 DEGREES = {"gs": (1, 2, 3, 4, 5), "nr": (1, 2, 3, 4, 5), "graded": (1, 2, 3, 4)}
+MAP_DEGREES = {"F": (0, 1, 2, 3, 4), "G": (0, 1, 2, 3, 4), "T": (1, 2, 3, 4)}
 
 
 def run(argv):
@@ -50,10 +57,22 @@ def main():
                 out = os.path.join(outdir, "%s-%s-d%d.txt" % (name, which, n))
                 run(["export-matrix", path, "--degree", str(n), "--complex", which,
                      "--out", out])
+        write_maps(path, os.path.join(outdir, name))
         run(["deform", path, "--out-dir", os.path.join(outdir, name + "-deform")])
     for rel in sorted(_files(outdir)):
         with open(os.path.join(outdir, rel), "rb") as fh:
             print("%s  %s" % (hashlib.sha256(fh.read()).hexdigest(), rel))
+
+
+def write_maps(path, stem):
+    """F_n, G_n and T_n of one prestack, each to ``stem-<map><n>.txt``."""
+    P = load_prestack(path)
+    cmp_ = Comparison(GSComplex(P), GradedComplex(P))
+    build = {"F": cmp_.matrix_F, "G": cmp_.matrix_G, "T": cmp_.matrix_T}
+    for which, degrees in MAP_DEGREES.items():
+        for n in degrees:
+            with open("%s-%s%d.txt" % (stem, which, n), "w") as fh:
+                fh.write(build[which](n).to_triplet_text())
 
 
 def _files(outdir):

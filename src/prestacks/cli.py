@@ -19,7 +19,7 @@ from .graded import GradedComplex
 from .gscomplex import GSComplex, NrBasisError
 from .io import (ParseError, cochain_from_text, cochain_to_text, load_prestack,
                  save_prestack)
-from .linalg import SparseMatrix, betti_numbers
+from .linalg import PrimeField, RationalField, SparseMatrix, betti_numbers
 
 
 def _parse_error(msg):
@@ -56,6 +56,15 @@ def _violation(P):
     return bad is not None
 
 
+def _not_a_field(P):
+    """True, after one stderr line, if P's scalars are not Q or F_p, which
+    elimination and so cohomology and deform need."""
+    if isinstance(P.field, (RationalField, PrimeField)):
+        return False
+    print("ring %s is not a field (Q or F_p)" % P.field.name, file=sys.stderr)
+    return True
+
+
 def cmd_validate(args):
     if _violation(_load(args.file)):
         return 1
@@ -89,7 +98,7 @@ def cmd_cohomology(args):
     if _over_degree_cap(args.max_degree):
         return 1
     P = _load(args.file, fp=args.fp)
-    if _violation(P):
+    if _not_a_field(P) or _violation(P):
         return 1
     dims = cohomology_table(P, args.complex, args.max_degree)
     print("degree\tdim H^n")
@@ -276,7 +285,7 @@ def cmd_verify(args):
 
 def cmd_deform(args):
     P = _load(args.file)
-    if _violation(P):
+    if _not_a_field(P) or _violation(P):
         return 1
     CG = GSComplex(P)
     if args.from_cocycle:

@@ -16,14 +16,18 @@ What the maps read is built once per scope (see ``shapes``):
 - per prestack, the value at one object of the paths of twists on a chain
   (``Prestack.path_value``), which F's and Omega's frames read;
 - per ``matrix_F`` or ``matrix_T`` call, what is keyed by cell data: the
-  frame per (simplex, A_n), the Seq values on each right part of a string
+  frame per (simplex, A_n), the Seq vectors on each right part of a string
   and Omega_{n-1} per argument tuple of the recursion.  These are emptied
   when the call returns, so memory stays bounded by one degree.
 
-G and Omega build each graded string in one pass from the Seqq element's
-levels on the chain and the shuffle word (``shapes.graded_string``).  F and
-T sum their terms per input cell: each stream yields one block per (output
-cell, input cell), as the differentials do.
+F and Omega read the Seq elements of a string as one vector over hom bases
+(``shapes.seq_vector``), summed block by block by the path-shuffle sum of
+the GS higher differentials.  G and Omega build each graded string in one
+pass from the Seqq element's levels on the chain and the shuffle word
+(``shapes.graded_string``); Omega builds it on the basis morphisms of one
+term of the Seq vector and carries the term's coefficient.  F and T sum
+their terms per input cell: each stream yields one block per (output cell,
+input cell), as the differentials do.
 """
 
 from __future__ import annotations
@@ -34,14 +38,13 @@ from .complexbase import apply_matrix, pull_matrix
 from .graded import GMor, string_objects, string_simp
 from .gscomplex import expand_multilinear
 from .lincat import Mor, compose_blocks, sum_blocks, unit_block
-# seq_elements and seqq_elements, the one-shot forms of Seq and Seqq, stay
-# part of this module's interface
+# seq_elements and seqq_elements, the element-by-element forms of Seq and
+# Seqq, stay part of this module's interface
 from .shapes import (  # noqa: F401
     Shapes,
     block_tail,
     graded_string,
     seq_elements,
-    seq_values,
     seq_vector,
     seqq_elements,
     zeta_levels,
@@ -58,7 +61,7 @@ class Comparison:
     fiber morphism of each argument datum (grading, source, target, basis
     index).  The other memos live for one ``matrix_F`` or ``matrix_T`` call
     and are emptied when it returns: ``_frames`` holds the frame per
-    (simplex, A_n), ``_seqs`` the Seq values per right part of F's strings
+    (simplex, A_n), ``_seqs`` the Seq vectors per right part of F's strings
     and ``_omega`` the Omega recursion per argument tuple.  A term stream
     read outside a matrix call fills them too, until the next such call
     empties them.  G keeps no memo of its own.
@@ -125,7 +128,7 @@ class Comparison:
         n = simplex.p
         fib0 = P.fiber(simplex.source)
         entries = self._entries(simplex, objects, btuple)
-        # the Seq values on the string from offset p >= 1 are shared by every
+        # the Seq vectors on the string from offset p >= 1 are shared by every
         # cell with the same right part
         caches = [{}] + [self._seqs.setdefault(
             (simplex.arrows[p:], objects[p:], btuple[: n - p]), {}) for p in range(1, n + 1)]
@@ -223,13 +226,17 @@ class Comparison:
     # omega / Omega / T ------------------------------------------------------------
 
     def omega_terms(self, simplex, entries, objects, p, caches=None):
-        """Signed corrected strings of omega_{n,p} for one graded component.
+        """Corrected strings of omega_{n,p} for one graded component, with
+        their coefficients.
 
-        Yields (sign, string, correction) with the correction morphism mapping
-        the string's value module into A(U_0)(A_0, sigma^* A_n).  ``caches``
-        may carry what ``seq_values`` already evaluated on this string.
+        Yields (coefficient, string, correction) with the correction morphism
+        mapping the string's value module into A(U_0)(A_0, sigma^* A_n).  The
+        Seq part of a string is one basis term of ``seq_vector``, whose
+        coefficient the string carries.  ``caches`` may carry what
+        ``seq_vector`` already evaluated on this string.
         """
         P = self.P
+        F = self.field
         base = P.base
         shapes = self.shapes
         n = simplex.p
@@ -240,6 +247,7 @@ class Comparison:
         tail = block_tail(P, under, u0, entries, caches[0])
         tail_entry = GMor(base.identities[u0], tail.src, tail.tgt, tail.coords)
         top = base.objects_along(simplex)[p]
+        fib = P.fiber(top)
         zetas = None
         for part, psign, pref, _ in parts:
             shape = shapes.seq[(arrows[p:], part)]
@@ -248,15 +256,20 @@ class Comparison:
                 words = shapes.shuffles[(n - p, p)]
                 zetas = [(zeta.sign, zeta_levels(base, zeta, arrows[:p]))
                          for part2 in shapes.partitions[p] for zeta in shapes.zetas[part2]]
-            values = seq_values(P, shape, entries[: n - p], objects[p:], caches, p)
-            for (_, _, xsign), (ents, objs) in zip(shape.elements, values):
+            vec = seq_vector(P, shape, entries[: n - p], objects[p:], caches, p)
+            for (objs, nb), c in vec.items():
+                last = len(nb)
+                ents = tuple(fib.basis_mor(objs[last - 1 - i], objs[last - i], b)
+                             for i, b in enumerate(nb))
                 for zsign, levels in zetas:
                     for word, wsign in words:
                         body = graded_string(P, levels, word, ents, objs, top)
-                        yield psign * xsign * zsign * wsign, body + (tail_entry,), pref
+                        yield (F.neg(c) if psign * zsign * wsign < 0 else c,
+                               body + (tail_entry,), pref)
 
     def big_omega_terms(self, simplex, entries, objects):
-        """Corrected strings of Omega_n, including the recursion tail.
+        """Corrected strings of Omega_n with their coefficients, including the
+        recursion tail.
 
         The tail reads Omega_{n-1} on (face_0 sigma, entries[:n-1],
         objects[1:]), kept in ``_omega`` per argument tuple.
@@ -274,13 +287,13 @@ class Comparison:
             id_entry = GMor(u1, top, objects[1], fib.identity(top).coords)
             a_entry = GMor(base.identities[u0], a1.src, a1.tgt, a1.coords)
             corr = fib.identity(top)
-            return [(1, (id_entry, a_entry), corr)]
+            return [(self.field.one, (id_entry, a_entry), corr)]
         out = []
-        s = -1 if (n + 1) % 2 else 1
+        neg = (n + 1) % 2
         caches = [{} for _ in range(n + 1)]
         for p in range(1, n + 1):
-            for sgn, string, pref in self.omega_terms(simplex, entries, objects, p, caches):
-                out.append((s * sgn, string, pref))
+            for c, string, pref in self.omega_terms(simplex, entries, objects, p, caches):
+                out.append((self.field.neg(c) if neg else c, string, pref))
         u1 = simplex.arrows[0]
         sub_simplex = base.face(simplex, 0)
         comp_sub = base.composite(sub_simplex)
@@ -314,12 +327,11 @@ class Comparison:
         fib0 = P.fiber(simplex.source)
         entries = self._entries(simplex, objects, btuple)
         acc = {}  # (gradings, objects, basis tuple) -> [correction, coordinates]
-        for sgn, string, corr in self.big_omega_terms(simplex, entries, list(objects)):
+        for c, string, corr in self.big_omega_terms(simplex, entries, list(objects)):
             gradings = tuple(e.grading for e in reversed(string))
             objsx = tuple(e.src_obj for e in reversed(string)) + (string[0].tgt_obj,)
             for coeff, nb in expand_multilinear(F, string):
-                if sgn < 0:
-                    coeff = F.neg(coeff)
+                coeff = F.mul(c, coeff)
                 hit = acc.get((gradings, objsx, nb))
                 if hit is None:
                     acc[(gradings, objsx, nb)] = [corr, [F.mul(coeff, v) for v in corr.coords]]

@@ -53,10 +53,6 @@ class DeformationDatum:
         self.complex = complex_
         self.cochain = cochain
 
-    def component(self, p):
-        """The C^{p, 2-p} part as a key -> vector dict."""
-        return {k: v for k, v in self.cochain.data.items() if k[0].p == p}
-
 
 def build_deformation(prestack, datum):
     """The prestack over dual numbers with structure perturbed by the datum.

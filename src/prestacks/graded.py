@@ -160,7 +160,7 @@ class GradedComplex(ComplexBase):
             return self._cells[n]
         P = self.P
         out = []
-        for simplex in P.base.nerve(n):
+        for simplex in P.base.nerve(n) if n >= 0 else ():
             obj_lists = [self.G.objects(u) for u in P.base.objects_along(simplex)]
             for objects in product(*obj_lists):
                 ranks = [self.entry_rank(simplex, objects, i) for i in range(1, n + 1)]
@@ -216,6 +216,8 @@ class GradedComplex(ComplexBase):
         shared between terms and cells; no consumer may mutate one.
         """
         simplex, objects, btuple = key
+        if not btuple:  # a degree-0 cell: nothing maps into it
+            return ()
         return self._bar_terms(self._frame(simplex, objects, n), btuple)
 
 

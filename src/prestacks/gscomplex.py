@@ -20,8 +20,10 @@ per step too: a path token read after f fiber tokens also carries (-1)^(q-f).
 Every step then depends only on the state (cuts, f), and the sum over all
 paths and words is dynamic programming over at most 2^(j-1) (q+1) such
 states, from (no cuts, 0) to (all cuts, q), with the overall sign (-1)^q.
-The sum reads only R, the objects and the basis tuple, so it is memoized on
-them for the life of the complex.  The terms are summed per input cell and
+That sum is ``path_shuffle_sum``; the Seq construction of the comparison
+maps is the same sum on each block of a partition (``shapes.seq_vector``).
+It reads only R, the objects and the basis tuple, so d_j memoizes it on them
+for the life of the complex.  The terms are summed per input cell and
 d_j yields one term per input cell.
 
 The differential is assembled frame by frame (see ``complexbase``).  A frame
@@ -62,6 +64,78 @@ def expand_supports(field, supports):
         for _, c in combo:
             coeff = field.mul(coeff, c)
         yield coeff, tuple(i for i, _ in combo)
+
+
+def path_shuffle_sum(P, R, objects, btuple):
+    """The sum over every path of whiskered twists on the arrow chain R and
+    every (q, j-1)-shuffle of its tokens with the q basis arguments
+    ``btuple`` between ``objects``, as {(objects, btuple): coeff} without
+    zeros, in the cell conventions (objects source-first, arguments
+    target-first).  A word carries its path sign times its shuffle sign; d_j
+    multiplies the sum by (-1)^q.  It is dynamic programming over the states
+    (coarsening of R, fiber tokens read); see the module docstring.
+    """
+    F = P.field
+    base = P.base
+    j, q = len(R), len(btuple)
+    full = (1 << (j - 1)) - 1
+    chains = {}
+
+    def chain(cuts):
+        """The coarsening of R with cuts at the set bits (bit c-1: after R[c-1])."""
+        out = chains.get(cuts)
+        if out is None:
+            out = [R[0]]
+            for c in range(1, j):
+                if cuts >> (c - 1) & 1:
+                    out.append(R[c])
+                else:
+                    out[-1] = base.then(out[-1], R[c])
+            out = chains[cuts] = tuple(out)
+        return out
+
+    def prepend(mor, sgn, tail, acc):
+        for b, c in enumerate(mor.coords):
+            if F.is_zero(c):
+                continue
+            if sgn < 0:
+                c = F.neg(c)
+            entry = (mor.src, mor.tgt, b)
+            for k, v in tail.items():
+                k = (entry,) + k
+                prev = acc.get(k)
+                v = F.mul(c, v)
+                acc[k] = v if prev is None else F.add(prev, v)
+
+    memo = {(full, q): {(): F.one}}
+
+    def suffix(cuts, f):
+        """Sum over the ways to read the rest of every word from the
+        coarsening ``cuts`` after f fiber tokens: {((src, tgt, basis), ...): coeff}."""
+        hit = memo.get((cuts, f))
+        if hit is not None:
+            return hit
+        acc = {}
+        if f < q:
+            mor = P.stars(chain(cuts)).basis_image(objects[q - f - 1], objects[q - f],
+                                                   btuple[f])
+            prepend(mor, 1, suffix(cuts, f + 1), acc)
+        sgn_f = -1 if (q - f) % 2 else 1  # fiber tokens after this path token
+        for c in range(1, j):
+            bit = 1 << (c - 1)
+            if cuts & bit:
+                continue
+            i = 1 + bin(cuts & (bit - 1)).count("1")  # merge index in pred
+            pred = cuts | bit
+            mor = P.epsilon_for(chain(pred), i).at(objects[-1 - f])
+            prepend(mor, sgn_f * (-1 if i % 2 else 1), suffix(pred, f), acc)
+        memo[(cuts, f)] = acc
+        return acc
+
+    # no entries only for j = 1, q = 0: the one object, moved along R
+    return {(tuple(e[0] for e in reversed(k)) + (k[0][1],) if k
+             else (P.stars(R).on_obj(objects[0]),), tuple(e[2] for e in k)): v
+            for k, v in suffix(0, 0).items() if not F.is_zero(v)}
 
 
 class NrBasisError(ValueError):
@@ -252,74 +326,12 @@ class GSComplex(ComplexBase):
 
     def _higher_sum(self, memo_key):
         """The terms of d_j, for the right part R (j arrows), objects and basis
-        tuple ``memo_key``, as (input objects, input btuple, coefficient)."""
-        P, F = self.P, self.field
-        base = P.base
-        R, objects, btuple = memo_key
-        j, q = len(R), len(btuple)
-        full = (1 << (j - 1)) - 1
-        chains = {}
-
-        def chain(cuts):
-            """The coarsening of R with cuts at the set bits (bit c-1: after R[c-1])."""
-            out = chains.get(cuts)
-            if out is None:
-                out = [R[0]]
-                for c in range(1, j):
-                    if cuts >> (c - 1) & 1:
-                        out.append(R[c])
-                    else:
-                        out[-1] = base.then(out[-1], R[c])
-                out = chains[cuts] = tuple(out)
-            return out
-
-        def prepend(mor, sgn, tail, acc):
-            for b, c in enumerate(mor.coords):
-                if F.is_zero(c):
-                    continue
-                if sgn < 0:
-                    c = F.neg(c)
-                entry = (mor.src, mor.tgt, b)
-                for k, v in tail.items():
-                    k = (entry,) + k
-                    prev = acc.get(k)
-                    v = F.mul(c, v)
-                    acc[k] = v if prev is None else F.add(prev, v)
-
-        memo = {(full, q): {(): F.one}}
-
-        def suffix(cuts, f):
-            """Sum over the ways to read the rest of every word from the
-            coarsening ``cuts`` after f fiber tokens: {((src, tgt, basis), ...): coeff}."""
-            hit = memo.get((cuts, f))
-            if hit is not None:
-                return hit
-            acc = {}
-            if f < q:
-                mor = P.stars(chain(cuts)).basis_image(objects[q - f - 1], objects[q - f],
-                                                       btuple[f])
-                prepend(mor, 1, suffix(cuts, f + 1), acc)
-            sgn_f = -1 if (q - f) % 2 else 1  # fiber tokens after this path token
-            for c in range(1, j):
-                bit = 1 << (c - 1)
-                if cuts & bit:
-                    continue
-                i = 1 + bin(cuts & (bit - 1)).count("1")  # merge index in pred
-                pred = cuts | bit
-                mor = P.epsilon_for(chain(pred), i).at(objects[-1 - f])
-                prepend(mor, sgn_f * (-1 if i % 2 else 1), suffix(pred, f), acc)
-            memo[(cuts, f)] = acc
-            return acc
-
-        canon = self._canon
-        out = []
-        for k, v in suffix(0, 0).items():
-            if not F.is_zero(v):
-                sh_objects = tuple(e[0] for e in reversed(k)) + (k[0][1],)
-                nb = tuple(e[2] for e in k)
-                out.append((canon.setdefault(sh_objects, sh_objects), canon.setdefault(nb, nb),
-                            F.neg(v) if q % 2 else v))
-        return tuple(out)
+        tuple ``memo_key``, as (input objects, input btuple, coefficient): the
+        path-shuffle sum times (-1)^q, its objects and basis tuples interned."""
+        F, canon = self.field, self._canon
+        neg = len(memo_key[2]) % 2
+        return tuple((canon.setdefault(objs, objs), canon.setdefault(nb, nb), F.neg(v) if neg else v)
+                     for (objs, nb), v in path_shuffle_sum(self.P, *memo_key).items())
 
     # -- normalized / reduced -------------------------------------------------
 

@@ -232,11 +232,11 @@ class LinFunctor:
         F = self.tgt_cat.field
         fa, fb = self.on_obj(f.src), self.on_obj(f.tgt)
         out = [F.zero] * self.tgt_cat.rank(fa, fb)
-        cols = self.mats.get((f.src, f.tgt), ())
-        for i, c in enumerate(f.coords):
+        # a missing matrix reads as zero here; validate() reports it
+        for c, col in zip(f.coords, self.mats.get((f.src, f.tgt), ())):
             if F.is_zero(c):
                 continue
-            for k, v in enumerate(cols[i]):
+            for k, v in enumerate(col):
                 out[k] = F.add(out[k], F.mul(c, v))
         return Mor(self.tgt_cat, fa, fb, tuple(out))
 
@@ -252,6 +252,9 @@ class LinFunctor:
 
     def validate(self):
         C, D = self.src_cat, self.tgt_cat
+        for a, b in product(C.objects, repeat=2):
+            if len(self.mats.get((a, b), ())) != C.rank(a, b):
+                return "functor has no matrix on hom(%s, %s)" % (a, b)
         for a in C.objects:
             if self.apply(C.identity(a)) != D.identity(self.on_obj(a)):
                 return "functor does not preserve identity at %s" % a
@@ -325,7 +328,9 @@ class NatTransform:
         F, G = self.src_functor, self.tgt_functor
         C = F.src_cat
         for a in C.objects:
-            comp = self.at(a)
+            comp = self.components.get(a)
+            if comp is None:
+                return "no component at %s" % a
             if comp.src != F.on_obj(a) or comp.tgt != G.on_obj(a):
                 return "component at %s has wrong endpoints" % a
         D = F.tgt_cat

@@ -3,8 +3,10 @@ maps, split into what depends only on shape and its evaluation on a string.
 
 A Seq element is a fiber simplex built from a string of fiber morphisms by a
 partition of its chain: per block a path of twists, shuffled with the Seq
-elements of the rest.  ``SeqShape`` lists which path, shuffle, token and sign
-make up each element; ``seq_values`` evaluates a shape on a string's entries.
+elements of the rest.  ``SeqShape`` is the skeleton of a chain and partition.
+``seq_vector`` sums its elements on a string over hom bases, block by block,
+through ``gscomplex.path_shuffle_sum``, the sum d_j reads too;
+``seq_elements`` lists them one by one.
 A Seqq element (``Zeta``) is pure combinatorics on the chain's indices;
 ``zeta_levels`` reads what it does on an arrow chain, and ``graded_string``
 builds its graded shuffle product with a fiber simplex for one word in one
@@ -14,11 +16,13 @@ pass.  ``Shapes`` keeps the shape data for one ``compare.Comparison``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 from .basecat import Simplex
 from .combinatorics import (
     Memo,
+    _check_cap,
     Partition,
     Path,
     enumerate_conditioned,
@@ -29,7 +33,7 @@ from .combinatorics import (
     signed_words,
 )
 from .graded import GMor
-from .gscomplex import expand_multilinear
+from .gscomplex import path_shuffle_sum
 
 
 # -- Seq ---------------------------------------------------------------------------
@@ -57,31 +61,31 @@ class SeqShape(NamedTuple):
     """The skeleton of the Seq elements over one arrow chain and partition.
 
     Everything here depends on the chain and the partition only, never on the
-    fiber entries.  The first block has ``mk`` arrows; ``sub`` is the shape of
-    the rest of the partition on the arrows after it.  An element pairs a sub
-    element with a plan: one path on the first block and one
-    (n - mk, mk - 1)-shuffle.  A plan's tokens, in output order (target-first),
-    are (0, chain): the star functor of ``chain`` applied to the next sub
-    entry, or (1, chain, i): the whiskered twist ``epsilon_for(chain, i)`` at
-    the current sub object.  The element's last entry is the composite of the
-    block's slots, slot i underlined by the star functor of ``under``'s chain.
+    fiber entries.  The first block ``first`` has ``mk`` arrows; ``sub`` is the
+    shape of the rest of the partition on the arrows after it.  An element
+    pairs a sub element with a path on the first block and an
+    (n - mk, mk - 1)-shuffle of the sub element's entries, each under the star
+    functor of the path's current chain, with the path's whiskered twists.
+    Its last entry is the composite of the block's slots, slot i underlined
+    by the star functor of ``under``'s chain.
     """
 
     n: int
     mk: int
     bottom: str     # the chain's source
     under: tuple    # chains underlining slots n, n - 1, ..., n + 1 - mk
-    plans: tuple    # per (path, shuffle): (sign, tokens)
-    elements: tuple  # per element: (sub element index, plan index, sign)
+    first: tuple    # the first block's arrows
     sub: "SeqShape | None"
 
 
-EMPTY_SEQ = SeqShape(0, 0, None, (), (), ((0, 0, 1),), None)
+EMPTY_SEQ = SeqShape(0, 0, None, (), (), None)
 
 
 def seq_shape(base, arrows, part, shapes):
-    """The ``SeqShape`` of ``part`` on ``arrows``; sub shapes, paths and
-    shuffles come from the memos of ``shapes``."""
+    """The ``SeqShape`` of ``part`` on ``arrows``; sub shapes come from the
+    memo of ``shapes``.  It refuses, in order, a sub shape, the paths on the
+    first block and the shuffles over ``PRESTACKS_ENUM_CAP``, as listing them
+    would."""
     n = len(arrows)
     if part.n != n:
         raise ValueError("partition does not match chain length")
@@ -89,41 +93,11 @@ def seq_shape(base, arrows, part, shapes):
         return EMPTY_SEQ
     mk = part.blocks[0]
     sub = shapes.seq[(arrows[mk:], Partition(part.blocks[1:]))]
-    plans = []
-    for path in shapes.paths[arrows[:mk]]:
-        steps = path.steps(base)
-        chains = [path.arrows] + [c[: i - 1] + (base.then(c[i - 1], c[i]),) + c[i + 1:]
-                                  for c, i in steps]
-        for word, sign in shapes.shuffles[(n - mk, mk - 1)]:
-            tokens = []
-            merged = 0
-            for tok in word:
-                if tok == 0:
-                    tokens.append((0, chains[mk - 1 - merged]))
-                else:
-                    tokens.append((1,) + steps[mk - 2 - merged])
-                    merged += 1
-            plans.append((path.sign * sign, tuple(tokens)))
-    elements = tuple((si, pi, sub_sign * sign)
-                     for si, (_, _, sub_sign) in enumerate(sub.elements)
-                     for pi, (sign, _) in enumerate(plans))
-    return SeqShape(n, mk, base.src(arrows[0]),
-                    tuple(arrows[: n - i] for i in range(n, n - mk, -1)),
-                    tuple(plans), elements, sub)
-
-
-def seq_tags(shape):
-    """Per element of ``shape``, the token tag of each entry: ("tw", block)
-    for a twist of a block's path, ("a", block) for a block's composite."""
-    if shape.n == 0:
-        return [()]
-    subs = [[(kind, b + 1) for kind, b in tags] for tags in seq_tags(shape.sub)]
-    out = []
-    for si, pi, _ in shape.elements:
-        it = iter(subs[si])
-        out.append(tuple(next(it) if tok[0] == 0 else ("tw", 0)
-                         for tok in shape.plans[pi][1]) + (("a", 0),))
-    return out
+    if mk > 1:
+        _check_cap(mk)
+    _check_cap(n - 1)
+    return SeqShape(n, mk, base.src(arrows[0]), tuple(arrows[:i] for i in range(mk)),
+                    arrows[:mk], sub)
 
 
 def block_tail(P, under, bottom, entries, cache):
@@ -141,66 +115,19 @@ def block_tail(P, under, bottom, entries, cache):
     return acc
 
 
-def seq_heads(P, shape, entries, objects, caches, off=0):
-    """Per element of a shape with n > 0, its entries but the last (the block
-    composite), aligned with ``shape.elements``.
-
-    ``entries`` lists the string's fiber morphisms (slot 1 over the last
-    arrow), ``objects`` the object chain A_0..A_n.  The heads read only the
-    string from offset ``mk`` on, which the sub shape reads too: a prefix of
-    the entries and a suffix of the objects.  ``caches[off]`` keeps what was
-    evaluated on the string from offset ``off`` of the outermost one, keyed
-    by shape id, so the heads are kept in ``caches[off + mk]``.
-    """
-    n, mk = shape.n, shape.mk
-    cache = caches[off + mk]
-    heads = cache.get(("heads", id(shape)))
-    if heads is None:
-        subs = seq_values(P, shape.sub, entries[: n - mk], objects[mk:], caches, off + mk)
-        plans = [[(0, P.stars(tok[1])) if tok[0] == 0 else (1, P.epsilon_for(tok[1], tok[2]))
-                  for tok in tokens] for _, tokens in shape.plans]
-        heads = []
-        for si, pi, _ in shape.elements:
-            sub_entries, sub_objects = subs[si]
-            ents = []
-            fed = 0
-            for kind, x in plans[pi]:
-                if kind == 0:
-                    ents.append(x.apply(sub_entries[fed]))
-                    fed += 1
-                else:
-                    ents.append(x.at(sub_objects[-1 - fed]))
-            heads.append(tuple(ents))
-        cache[("heads", id(shape))] = heads
-    return heads
-
-
-def seq_values(P, shape, entries, objects, caches, off=0):
-    """The Seq elements of ``shape`` on a string, as (entries, objects) pairs
-    aligned with ``shape.elements``, kept in ``caches[off]`` (see
-    ``seq_heads``)."""
-    out = caches[off].get(id(shape))
-    if out is None:
-        if shape.n == 0:
-            out = [((), (objects[0],))]
-        else:
-            tail = block_tail(P, shape.under, shape.bottom, entries, caches[off])
-            out = []
-            for head in seq_heads(P, shape, entries, objects, caches, off):
-                ents = head + (tail,)
-                out.append((ents, tuple(e.src for e in reversed(ents)) + (ents[0].tgt,)))
-        caches[off][id(shape)] = out
-    return out
-
-
 def seq_vector(P, shape, entries, objects, caches, off=0):
     """The signed sum of the Seq elements of ``shape`` on a string, expanded
     over hom bases: {(element objects, basis index tuple): coefficient}
-    without zeros, kept in ``caches[off]`` (see ``seq_heads``).
+    without zeros.
 
-    Every element ends in the same block composite, so the sum is the signed
-    sum of the expanded heads, kept beside the heads, times the expanded
-    composite.
+    ``entries`` lists the string's fiber morphisms (slot 1 over the last
+    arrow), ``objects`` the object chain A_0..A_n.  ``caches[off]`` keeps what
+    was evaluated on the string from offset ``off`` of the outermost one,
+    keyed by shape id.  Every element ends in the same block composite, so the
+    sum is its heads' sum times the expanded composite.  The heads' sum is
+    ``path_shuffle_sum`` on the first block, summed over the sub shape's
+    vector; it reads the string from offset ``mk`` on only, so it is kept in
+    ``caches[off + mk]``.
     """
     F = P.field
     vec = caches[off].get(("vector", id(shape)))
@@ -209,19 +136,18 @@ def seq_vector(P, shape, entries, objects, caches, off=0):
     if shape.n == 0:
         vec = {((objects[0],), ()): F.one}
     else:
-        cache = caches[off + shape.mk]
-        heads = cache.get(("head vector", id(shape)))
+        n, mk = shape.n, shape.mk
+        cache = caches[off + mk]
+        heads = cache.get(("heads", id(shape)))
         if heads is None:
             acc = {}
-            for (_, _, sign), head in zip(shape.elements,
-                                          seq_heads(P, shape, entries, objects, caches, off)):
-                objs = tuple(e.src for e in reversed(head)) + (head[0].tgt,) if head else ()
-                for coeff, nb in expand_multilinear(F, head):
-                    if sign < 0:
-                        coeff = F.neg(coeff)
-                    prev = acc.get((objs, nb))
-                    acc[(objs, nb)] = coeff if prev is None else F.add(prev, coeff)
-            heads = cache[("head vector", id(shape))] = [
+            for (sub_objs, sub_nb), c in seq_vector(P, shape.sub, entries[: n - mk],
+                                                    objects[mk:], caches, off + mk).items():
+                for key, v in path_shuffle_sum(P, shape.first, sub_objs, sub_nb).items():
+                    v = F.mul(c, v)
+                    prev = acc.get(key)
+                    acc[key] = v if prev is None else F.add(prev, v)
+            heads = cache[("heads", id(shape))] = [
                 (k, c) for k, c in acc.items() if not F.is_zero(c)]
         tail = block_tail(P, shape.under, shape.bottom, entries, caches[off])
         vec = {}
@@ -229,22 +155,55 @@ def seq_vector(P, shape, entries, objects, caches, off=0):
             if F.is_zero(tc):
                 continue
             for (objs, nb), c in heads:
-                vec[((tail.src,) + (objs or (tail.tgt,)), nb + (b,))] = F.mul(c, tc)
+                vec[((tail.src,) + objs, nb + (b,))] = F.mul(c, tc)
     caches[off][("vector", id(shape))] = vec
     return vec
 
 
 def seq_elements(P, arrows, entries, objects, part):
-    """All Seq elements for a string over ``arrows`` and a partition.
+    """All Seq elements for a string over ``arrows`` and a partition, one per
+    sub element, path on the first block and shuffle, in that order.
 
     ``entries`` lists the string's fiber morphisms (slot 1 over the last
     arrow), ``objects`` the graded object chain A_0..A_n.  Elements are fiber
-    simplices over the chain's source with signs and token tags.
+    simplices over the chain's source with signs and token tags: ("tw", block)
+    for a twist of a block's path, ("a", block) for a block's composite.
     """
-    shape = Shapes(P).seq[(tuple(arrows), part)]
-    values = seq_values(P, shape, entries, objects, [{} for _ in range(len(arrows) + 1)])
-    return [SeqElement(ents, sign, tags, objs[0], objs[-1])
-            for (_, _, sign), tags, (ents, objs) in zip(shape.elements, seq_tags(shape), values)]
+    base = P.base
+    arrows = tuple(arrows)
+    n = len(arrows)
+    if part.n != n:
+        raise ValueError("partition does not match chain length")
+    if n == 0:
+        return [SeqElement((), 1, (), objects[0], objects[0])]
+    mk = part.blocks[0]
+    subs = seq_elements(P, arrows[mk:], entries[: n - mk], objects[mk:],
+                        Partition(part.blocks[1:]))
+    tail = block_tail(P, tuple(arrows[:i] for i in range(mk)), base.src(arrows[0]), entries, {})
+    out = []
+    for s in subs:
+        sub_objects = s.objects()
+        for path in paths_or_trivial(arrows[:mk]):
+            for beta in enumerate_shuffles((n - mk, mk - 1)):
+                # read target-first from the composed block: each twist
+                # undoes the latest of the path's merges still in place
+                chain, twists = (reduce(base.then, arrows[:mk]),), reversed(path.steps(base))
+                ents, tags, fed = [], [], 0
+                for tok in beta.word:
+                    if tok == 0:
+                        ents.append(P.stars(chain).apply(s.entries[fed]))
+                        kind, b = s.tags[fed]
+                        tags.append((kind, b + 1))
+                        fed += 1
+                    else:
+                        chain, i = next(twists)
+                        ents.append(P.epsilon_for(chain, i).at(sub_objects[-1 - fed]))
+                        tags.append(("tw", 0))
+                ents.append(tail)
+                tags.append(("a", 0))
+                out.append(SeqElement(tuple(ents), path.sign * beta.sign * s.sign,
+                                      tuple(tags), tail.src, ents[0].tgt))
+    return out
 
 
 # -- Seqq --------------------------------------------------------------------------
@@ -373,8 +332,8 @@ class Shapes:
     """What the comparison maps read that depends only on shape, each listed on
     first use and never written after:
 
-    - ``partitions[n]``, ``paths[arrows]`` and ``shuffles[blocks]``, the last
-      as (word, sign) pairs;
+    - ``partitions[n]`` and ``shuffles[blocks]``, the latter as (word, sign)
+      pairs;
     - ``seq[(arrows, partition)]``: the ``SeqShape``;
     - ``zetas[partition]``: ``seqq_elements`` on the index chain 0..p-1, which
       is pure combinatorics.
@@ -382,7 +341,6 @@ class Shapes:
 
     def __init__(self, P):
         self.partitions = Memo(partitions)
-        self.paths = Memo(paths_or_trivial)
         self.shuffles = signed_words(enumerate_shuffles)
         self.seq = Memo(lambda key: seq_shape(P.base, *key, self))
         self.zetas = Memo(lambda part: seqq_elements(P, tuple(range(part.n)), part))

@@ -268,6 +268,16 @@ def test_export_zero_matrix_header(tmp_path, capsys):
     assert int(header[2]) == SparseMatrix.from_triplet_text(out_file.read_text(), QQ).nnz
 
 
+@pytest.mark.parametrize("which", ["gs", "nr", "graded"])
+def test_export_matrix_degree_zero(tmp_path, capsys, which):
+    # d0 maps the empty degree -1 into C^0: a dim C^0 x 0 matrix
+    out_file = tmp_path / "m.txt"
+    code, out = run(capsys, "export-matrix", fixture_path("triv-A2"), "--degree", "0",
+                    "--complex", which, "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_text().split() == ["2", "0", "0"]
+
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
@@ -295,8 +305,36 @@ def _split_unit_doc(tmp_path):
     return _write(tmp_path, "split-unit.json", json.dumps(doc))
 
 
+def _edited(name, fname, edit):
+    """A callable of tmp_path that writes fixture ``name`` after ``edit(doc)``."""
+    def write(tmp_path):
+        doc = json.loads(open(fixture_path(name)).read())
+        edit(doc)
+        return _write(tmp_path, fname, json.dumps(doc))
+    return write
+
+
+_no_matrix_doc = _edited("triv-A2", "no-matrix.json",
+                         lambda doc: doc["restrictions"]["u01"].update(matrices={}))
+_no_component_doc = _edited("scalar-twist-2chain", "no-component.json",
+                            lambda doc: doc["twists"][0].update(components={}))
+_dual_doc = _edited("dual-pair", "dual.json", lambda doc: doc.update(ring="Q[e]"))
+
+
+def test_dual_number_ring_validates_verifies_and_exports(tmp_path, capsys):
+    # only elimination needs a field: the other commands still read k[e]
+    doc = _dual_doc(tmp_path)
+    assert run(capsys, "validate", doc) == (0, "OK\n")
+    code, out = run(capsys, "verify", doc, "--law", "d2", "--degree", "2")
+    assert code == 0 and out.endswith("PASS\n")
+    code, out = run(capsys, "export-matrix", doc, "--degree", "1", "--out",
+                    str(tmp_path / "m.txt"))
+    assert code == 0 and out.startswith("wrote")
+
+
 # one bad input per row: argv (a callable of tmp_path gives a path), extra
-# environment, expected exit code, expected start of the one stderr line
+# environment, expected exit code, expected start of the one stderr line (of
+# the one stdout line for a prestack violation, which validate prints there)
 BAD_INPUTS = [
     pytest.param(["cohomology", "dual-pair", "--fp", "4"], {}, 2, "parse error:",
                  id="fp-4"),
@@ -355,6 +393,15 @@ BAD_INPUTS = [
                  "fiber *: identity of X is not a basis vector", id="deform-identity-not-basis"),
     pytest.param(["verify", _split_unit_doc, "--law", "gf"], {}, 1,
                  "fiber *: identity of X is not a basis vector", id="gf-identity-not-basis"),
+    pytest.param(["validate", _no_matrix_doc], {}, 1,
+                 "violation: restriction u01: functor has no matrix on hom(X, X)",
+                 id="restriction-without-matrix"),
+    pytest.param(["cohomology", _no_component_doc], {}, 1,
+                 "violation: twist (u01,u12): no component at X", id="twist-without-component"),
+    pytest.param(["cohomology", _dual_doc], {}, 1, "ring Q[e] is not a field",
+                 id="cohomology-over-dual-numbers"),
+    pytest.param(["deform", _dual_doc], {}, 1, "ring Q[e] is not a field",
+                 id="deform-over-dual-numbers"),
 ]
 
 
@@ -375,8 +422,11 @@ def test_bad_input_exits_with_one_line(tmp_path, argv, env, code, prefix):
                           text=True, timeout=60)
     assert "Traceback" not in proc.stdout and "Traceback" not in proc.stderr
     assert proc.returncode == code
-    lines = proc.stderr.splitlines()
+    violation = prefix.startswith("violation:")
+    lines = (proc.stdout if violation else proc.stderr).splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix)
+    if violation:
+        assert not proc.stderr
 
 
 def test_cohomology_ranks_each_differential_once(monkeypatch):

@@ -8,16 +8,16 @@ import pytest
 
 from conftest import get_pair, get_prestack
 from oracles import (GradedChain, big_omega_chain, build_graded_string, c_sigma_partition,
-                     chain_face_sum, delta_chain, f_terms, g_terms, graded_terms, gs_terms, omega_chain,
+                     cell_gmors, chain_face_sum, delta_chain, f_terms, g_terms, graded_terms, gs_terms, omega_chain,
                      pull_apply, seq_count, t_terms)
 from prestacks import combinatorics as cb
 from prestacks import fixtures
 from prestacks.basecat import Simplex, chain_poset
-from prestacks.compare import (Comparison, graded_string, seq_elements, seqq_elements,
-                               zeta_levels)
+from prestacks.compare import (Comparison, graded_string, seq_elements, seq_vector,
+                               seqq_elements, zeta_levels)
 from prestacks.complexbase import SparseCochain, apply_matrix, pull_matrix
 from prestacks.graded import GradedCategory, GradedComplex, string_objects, string_simp
-from prestacks.gscomplex import GSComplex
+from prestacks.gscomplex import GSComplex, expand_multilinear
 from prestacks.linalg import QQ, SparseMatrix
 from prestacks.lincat import identity_transform
 from test_generated import carry_prestack, fold_prestack
@@ -131,6 +131,30 @@ def test_seq_elements_compose_to_constant():
                 acc = m if acc is None else m.cat.compose(m, acc)
             vals.add(acc.coords)
         assert len(vals) == 1
+
+
+@pytest.mark.parametrize("name", ["scalar-twist-3chain", "rank2-fiber", "dual-pair"])
+def test_seq_vector_is_the_signed_sum_of_the_elements(name):
+    # on every graded cell up to degree 3, for each p and each partition of
+    # n - p: the vector F and Omega read is the lister's elements, expanded
+    cmp_ = comparison(name)
+    CU, P, F = cmp_.CU, cmp_.P, cmp_.field
+    for n in range(0, 4):
+        for key in CU.cells(n):
+            simplex, objects, _ = key
+            entries = [CU.G.as_fiber_mor(g) for g in cell_gmors(CU, key)]
+            for p in range(0, n + 1):
+                arrows, ents, objs = simplex.arrows[p:], entries[: n - p], objects[p:]
+                for part in cb.partitions(n - p):
+                    want = {}
+                    for xi in seq_elements(P, arrows, ents, objs, part):
+                        for coeff, nb in expand_multilinear(F, xi.entries):
+                            k = (tuple(xi.objects()), nb)
+                            want[k] = F.add(want.get(k, F.zero),
+                                            coeff if xi.sign > 0 else F.neg(coeff))
+                    got = seq_vector(P, cmp_.shapes.seq[(arrows, part)], ents, objs,
+                                     [{} for _ in range(n - p + 1)])
+                    assert got == {k: v for k, v in want.items() if not F.is_zero(v)}
 
 
 # -- Seqq --------------------------------------------------------------------------
