@@ -25,7 +25,8 @@ def _hom_key(s):
 
 
 def load_prestack(path=None, text=None, ring=None):
-    """Parse a prestack document; ``ring``, if given, replaces its ring tag."""
+    """Parse a prestack document; ``ring``, if given, replaces its ring tag,
+    which must then be Q: an entry over another ring need not parse in it."""
     try:
         if text is None:
             with open(path) as fh:
@@ -35,6 +36,9 @@ def load_prestack(path=None, text=None, ring=None):
         raise ParseError(str(exc))
     try:
         if ring is not None:
+            if doc["ring"] != "Q":
+                raise ParseError("document over %s, not Q: it cannot be read over %s"
+                                 % (make_field(doc["ring"]).name, make_field(ring).name))
             doc["ring"] = ring
         return prestack_from_doc(doc)
     except (KeyError, ValueError, TypeError) as exc:

@@ -402,6 +402,8 @@ BAD_INPUTS = [
                  id="cohomology-over-dual-numbers"),
     pytest.param(["deform", _dual_doc], {}, 1, "ring Q[e] is not a field",
                  id="deform-over-dual-numbers"),
+    pytest.param(["cohomology", _dual_doc, "--fp", "7"], {}, 2,
+                 "parse error: document over Q[e], not Q", id="fp-over-dual-numbers"),
 ]
 
 
@@ -435,9 +437,9 @@ def test_cohomology_ranks_each_differential_once(monkeypatch):
     ranked = []
     original = SparseMatrix.rank
 
-    def counting_rank(self):
+    def counting_rank(self, *args, **kwargs):
         ranked.append(id(self))
-        return original(self)
+        return original(self, *args, **kwargs)
 
     monkeypatch.setattr(SparseMatrix, "rank", counting_rank)
     P = load_prestack(fixture_path("scalar-twist-2chain"))
