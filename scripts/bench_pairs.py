@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a parent commit and the working tree.
 
-    python3 scripts/bench_pairs.py --seeds 100-109 --out BENCH_name.json
-        [--workload NAME|all] [--parent REV] [--what TEXT]
+    python3 scripts/bench_pairs.py --parent REV --seeds 100-109
+        --out BENCH_name.json [--workload NAME|all] [--what TEXT]
 
 For each seed, ``perfbench/run.py --workload W --seed S`` runs once on a git
-archive of the parent (``--parent``, default HEAD) and once on the working
-tree, alternately: the parent first on even seeds, the change first on odd
-ones.  Then one ``--trace 1 --seed 1`` run per side records the per-layer
-metrics: the seconds per layer and the deterministic work counters.
+archive of the parent commit ``--parent`` and once on the working tree,
+alternately: the parent first on even seeds, the change first on odd ones.
+The parent is recorded by its full commit id, and a working tree whose
+tracked files equal the parent's is refused, since it would be compared
+with itself.  Then one ``--trace 1 --seed 1`` run per side records the
+per-layer metrics: the seconds per layer and the deterministic work counters.
 
 The output has the shape of the committed ``BENCH_*.json`` files.  Per
 workload and end-to-end metric it gives each side's median and interquartile
@@ -43,6 +45,19 @@ def parse_seeds(text):
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def resolve(rev):
+    """The full commit id of ``rev``; exits if the working tree's tracked
+    files do not differ from that commit."""
+    proc = subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", rev + "^{commit}"],
+                          capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit("not a commit: %s" % rev)
+    sha = proc.stdout.strip()
+    if subprocess.run(["git", "-C", ROOT, "diff", "--quiet", sha]).returncode == 0:
+        sys.exit("the working tree equals %s: nothing to compare" % sha)
+    return sha
 
 
 def archive(rev, dest):
@@ -130,16 +145,17 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", default="all")
     ap.add_argument("--seeds", required=True, help='e.g. "100-109" or "1,5,9"')
-    ap.add_argument("--parent", default="HEAD", help="git revision of the parent")
+    ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--what", default="", help="what the two sides are")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     seeds = parse_seeds(args.seeds)
+    parent = resolve(args.parent)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declared = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir:
-        archive(args.parent, parent_dir)
+        archive(parent, parent_dir)
         sides = {"parent": parent_dir, "change": ROOT}
         runs = []
         totals = {s: {"correct": True, "attempted": 0, "failed": 0} for s in sides}
@@ -176,7 +192,7 @@ def main(argv=None):
         "how": ("scripts/bench_pairs.py --workload %s --seeds %s --parent %s: "
                 "perfbench/run.py once per side per seed, the parent from a git "
                 "archive and the change from the working tree, the parent first "
-                "on even seeds" % (args.workload, args.seeds, args.parent)),
+                "on even seeds" % (args.workload, args.seeds, parent)),
         "machine": "%d CPUs, Python %s, %s" % (os.cpu_count(), platform.python_version(),
                                                platform.system()),
         "seeds": seeds,

@@ -386,11 +386,8 @@ class SparseMatrix:
             p = F.p
         else:
             raise TypeError("elimination needs a field (Q or F_p), not %r" % (F,))
-        if skip_cols:
-            rows = [{j: v for j, v in r.items() if j not in skip_cols} or None
-                    for r in self.row_data]
-        else:
-            rows = [dict(r) if r else None for r in self.row_data]
+        rows = [{j: v for j, v in r.items() if j not in skip_cols} or None
+                for r in self.row_data]
         if p:
             return rows, p
         for r in rows:

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture_path, get_prestack
 from oracles import dense_kernel, dense_rank_of_sparse, entry_dict
+from prestacks.cli import cohomology_table
+from prestacks.io import load_prestack
 from prestacks.linalg import (DualNumbers, PrimeField, QQ, SparseMatrix, accumulate,
                               betti_numbers, is_prime, make_field)
 
@@ -103,11 +106,122 @@ def test_betti_identity_out():
     assert betti(z1, ident) == 0
 
 
-def test_betti_rejects_non_complex():
+PLAIN_RANK = SparseMatrix.rank
+FIXTURES = ["triv-A2", "triv-A3", "scalar-twist-2chain", "scalar-twist-3chain",
+            "rank2-fiber", "dual-pair"]
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Every rank taken, as (matrix, skip_cols, pivot rows, result)."""
+    calls = []
+
+    def recording_rank(self, *, skip_cols=(), pivot_rows=None):
+        skip_cols = list(skip_cols)
+        if pivot_rows is None:
+            pivot_rows = []
+        result = PLAIN_RANK(self, skip_cols=skip_cols, pivot_rows=pivot_rows)
+        calls.append((self, skip_cols, pivot_rows, result))
+        return result
+
+    monkeypatch.setattr(SparseMatrix, "rank", recording_rank)
+    return calls
+
+
+def check_compressed_ranks(calls):
+    """Each call skips the pivot rows of the one before; each rank is the plain
+    rank, and the pivot rows are as many independent rows as the rank."""
+    assert calls[0][1] == []
+    for (_, _, before, _), (_, skip, _, _) in zip(calls, calls[1:]):
+        assert skip == before
+    for m, _, rows, result in calls:
+        assert result == PLAIN_RANK(m)
+        assert len(rows) == len(set(rows)) == result
+        picked = SparseMatrix(len(rows), m.cols, m.field, [m.row_data[i] for i in rows])
+        assert PLAIN_RANK(picked) == result
+
+
+def test_betti_rejects_non_complex(rank_calls):
+    # The composite is not zero at the only pair, then at the later of two.
+    # Either way nothing is ranked first: the compression of each rank by the
+    # previous pivot rows is sound only on a complex.
     d_in = mat_from_rows([[1], [0]])
-    d_out = mat_from_rows([[1, 0]])
-    with pytest.raises(ValueError):
-        betti(d_in, d_out)
+    for diffs in ([d_in, mat_from_rows([[1, 0]])],
+                  [d_in, mat_from_rows([[0, 1]]), mat_from_rows([[1]])]):
+        with pytest.raises(ValueError, match="not a complex"):
+            betti_numbers(diffs)
+    assert rank_calls == []
+
+
+@pytest.mark.parametrize("field", ["Q", "F1000003"])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_betti_ranks_equal_plain_ranks_on_fixtures(rank_calls, name, field):
+    if field == "Q":
+        P = get_prestack(name)
+    else:
+        P = load_prestack(fixture_path(name), ring={"Fp": 1000003})
+    for which in ("gs", "nr", "graded"):
+        del rank_calls[:]
+        cohomology_table(P, which, 3)
+        assert len(rank_calls) == 5
+        check_compressed_ranks(rank_calls)
+        assert any(skip for _, skip, _, _ in rank_calls)
+
+
+def random_invertible(n, F, rng):
+    """A random invertible n x n matrix and its inverse: a product of row
+    scalings and row additions."""
+    P = [[F.one if i == j else F.zero for j in range(n)] for i in range(n)]
+    Pinv = [row[:] for row in P]
+    for _ in range(3 * n):
+        i = rng.randrange(n)
+        if n > 1 and rng.random() < 0.7:
+            # row i += c row j; the inverse gets column j -= c column i
+            j = rng.choice([k for k in range(n) if k != i])
+            c = F.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+            P[i] = [F.add(a, F.mul(c, b)) for a, b in zip(P[i], P[j])]
+            for row in Pinv:
+                row[j] = F.sub(row[j], F.mul(c, row[i]))
+        else:
+            # row i *= s; the inverse gets column i /= s
+            s = F.from_int(rng.choice([-2, 2, 3, 5]))
+            if F is QQ and rng.random() < 0.5:
+                s = Fraction(1, int(s))
+            P[i] = [F.mul(s, a) for a in P[i]]
+            inv = F.inv(s)
+            for row in Pinv:
+                row[i] = F.mul(row[i], inv)
+    return mat_from_rows(P, F), mat_from_rows(Pinv, F)
+
+
+def random_exact_complex(F, rng, length):
+    """Differentials C^0 -> ... -> C^length with a zero map into C^0 in front,
+    and the dims of their cohomology at C^0 .. C^{length-1}.
+
+    C^n is B^n + H^n + E^n, where E^n maps by the identity onto B^{n+1} and
+    everything else to zero; each C^n then gets a random change of basis.
+    """
+    b = [0] + [rng.randrange(4) for _ in range(length)]
+    h = [rng.randrange(3) for _ in range(length + 1)]
+    dims = [b[n] + h[n] + (b[n + 1] if n < length else 0) for n in range(length + 1)]
+    bases = [random_invertible(dim, F, rng) for dim in dims]
+    diffs = [SparseMatrix(dims[0], 0, F)]
+    for n in range(length):
+        # coordinates of C^n in the order B, H, E
+        D = from_entries(dims[n + 1], dims[n], F,
+                         [(k, b[n] + h[n] + k, F.one) for k in range(b[n + 1])])
+        diffs.append(bases[n + 1][0].mul(D).mul(bases[n][1]))
+    return diffs, h[:length]
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(1000003)],
+                         ids=["Q", "F7", "F1000003"])
+def test_betti_numbers_of_random_exact_complexes(rank_calls, field, seed):
+    rng = random.Random(seed)
+    diffs, expected = random_exact_complex(field, rng, 5)
+    assert betti_numbers(diffs) == expected
+    check_compressed_ranks(rank_calls)
 
 
 def test_matrix_product_and_equality():
