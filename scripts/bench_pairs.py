@@ -13,11 +13,15 @@ with itself.  Then one ``--trace 1 --seed 1`` run per side records the
 per-layer metrics: the seconds per layer and the deterministic work counters.
 
 The output has the shape of the committed ``BENCH_*.json`` files.  Per
-workload and end-to-end metric it gives each side's median and interquartile
-range (``statistics.quantiles(n=4, method='inclusive')``), the number of
-pairs in which the change read lower, the relative change of the medians,
-``within_bound`` against the metric's bound in BENCHMARK.json, and
-``meets_gain_rule``: better in at least nine pairs of ten, and the medians
+workload and end-to-end metric it gives each side's median, interquartile
+range (``statistics.quantiles(n=4, method='inclusive')``) and minimum, the
+change/parent ratio of each pair, the number of pairs in which the change
+read lower, the relative change of the medians, ``within_bound`` against the
+metric's bound in BENCHMARK.json, ``resolved`` and ``meets_gain_rule``.  A
+metric is resolved when the parent's interquartile distance, as a share of
+its median, is within the bound, or when every change run reads better than
+every parent run; otherwise the runs spread too widely to call it unchanged.
+The gain rule asks for better in at least nine pairs of ten, and the medians
 apart by more than the parent's interquartile distance.
 """
 
@@ -107,14 +111,20 @@ def summarize(parent, change, bound, lower_is_better):
     pairs_lower = sum(c < p for p, c in zip(parent, change))
     ratio = c_med / p_med - 1 if p_med else 0.0
     worse = ratio if lower_is_better else -ratio
+    spread = (p_iqr[1] - p_iqr[0]) / abs(p_med) if p_med else 0.0
+    best_parent = min(parent) if lower_is_better else max(parent)
     return {
         "parent_median": round(p_med, 4),
         "parent_iqr": [round(v, 4) for v in p_iqr],
+        "parent_min": round(min(parent), 4),
         "change_median": round(c_med, 4),
         "change_iqr": [round(v, 4) for v in quartiles(change)],
+        "change_min": round(min(change), 4),
+        "pair_ratios": [round(c / p, 4) if p else None for p, c in zip(parent, change)],
         "change_lower_pairs": pairs_lower,
         "change_vs_parent": round(ratio, 4),
         "within_bound": worse <= bound,
+        "resolved": spread <= bound or all(better(c, best_parent) for c in change),
         "meets_gain_rule": (pairs_better >= math.ceil(0.9 * n)
                             and better(c_med, p_med)
                             and abs(p_med - c_med) > p_iqr[1] - p_iqr[0]),

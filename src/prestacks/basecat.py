@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .combinatorics import Memo
+
 
 @dataclass(frozen=True)
 class Simplex:
@@ -41,7 +43,7 @@ class BaseCategory:
         self.identities = dict(identities)  # object -> arrow id
         self.compose = dict(compose)  # (first, then) -> arrow id
         self.arrow_ids = sorted(self.arrows)
-        self._nerve_cache = {}
+        self._nerve_cache = Memo(self._new_nerve)
 
     def src(self, a):
         return self.arrows[a][0]
@@ -101,26 +103,25 @@ class BaseCategory:
 
     def nerve(self, p):
         """All p-simplices, in lexicographic order by arrow id."""
-        if p in self._nerve_cache:
-            return self._nerve_cache[p]
+        return self._nerve_cache[p]
+
+    def _new_nerve(self, p):
         if p < 0:
             raise ValueError("nerve degree must be >= 0")
         if p == 0:
-            out = [Simplex(obj, ()) for obj in sorted(self.objects)]
-        else:
-            out = []
-            by_src = {}
-            for a in self.arrow_ids:
-                by_src.setdefault(self.src(a), []).append(a)
-            def extend(chain, cursor):
-                if len(chain) == p:
-                    out.append(Simplex(self.src(chain[0]), tuple(chain)))
-                    return
-                for a in by_src.get(cursor, ()):
-                    extend(chain + [a], self.tgt(a))
-            for a in self.arrow_ids:
-                extend([a], self.tgt(a))
-        self._nerve_cache[p] = out
+            return [Simplex(obj, ()) for obj in sorted(self.objects)]
+        out = []
+        by_src = {}
+        for a in self.arrow_ids:
+            by_src.setdefault(self.src(a), []).append(a)
+        def extend(chain, cursor):
+            if len(chain) == p:
+                out.append(Simplex(self.src(chain[0]), tuple(chain)))
+                return
+            for a in by_src.get(cursor, ()):
+                extend(chain + [a], self.tgt(a))
+        for a in self.arrow_ids:
+            extend([a], self.tgt(a))
         return out
 
     def simplex(self, arrows, source=None):

@@ -13,8 +13,8 @@ import sys
 
 from .combinatorics import EnumerationCapError
 from .compare import Comparison
-from .deform import (DeformationDatum, build_deformation, classify_h2,
-                     deformation_is_cocycle, validate_deformation)
+from .deform import (DeformationDatum, build_deformation, classify_h2, cocycle_failure,
+                     validate_deformation)
 from .graded import GradedComplex
 from .gscomplex import GSComplex, NrBasisError
 from .io import (ParseError, cochain_from_text, cochain_to_text, load_prestack,
@@ -113,6 +113,11 @@ def _cell(C, n, i):
     for key in C.cells(n):
         if offsets[key] + C.value_rank(key) > i:
             break
+    return _show(key)
+
+
+def _show(key):
+    """A cell as (arrows; objects; basis), the source object for no arrows."""
     simplex, objects, btuple = key
     return "(%s; %s; %s)" % (" ".join(simplex.arrows) or simplex.source,
                              " ".join(objects), " ".join(map(str, btuple)))
@@ -295,12 +300,9 @@ def cmd_deform(args):
         except (OSError, ValueError, ParseError) as exc:
             _parse_error(exc)
         datum = DeformationDatum(CG, phi)
-        if not deformation_is_cocycle(CG, datum):
-            img = CG.apply_diff(phi)
-            print("not a normalized reduced cocycle; d has %d nonzero components"
-                  % len(img.data))
-            for key in sorted(img.data, key=repr)[:5]:
-                print("  nonzero at %r" % (key,))
+        failure = cocycle_failure(CG, datum)
+        if failure is not None:
+            print("%s at %s" % (failure[0], _show(failure[1])))
             return 1
         Q = build_deformation(P, datum)
         bad = validate_deformation(Q)

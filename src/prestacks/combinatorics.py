@@ -108,11 +108,14 @@ def enumerate_conditioned(blocks):
 
 class Memo(dict):
     """A per-owner memo: a missing key is filled with ``fill(key)`` on first use.
+    It is the package's one idiom for caching derived data.
 
     Memos of enumerations live on an instance (a complex, a comparison), never
     module-wide: a miss goes through the public enumerator, which reads
     ``PRESTACKS_ENUM_CAP`` and so still refuses a shape on its first use.
     """
+
+    __slots__ = ("fill",)  # no instance dict: frames hold a memo each
 
     def __init__(self, fill):
         super().__init__()
@@ -191,10 +194,6 @@ class Path:
             out.append((cur, i))
             cur = cur[: i - 1] + (base.then(cur[i - 1], cur[i]),) + cur[i + 1 :]
         return out
-
-    def entries(self, base):
-        """The path entries in displayed order (r_1 first, applied last)."""
-        return list(reversed(self.steps(base)))
 
 
 def enumerate_paths_raw(n):

@@ -11,7 +11,8 @@ only holds for strictly functorial restrictions.
 What the maps read is built once per scope (see ``shapes``):
 
 - per ``Comparison``, everything that depends only on shape: partitions,
-  paths, shuffle words with signs, Seq skeletons and Seqq elements
+  paths, shuffle words with signs, Seq skeletons, Seqq elements and their
+  levels moved onto each arrow chain that G or Omega reads
   (``Comparison.shapes``);
 - per prestack, the value at one object of the paths of twists on a chain
   (``Prestack.path_value``), which F's and Omega's frames read;
@@ -23,11 +24,11 @@ What the maps read is built once per scope (see ``shapes``):
 F and Omega read the Seq elements of a string as one vector over hom bases
 (``shapes.seq_vector``), summed block by block by the path-shuffle sum of
 the GS higher differentials.  G and Omega build each graded string in one
-pass from the Seqq element's levels on the chain and the shuffle word
-(``shapes.graded_string``); Omega builds it on the basis morphisms of one
-term of the Seq vector and carries the term's coefficient.  F and T sum
-their terms per input cell: each stream yields one block per (output cell,
-input cell), as the differentials do.
+pass from the Seqq element's levels on the chain (``Shapes.levels``) and the
+shuffle word (``shapes.graded_string``); Omega builds it on the basis
+morphisms of one term of the Seq vector and carries the term's coefficient.
+F and T sum their terms per input cell: each stream yields one block per
+(output cell, input cell), as the differentials do.
 """
 
 from __future__ import annotations
@@ -75,9 +76,9 @@ class Comparison:
         self.P = gs.P
         self.field = gs.field
         self.shapes = Shapes(self.P)
-        self._frames = {}
+        self._frames = Memo(self._new_frame)
         self._seqs = {}
-        self._omega = {}
+        self._omega = Memo(lambda key: self.big_omega_terms(*key))
         self._args = Memo(lambda key: graded.G.as_fiber_mor(graded.G.basis_gmor(*key)))
 
     def _entries(self, simplex, objects, btuple):
@@ -87,35 +88,40 @@ class Comparison:
 
     def _frame(self, simplex, objects):
         """What F and Omega read of a cell besides its arguments, which
-        depends on the simplex and the last object A_n only.
+        depends on the simplex and the last object A_n only."""
+        return self._frames[(simplex, objects[-1])]
 
-        Per p: the left part L_p, its sigma^star, the chains underlining the
-        first p slots (for ``block_tail``), and per partition of n - p its
-        sign, the morphism pref and a memo of ``left_block(b, pref)`` per Seq
-        source object b.  pref is the path value at A_n on the chain of L_p's
-        composite followed by the partition's block composites.
+    def _new_frame(self, key):
+        """The ``_frames`` entry of (simplex, A_n).  Per p: the left part L_p,
+        the chains underlining the first p slots (for ``block_tail``), per
+        partition of n - p its sign and the morphism pref, and a memo of the
+        block of pref on the left of the source fiber at L_p's sigma^star of
+        b, per (partition index, Seq source object b).  pref is the path
+        value at A_n on the chain of L_p's composite followed by the
+        partition's block composites.
         """
-        key = (simplex, objects[-1])
-        frame = self._frames.get(key)
-        if frame is not None:
-            return frame
+        simplex, top = key
         P = self.P
         base = P.base
+        fib0 = P.fiber(simplex.source)
         n = simplex.p
+
+        def lefts(upper, parts):
+            return Memo(lambda pb: fib0.left_block(upper.on_obj(pb[1]), parts[pb[0]][2]))
+
         frame = []
         for p in range(0, n + 1):
             Lsimp = base.left_part(simplex, p)
-            left = (base.composite(Lsimp),)
+            upper, left = P.sigma_upper(Lsimp), (base.composite(Lsimp),)
             r_arrows = simplex.arrows[p:]
             parts = []
             for part in self.shapes.partitions[n - p]:
                 chain = left + tuple(
                     base.composite(Simplex(base.src(r_arrows[lo]), r_arrows[lo:hi]))
                     for lo, hi in partition_block_slices(part))
-                parts.append((part, part.sign, P.path_value(chain, objects[-1]), {}))
+                parts.append((part, part.sign, P.path_value(chain, top)))
             under = tuple(simplex.arrows[: n - i] for i in range(n, n - p, -1))
-            frame.append((Lsimp, P.sigma_upper(Lsimp), under, parts))
-        self._frames[key] = frame
+            frame.append((Lsimp, under, parts, lefts(upper, parts)))
         return frame
 
     # F: GS -> graded ------------------------------------------------------------
@@ -132,10 +138,10 @@ class Comparison:
         # cell with the same right part
         caches = [{}] + [self._seqs.setdefault(
             (simplex.arrows[p:], objects[p:], btuple[: n - p]), {}) for p in range(1, n + 1)]
-        for p, (Lsimp, upper, under, parts) in enumerate(self._frame(simplex, objects)):
+        for p, (Lsimp, under, parts, lefts) in enumerate(self._frame(simplex, objects)):
             r_arrows = simplex.arrows[p:]
             acc = {}  # input cell -> [(partition index, coefficient)]
-            for pi, (part, sign, _, _) in enumerate(parts):
+            for pi, (part, sign, _) in enumerate(parts):
                 shape = self.shapes.seq[(r_arrows, part)]
                 neg = sign < 0
                 for (objs, nb), c in seq_vector(P, shape, entries[: n - p], objects[p:],
@@ -147,22 +153,11 @@ class Comparison:
             tail = (fib0.right_block(parts[0][2].tgt,
                                      block_tail(P, under, simplex.source, entries, caches[0]))
                     if p else None)
-            blocks = {}
+            blocks = lefts if tail is None else Memo(
+                lambda key: compose_blocks(F, tail, lefts[key]))
             for in_key, by_part in acc.items():
                 x0 = in_key[1][0]
-                terms = []
-                for pi, c in by_part:
-                    block = blocks.get((pi, x0))
-                    if block is None:
-                        _, _, pref, left = parts[pi]
-                        block = left.get(x0)
-                        if block is None:
-                            block = left[x0] = fib0.left_block(upper.on_obj(x0), pref)
-                        if tail is not None:
-                            block = compose_blocks(F, tail, block)
-                        blocks[(pi, x0)] = block
-                    terms.append((c, block))
-                block = sum_blocks(F, terms)
+                block = sum_blocks(F, [(c, blocks[(pi, x0)]) for pi, c in by_part])
                 if block:
                     yield in_key, block
 
@@ -192,24 +187,22 @@ class Comparison:
         args = [self.CG.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
         words = shapes.shuffles[(q, p)]
         acc = {}
-        for part in shapes.partitions[p]:
-            for zeta in shapes.zetas[part]:
-                levels = zeta_levels(base, zeta, simplex.arrows)
-                for word, wsign in words:
-                    string = graded_string(P, levels, word, args, objects, top)
-                    if string:
-                        simp = string_simp(base, list(string))
-                        objsx = tuple(string_objects(list(string)))
-                    else:
-                        simp = Simplex(top, ())
-                        objsx = (objects[0],)
-                    neg = zeta.sign * wsign < 0
-                    for coeff, nb in expand_multilinear(F, string):
-                        in_key = (simp, objsx, nb)
-                        c = acc.get(in_key)
-                        if neg:
-                            coeff = F.neg(coeff)
-                        acc[in_key] = coeff if c is None else F.add(c, coeff)
+        for zsign, levels in shapes.levels[simplex.arrows]:
+            for word, wsign in words:
+                string = graded_string(P, levels, word, args, objects, top)
+                if string:
+                    simp = string_simp(base, list(string))
+                    objsx = tuple(string_objects(list(string)))
+                else:
+                    simp = Simplex(top, ())
+                    objsx = (objects[0],)
+                neg = zsign * wsign < 0
+                for coeff, nb in expand_multilinear(F, string):
+                    in_key = (simp, objsx, nb)
+                    c = acc.get(in_key)
+                    if neg:
+                        coeff = F.neg(coeff)
+                    acc[in_key] = coeff if c is None else F.add(c, coeff)
         rank = self.CG.value_rank(key)
         for in_key, c in acc.items():
             if not F.is_zero(c):
@@ -243,25 +236,21 @@ class Comparison:
         u0 = simplex.source
         arrows = simplex.arrows
         caches = [{} for _ in range(n + 1)] if caches is None else caches
-        _, _, under, parts = self._frame(simplex, objects)[p]
+        _, under, parts, _ = self._frame(simplex, objects)[p]
         tail = block_tail(P, under, u0, entries, caches[0])
         tail_entry = GMor(base.identities[u0], tail.src, tail.tgt, tail.coords)
         top = base.objects_along(simplex)[p]
         fib = P.fiber(top)
-        zetas = None
-        for part, psign, pref, _ in parts:
+        for part, psign, pref in parts:
             shape = shapes.seq[(arrows[p:], part)]
-            if zetas is None:
-                # listed after the first Seq shape: the cap refuses in that order
-                words = shapes.shuffles[(n - p, p)]
-                zetas = [(zeta.sign, zeta_levels(base, zeta, arrows[:p]))
-                         for part2 in shapes.partitions[p] for zeta in shapes.zetas[part2]]
+            # listed after the first Seq shape: the cap refuses in that order
+            words, chain_levels = shapes.shuffles[(n - p, p)], shapes.levels[arrows[:p]]
             vec = seq_vector(P, shape, entries[: n - p], objects[p:], caches, p)
             for (objs, nb), c in vec.items():
                 last = len(nb)
                 ents = tuple(fib.basis_mor(objs[last - 1 - i], objs[last - i], b)
                              for i, b in enumerate(nb))
-                for zsign, levels in zetas:
+                for zsign, levels in chain_levels:
                     for word, wsign in words:
                         body = graded_string(P, levels, word, ents, objs, top)
                         yield (F.neg(c) if psign * zsign * wsign < 0 else c,
@@ -301,12 +290,8 @@ class Comparison:
         a_entry = GMor(u1, a_n.src, objects[1], a_n.coords)
         fu1 = P.restriction(u1)
         fwd = P.twist(u1, comp_sub).at(objects[-1])
-        sub_key = (sub_simplex, tuple(entries[: n - 1]), tuple(objects[1:]))
-        subs = self._omega.get(sub_key)
-        if subs is None:
-            subs = self._omega[sub_key] = self.big_omega_terms(
-                sub_simplex, entries[: n - 1], objects[1:])
-        for c, y, corr_y in subs:
+        for c, y, corr_y in self._omega[(sub_simplex, tuple(entries[: n - 1]),
+                                         tuple(objects[1:]))]:
             x = y + (a_entry,)
             comp_y = base.composite(string_simp(base, list(y)))
             back = P.twist_inverse(u1, comp_y).at(y[0].tgt_obj)

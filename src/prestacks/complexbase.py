@@ -96,6 +96,13 @@ class SparseCochain:
         return out
 
 
+def text_order(key):
+    """The sort key of a cell in cochain text: simplex dimension, arrows,
+    source, objects, basis tuple."""
+    simplex, objects, btuple = key
+    return simplex.p, simplex.arrows, simplex.source, objects, btuple
+
+
 def pull_matrix(contrib, out_keys, out_index, in_index, field):
     """The matrix of the term stream ``contrib`` on the given bases.
 
@@ -127,8 +134,8 @@ class ComplexBase:
     def __init__(self, field):
         self.field = field
         self._cells = {}
-        self._index = {}
-        self._rank_cache = {}
+        self._index = Memo(lambda n: self._offsets(self.cells(n)))
+        self._rank_cache = Memo(lambda frame: self._rank(*frame))
         self._slot = (None, None)  # the most recent frame: its key and its data
 
     # subclasses: cells(n) -> list of keys, _rank(simplex, objects) -> int,
@@ -182,15 +189,9 @@ class ComplexBase:
     def value_rank(self, key):
         """The rank of the value module of a cell; it depends only on
         (simplex, objects)."""
-        ck = (key[0], key[1])
-        r = self._rank_cache.get(ck)
-        if r is None:
-            r = self._rank_cache[ck] = self._rank(*ck)
-        return r
+        return self._rank_cache[key[0], key[1]]
 
     def index(self, n):
-        if n not in self._index:
-            self._index[n] = self._offsets(self.cells(n))
         return self._index[n]
 
     def dim(self, n):

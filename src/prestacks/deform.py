@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import product
 
 from .basecat import Simplex
+from .complexbase import text_order
 from .gscomplex import GSComplex
 from .lincat import LinearCategory, LinFunctor, Mor, NatTransform, compose_functors
 from .linalg import DualNumbers, SparseMatrix
@@ -118,10 +119,23 @@ def validate_deformation(deformed):
 
 def deformation_is_cocycle(complex_, datum):
     """The independent route: normalized reduced and killed by the differential."""
+    return cocycle_failure(complex_, datum) is None
+
+
+def cocycle_failure(complex_, datum):
+    """None if the datum is a normalized reduced cocycle.  Else what the first
+    condition it fails (normalized, reduced, cocycle) found, and its first
+    witness cell in cochain text order: a cell of the datum for the first
+    two, of its differential for the last."""
     phi = datum.cochain
-    if not (complex_.is_normalized(phi) and complex_.is_reduced(phi)):
-        return False
-    return complex_.apply_diff(phi).is_zero()
+    key = complex_.normalized_witness(phi)
+    if key is not None:
+        return "not normalized: nonzero with an identity argument", key
+    key = complex_.reduced_witness(phi)
+    if key is not None:
+        return "not reduced: nonzero over a degenerate simplex", key
+    image = complex_.apply_diff(phi).data  # only nonzero values
+    return ("not a cocycle: d is nonzero", min(image, key=text_order)) if image else None
 
 
 class EquivalenceDatum:

@@ -9,7 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .basecat import chain_poset, cyclic_group_base, point_base
-from .lincat import LinearCategory, LinFunctor, NatTransform, identity_functor
+from .lincat import (LinearCategory, LinFunctor, NatTransform, compose_functors,
+                     identity_functor)
 from .linalg import QQ
 from .prestack import Prestack
 
@@ -51,7 +52,6 @@ def scalar_chain_prestack(length, lam=None, field=None, name=None):
                     else _scalar_transport(src_fib, tgt_fib))
     lam = lam or {}
     twists = {}
-    from .lincat import compose_functors
     for f in base.arrow_ids:
         for g in base.arrow_ids:
             if base.tgt(f) != base.src(g):
@@ -145,7 +145,6 @@ def rank2_fiber(field=None):
     restr = {"g0": identity_functor(fib), "g1": e_star}
     # twist (g1, g1): g1* g1* -> id, component at A is the odd generator of End(A)
     comps = {a: fib.basis_mor(a, a, 1) for a in fib.objects}
-    from .lincat import compose_functors
     twists = {("g1", "g1"): NatTransform(compose_functors(e_star, e_star),
                                          identity_functor(fib), comps)}
     return Prestack("rank2-fiber", field, base, fibers, restr, twists)

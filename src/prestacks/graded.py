@@ -14,7 +14,7 @@ from itertools import product
 from .basecat import Simplex
 from .combinatorics import Memo
 from .complexbase import ComplexBase
-from .lincat import compose_blocks, scale_block
+from .lincat import Mor, compose_blocks, scale_block
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,6 @@ class GradedCategory:
     def as_fiber_mor(self, g):
         P = self.P
         fib = P.fiber(P.base.src(g.grading))
-        from .lincat import Mor
         return Mor(fib, g.src_obj, P.restriction(g.grading).on_obj(g.tgt_obj), g.coords)
 
     def mu(self, b, a):

@@ -43,7 +43,7 @@ from __future__ import annotations
 from itertools import product
 
 from .combinatorics import Memo, _check_cap, enumerate_shuffles
-from .complexbase import ComplexBase
+from .complexbase import ComplexBase, text_order
 from .lincat import compose_blocks, scale_block
 
 
@@ -79,20 +79,16 @@ def path_shuffle_sum(P, R, objects, btuple):
     base = P.base
     j, q = len(R), len(btuple)
     full = (1 << (j - 1)) - 1
-    chains = {}
 
-    def chain(cuts):
+    def coarsening(cuts):
         """The coarsening of R with cuts at the set bits (bit c-1: after R[c-1])."""
-        out = chains.get(cuts)
-        if out is None:
-            out = [R[0]]
-            for c in range(1, j):
-                if cuts >> (c - 1) & 1:
-                    out.append(R[c])
-                else:
-                    out[-1] = base.then(out[-1], R[c])
-            out = chains[cuts] = tuple(out)
-        return out
+        out = [R[0]]
+        for c in range(1, j):
+            if cuts >> (c - 1) & 1:
+                out.append(R[c])
+            else:
+                out[-1] = base.then(out[-1], R[c])
+        return tuple(out)
 
     def prepend(mor, sgn, tail, acc):
         for b, c in enumerate(mor.coords):
@@ -107,19 +103,16 @@ def path_shuffle_sum(P, R, objects, btuple):
                 v = F.mul(c, v)
                 acc[k] = v if prev is None else F.add(prev, v)
 
-    memo = {(full, q): {(): F.one}}
-
-    def suffix(cuts, f):
-        """Sum over the ways to read the rest of every word from the
-        coarsening ``cuts`` after f fiber tokens: {((src, tgt, basis), ...): coeff}."""
-        hit = memo.get((cuts, f))
-        if hit is not None:
-            return hit
+    def suffix(state):
+        """Sum over the ways to read the rest of every word from the state
+        (cuts, f), the coarsening ``cuts`` after f fiber tokens:
+        {((src, tgt, basis), ...): coeff}, kept in ``sums``."""
+        cuts, f = state
         acc = {}
         if f < q:
-            mor = P.stars(chain(cuts)).basis_image(objects[q - f - 1], objects[q - f],
-                                                   btuple[f])
-            prepend(mor, 1, suffix(cuts, f + 1), acc)
+            mor = P.stars(chains[cuts]).basis_image(objects[q - f - 1], objects[q - f],
+                                                    btuple[f])
+            prepend(mor, 1, sums[(cuts, f + 1)], acc)
         sgn_f = -1 if (q - f) % 2 else 1  # fiber tokens after this path token
         for c in range(1, j):
             bit = 1 << (c - 1)
@@ -127,15 +120,16 @@ def path_shuffle_sum(P, R, objects, btuple):
                 continue
             i = 1 + bin(cuts & (bit - 1)).count("1")  # merge index in pred
             pred = cuts | bit
-            mor = P.epsilon_for(chain(pred), i).at(objects[-1 - f])
-            prepend(mor, sgn_f * (-1 if i % 2 else 1), suffix(pred, f), acc)
-        memo[(cuts, f)] = acc
+            mor = P.epsilon_for(chains[pred], i).at(objects[-1 - f])
+            prepend(mor, sgn_f * (-1 if i % 2 else 1), sums[(pred, f)], acc)
         return acc
 
+    chains, sums = Memo(coarsening), Memo(suffix)
+    sums[(full, q)] = {(): F.one}
     # no entries only for j = 1, q = 0: the one object, moved along R
     return {(tuple(e[0] for e in reversed(k)) + (k[0][1],) if k
              else (P.stars(R).on_obj(objects[0]),), tuple(e[2] for e in k)): v
-            for k, v in suffix(0, 0).items() if not F.is_zero(v)}
+            for k, v in sums[(0, 0)].items() if not F.is_zero(v)}
 
 
 class NrBasisError(ValueError):
@@ -294,15 +288,6 @@ class GSComplex(ComplexBase):
             for in_objects, nb, coeff in self._right_terms(key, j):
                 yield (left, in_objects, nb), scale_block(F, coeff, lefts[in_objects[0]])
 
-    def higher_terms(self, key, j):
-        """The component d_j at the output cell ``key`` as {input key: coefficient}.
-
-        The input keys are ``_right_terms``' with the left part of the simplex
-        attached, in a fresh dict.
-        """
-        left = self.P.base.left_part(key[0], key[0].p - j)
-        return {(left, in_objects, nb): v for in_objects, nb, v in self._right_terms(key, j)}
-
     def _right_terms(self, key, j):
         """The terms of d_j at ``key`` as (input objects, input btuple, coefficient).
 
@@ -335,20 +320,24 @@ class GSComplex(ComplexBase):
 
     # -- normalized / reduced -------------------------------------------------
 
-    def is_reduced(self, phi):
+    def reduced_witness(self, phi):
+        """The first cell of phi's support over a degenerate simplex, in
+        cochain text order, or None."""
         base = self.P.base
         F = self.field
-        for (simplex, _, _), vec in phi.data.items():
-            if base.is_degenerate(simplex) and any(not F.is_zero(v) for v in vec):
-                return False
-        return True
+        return min((key for key, vec in phi.data.items()
+                    if base.is_degenerate(key[0]) and any(not F.is_zero(v) for v in vec)),
+                   key=text_order, default=None)
 
-    def is_normalized(self, phi):
-        """True iff phi vanishes whenever some argument is an identity morphism."""
+    def normalized_witness(self, phi):
+        """None if phi is normalized: zero whenever some argument is an
+        identity morphism.  Else the first cell of phi's support, in cochain
+        text order, that enters a nonzero value of phi at an identity."""
         F = self.field
         by_family = {}
         for (simplex, objects, btuple), vec in phi.data.items():
             by_family.setdefault((simplex, objects), {})[btuple] = vec
+        bad = []
         for (simplex, objects), entries in by_family.items():
             q = len(objects) - 1
             top = self.P.base.objects_along(simplex)[-1]
@@ -357,19 +346,19 @@ class GSComplex(ComplexBase):
                 if objects[q - slot] != objects[q - slot + 1]:
                     continue
                 ident = fib.identity_coords[objects[q - slot]]
-                sums = {}
+                sums = {}  # the other arguments -> [value with the identity, cells read]
                 for btuple, vec in entries.items():
                     c = ident[btuple[slot - 1]]
                     if F.is_zero(c):
                         continue
                     rest = btuple[: slot - 1] + btuple[slot:]
-                    acc = sums.setdefault(rest, [F.zero] * len(vec))
+                    acc, cells = sums.setdefault(rest, ([F.zero] * len(vec), []))
+                    cells.append((simplex, objects, btuple))
                     for i, v in enumerate(vec):
                         acc[i] = F.add(acc[i], F.mul(c, v))
-                for acc in sums.values():
-                    if any(not F.is_zero(v) for v in acc):
-                        return False
-        return True
+                bad.extend(cell for acc, cells in sums.values()
+                           if any(not F.is_zero(v) for v in acc) for cell in cells)
+        return min(bad, key=text_order, default=None)
 
     def nr_keys(self, n):
         """Cells spanning the normalized reduced subcomplex.

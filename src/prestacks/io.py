@@ -9,8 +9,9 @@ from __future__ import annotations
 import json
 
 from .basecat import BaseCategory, Simplex
-from .complexbase import SparseCochain
-from .lincat import LinearCategory, LinFunctor, NatTransform
+from .complexbase import SparseCochain, text_order
+from .lincat import (LinearCategory, LinFunctor, Mor, NatTransform, compose_functors,
+                     identity_functor)
 from .linalg import make_field, ring_tag
 from .prestack import Prestack
 
@@ -22,6 +23,19 @@ class ParseError(Exception):
 def _hom_key(s):
     a, b = s.split("|")
     return a, b
+
+
+def _read_coords(field, names, values):
+    """The coordinate vector of {basis name: value} over the basis ``names``."""
+    vec = [field.zero] * len(names)
+    for nm, val in values.items():
+        vec[names.index(nm)] = field.parse(val)
+    return tuple(vec)
+
+
+def _write_coords(field, names, coords):
+    """{basis name: value} of the nonzero coordinates over the basis ``names``."""
+    return {names[i]: field.show(v) for i, v in enumerate(coords) if not field.is_zero(v)}
 
 
 def load_prestack(path=None, text=None, ring=None):
@@ -69,16 +83,10 @@ def prestack_from_doc(doc):
             table = comp.setdefault((a, bb, c), {})
             gi = name_index[(bb, c)][rec["g"]]
             fi = name_index[(a, bb)][rec["f"]]
-            cell = {}
-            for nm, val in rec["result"].items():
-                cell[name_index[(a, c)][nm]] = field.parse(val)
-            table[(gi, fi)] = cell
-        idc = {}
-        for a, coords in fd["identities"].items():
-            vec = [field.zero] * len(homs.get((a, a), []))
-            for nm, val in coords.items():
-                vec[name_index[(a, a)][nm]] = field.parse(val)
-            idc[a] = tuple(vec)
+            result = _read_coords(field, homs.get((a, c), []), rec["result"])
+            table[(gi, fi)] = {k: v for k, v in enumerate(result) if not field.is_zero(v)}
+        idc = {a: _read_coords(field, homs.get((a, a), []), coords)
+               for a, coords in fd["identities"].items()}
         fibers[u_obj] = LinearCategory(u_obj, field, fd["objects"], homs, comp, idc)
 
     restrictions = {}
@@ -89,20 +97,11 @@ def prestack_from_doc(doc):
         mats = {}
         for key, table in rd.get("matrices", {}).items():
             a, bb = _hom_key(key)
-            basis = src_cat.hom_basis(a, bb)
-            fa, fb = obj_map[a], obj_map[bb]
-            tgt_basis = tgt_cat.hom_basis(fa, fb)
-            t_index = {nm: i for i, nm in enumerate(tgt_basis)}
-            cols = []
-            for nm in basis:
-                col = [field.zero] * len(tgt_basis)
-                for tnm, val in table.get(nm, {}).items():
-                    col[t_index[tnm]] = field.parse(val)
-                cols.append(tuple(col))
-            mats[(a, bb)] = tuple(cols)
+            tgt_names = tgt_cat.hom_basis(obj_map[a], obj_map[bb])
+            mats[(a, bb)] = tuple(_read_coords(field, tgt_names, table.get(nm, {}))
+                                  for nm in src_cat.hom_basis(a, bb))
         restrictions[arrow] = LinFunctor(src_cat, tgt_cat, obj_map, mats)
     # identity arrows default to identity functors
-    from .lincat import identity_functor, compose_functors
     for obj in base.objects:
         e = base.identities[obj]
         if e not in restrictions:
@@ -122,13 +121,8 @@ def prestack_from_doc(doc):
         for a_obj, coords in rec["components"].items():
             src_o = src_fun.on_obj(a_obj)
             tgt_o = tgt_fun.on_obj(a_obj)
-            basis = fib.hom_basis(src_o, tgt_o)
-            b_index = {nm: i for i, nm in enumerate(basis)}
-            vec = [field.zero] * len(basis)
-            for nm, val in coords.items():
-                vec[b_index[nm]] = field.parse(val)
-            from .lincat import Mor
-            comps[a_obj] = Mor(fib, src_o, tgt_o, tuple(vec))
+            comps[a_obj] = Mor(fib, src_o, tgt_o,
+                               _read_coords(field, fib.hom_basis(src_o, tgt_o), coords))
         twists[(f, g)] = NatTransform(src_fun, tgt_fun, comps)
 
     return Prestack(doc.get("name", "prestack"), field, base, fibers,
@@ -165,14 +159,11 @@ def prestack_to_doc(P):
                     "pair": [a, b, c],
                     "g": cat.hom_basis(b, c)[gi],
                     "f": cat.hom_basis(a, b)[fi],
-                    "result": {cat.hom_basis(a, c)[k]: field.show(v)
-                               for k, v in sorted(cell.items())},
+                    "result": _write_coords(field, cat.hom_basis(a, c), [
+                        cell.get(k, field.zero) for k in range(cat.rank(a, c))]),
                 })
-        idc = {}
-        for a in cat.objects:
-            coords = cat.identity_coords[a]
-            idc[a] = {cat.hom_basis(a, a)[i]: field.show(v)
-                      for i, v in enumerate(coords) if not field.is_zero(v)}
+        idc = {a: _write_coords(field, cat.hom_basis(a, a), cat.identity_coords[a])
+               for a in cat.objects}
         doc["fibers"][u_obj] = {
             "objects": list(cat.objects),
             "homs": homs,
@@ -189,8 +180,7 @@ def prestack_to_doc(P):
             tgt_names = fun.tgt_cat.hom_basis(fun.on_obj(a), fun.on_obj(b))
             table = {}
             for i, col in enumerate(cols):
-                entry = {tgt_names[k]: field.show(v)
-                         for k, v in enumerate(col) if not field.is_zero(v)}
+                entry = _write_coords(field, tgt_names, col)
                 if entry:
                     table[src_names[i]] = entry
             mats["%s|%s" % (a, b)] = table
@@ -201,9 +191,7 @@ def prestack_to_doc(P):
         comps = {}
         fib = P.fiber(base.src(f))
         for a_obj, m in sorted(tw.components.items()):
-            names = fib.hom_basis(m.src, m.tgt)
-            comps[a_obj] = {names[i]: field.show(v)
-                            for i, v in enumerate(m.coords) if not field.is_zero(v)}
+            comps[a_obj] = _write_coords(field, fib.hom_basis(m.src, m.tgt), m.coords)
         doc["twists"].append({"first": f, "then": g, "components": comps})
     return doc
 
@@ -225,7 +213,7 @@ def save_prestack(P, path):
 def cochain_to_text(complex_, phi):
     field = complex_.field
     lines = ["# degree %d" % phi.degree]
-    for key in sorted(phi.data, key=lambda k: (k[0].p, k[0].arrows, k[0].source, k[1], k[2])):
+    for key in sorted(phi.data, key=text_order):
         simplex, objects, btuple = key
         vec = phi.data[key]
         sig = " ".join(simplex.arrows) if simplex.p else simplex.source

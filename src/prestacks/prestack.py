@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import reduce
 
+from .combinatorics import Memo
 from .lincat import (
     NatTransform,
     compose_functor_chain,
@@ -30,10 +31,10 @@ class Prestack:
         self.restrictions = restrictions  # arrow id -> LinFunctor
         self.twists = dict(twists)        # (first, then) -> NatTransform
         self._fill_identity_twists()
-        self._stars_cache = {}
-        self._eps_cache = {}
-        self._twist_inv_cache = {}
-        self._path_cache = {}
+        self._stars_cache = Memo(self._new_stars)
+        self._eps_cache = Memo(self._new_epsilon)
+        self._twist_inv_cache = Memo(lambda pair: self.twist(*pair).inverse())
+        self._path_cache = Memo(self._new_path_value)
 
     def fiber(self, u_obj):
         return self.fibers[u_obj]
@@ -62,10 +63,7 @@ class Prestack:
         return self.twists[(f, g)]
 
     def twist_inverse(self, f, g):
-        key = (f, g)
-        if key not in self._twist_inv_cache:
-            self._twist_inv_cache[key] = self.twist(f, g).inverse()
-        return self._twist_inv_cache[key]
+        return self._twist_inv_cache[(f, g)]
 
     # -- derived functors ------------------------------------------------------
 
@@ -74,16 +72,15 @@ class Prestack:
 
         The empty chain needs ``end_obj`` to pick the fiber.
         """
-        arrows = tuple(arrows)
-        key = arrows if arrows else ((), end_obj)
-        if key not in self._stars_cache:
-            if arrows:
-                chain = [self.restriction(a) for a in arrows]
-                functor = compose_functor_chain(chain, self.fiber(self.base.tgt(arrows[-1])))
-            else:
-                functor = identity_functor(self.fiber(end_obj))
-            self._stars_cache[key] = functor
-        return self._stars_cache[key]
+        return self._stars_cache[tuple(arrows) or ((), end_obj)]
+
+    def _new_stars(self, key):
+        """The star composite of the arrow chain ``key``; for ((), obj), the
+        identity functor of the fiber over obj."""
+        if key[0] == ():
+            return identity_functor(self.fiber(key[1]))
+        return compose_functor_chain([self.restriction(a) for a in key],
+                                     self.fiber(self.base.tgt(key[-1])))
 
     def sigma_lower(self, s):
         """sigma* = (u_p ... u_1)*: the restriction of the composite arrow."""
@@ -109,30 +106,30 @@ class Prestack:
         star composite to the one with arrows[i-1], arrows[i] composed
         (1-indexed i, 1 <= i <= len-1).
         """
-        arrows = tuple(arrows)
+        return self._eps_cache[(tuple(arrows), i)]
+
+    def _new_epsilon(self, key):
+        arrows, i = key
         n = len(arrows)
         if not (1 <= i <= n - 1):
             raise IndexError("merge index %d out of range for length %d" % (i, n))
-        key = (arrows, i)
-        if key not in self._eps_cache:
-            f, g = arrows[i - 1], arrows[i]
-            base_tw = self.twist(f, g)
-            suffix = arrows[i + 1:]
-            prefix = arrows[:i - 1]
-            suffix_f = self.stars(suffix, end_obj=self.base.tgt(arrows[-1]))
-            prefix_chain = [self.restriction(a) for a in prefix]
-            comps = {}
-            top_fiber = self.fiber(self.base.tgt(arrows[-1]))
-            for a in top_fiber.objects:
-                m = base_tw.at(suffix_f.on_obj(a))
-                for fun in reversed(prefix_chain):
-                    m = fun.apply(m)
-                comps[a] = m
-            merged = arrows[:i - 1] + (self.base.then(f, g),) + suffix
-            src = self.stars(arrows, end_obj=self.base.tgt(arrows[-1]))
-            tgt = self.stars(merged, end_obj=self.base.tgt(arrows[-1]))
-            self._eps_cache[key] = NatTransform(src, tgt, comps)
-        return self._eps_cache[key]
+        f, g = arrows[i - 1], arrows[i]
+        base_tw = self.twist(f, g)
+        suffix = arrows[i + 1:]
+        prefix = arrows[:i - 1]
+        suffix_f = self.stars(suffix, end_obj=self.base.tgt(arrows[-1]))
+        prefix_chain = [self.restriction(a) for a in prefix]
+        comps = {}
+        top_fiber = self.fiber(self.base.tgt(arrows[-1]))
+        for a in top_fiber.objects:
+            m = base_tw.at(suffix_f.on_obj(a))
+            for fun in reversed(prefix_chain):
+                m = fun.apply(m)
+            comps[a] = m
+        merged = arrows[:i - 1] + (self.base.then(f, g),) + suffix
+        src = self.stars(arrows, end_obj=self.base.tgt(arrows[-1]))
+        tgt = self.stars(merged, end_obj=self.base.tgt(arrows[-1]))
+        return NatTransform(src, tgt, comps)
 
     def path_value(self, chain, obj):
         """The component at ``obj`` of the value of every path of twists on an
@@ -141,19 +138,17 @@ class Prestack:
         twist of the first arrow and the rest's composite after the first
         arrow's functor applied to the rest's value, kept per (chain, obj).
         """
-        key = (chain, obj)
-        m = self._path_cache.get(key)
-        if m is None:
-            first = self.restriction(chain[0])
-            fib = self.fiber(self.base.src(chain[0]))
-            if len(chain) == 1:
-                m = fib.identity(first.on_obj(obj))
-            else:
-                rest = chain[1:]
-                m = fib.compose(self.twist(chain[0], reduce(self.base.then, rest)).at(obj),
-                                first.apply(self.path_value(rest, obj)))
-            self._path_cache[key] = m
-        return m
+        return self._path_cache[(chain, obj)]
+
+    def _new_path_value(self, key):
+        chain, obj = key
+        first = self.restriction(chain[0])
+        fib = self.fiber(self.base.src(chain[0]))
+        if len(chain) == 1:
+            return fib.identity(first.on_obj(obj))
+        rest = chain[1:]
+        return fib.compose(self.twist(chain[0], reduce(self.base.then, rest)).at(obj),
+                           first.apply(self._path_cache[(rest, obj)]))
 
     def epsilon_sigma_i(self, s, i):
         """u_1* ... c^{u_i, u_{i+1}} ... u_p*: merges positions i, i+1 of sigma."""

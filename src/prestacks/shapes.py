@@ -281,6 +281,21 @@ def zeta_levels(base, zeta, arrows):
     return tokens, tuple(ends)
 
 
+def chain_levels(base, arrows, shapes):
+    """The ``Shapes.levels`` entry of an arrow chain: (sign, ``zeta_levels``)
+    of every Seqq element of every partition of its length, in partition
+    order, read from the memos of ``shapes``.  The elements share most
+    tokens and every level's ends, so each distinct one is stored once."""
+    canon = {}
+    out = []
+    for part in shapes.partitions[len(arrows)]:
+        for zeta in shapes.zetas[part]:
+            tokens, ends = zeta_levels(base, zeta, arrows)
+            out.append((zeta.sign, (tuple(canon.setdefault(t, t) for t in tokens),
+                                    canon.setdefault(ends, ends))))
+    return out
+
+
 def graded_string(P, levels, word, fiber_entries, fiber_objects, top_obj):
     """The graded shuffle product of a Seqq element and a fiber simplex over
     ``top_obj`` (entries target-first, objects source-first) for one word,
@@ -336,7 +351,9 @@ class Shapes:
       pairs;
     - ``seq[(arrows, partition)]``: the ``SeqShape``;
     - ``zetas[partition]``: ``seqq_elements`` on the index chain 0..p-1, which
-      is pure combinatorics.
+      is pure combinatorics;
+    - ``levels[arrows]``: ``chain_levels``, the Seqq elements of every
+      partition of the chain's length moved onto the arrow chain.
     """
 
     def __init__(self, P):
@@ -344,3 +361,4 @@ class Shapes:
         self.shuffles = signed_words(enumerate_shuffles)
         self.seq = Memo(lambda key: seq_shape(P.base, *key, self))
         self.zetas = Memo(lambda part: seqq_elements(P, tuple(range(part.n)), part))
+        self.levels = Memo(lambda arrows: chain_levels(P.base, arrows, self))

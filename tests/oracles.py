@@ -8,7 +8,7 @@ library assembles its operators, not the formulas:
 
 - ``higher_terms_bruteforce`` sums the GS higher components one path and one
   shuffle at a time with the library's enumerations, so it checks the
-  coarsening dynamic programming of ``GSComplex.higher_terms``;
+  coarsening dynamic programming that ``higher_terms`` reads;
 - the pointwise route (``left_act``, ``right_act``, ``restrict``, the
   ``*_terms`` streams and ``pull_apply``) applies every term of d, delta, F, G
   and T to a value vector as a closure, with the same enumerations; the
@@ -471,6 +471,14 @@ def eval_shuffle(P, path, entries, objects, word):
     return out, out_objects
 
 
+def higher_terms(C, key, j):
+    """The component d_j of the GS complex ``C`` at the output cell ``key`` as
+    {input key: coefficient}: the library's memoized terms of d_j with the
+    left part of the simplex attached, in a fresh dict."""
+    left = C.P.base.left_part(key[0], key[0].p - j)
+    return {(left, in_objects, nb): v for in_objects, nb, v in C._right_terms(key, j)}
+
+
 def higher_terms_bruteforce(C, key, j):
     """The component d_j of a GS complex at the output cell ``key``, summed
     term by term: every path on the right part R of the simplex times every
@@ -728,7 +736,7 @@ def seq_elements(P, arrows, entries, objects, part):
         top_obj = objects[-1]
         for r in paths_or_trivial(arrows):
             ents = []
-            for chain_before, i in r.entries(base):
+            for chain_before, i in reversed(r.steps(base)):  # displayed order
                 ents.append(P.epsilon_for(chain_before, i).at(top_obj))
             ents.append(a_total)
             out.append(SeqElement(tuple(ents), r.sign,

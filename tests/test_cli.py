@@ -6,10 +6,13 @@ import sys
 import pytest
 
 from conftest import fixture_path, get_pair
+from prestacks.basecat import Simplex
 from prestacks.cli import main
 from prestacks.compare import Comparison
+from prestacks.complexbase import SparseCochain
 from prestacks.graded import GradedComplex
 from prestacks.gscomplex import GSComplex
+from prestacks.io import cochain_to_text
 from prestacks.linalg import QQ, SparseMatrix, accumulate
 
 
@@ -242,6 +245,34 @@ def test_deform_rejects_corrupted_cocycle(tmp_path, capsys):
     code, out = run(capsys, "deform", fixture_path("rank2-fiber"),
                     "--from-cocycle", str(bad))
     assert code == 1 and "nonzero" in out
+
+
+# cochain text, the fixture it is read on, and the one line deform prints
+NOT_DATUMS = [
+    # d of the 1-cochain with value 1 at (i; X; ): a normalized cocycle, not reduced
+    pytest.param("dual-pair", "2 | i i | X |  | 1 0\n",
+                 "not reduced: nonzero over a degenerate simplex at (i i; X; )",
+                 id="not-reduced"),
+    pytest.param("rank2-fiber", "0 | * | X X X | 1 1 | 1 0\n",
+                 "not a cocycle: d is nonzero at (*; X X X Y; 0 1 1)", id="not-a-cocycle"),
+    pytest.param("rank2-fiber", "0 | * | X X X | 0 1 | 1 0\n",
+                 "not normalized: nonzero with an identity argument at (*; X X X; 0 1)",
+                 id="not-normalized"),
+]
+
+
+@pytest.mark.parametrize("name,text,line", NOT_DATUMS)
+def test_deform_names_the_condition_a_cochain_fails(tmp_path, capsys, name, text, line):
+    if name == "dual-pair":
+        C, _ = get_pair(name)
+        psi = SparseCochain(C, 1, {(Simplex("*", ("i",)), ("X",), ()): [QQ.one, QQ.zero]})
+        assert cochain_to_text(C, C.apply_diff(psi)) == "# degree 2\n" + text
+    path = tmp_path / "phi.cochain"
+    path.write_text(text)
+    code, out = run(capsys, "deform", fixture_path(name), "--from-cocycle", str(path),
+                    "--out", str(tmp_path / "out.json"))
+    assert (code, out) == (1, line + "\n")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_export_matrix_roundtrip(tmp_path, capsys):

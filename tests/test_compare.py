@@ -311,7 +311,7 @@ def apply_T(cmp_, psi):
 
 def check_gf_identity(cmp_, phi):
     """G(F(phi)) == phi for a normalized reduced cochain."""
-    if not (cmp_.CG.is_normalized(phi) and cmp_.CG.is_reduced(phi)):
+    if not (cmp_.CG.normalized_witness(phi) is None and cmp_.CG.reduced_witness(phi) is None):
         raise ValueError("GF identity requires a normalized reduced cochain")
     return cmp_.apply_G(cmp_.apply_F(phi)) == phi
 
