@@ -11,6 +11,8 @@ The parent is recorded by its full commit id, and a working tree whose
 tracked files equal the parent's is refused, since it would be compared
 with itself.  Then one ``--trace 1 --seed 1`` run per side records the
 per-layer metrics: the seconds per layer and the deterministic work counters.
+Each side's ``src/`` line count (``src_lines``, as ``wc -l`` counts the
+Python files) is recorded too.
 
 The output has the shape of the committed ``BENCH_*.json`` files.  Per
 workload and end-to-end metric it gives each side's median, interquartile
@@ -71,6 +73,17 @@ def archive(rev, dest):
         tar.extractall(dest)
     if proc.wait():
         sys.exit("git archive %s failed" % rev)
+
+
+def src_lines(checkout):
+    """The number of lines of the Python files under ``checkout``/src."""
+    total = 0
+    for dirpath, _, names in os.walk(os.path.join(checkout, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
 
 
 def run_bench(checkout, workload, seed, trace=0):
@@ -182,6 +195,7 @@ def main(argv=None):
                       file=sys.stderr)
             runs.append(run)
         trace = traced(parent_dir, TRACE_SEED, args.workload)
+        lines = {side: src_lines(path) for side, path in sides.items()}
 
     workloads = {}
     for name in sorted(runs[0]["parent"]):
@@ -209,6 +223,7 @@ def main(argv=None):
         "correct": {s: t["correct"] for s, t in totals.items()},
         "failed": {s: t["failed"] for s, t in totals.items()},
         "attempted": {s: t["attempted"] for s, t in totals.items()},
+        "src_lines": lines,
         "workloads": workloads,
         "traced": trace,
     }

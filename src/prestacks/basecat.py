@@ -44,6 +44,7 @@ class BaseCategory:
         self.compose = dict(compose)  # (first, then) -> arrow id
         self.arrow_ids = sorted(self.arrows)
         self._nerve_cache = Memo(self._new_nerve)
+        self._composites = Memo(self._new_composite)  # arrow chain -> composite
 
     def src(self, a):
         return self.arrows[a][0]
@@ -135,6 +136,10 @@ class BaseCategory:
             raise ValueError("0-simplex needs a source object")
         return Simplex(source, ())
 
+    def target(self, s):
+        """The last object U_p of a simplex."""
+        return self.tgt(s.arrows[-1]) if s.arrows else s.source
+
     def objects_along(self, s):
         """The object chain U_0, ..., U_p of a simplex."""
         objs = [s.source]
@@ -165,21 +170,19 @@ class BaseCategory:
             raise IndexError("k out of range")
         return Simplex(s.source, s.arrows[:k])
 
-    def right_part(self, s, k):
-        """R_k: the remaining arrows from position k (R_p is the target object)."""
-        if not (0 <= k <= s.p):
-            raise IndexError("k out of range")
-        objs = self.objects_along(s)
-        return Simplex(objs[k], s.arrows[k:])
-
     def composite(self, s):
         """The composite arrow u_p ... u_1 (identity of the object for p=0)."""
-        if s.p == 0:
-            return self.identities[s.source]
-        acc = s.arrows[0]
-        for a in s.arrows[1:]:
-            acc = self.then(acc, a)
-        return acc
+        return self._composites[s.arrows] if s.arrows else self.identities[s.source]
+
+    def chain_composite(self, arrows):
+        """The composite of a nonempty chain of composable arrows (a tuple,
+        source-first), kept per chain."""
+        return self._composites[arrows]
+
+    def _new_composite(self, arrows):
+        if len(arrows) == 1:
+            return arrows[0]
+        return self.then(self._composites[arrows[:-1]], arrows[-1])
 
     def is_degenerate(self, s):
         return s.p > 0 and any(self.is_identity(a) for a in s.arrows)

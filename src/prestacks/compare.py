@@ -183,7 +183,7 @@ class Comparison:
         simplex, objects, btuple = key
         p = simplex.p
         q = len(btuple)
-        top = base.objects_along(simplex)[-1]
+        top = base.target(simplex)
         args = [self.CG.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
         words = shapes.shuffles[(q, p)]
         acc = {}

@@ -42,7 +42,7 @@ import random
 from types import SimpleNamespace
 
 from .combinatorics import Memo
-from .linalg import SparseMatrix, accumulate
+from .linalg import SparseMatrix
 from .lincat import unit_block
 
 
@@ -107,10 +107,13 @@ def pull_matrix(contrib, out_keys, out_index, in_index, field):
     """The matrix of the term stream ``contrib`` on the given bases.
 
     ``out_index`` and ``in_index`` are (offsets by key, dim) pairs; terms whose
-    input key has no offset are dropped, rows follow ``out_keys``.
+    input key has no offset are dropped, rows follow ``out_keys``.  Entries
+    are summed in place with ``field.add``, and the zero sums are dropped
+    once the rows are complete.
     """
     out_off, out_dim = out_index
     in_off, in_dim = in_index
+    add, is_zero = field.add, field.is_zero
     rows = [{} for _ in range(out_dim)]
     for key in out_keys:
         row0 = out_off[key]
@@ -119,7 +122,13 @@ def pull_matrix(contrib, out_keys, out_index, in_index, field):
             if col0 is None:
                 continue
             for (r, b), v in block.items():
-                accumulate(field, rows[row0 + r], col0 + b, v)
+                row = rows[row0 + r]
+                col = col0 + b
+                prev = row.get(col)
+                row[col] = v if prev is None else add(prev, v)
+    for row in rows:
+        for col in [col for col, v in row.items() if is_zero(v)]:
+            del row[col]
     return SparseMatrix(out_dim, in_dim, field, rows)
 
 

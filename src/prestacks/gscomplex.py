@@ -18,29 +18,39 @@ whose product along a path is ``Path.sign``.  A shuffle's inversions are, over
 its path tokens, the number of fiber tokens after each, so its sign factors
 per step too: a path token read after f fiber tokens also carries (-1)^(q-f).
 Every step then depends only on the state (cuts, f), and the sum over all
-paths and words is dynamic programming over at most 2^(j-1) (q+1) such
-states, from (no cuts, 0) to (all cuts, q), with the overall sign (-1)^q.
+paths and words is dynamic programming over the 2^(j-1) (q+1) such states,
+from (no cuts, 0) to (all cuts, q), with the overall sign (-1)^q.
 That sum is ``path_shuffle_sum``; the Seq construction of the comparison
 maps is the same sum on each block of a partition (``shapes.seq_vector``).
-It reads only R, the objects and the basis tuple, so d_j memoizes it on them
-for the life of the complex.  The terms are summed per input cell and
-d_j yields one term per input cell.
+It runs bottom up, with no recursion: f from q down to 0 and cuts from all
+cuts down to none, which is a topological order since an un-merge only adds
+a cut.  The moves depend on j alone: ``MOVES[j]`` lists per coarsening the
+slices it composes and its un-merges, and lives for the life of the process.
+One call reads the 2^(j-1) coarsenings, their star functors and the twist
+components once and keeps only two layers of f; nothing of it outlives the
+call.  The sum reads only R, the objects and the basis tuple, so d_j
+memoizes it on them for the life of the complex.  The terms are summed per
+input cell and d_j yields one term per input cell.
 
-The differential is assembled frame by frame (see ``complexbase``).  A frame
-(simplex, objects) fixes the star functors, the input simplices and objects of
-every term, the d_simp blocks of face 0 and of the middle faces, d_p's block
-and sign, and the twist c_pref of each d_j.  d_Hoch is the bar kernel
-``_bar_terms`` over the frame, with sigma_* a_1 acting on the left of the
-source fiber, the composites in the top fiber and sigma^* a_q acting on the
-right with (-1)^q.  Only the argument blocks read the basis tuple: besides
-the bar kernel's, d_p's restricted supports by (i, b_i) and d_j's left
-blocks by input object, each memoized for the frame; an argument's image
-under a functor is a column of its matrix.
+The differential is assembled frame by frame (see ``complexbase``).  What
+reads only the simplex (its fibers, sigma_* and sigma^*, the faces with their
+restrictions and twists, the left parts of d_j) is built once per run of
+consecutive frames over that simplex and handed on from frame to frame in
+the one slot.  A frame (simplex, objects) fixes the star functors, the input
+simplices and objects of every term, the d_simp blocks of face 0 and of the
+middle faces, d_p's block and sign, and the twist c_pref of each d_j.  d_Hoch
+is the bar kernel ``_bar_terms`` over the frame, with sigma_* a_1 acting on
+the left of the source fiber, the composites in the top fiber and sigma^* a_q
+acting on the right with (-1)^q.  Only the argument blocks read the basis
+tuple: besides the bar kernel's, d_p's restricted supports by (i, b_i) and
+d_j's left blocks by input object, each memoized for the frame; an
+argument's image under a functor is a column of its matrix.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from types import SimpleNamespace
 
 from .combinatorics import Memo, _check_cap, enumerate_shuffles
 from .complexbase import ComplexBase, text_order
@@ -66,70 +76,96 @@ def expand_supports(field, supports):
         yield coeff, tuple(i for i, _ in combo)
 
 
+def _new_moves(j):
+    """The move table of a chain of j arrows, a tuple over the coarsenings
+    ``cuts``: (segments, un-merges).  Bit c - 1 of ``cuts`` cuts the chain
+    after its c-th arrow.  ``segments`` lists the (start, stop) slices that
+    the coarsening composes; ``un-merges`` lists (pred, i, sign): adding one
+    cut gives the coarsening ``pred``, which merges back at index i
+    (1-based) with the step sign (-1)^[i odd]."""
+    table = []
+    for cuts in range(1 << (j - 1)):
+        stops = [c for c in range(1, j) if cuts >> (c - 1) & 1] + [j]
+        moves = []
+        for c in range(1, j):
+            bit = 1 << (c - 1)
+            if not cuts & bit:
+                i = 1 + bin(cuts & (bit - 1)).count("1")  # merge index in pred
+                moves.append((cuts | bit, i, -1 if i % 2 else 1))
+        table.append((tuple(zip([0] + stops[:-1], stops)), tuple(moves)))
+    return tuple(table)
+
+
+# It depends on j alone and reads no cap: every caller of path_shuffle_sum
+# has checked j against PRESTACKS_ENUM_CAP first.
+MOVES = Memo(_new_moves)
+
+
 def path_shuffle_sum(P, R, objects, btuple):
     """The sum over every path of whiskered twists on the arrow chain R and
     every (q, j-1)-shuffle of its tokens with the q basis arguments
     ``btuple`` between ``objects``, as {(objects, btuple): coeff} without
     zeros, in the cell conventions (objects source-first, arguments
     target-first).  A word carries its path sign times its shuffle sign; d_j
-    multiplies the sum by (-1)^q.  It is dynamic programming over the states
-    (coarsening of R, fiber tokens read); see the module docstring.
+    multiplies the sum by (-1)^q.
+
+    A loop over the states (cuts, f), a coarsening of R and the number of
+    fiber tokens read, bottom up: f from q down to 0 and, for each f, cuts
+    from all cuts down to none (see the module docstring).  A state's sum
+    over the rest of every word is {(tgt_1, b_1, ..., tgt_m, b_m): coeff},
+    the target object and basis index of each token read, and only the
+    layers f and f + 1 are held.  ``MOVES[j]`` is shared by every chain of j
+    arrows; the coarsenings, their star functors and the twist components
+    are read once per call and dropped with it.
     """
     F = P.field
-    base = P.base
     j, q = len(R), len(btuple)
-    full = (1 << (j - 1)) - 1
+    table = MOVES[j]
+    full = len(table) - 1
+    comp = P.base.chain_composite
+    chains = [tuple(comp(R[a:b]) for a, b in segs) for segs, _ in table]
+    stars = [P.stars(chain) for chain in chains]
+    twists = [[P.epsilon_for(chains[pred], i).components for pred, i, _ in moves]
+              for _, moves in table]
 
-    def coarsening(cuts):
-        """The coarsening of R with cuts at the set bits (bit c-1: after R[c-1])."""
-        out = [R[0]]
-        for c in range(1, j):
-            if cuts >> (c - 1) & 1:
-                out.append(R[c])
-            else:
-                out[-1] = base.then(out[-1], R[c])
-        return tuple(out)
-
-    def prepend(mor, sgn, tail, acc):
-        for b, c in enumerate(mor.coords):
-            if F.is_zero(c):
-                continue
-            if sgn < 0:
-                c = F.neg(c)
-            entry = (mor.src, mor.tgt, b)
-            for k, v in tail.items():
-                k = (entry,) + k
-                prev = acc.get(k)
-                v = F.mul(c, v)
-                acc[k] = v if prev is None else F.add(prev, v)
-
-    def suffix(state):
-        """Sum over the ways to read the rest of every word from the state
-        (cuts, f), the coarsening ``cuts`` after f fiber tokens:
-        {((src, tgt, basis), ...): coeff}, kept in ``sums``."""
-        cuts, f = state
-        acc = {}
+    after = None  # the sums of layer f + 1, by cuts
+    for f in range(q, -1, -1):
+        here = [None] * (full + 1)
+        obj = objects[-1 - f]  # the object a path token read after f fiber tokens sees
+        sgn_f = -1 if (q - f) % 2 else 1  # fiber tokens after that path token
         if f < q:
-            mor = P.stars(chains[cuts]).basis_image(objects[q - f - 1], objects[q - f],
-                                                    btuple[f])
-            prepend(mor, 1, sums[(cuts, f + 1)], acc)
-        sgn_f = -1 if (q - f) % 2 else 1  # fiber tokens after this path token
-        for c in range(1, j):
-            bit = 1 << (c - 1)
-            if cuts & bit:
-                continue
-            i = 1 + bin(cuts & (bit - 1)).count("1")  # merge index in pred
-            pred = cuts | bit
-            mor = P.epsilon_for(chains[pred], i).at(objects[-1 - f])
-            prepend(mor, sgn_f * (-1 if i % 2 else 1), sums[(pred, f)], acc)
-        return acc
+            lo, hi, b = objects[q - f - 1], objects[q - f], btuple[f]
+        for cuts in range(full, -1, -1):
+            acc = {(): F.one} if f == q and cuts == full else {}
+            if f < q and after[cuts]:
+                fun = stars[cuts]
+                _prepend(F, fun.mats[(lo, hi)][b], fun.obj_map[hi], 1, after[cuts], acc)
+            for (pred, _, sgn), comps in zip(table[cuts][1], twists[cuts]):
+                if here[pred]:
+                    mor = comps[obj]
+                    _prepend(F, mor.coords, mor.tgt, sgn_f * sgn, here[pred], acc)
+            here[cuts] = acc
+        after = here
+    # every word's last token starts at sigma^* of R at objects[0]
+    x0 = stars[full].obj_map[objects[0]]
+    return {((x0,) + k[-2::-2], k[1::2]): v for k, v in after[0].items() if not F.is_zero(v)}
 
-    chains, sums = Memo(coarsening), Memo(suffix)
-    sums[(full, q)] = {(): F.one}
-    # no entries only for j = 1, q = 0: the one object, moved along R
-    return {(tuple(e[0] for e in reversed(k)) + (k[0][1],) if k
-             else (P.stars(R).on_obj(objects[0]),), tuple(e[2] for e in k)): v
-            for k, v in sums[(0, 0)].items() if not F.is_zero(v)}
+
+def _prepend(F, coords, tgt, sgn, tail, acc):
+    """acc += sgn * (the token with target ``tgt`` and coordinates ``coords``)
+    read before each word of ``tail``."""
+    mul, add = F.mul, F.add
+    for b, c in enumerate(coords):
+        if F.is_zero(c):
+            continue
+        if sgn < 0:
+            c = F.neg(c)
+        head = (tgt, b)
+        for k, v in tail.items():
+            k = head + k
+            v = mul(c, v)
+            prev = acc.get(k)
+            acc[k] = v if prev is None else add(prev, v)
 
 
 class NrBasisError(ValueError):
@@ -164,7 +200,7 @@ class GSComplex(ComplexBase):
     def arg_mor(self, simplex, objects, btuple, i):
         """The i-th argument (1-based): basis b_i of hom(A_{q-i}, A_{q-i+1})."""
         q = len(btuple)
-        fib = self.P.fiber(self.P.base.objects_along(simplex)[-1])
+        fib = self.P.fiber(self.P.base.target(simplex))
         return fib.basis_mor(objects[q - i], objects[q - i + 1], btuple[i - 1])
 
     def cells(self, n):
@@ -175,8 +211,7 @@ class GSComplex(ComplexBase):
         for p in range(0, n + 1):
             q = n - p
             for simplex in P.base.nerve(p):
-                top = P.base.objects_along(simplex)[-1]
-                fib = P.fiber(top)
+                fib = P.fiber(P.base.target(simplex))
                 for objects in product(fib.objects, repeat=q + 1):
                     ranks = [fib.rank(objects[q - i], objects[q - i + 1])
                              for i in range(1, q + 1)]
@@ -191,14 +226,44 @@ class GSComplex(ComplexBase):
 
     # -- the differential --------------------------------------------------------
 
+    def _simplex_data(self, simplex):
+        """What every frame over ``simplex`` reads, whatever its objects and
+        degree: fibers, sigma_* and sigma^*, the faces with their functors and
+        twists, the left parts of d_j.  cells(n) lists a simplex's frames one
+        after another, so the frame in the slot hands its data on to the next
+        frame over the same simplex."""
+        key, prev = self._slot
+        if key is not None and key[0] == simplex:
+            return prev.simplex_data
+        P = self.P
+        base = P.base
+        p = simplex.p
+        sd = SimpleNamespace(fib0=P.fiber(simplex.source), fib=P.fiber(base.target(simplex)),
+                             lower=P.sigma_lower(simplex), upper=P.sigma_upper(simplex),
+                             face0=None, middle=[], last=None, higher=[])
+        if p >= 1:
+            d0 = base.face(simplex, 0)
+            sd.face0 = (d0, P.c_sigma_k(simplex, 1), P.restriction(simplex.arrows[0]),
+                        P.sigma_upper(d0), P.sigma_lower(d0))
+            for i in range(1, p):
+                di = base.face(simplex, i)
+                sd.middle.append((di, P.epsilon_sigma_i(simplex, i), P.sigma_lower(di),
+                                  -1 if i % 2 else 1))
+            dp = base.face(simplex, p)
+            sd.last = (dp, P.restriction(simplex.arrows[-1]), P.c_sigma_k(simplex, p - 1),
+                       P.sigma_upper(dp), -1 if p % 2 else 1)
+        for j in range(2, p + 1):
+            left = base.left_part(simplex, p - j)
+            sd.higher.append((j, left, P.sigma_upper(left), P.c_sigma_k(simplex, p - j)))
+        return sd
+
     def _new_frame(self, simplex, objects, n):
         """What every cell of the frame reads: the bar frame of d_Hoch, the
         d_simp blocks that do not read the arguments and memos for those that do."""
-        P, F = self.P, self.field
-        base = P.base
+        F = self.field
+        sd = self._simplex_data(simplex)
         p, q = simplex.p, len(objects) - 1
-        fib0, fib = P.fiber(simplex.source), P.fiber(base.objects_along(simplex)[-1])
-        lower, upper = P.sigma_lower(simplex), P.sigma_upper(simplex)
+        fib0, fib, lower, upper = sd.fib0, sd.fib, sd.lower, sd.upper
         b_obj, a_obj = upper.on_obj(objects[0]), lower.on_obj(objects[-1])
 
         def first(b):  # sigma_* a_1, a_1 in hom(A_{q-1}, A_q), on the left of fib0
@@ -219,29 +284,23 @@ class GSComplex(ComplexBase):
             simplex, objects, (simplex, objects[:-1]), (simplex, objects[1:]),
             [(simplex, objects[:q - i] + objects[q - i + 1:]) for i in range(1, q)],
             first, last, merged)
+        fr.simplex_data = sd
         fr.faces, fr.dp, fr.higher = [], None, []
         if p >= 1:
             sgn_simp = -1 if n % 2 else 1  # (-1)^n on d_simp
-            d0 = base.face(simplex, 0)
-            c1 = P.c_sigma_k(simplex, 1).at(objects[-1])
-            fu1 = P.restriction(simplex.arrows[0])
-            bsub = P.sigma_upper(d0).on_obj(objects[0])
-            asub = P.sigma_lower(d0).on_obj(objects[-1])
-            block = compose_blocks(F, fib0.left_block(fu1.on_obj(bsub), c1),
+            d0, c1, fu1, upper0, lower0 = sd.face0
+            bsub, asub = upper0.on_obj(objects[0]), lower0.on_obj(objects[-1])
+            block = compose_blocks(F, fib0.left_block(fu1.on_obj(bsub), c1.at(objects[-1])),
                                    fu1.block(bsub, asub))
             fr.faces.append((d0, scale_block(F, F.one, block, sgn_simp)))
-            for i in range(1, p):
-                di = base.face(simplex, i)
-                eps = P.epsilon_sigma_i(simplex, i).at(objects[0])
-                a_sub = P.sigma_lower(di).on_obj(objects[-1])
-                fr.faces.append((di, scale_block(F, F.one, fib0.right_block(a_sub, eps),
-                                                 sgn_simp * (-1 if i % 2 else 1))))
-            dp = base.face(simplex, p)
-            up = P.restriction(simplex.arrows[-1])
+            for di, eps, lower_i, sgn in sd.middle:
+                fr.faces.append((di, scale_block(
+                    F, F.one, fib0.right_block(lower_i.on_obj(objects[-1]), eps.at(objects[0])),
+                    sgn_simp * sgn)))
+            dp, up, cp, upper_p, sgn = sd.last
             dp_objects = tuple(up.on_obj(o) for o in objects)
-            cp = P.c_sigma_k(simplex, p - 1).at(objects[-1])
-            dp_block = fib0.left_block(P.sigma_upper(dp).on_obj(dp_objects[0]), cp)
-            sgn_p = sgn_simp * (-1 if p % 2 else 1)
+            dp_block = fib0.left_block(upper_p.on_obj(dp_objects[0]), cp.at(objects[-1]))
+            sgn_p = sgn_simp * sgn
 
             def support(key):  # the nonzero coordinates of up(a_i), a_i = basis b
                 i, b = key
@@ -254,10 +313,8 @@ class GSComplex(ComplexBase):
         def left_blocks(functor, c):  # A -> the block of c on the left of fib0 at functor(A)
             return Memo(lambda obj: fib0.left_block(functor.on_obj(obj), c))
 
-        for j in range(2, p + 1):
-            left = base.left_part(simplex, p - j)
-            fr.higher.append((j, left, left_blocks(
-                P.sigma_upper(left), P.c_sigma_k(simplex, p - j).at(objects[-1]))))
+        for j, left, upper_l, c in sd.higher:
+            fr.higher.append((j, left, left_blocks(upper_l, c.at(objects[-1]))))
         return fr
 
     def diff_contributions(self, key, n):
@@ -340,8 +397,7 @@ class GSComplex(ComplexBase):
         bad = []
         for (simplex, objects), entries in by_family.items():
             q = len(objects) - 1
-            top = self.P.base.objects_along(simplex)[-1]
-            fib = self.P.fiber(top)
+            fib = self.P.fiber(self.P.base.target(simplex))
             for slot in range(1, q + 1):
                 if objects[q - slot] != objects[q - slot + 1]:
                     continue
@@ -384,7 +440,7 @@ class GSComplex(ComplexBase):
             if base.is_degenerate(simplex):
                 continue
             q = len(btuple)
-            top = base.objects_along(simplex)[-1]
+            top = base.target(simplex)
             normal = False
             for slot in range(1, q + 1):
                 if objects[q - slot] == objects[q - slot + 1] and \

@@ -33,7 +33,11 @@ rank by the one before, as persistent homology's clearing and compression do
 d_n's rank found pivots give coordinates on which im d_n projects
 one-to-one, and d_{n+1}, which kills im d_n, is ranked without those
 columns.  This is exact, and sound only after d_{n+1} d_n = 0 has been
-checked, which ``betti_numbers`` does for every pair before any rank.
+checked, which ``betti_numbers`` does for every pair before any rank.  That
+check, ``SparseMatrix.product_is_zero``, builds no product matrix and makes
+no field method call per term: it sums each product row with native int and
+Fraction arithmetic, over F_p reduced mod p once per entry, and stops at the
+first nonzero row.  ``mul`` builds the product, for the ``verify`` laws.
 """
 
 from __future__ import annotations
@@ -175,7 +179,10 @@ class PrimeField:
         s = str(s)
         if "/" in s:
             num, den = s.split("/")
-            return self.mul(int(num) % self.p, self.inv(int(den)))
+            den = int(den) % self.p
+            if not den:
+                raise ValueError("%s has a denominator divisible by %d" % (s, self.p))
+            return self.mul(int(num) % self.p, self.inv(den))
         return int(s) % self.p
 
     def show(self, a):
@@ -338,6 +345,26 @@ class SparseMatrix:
             out.append(acc)
         return SparseMatrix(self.rows, other.cols, F, out)
 
+    def product_is_zero(self, other):
+        """Whether self * other is zero, without building the product (see
+        the module docstring).  Q and F_p only, like elimination."""
+        if other.rows != self.cols:
+            raise ValueError("shape mismatch in matrix product")
+        p = _modulus(self.field)
+        rows_of_other = other.row_data
+        for r in self.row_data:
+            acc = {}
+            get = acc.get
+            for k, v in r.items():
+                for j, w in rows_of_other[k].items():
+                    acc[j] = get(j, 0) + v * w
+            if p:
+                if any(x % p for x in acc.values()):
+                    return False
+            elif any(acc.values()):
+                return False
+        return True
+
     def plus(self, other):
         """The sum self + other."""
         if (other.rows, other.cols) != (self.rows, self.cols):
@@ -379,13 +406,7 @@ class SparseMatrix:
         cleared, then divided by the gcd of its entries), which spans the same
         line; over F_p entries are already ints mod p.
         """
-        F = self.field
-        if isinstance(F, RationalField):
-            p = 0
-        elif isinstance(F, PrimeField):
-            p = F.p
-        else:
-            raise TypeError("elimination needs a field (Q or F_p), not %r" % (F,))
+        p = _modulus(self.field)
         rows = [{j: v for j, v in r.items() if j not in skip_cols} or None
                 for r in self.row_data]
         if p:
@@ -570,6 +591,15 @@ class SparseMatrix:
         return m
 
 
+def _modulus(F):
+    """0 for Q, p for F_p; a TypeError for any other ring."""
+    if isinstance(F, RationalField):
+        return 0
+    if isinstance(F, PrimeField):
+        return F.p
+    raise TypeError("elimination needs a field (Q or F_p), not %r" % (F,))
+
+
 def accumulate(F, d, key, v):
     """d[key] += v in place, dropping the key when the sum is zero."""
     cur = d.get(key)
@@ -651,7 +681,7 @@ def betti_numbers(diffs):
     for d_in, d_out in zip(diffs, diffs[1:]):
         if d_in.cols != 0 and d_out.cols != d_in.rows:
             raise ValueError("d_out and d_in do not share the middle space")
-        if d_in.cols != 0 and not d_out.mul(d_in).is_zero():
+        if d_in.cols != 0 and not d_out.product_is_zero(d_in):
             raise ValueError("d_out . d_in != 0: not a complex position")
     ranks = []
     pivot_rows = []

@@ -88,15 +88,16 @@ class Prestack:
 
     def sigma_upper(self, s):
         """sigma^star = u_1* u_2* ... u_p*."""
-        return self.stars(s.arrows, end_obj=self.base.objects_along(s)[-1])
+        return self.stars(s.arrows, end_obj=self.base.target(s))
 
     def c_sigma_k(self, s, k):
         """The twist (L_k sigma)* (R_k sigma)* -> sigma*; identity for k in {0, p}."""
         p = s.p
         if not (0 <= k <= p):
             raise IndexError("k out of range")
-        left = self.base.composite(self.base.left_part(s, k))
-        right = self.base.composite(self.base.right_part(s, k))
+        base, arrows = self.base, s.arrows
+        left = base.chain_composite(arrows[:k]) if k else base.identities[s.source]
+        right = base.chain_composite(arrows[k:]) if k < p else base.identities[base.target(s)]
         return self.twist(left, right)
 
     def epsilon_for(self, arrows, i):

@@ -47,3 +47,14 @@ def test_summarize_when_higher_is_better():
     assert s["pair_ratios"] == [2.5, 1.5, 1.4, 1.8333]
     s = bench_pairs.summarize([10, 20, 15, 12], [7, 15, 11, 9], 0.25, False)
     assert not s["resolved"] and not s["within_bound"] and s["change_min"] == 7
+
+
+def test_src_lines_counts_the_python_files_under_src(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("one\ntwo\nthree\n")
+    (pkg / "sub" / "b.py").write_text("four\nfive")  # no newline at the end
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "top.py").write_text("outside src\n")
+    assert bench_pairs.src_lines(str(tmp_path)) == 4
+    assert bench_pairs.src_lines(bench_pairs.ROOT) > 0

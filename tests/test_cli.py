@@ -350,6 +350,7 @@ _no_matrix_doc = _edited("triv-A2", "no-matrix.json",
 _no_component_doc = _edited("scalar-twist-2chain", "no-component.json",
                             lambda doc: doc["twists"][0].update(components={}))
 _dual_doc = _edited("dual-pair", "dual.json", lambda doc: doc.update(ring="Q[e]"))
+_f7_doc = _edited("dual-pair", "f7.json", lambda doc: doc.update(ring={"Fp": 7}))
 
 
 def test_dual_number_ring_validates_verifies_and_exports(tmp_path, capsys):
@@ -374,6 +375,11 @@ BAD_INPUTS = [
     pytest.param(["cohomology", _fp_doc], {}, 2, "parse error:", id="fp-4-in-file"),
     pytest.param(["cohomology", "nofile.json", "--fp", "7"], {}, 2, "parse error:",
                  id="fp-missing-file"),
+    pytest.param(["cohomology", "scalar-twist-3chain", "--fp", "7"], {}, 2,
+                 "parse error:", id="fp-denominator-divisible-by-p"),
+    pytest.param(["deform", _f7_doc, "--from-cocycle",
+                  lambda t: _write(t, "sevenths.cochain", "0 | * | X X X | 1 1 | 1/7 0\n")],
+                 {}, 2, "parse error:", id="cocycle-denominator-divisible-by-p"),
     pytest.param(["deform", "dual-pair", "--from-cocycle",
                   lambda t: _write(t, "bad.cochain", "x | * | X X X | 1 1 | 1 0\n")],
                  {}, 2, "parse error:", id="cocycle-malformed-line"),

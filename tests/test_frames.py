@@ -16,7 +16,7 @@ from oracles import graded_terms, gs_terms
 from prestacks.complexbase import pull_matrix
 from prestacks.graded import GradedComplex
 from prestacks.gscomplex import GSComplex
-from prestacks.linalg import QQ, accumulate
+from prestacks.linalg import QQ, DualNumbers, PrimeField, accumulate
 from test_generated import carry_prestack, fold_prestack
 
 PRESTACKS = {
@@ -130,3 +130,11 @@ def test_complex_holds_one_frame(which):
     cells = sum(1 for key in C.cells(top) if key[:2] == last[:2])
     assert all(len(memo) <= cells for memo in vars(frame).values() if isinstance(memo, dict))
     assert_pull_writes_no_frame_block(C, top)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), DualNumbers(QQ)], ids=str)
+def test_pull_matrix_drops_the_sums_that_cancel(field):
+    one, two = field.one, field.add(field.one, field.one)
+    terms = {"out": [("in", {(0, 0): one, (0, 1): two}), ("in", {(0, 0): field.neg(one)})]}
+    m = pull_matrix(terms.__getitem__, ["out"], ({"out": 0}, 1), ({"in": 0}, 2), field)
+    assert m.row_data == [{1: two}] and m.nnz == 1

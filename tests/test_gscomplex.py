@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,10 @@ from conftest import get_pair, get_prestack
 from oracles import (apply_terms, classical_hochschild, higher_terms, higher_terms_bruteforce,
                      pointwise_diff)
 from prestacks.basecat import Simplex, chain_poset
-from prestacks.combinatorics import EnumerationCapError, enumerate_shuffles
+from prestacks.combinatorics import EnumerationCapError, enumerate_paths, enumerate_shuffles
 from prestacks.complexbase import SparseCochain, pull_matrix
 from prestacks.fixtures import coboundary_lambdas, scalar_chain_prestack
-from prestacks.gscomplex import GSComplex
+from prestacks.gscomplex import MOVES, GSComplex
 from prestacks.lincat import scale_block
 from prestacks.linalg import QQ
 
@@ -417,3 +418,28 @@ def test_higher_terms_over_a_cyclic_base(c):
     C = GSComplex(carry_prestack(3, c, QQ))
     for n in range(2, 5):
         _check_higher_terms(C, n)
+
+
+@pytest.mark.parametrize("j", range(2, 7))
+def test_move_table_walks_are_the_signed_paths(j):
+    # A walk from no cuts to all cuts un-merges one interval per step, so read
+    # backwards it is a path's recipe: its merge indices from the full chain.
+    table = MOVES[j]
+    full = len(table) - 1
+
+    def walks(cuts):
+        """(recipe, product of step signs) of every walk from ``cuts`` on."""
+        if cuts == full:
+            yield (), 1
+            return
+        for pred, i, sgn in table[cuts][1]:
+            for recipe, rest in walks(pred):
+                yield recipe + (i,), sgn * rest
+
+    got = list(walks(0))
+    assert len(got) == len(dict(got)) == factorial(j - 1)
+    paths = enumerate_paths(tuple("a%d" % k for k in range(j)))
+    assert dict(got) == {path.recipe: path.sign for path in paths}
+    # the segments a coarsening composes: one for no cuts, one per arrow for all
+    assert table[0][0] == ((0, j),)
+    assert table[full][0] == tuple((k, k + 1) for k in range(j))

@@ -418,6 +418,73 @@ def test_rank_rejects_non_field():
         m.rank()
 
 
+def test_product_check_rejects_non_field():
+    m = SparseMatrix(1, 1, DualNumbers(QQ), [{0: (1, 0)}])
+    with pytest.raises(TypeError, match="elimination needs a field"):
+        m.product_is_zero(m)
+    with pytest.raises(TypeError, match="elimination needs a field"):
+        betti_numbers([m, m])
+
+
+def random_matrix(rng, rows, cols, field, density=0.4):
+    """Random entries: small Fractions over Q, any residue over F_p."""
+    def value():
+        if field is QQ:
+            return QQ.parse(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+        return field.from_int(rng.randrange(field.p))
+    return from_entries(rows, cols, field, [(i, j, value()) for i in range(rows)
+                                            for j in range(cols) if rng.random() < density])
+
+
+def left_annihilator(b, rng):
+    """Random combinations of a basis of the vectors x with x b = 0, as rows."""
+    F = b.field
+    ker = SparseMatrix(b.cols, b.rows, F, b.col_lists()).kernel_basis()
+    rows = []
+    for _ in range(3):
+        acc = {}
+        for vec in ker:
+            c = F.from_int(rng.randint(-3, 3))
+            for j, v in enumerate(vec):
+                accumulate(F, acc, j, F.mul(c, v))
+        rows.append(acc)
+    return SparseMatrix(len(rows), b.rows, F, rows)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(1000003)],
+                         ids=["Q", "F7", "F1000003"])
+@pytest.mark.parametrize("seed", range(6))
+def test_product_check_agrees_with_mul(field, seed):
+    rng = random.Random(seed)
+    b = random_matrix(rng, 8, 5, field)
+    zero = left_annihilator(b, rng)
+    assert zero.product_is_zero(b) and zero.mul(b).is_zero()
+    for a in (zero, random_matrix(rng, 4, 8, field), random_matrix(rng, 4, 8, field, 0.1)):
+        assert a.product_is_zero(b) == a.mul(b).is_zero()
+    with pytest.raises(ValueError):
+        b.product_is_zero(b)
+
+
+def test_product_check_reduces_mod_p_and_cancels_fractions():
+    # zero only mod p: the integer sums are 7 and 1000003
+    for p, (x, y) in ((7, (3, 4)), (1000003, (500001, 500002))):
+        F = PrimeField(p)
+        a = mat_from_rows([[1, 1]], F)
+        assert a.product_is_zero(mat_from_rows([[x], [y]], F))
+        assert not a.product_is_zero(mat_from_rows([[x], [x]], F))
+    # zero only once 1/3 - 2/6 cancels
+    a = mat_from_rows([["1/3", "1/6"]])
+    assert a.product_is_zero(mat_from_rows([[1], [-2]]))
+    assert not a.product_is_zero(mat_from_rows([[1], [-1]]))
+
+
+def test_prime_field_parse_refuses_a_denominator_divisible_by_p():
+    F = PrimeField(7)
+    assert F.parse("6/5") == 4
+    with pytest.raises(ValueError, match="6/14 .* 7"):
+        F.parse("6/14")
+
+
 @pytest.mark.parametrize("base", [QQ, PrimeField(101)], ids=["Q", "F101"])
 def test_dual_solve_non_invertible_pivot(base):
     D = DualNumbers(base)
