@@ -3,6 +3,7 @@
 
     python3 scripts/bench_pairs.py --parent REV --seeds 100-109
         --out BENCH_name.json [--workload NAME|all] [--what TEXT]
+        [--mode run|job]
 
 For each seed, ``perfbench/run.py --workload W --seed S`` runs once on a git
 archive of the parent commit ``--parent`` and once on the working tree,
@@ -13,6 +14,18 @@ with itself.  Then one ``--trace 1 --seed 1`` run per side records the
 per-layer metrics: the seconds per layer and the deterministic work counters.
 Each side's ``src/`` line count (``src_lines``, as ``wc -l`` counts the
 Python files) is recorded too.
+
+With ``--mode job`` the two sides alternate one job at a time instead of
+one whole run at a time.  Per seed, each side writes the workload's inputs
+with its own ``perfbench/workloads.py`` and the job list runs once: every
+job runs through that side's ``perfbench/job.py`` in a fresh process, the
+parent's run of a job right before or after the change's (the parent first
+on even seeds), so both sides of a pair see the same moment of the machine.
+Each job's exit code and stdout are checked against its known answer.  A
+repetition of the job list gives the same four end-to-end metrics as a
+perfbench run: ``setup_s`` the median set-up over its jobs, ``wall_s`` and
+``cpu_s`` the sums over its jobs and ``peak_rss_mb`` the largest peak; the
+pairs are the seeds.  The traced runs are the same in both modes.
 
 The output has the shape of the committed ``BENCH_*.json`` files.  Per
 workload and end-to-end metric it gives each side's median, interquartile
@@ -39,9 +52,26 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACE_SEED = 1  # the seed of the traced runs that earlier BENCH files report
+
+# Run in a checkout: print its workloads' job lists, their inputs written
+# under argv[2]/<workload> for the seed argv[3], as JSON.
+LIST_JOBS = """
+import json, os, sys
+sys.path[:0] = ["perfbench", "src"]
+from workloads import WORKLOADS
+names = sorted(WORKLOADS) if sys.argv[1] == "all" else [sys.argv[1]]
+jobs = {}
+for name in names:
+    workdir = os.path.join(sys.argv[2], name)
+    os.makedirs(workdir)
+    jobs[name] = [[list(j.argv), j.input, j.expected_rc, j.expected_stdout]
+                  for j in WORKLOADS[name](workdir, int(sys.argv[3]))]
+print(json.dumps(jobs))
+"""
 
 
 def parse_seeds(text):
@@ -103,6 +133,78 @@ def run_bench(checkout, workload, seed, trace=0):
         metrics.setdefault(name, {})[metric] = m["value"]
     report["metrics"] = metrics
     return report
+
+
+def child_env():
+    """perfbench's child environment: fixed hashing, no bytecode written."""
+    return dict(os.environ, PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
+
+
+def list_jobs(checkout, workload, seed, workdir):
+    """The job lists of ``checkout``'s workloads, as workload -> [[argv,
+    input, expected rc, expected stdout], ...], inputs written under workdir."""
+    proc = subprocess.run([sys.executable, "-c", LIST_JOBS, workload, workdir, str(seed)],
+                          cwd=checkout, env=child_env(), capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit("listing the jobs in %s failed: %s" % (checkout, proc.stderr.strip()[-400:]))
+    return json.loads(proc.stdout)
+
+
+def run_job(checkout, job):
+    """One job through ``checkout``'s perfbench/job.py in a fresh process: its
+    report, with ``spawn`` and ``failure``, why it failed or None."""
+    argv, path, rc, stdout = job
+    cmd = [sys.executable, os.path.join(checkout, "perfbench", "job.py"),
+           "--input", path, "--", *argv]
+    spawn = time.monotonic()
+    proc = subprocess.run(cmd, cwd=checkout, env=child_env(), capture_output=True, text=True)
+    try:
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        report = {"error": "no report, exit %d: %s" % (proc.returncode, proc.stderr.strip()[-400:])}
+    report["spawn"] = spawn
+    if report.get("error"):
+        report["failure"] = report["error"]
+    elif report["rc"] != rc:
+        report["failure"] = "exit code %s, expected %s" % (report["rc"], rc)
+    elif report["stdout"] != stdout:
+        report["failure"] = "stdout %r, expected %r" % (report["stdout"][:200], stdout[:200])
+    else:
+        report["failure"] = None
+    return report
+
+
+def repetition_metrics(reports):
+    """The end-to-end metrics of one repetition of a job list, from its jobs'
+    reports, as perfbench/run.py computes them over a repetition."""
+    return {
+        "setup_s": statistics.median(r["ready"] - r["spawn"] for r in reports),
+        "wall_s": sum(r["done"] - r["ready"] for r in reports),
+        "cpu_s": sum(r["cpu_s"] for r in reports),
+        "peak_rss_mb": max(r["rss_kb"] for r in reports) / 1024.0,
+    }
+
+
+def job_repetition(sides, jobs, order):
+    """One repetition of each workload's job list on both sides, alternating
+    job by job in ``order``.  ``jobs`` gives each side's job lists.  Returns
+    per side the metrics by workload, the jobs attempted and the failures."""
+    out = {side: {"metrics": {}, "attempted": 0, "failures": []} for side in order}
+    for name in sorted(jobs[order[0]]):
+        reports = {side: [] for side in order}
+        for i in range(len(jobs[order[0]][name])):
+            for side in order:
+                job = jobs[side][name][i]
+                report = run_job(sides[side], job)
+                out[side]["attempted"] += 1
+                if report["failure"] is not None:
+                    out[side]["failures"].append("%s: %s" % (" ".join(job[0]), report["failure"]))
+                else:
+                    reports[side].append(report)
+        for side in order:
+            if len(reports[side]) == len(jobs[side][name]):
+                out[side]["metrics"][name] = repetition_metrics(reports[side])
+    return out
 
 
 def quartiles(values):
@@ -171,6 +273,8 @@ def main(argv=None):
     ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--what", default="", help="what the two sides are")
     ap.add_argument("--out", required=True)
+    ap.add_argument("--mode", choices=["run", "job"], default="run",
+                    help="alternate the sides run by run (default) or job by job")
     args = ap.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     parent = resolve(args.parent)
@@ -185,8 +289,21 @@ def main(argv=None):
         for seed in seeds:
             order = ["parent", "change"] if seed % 2 == 0 else ["change", "parent"]
             run = {"seed": seed, "first": order[0]}
+            if args.mode == "job":
+                with tempfile.TemporaryDirectory(prefix="bench-inputs-") as work:
+                    jobs = {side: list_jobs(sides[side], args.workload, seed,
+                                            os.path.join(work, side)) for side in order}
+                    rep = job_repetition(sides, jobs, order)
             for side in order:
-                report = run_bench(sides[side], args.workload, seed)
+                if args.mode == "job":
+                    report = {"correct": not rep[side]["failures"],
+                              "attempted": rep[side]["attempted"],
+                              "failed": len(rep[side]["failures"]),
+                              "metrics": rep[side]["metrics"]}
+                    for why in rep[side]["failures"]:
+                        print("FAILED %s: %s" % (side, why), file=sys.stderr)
+                else:
+                    report = run_bench(sides[side], args.workload, seed)
                 totals[side]["correct"] &= report["correct"]
                 totals[side]["attempted"] += report["attempted"]
                 totals[side]["failed"] += report["failed"]
@@ -213,10 +330,13 @@ def main(argv=None):
         }
     doc = {
         "what": args.what,
-        "how": ("scripts/bench_pairs.py --workload %s --seeds %s --parent %s: "
-                "perfbench/run.py once per side per seed, the parent from a git "
-                "archive and the change from the working tree, the parent first "
-                "on even seeds" % (args.workload, args.seeds, parent)),
+        "how": ("scripts/bench_pairs.py --workload %s --seeds %s --parent %s --mode %s: "
+                "%s, the parent from a git archive and the change from the working "
+                "tree, the parent first on even seeds"
+                % (args.workload, args.seeds, parent, args.mode,
+                   "perfbench/run.py once per side per seed" if args.mode == "run" else
+                   "per seed one repetition of the job list, each job through "
+                   "perfbench/job.py in a fresh process, the sides alternating job by job")),
         "machine": "%d CPUs, Python %s, %s" % (os.cpu_count(), platform.python_version(),
                                                platform.system()),
         "seeds": seeds,

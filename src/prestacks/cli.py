@@ -403,6 +403,11 @@ def main(argv=None):
             _parse_error("--%s must be >= 0, got %d" % (name.replace("_", "-"), value))
     # PRESTACKS_ENUM_CAP is read deep inside enumeration; reject it up front.
     _env_int("PRESTACKS_ENUM_CAP", None)
+    if getattr(args, "fp", None) is not None:  # a bad modulus is the flag's fault
+        try:
+            PrimeField(args.fp)
+        except ValueError as exc:
+            _parse_error("--fp %d: %s" % (args.fp, exc))
     try:
         return args.fn(args)
     except (EnumerationCapError, NrBasisError) as exc:

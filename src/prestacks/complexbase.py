@@ -30,10 +30,13 @@ builds: a_1 acting on the left, each adjacent pair a_i a_{i+1} merged, as
 unit blocks of (-1)^i times the composite's coordinates, and a_q acting on
 the right.  A complex supplies only the input frames and the blocks.
 
-A block may be shared between terms: a complex may memoize blocks on the data
-they depend on, for its life or for one frame, and hand the same dict to many
-terms and cells.  So no consumer mutates a block; ``pull_matrix`` only reads
-them, and ``lincat.compose_blocks`` and ``scale_block`` return new dicts.
+A block holds no zeros: every block builder in ``lincat`` and the complexes
+drops them, and ``pull_matrix`` relies on it, checking for zeros only in the
+sums where two terms meet.  A block may be shared between terms: a complex
+may memoize blocks on the data they depend on, for its life or for one frame,
+and hand the same dict to many terms and cells.  So no consumer mutates a
+block; ``pull_matrix`` only reads them, and ``lincat.compose_blocks`` and
+``scale_block`` return new dicts.
 """
 
 from __future__ import annotations
@@ -108,13 +111,15 @@ def pull_matrix(contrib, out_keys, out_index, in_index, field):
 
     ``out_index`` and ``in_index`` are (offsets by key, dim) pairs; terms whose
     input key has no offset are dropped, rows follow ``out_keys``.  Entries
-    are summed in place with ``field.add``, and the zero sums are dropped
-    once the rows are complete.
+    are summed in place with ``field.add``.  A block holds no zeros, so only
+    a sum can be zero: each sum that is zero when formed is noted, and the
+    noted entries still zero are dropped once the rows are complete.
     """
     out_off, out_dim = out_index
     in_off, in_dim = in_index
     add, is_zero = field.add, field.is_zero
     rows = [{} for _ in range(out_dim)]
+    zeros = []  # (row, col) of each sum that was zero when formed
     for key in out_keys:
         row0 = out_off[key]
         for in_key, block in contrib(key):
@@ -125,9 +130,14 @@ def pull_matrix(contrib, out_keys, out_index, in_index, field):
                 row = rows[row0 + r]
                 col = col0 + b
                 prev = row.get(col)
-                row[col] = v if prev is None else add(prev, v)
-    for row in rows:
-        for col in [col for col, v in row.items() if is_zero(v)]:
+                if prev is None:
+                    row[col] = v
+                else:
+                    v = row[col] = add(prev, v)
+                    if is_zero(v):
+                        zeros.append((row, col))
+    for row, col in zeros:
+        if col in row and is_zero(row[col]):
             del row[col]
     return SparseMatrix(out_dim, in_dim, field, rows)
 

@@ -26,10 +26,14 @@ It runs bottom up, with no recursion: f from q down to 0 and cuts from all
 cuts down to none, which is a topological order since an un-merge only adds
 a cut.  The moves depend on j alone: ``MOVES[j]`` lists per coarsening the
 slices it composes and its un-merges, and lives for the life of the process.
-One call reads the 2^(j-1) coarsenings, their star functors and the twist
-components once and keeps only two layers of f; nothing of it outlives the
-call.  The sum reads only R, the objects and the basis tuple, so d_j
-memoizes it on them for the life of the complex.  The terms are summed per
+A state's zeros are dropped once its sum is complete, and an empty state
+starts no move.  The paths of a word often cancel in pairs (with identity
+restrictions, coherence makes them all equal and their signs sum to zero
+for j >= 3), so many states are empty, and one call composes a coarsening,
+reads its star functor and an un-merge's twist components only when a
+nonempty state needs them; it keeps only two layers of f, and nothing of it
+outlives the call.  The sum reads only R, the objects and the basis tuple,
+so d_j memoizes it on them for the life of the complex.  The terms are summed per
 input cell and d_j yields one term per input cell.
 
 The differential is assembled frame by frame (see ``complexbase``).  What
@@ -113,20 +117,21 @@ def path_shuffle_sum(P, R, objects, btuple):
     fiber tokens read, bottom up: f from q down to 0 and, for each f, cuts
     from all cuts down to none (see the module docstring).  A state's sum
     over the rest of every word is {(tgt_1, b_1, ..., tgt_m, b_m): coeff},
-    the target object and basis index of each token read, and only the
-    layers f and f + 1 are held.  ``MOVES[j]`` is shared by every chain of j
-    arrows; the coarsenings, their star functors and the twist components
-    are read once per call and dropped with it.
+    the target object and basis index of each token read; its zeros are
+    dropped once it is complete, and only the layers f and f + 1 are held.
+    An empty state starts no move, so a coarsening's chain and star functor
+    and an un-merge's twist are read only when a nonempty state needs them.
+    ``MOVES[j]`` is shared by every chain of j arrows; the chains and star
+    functors read are kept for the call and dropped with it.
     """
     F = P.field
+    is_zero = F.is_zero
     j, q = len(R), len(btuple)
     table = MOVES[j]
     full = len(table) - 1
     comp = P.base.chain_composite
-    chains = [tuple(comp(R[a:b]) for a, b in segs) for segs, _ in table]
-    stars = [P.stars(chain) for chain in chains]
-    twists = [[P.epsilon_for(chains[pred], i).components for pred, i, _ in moves]
-              for _, moves in table]
+    chains = [None] * (full + 1)  # each coarsening's chain of composites, on first use
+    stars = [None] * (full + 1)  # its star functor, on first use
 
     after = None  # the sums of layer f + 1, by cuts
     for f in range(q, -1, -1):
@@ -139,16 +144,34 @@ def path_shuffle_sum(P, R, objects, btuple):
             acc = {(): F.one} if f == q and cuts == full else {}
             if f < q and after[cuts]:
                 fun = stars[cuts]
+                if fun is None:
+                    chain = chains[cuts]
+                    if chain is None:
+                        chain = chains[cuts] = _coarsening(comp, R, table[cuts][0])
+                    fun = stars[cuts] = P.stars(chain)
                 _prepend(F, fun.mats[(lo, hi)][b], fun.obj_map[hi], 1, after[cuts], acc)
-            for (pred, _, sgn), comps in zip(table[cuts][1], twists[cuts]):
+            for pred, i, sgn in table[cuts][1]:
                 if here[pred]:
-                    mor = comps[obj]
+                    chain = chains[pred]
+                    if chain is None:
+                        chain = chains[pred] = _coarsening(comp, R, table[pred][0])
+                    mor = P.epsilon_for(chain, i).components[obj]
                     _prepend(F, mor.coords, mor.tgt, sgn_f * sgn, here[pred], acc)
+            if acc:
+                for k in [k for k, v in acc.items() if is_zero(v)]:
+                    del acc[k]
             here[cuts] = acc
         after = here
+    if not after[0]:
+        return {}
     # every word's last token starts at sigma^* of R at objects[0]
-    x0 = stars[full].obj_map[objects[0]]
-    return {((x0,) + k[-2::-2], k[1::2]): v for k, v in after[0].items() if not F.is_zero(v)}
+    x0 = P.stars(R).obj_map[objects[0]]
+    return {((x0,) + k[-2::-2], k[1::2]): v for k, v in after[0].items()}
+
+
+def _coarsening(comp, R, segments):
+    """The chain of composites of R over the (start, stop) ``segments``."""
+    return tuple(comp(R[a:b]) for a, b in segments)
 
 
 def _prepend(F, coords, tgt, sgn, tail, acc):

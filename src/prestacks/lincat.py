@@ -300,19 +300,6 @@ def compose_functors(g, f):
     return LinFunctor(f.src_cat, g.tgt_cat, obj_map, mats, name=name)
 
 
-def compose_functor_chain(functors, src_cat):
-    """Fold a chain [F1, F2, ..., Fk] into F1 o F2 o ... o Fk (Fk first).
-
-    An empty chain gives the identity functor of ``src_cat``.
-    """
-    if not functors:
-        return identity_functor(src_cat)
-    acc = functors[-1]
-    for f in reversed(functors[:-1]):
-        acc = compose_functors(f, acc)
-    return acc
-
-
 class NatTransform:
     """A natural transformation: per-object components between two functors."""
 

@@ -15,7 +15,6 @@ from functools import reduce
 from .combinatorics import Memo
 from .lincat import (
     NatTransform,
-    compose_functor_chain,
     compose_functors,
     identity_functor,
     identity_transform,
@@ -68,19 +67,22 @@ class Prestack:
     # -- derived functors ------------------------------------------------------
 
     def stars(self, arrows, end_obj=None):
-        """u_1* o u_2* o ... o u_p* for a chain of base arrows (u_p applied first).
+        """u_1* o u_2* o ... o u_p* for a chain of base arrows (u_p applied first),
+        kept per chain, as is every tail it is composed from.
 
         The empty chain needs ``end_obj`` to pick the fiber.
         """
         return self._stars_cache[tuple(arrows) or ((), end_obj)]
 
     def _new_stars(self, key):
-        """The star composite of the arrow chain ``key``; for ((), obj), the
-        identity functor of the fiber over obj."""
+        """The star composite of the arrow chain ``key``: u_1* for one arrow,
+        else u_1* o stars(u_2 ... u_p), one composition on the kept composite
+        of the chain's tail; for ((), obj), the identity functor of the fiber
+        over obj."""
         if key[0] == ():
             return identity_functor(self.fiber(key[1]))
-        return compose_functor_chain([self.restriction(a) for a in key],
-                                     self.fiber(self.base.tgt(key[-1])))
+        head = self.restriction(key[0])
+        return head if len(key) == 1 else compose_functors(head, self._stars_cache[key[1:]])
 
     def sigma_lower(self, s):
         """sigma* = (u_p ... u_1)*: the restriction of the composite arrow."""

@@ -40,7 +40,7 @@ from prestacks.complexbase import SparseCochain, apply_matrix, pull_matrix
 from prestacks.graded import (GMor, GradedCategory, GradedComplex, string_objects,
                               string_simp)
 from prestacks.gscomplex import expand_multilinear
-from prestacks.lincat import (Mor, NatTransform, compose_functor_chain, compose_functors,
+from prestacks.lincat import (Mor, NatTransform, compose_functors, identity_functor,
                               identity_transform)
 
 
@@ -266,6 +266,19 @@ def nerve_shuffle(beta, simplices):
         prod_objects.append(tuple(objs[i][len(objs[i]) - 1 - consumed[i]] for i in range(k)))
     prod_objects.reverse()
     return prod_objects, prod_entries
+
+
+def compose_functor_chain(functors, src_cat):
+    """Fold a chain [F1, F2, ..., Fk] into F1 o F2 o ... o Fk (Fk first).
+
+    An empty chain gives the identity functor of ``src_cat``.
+    """
+    if not functors:
+        return identity_functor(src_cat)
+    acc = functors[-1]
+    for f in reversed(functors[:-1]):
+        acc = compose_functors(f, acc)
+    return acc
 
 
 def whisker(pre, t, post):

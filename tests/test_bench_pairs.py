@@ -58,3 +58,53 @@ def test_src_lines_counts_the_python_files_under_src(tmp_path):
     (tmp_path / "top.py").write_text("outside src\n")
     assert bench_pairs.src_lines(str(tmp_path)) == 4
     assert bench_pairs.src_lines(bench_pairs.ROOT) > 0
+
+
+def _report(spawn, setup, wall, cpu, rss_kb):
+    return {"spawn": spawn, "ready": spawn + setup, "done": spawn + setup + wall,
+            "cpu_s": cpu, "rss_kb": rss_kb, "failure": None}
+
+
+def test_repetition_metrics_are_perfbench_s():
+    reports = [_report(0.0, 0.2, 1.0, 0.9, 20480), _report(5.0, 0.4, 0.5, 0.5, 10240),
+               _report(9.0, 0.3, 0.25, 0.25, 30720)]
+    m = bench_pairs.repetition_metrics(reports)
+    assert m == pytest.approx({"setup_s": 0.3, "wall_s": 1.75, "cpu_s": 1.65,
+                               "peak_rss_mb": 30.0})
+
+
+def test_job_mode_alternates_the_sides_job_by_job(monkeypatch):
+    calls = []
+
+    def fake_run_job(checkout, job):
+        calls.append((checkout, job[0][0]))
+        wall = {"p": 1.0, "c": 0.5}[checkout]
+        r = _report(0.0, 0.1, wall, wall, 1024)
+        if checkout == "c" and job[0][0] == "bad":
+            r["failure"] = "exit code 1, expected 0"
+        return r
+
+    monkeypatch.setattr(bench_pairs, "run_job", fake_run_job)
+    jobs = {"w1": [[["a"], "in", 0, ""], [["b"], "in", 0, ""]], "w2": [[["bad"], "in", 0, ""]]}
+    rep = bench_pairs.job_repetition({"parent": "p", "change": "c"},
+                                     {"parent": jobs, "change": jobs}, ["change", "parent"])
+    assert calls == [("c", "a"), ("p", "a"), ("c", "b"), ("p", "b"), ("c", "bad"), ("p", "bad")]
+    assert rep["parent"]["attempted"] == rep["change"]["attempted"] == 3
+    assert rep["parent"]["metrics"]["w1"]["wall_s"] == pytest.approx(2.0)
+    assert rep["change"]["metrics"]["w1"]["wall_s"] == pytest.approx(1.0)
+    assert rep["parent"]["failures"] == [] and "w2" in rep["parent"]["metrics"]
+    assert rep["change"]["failures"] == ["bad: exit code 1, expected 0"]
+    assert "w2" not in rep["change"]["metrics"]
+
+
+def test_job_mode_runs_the_checkouts_own_jobs(tmp_path):
+    jobs = bench_pairs.list_jobs(bench_pairs.ROOT, "gs-chain", 3, str(tmp_path / "in"))
+    assert list(jobs) == ["gs-chain"] and len(jobs["gs-chain"]) == 2
+    argv, path, _, _ = nr = jobs["gs-chain"][1]
+    assert argv[-3:] == ["nr", "--max-degree", "5"] and os.path.isfile(path)
+    report = bench_pairs.run_job(bench_pairs.ROOT, nr)
+    assert report["failure"] is None and report["spawn"] < report["ready"] < report["done"]
+    wrong = bench_pairs.run_job(bench_pairs.ROOT, nr[:3] + ["another answer"])
+    assert wrong["failure"].startswith("stdout ")
+    m = bench_pairs.repetition_metrics([report])
+    assert m["wall_s"] > 0 and m["peak_rss_mb"] > 1

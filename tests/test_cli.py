@@ -368,10 +368,10 @@ def test_dual_number_ring_validates_verifies_and_exports(tmp_path, capsys):
 # environment, expected exit code, expected start of the one stderr line (of
 # the one stdout line for a prestack violation, which validate prints there)
 BAD_INPUTS = [
-    pytest.param(["cohomology", "dual-pair", "--fp", "4"], {}, 2, "parse error:",
-                 id="fp-4"),
-    pytest.param(["cohomology", "dual-pair", "--fp", "9"], {}, 2, "parse error:",
-                 id="fp-9"),
+    pytest.param(["cohomology", "dual-pair", "--fp", "4"], {}, 2,
+                 "parse error: --fp 4: modulus 4 is not a prime", id="fp-4"),
+    pytest.param(["cohomology", "dual-pair", "--fp", "9"], {}, 2,
+                 "parse error: --fp 9: modulus 9 is not a prime", id="fp-9"),
     pytest.param(["cohomology", _fp_doc], {}, 2, "parse error:", id="fp-4-in-file"),
     pytest.param(["cohomology", "nofile.json", "--fp", "7"], {}, 2, "parse error:",
                  id="fp-missing-file"),

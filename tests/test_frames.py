@@ -13,12 +13,16 @@ import pytest
 
 from conftest import get_prestack
 from oracles import graded_terms, gs_terms
+from prestacks import fixtures
+from prestacks.compare import Comparison
 from prestacks.complexbase import pull_matrix
 from prestacks.graded import GradedComplex
 from prestacks.gscomplex import GSComplex
 from prestacks.linalg import QQ, DualNumbers, PrimeField, accumulate
 from test_generated import carry_prestack, fold_prestack
 
+FIXTURES = ["triv-A2", "triv-A3", "scalar-twist-2chain", "scalar-twist-3chain",
+            "rank2-fiber", "dual-pair"]
 PRESTACKS = {
     "rank2-fiber": lambda: get_prestack("rank2-fiber"),
     "dual-pair": lambda: get_prestack("dual-pair"),
@@ -138,3 +142,38 @@ def test_pull_matrix_drops_the_sums_that_cancel(field):
     terms = {"out": [("in", {(0, 0): one, (0, 1): two}), ("in", {(0, 0): field.neg(one)})]}
     m = pull_matrix(terms.__getitem__, ["out"], ({"out": 0}, 1), ({"in": 0}, 2), field)
     assert m.row_data == [{1: two}] and m.nnz == 1
+
+
+def _all_streams(P, top):
+    """(name, degree, key, stream) for every cell of the GS and graded
+    differentials in degrees 1..top, F and G in degrees 0..top and T in
+    degrees 1..top, over the cells each operator assembles rows for."""
+    CG, CU = GSComplex(P), GradedComplex(P)
+    cmp = Comparison(CG, CU)
+    for n in range(top + 1):
+        if n:
+            for key in CG.cells(n):
+                yield "gs", n, key, CG.diff_contributions(key, n)
+            for key in CU.cells(n):
+                yield "graded", n, key, CU.diff_contributions(key, n)
+            for key in CU.cells(n - 1):
+                yield "T", n, key, cmp.t_contributions(key)
+        for key in CU.cells(n):
+            yield "F", n, key, cmp.f_contributions(key)
+        for key in CG.cells(n):
+            yield "G", n, key, cmp.g_contributions(key)
+
+
+# scalar-twist-3chain has the twist 6/7, which has no reading over F_7
+BLOCK_INPUTS = [(name, field) for name in FIXTURES for field in ("Q", "F7")
+                if (name, field) != ("scalar-twist-3chain", "F7")]
+
+
+@pytest.mark.parametrize("name,field", BLOCK_INPUTS)
+def test_term_blocks_hold_no_zeros(name, field):
+    # pull_matrix checks for zeros only in the sums where two terms meet
+    P = fixtures.build(name, field=None if field == "Q" else PrimeField(7))
+    F = P.field
+    for which, n, key, stream in _all_streams(P, 3):
+        for in_key, block in stream:
+            assert not any(F.is_zero(v) for v in block.values()), (which, n, key, in_key)

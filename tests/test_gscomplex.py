@@ -348,7 +348,14 @@ def test_higher_terms_on_generated_scalar_chains(length, n, data):
     z = {a: data.draw(weights) for a in base.arrow_ids if not base.is_identity(a)}
     P = scalar_chain_prestack(length, lam=coboundary_lambdas(base, z))
     assert P.validate() is None
-    _check_higher_terms(GSComplex(P), n)
+    C = GSComplex(P)
+    _check_higher_terms(C, n)
+    # With identity restrictions, coherence gives every path of a word the
+    # same scalar, and the path signs over S_(j-1) sum to zero for j >= 3:
+    # each of these sums is exactly empty, with no zero left in it.
+    for key in C.cells(n):
+        for j in range(3, key[0].p + 1):
+            assert higher_terms(C, key, j) == {}, (key, j)
 
 
 def test_path_cap_refuses_before_the_shuffle_cap(monkeypatch):

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from oracles import compose_functor_chain
 from prestacks import fixtures
 from prestacks.basecat import chain_poset
 from prestacks.lincat import identity_transform
@@ -104,3 +107,29 @@ def test_presheaf_derived_transforms_are_identities(triv_a3):
             for i in range(1, p):
                 eps = triv_a3.epsilon_sigma_i(s, i)
                 assert eps.eq_components(identity_transform(eps.src_functor))
+
+
+def _generated_chain():
+    """scalar_chain_prestack(4) with coboundary twists of fractional weights."""
+    base = chain_poset(4)
+    arrows = [a for a in base.arrow_ids if not base.is_identity(a)]
+    z = {a: Fraction((-1) ** k * (k + 2), k % 3 + 1) for k, a in enumerate(arrows)}
+    return fixtures.scalar_chain_prestack(4, lam=fixtures.coboundary_lambdas(base, z))
+
+
+STARS_INPUTS = dict({name: (lambda name=name: fixtures.build(name)) for name in
+                     ["triv-A2", "triv-A3", "scalar-twist-2chain", "scalar-twist-3chain",
+                      "rank2-fiber", "dual-pair"]},
+                    **{"scalar-chain-4": _generated_chain})
+
+
+@pytest.mark.parametrize("name", list(STARS_INPUTS))
+def test_stars_are_the_folded_restrictions(name):
+    P = STARS_INPUTS[name]()
+    assert P.validate() is None
+    for p in range(1, 5):
+        for s in P.base.nerve(p):
+            want = compose_functor_chain([P.restriction(a) for a in s.arrows], None)
+            got = P.stars(s.arrows)
+            assert got.src_cat is want.src_cat and got.tgt_cat is want.tgt_cat, s.arrows
+            assert got.obj_map == want.obj_map and got.mats == want.mats, s.arrows
