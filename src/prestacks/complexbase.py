@@ -42,6 +42,7 @@ block; ``pull_matrix`` only reads them, and ``lincat.compose_blocks`` and
 from __future__ import annotations
 
 import random
+from array import array
 from types import SimpleNamespace
 
 from .combinatorics import Memo
@@ -119,7 +120,7 @@ def pull_matrix(contrib, out_keys, out_index, in_index, field):
     in_off, in_dim = in_index
     add, is_zero = field.add, field.is_zero
     rows = [{} for _ in range(out_dim)]
-    zeros = []  # (row, col) of each sum that was zero when formed
+    zeros = array("q")  # row * in_dim + col of each sum that was zero when formed
     for key in out_keys:
         row0 = out_off[key]
         for in_key, block in contrib(key):
@@ -135,8 +136,10 @@ def pull_matrix(contrib, out_keys, out_index, in_index, field):
                 else:
                     v = row[col] = add(prev, v)
                     if is_zero(v):
-                        zeros.append((row, col))
-    for row, col in zeros:
+                        zeros.append((row0 + r) * in_dim + col)
+    for at in zeros:
+        i, col = divmod(at, in_dim)
+        row = rows[i]
         if col in row and is_zero(row[col]):
             del row[col]
     return SparseMatrix(out_dim, in_dim, field, rows)
