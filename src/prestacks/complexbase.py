@@ -42,7 +42,6 @@ block; ``pull_matrix`` only reads them, and ``lincat.compose_blocks`` and
 from __future__ import annotations
 
 import random
-from array import array
 from types import SimpleNamespace
 
 from .combinatorics import Memo
@@ -113,14 +112,14 @@ def pull_matrix(contrib, out_keys, out_index, in_index, field):
     ``out_index`` and ``in_index`` are (offsets by key, dim) pairs; terms whose
     input key has no offset are dropped, rows follow ``out_keys``.  Entries
     are summed in place with ``field.add``.  A block holds no zeros, so only
-    a sum can be zero: each sum that is zero when formed is noted, and the
-    noted entries still zero are dropped once the rows are complete.
+    a sum can be zero: it is dropped when it is formed, and a later term at
+    its entry starts it afresh.  That may move the entry within its row's
+    dict, which no reader of a matrix depends on.
     """
     out_off, out_dim = out_index
     in_off, in_dim = in_index
     add, is_zero = field.add, field.is_zero
     rows = [{} for _ in range(out_dim)]
-    zeros = array("q")  # row * in_dim + col of each sum that was zero when formed
     for key in out_keys:
         row0 = out_off[key]
         for in_key, block in contrib(key):
@@ -134,14 +133,11 @@ def pull_matrix(contrib, out_keys, out_index, in_index, field):
                 if prev is None:
                     row[col] = v
                 else:
-                    v = row[col] = add(prev, v)
+                    v = add(prev, v)
                     if is_zero(v):
-                        zeros.append((row0 + r) * in_dim + col)
-    for at in zeros:
-        i, col = divmod(at, in_dim)
-        row = rows[i]
-        if col in row and is_zero(row[col]):
-            del row[col]
+                        del row[col]
+                    else:
+                        row[col] = v
     return SparseMatrix(out_dim, in_dim, field, rows)
 
 
