@@ -112,14 +112,14 @@ def pull_matrix(contrib, out_keys, out_index, in_index, field):
     ``out_index`` and ``in_index`` are (offsets by key, dim) pairs; terms whose
     input key has no offset are dropped, rows follow ``out_keys``.  Entries
     are summed in place with ``field.add``.  A block holds no zeros, so only
-    a sum can be zero: it is dropped when it is formed, and a later term at
-    its entry starts it afresh.  That may move the entry within its row's
-    dict, which no reader of a matrix depends on.
+    a sum can be zero: each row in which a sum was zero when formed is
+    noted, and its zeros are dropped once the rows are complete.
     """
     out_off, out_dim = out_index
     in_off, in_dim = in_index
     add, is_zero = field.add, field.is_zero
     rows = [{} for _ in range(out_dim)]
+    zero_rows = []  # a row is noted again only after another row was
     for key in out_keys:
         row0 = out_off[key]
         for in_key, block in contrib(key):
@@ -133,11 +133,12 @@ def pull_matrix(contrib, out_keys, out_index, in_index, field):
                 if prev is None:
                     row[col] = v
                 else:
-                    v = add(prev, v)
-                    if is_zero(v):
-                        del row[col]
-                    else:
-                        row[col] = v
+                    v = row[col] = add(prev, v)
+                    if is_zero(v) and (not zero_rows or zero_rows[-1] is not row):
+                        zero_rows.append(row)
+    for row in zero_rows:
+        for col in [col for col, v in row.items() if is_zero(v)]:
+            del row[col]
     return SparseMatrix(out_dim, in_dim, field, rows)
 
 
