@@ -33,8 +33,8 @@ for j >= 3), so many states are empty, and one call composes a coarsening,
 reads its star functor and an un-merge's twist components only when a
 nonempty state needs them; it keeps only two layers of f, and nothing of it
 outlives the call.  The sum reads only R, the objects and the basis tuple,
-so d_j memoizes it on them for the life of the complex.  The terms are summed per
-input cell and d_j yields one term per input cell.
+so d_j memoizes it on them for the life of the complex.  The terms are
+summed per input cell and d_j yields one term per input cell.
 
 The differential is assembled frame by frame (see ``complexbase``).  What
 reads only the simplex (its fibers, sigma_* and sigma^*, the faces with their
