@@ -133,6 +133,10 @@ def path_shuffle_sum(P, R, objects, btuple):
     chains = [None] * (full + 1)  # each coarsening's chain of composites, on first use
     stars = [None] * (full + 1)  # its star functor, on first use
 
+    def new_chain(cuts):  # fills chains[cuts], read as ``chains[cuts] or new_chain(cuts)``
+        chain = chains[cuts] = tuple(comp(R[a:b]) for a, b in table[cuts][0])
+        return chain
+
     after = None  # the sums of layer f + 1, by cuts
     for f in range(q, -1, -1):
         here = [None] * (full + 1)
@@ -145,17 +149,11 @@ def path_shuffle_sum(P, R, objects, btuple):
             if f < q and after[cuts]:
                 fun = stars[cuts]
                 if fun is None:
-                    chain = chains[cuts]
-                    if chain is None:
-                        chain = chains[cuts] = _coarsening(comp, R, table[cuts][0])
-                    fun = stars[cuts] = P.stars(chain)
+                    fun = stars[cuts] = P.stars(chains[cuts] or new_chain(cuts))
                 _prepend(F, fun.mats[(lo, hi)][b], fun.obj_map[hi], 1, after[cuts], acc)
             for pred, i, sgn in table[cuts][1]:
                 if here[pred]:
-                    chain = chains[pred]
-                    if chain is None:
-                        chain = chains[pred] = _coarsening(comp, R, table[pred][0])
-                    mor = P.epsilon_for(chain, i).components[obj]
+                    mor = P.epsilon_for(chains[pred] or new_chain(pred), i).components[obj]
                     _prepend(F, mor.coords, mor.tgt, sgn_f * sgn, here[pred], acc)
             if acc:
                 for k in [k for k, v in acc.items() if is_zero(v)]:
@@ -167,11 +165,6 @@ def path_shuffle_sum(P, R, objects, btuple):
     # every word's last token starts at sigma^* of R at objects[0]
     x0 = P.stars(R).obj_map[objects[0]]
     return {((x0,) + k[-2::-2], k[1::2]): v for k, v in after[0].items()}
-
-
-def _coarsening(comp, R, segments):
-    """The chain of composites of R over the (start, stop) ``segments``."""
-    return tuple(comp(R[a:b]) for a, b in segments)
 
 
 def _prepend(F, coords, tgt, sgn, tail, acc):
