@@ -16,7 +16,7 @@ from .compare import Comparison
 from .deform import (DeformationDatum, build_deformation, classify_h2, cocycle_failure,
                      validate_deformation)
 from .graded import GradedComplex
-from .gscomplex import GSComplex, NrBasisError
+from .gscomplex import GSComplex, NrBasisError, NrComplex
 from .io import (ParseError, cochain_from_text, cochain_to_text, load_prestack,
                  save_prestack)
 from .linalg import PrimeField, RationalField, SparseMatrix, betti_numbers
@@ -42,10 +42,6 @@ def _env_int(name, default):
         return int(raw)
     except ValueError:
         _parse_error("%s must be an integer, got %r" % (name, raw))
-
-
-def _complexes(P):
-    return GSComplex(P), GradedComplex(P)
 
 
 def _violation(P):
@@ -74,8 +70,7 @@ def cmd_validate(args):
 
 def _differential(P, which):
     """n -> the degree-n differential of the chosen complex of P."""
-    CG, CU = _complexes(P)
-    return {"gs": CG.matrix, "nr": CG.nr_matrix, "graded": CU.matrix}[which]
+    return {"gs": GSComplex, "nr": NrComplex, "graded": GradedComplex}[which](P).matrix
 
 
 def cohomology_table(P, which, max_degree):
@@ -175,10 +170,11 @@ def _law_gf(P, CG, CU, cmp_, N, report):
     """GF is the identity on the columns of the nr basis vectors."""
     ok = True
     F = P.field
+    nr = NrComplex(P)
     for n in range(0, N + 1):
         cols = cmp_.matrix_G(n).mul(cmp_.matrix_F(n)).col_lists()
         offsets = CG.index(n)[0]
-        for key in CG.nr_keys(n):
+        for key in nr.cells(n):
             for j in range(offsets[key], offsets[key] + CG.value_rank(key)):
                 if set(cols[j]) != {j} or not F.eq(cols[j][j], F.one):
                     report("GF != 1 on nr basis vector %r at degree %d" % (key, n))
@@ -275,7 +271,7 @@ def cmd_verify(args):
     if _violation(P):
         return 1
     T = args.trials if args.trials is not None else default_t
-    CG, CU = _complexes(P)
+    CG, CU = GSComplex(P), GradedComplex(P)
     cmp_ = Comparison(CG, CU)
     failures = []
     ok = fn(P, CG, CU, cmp_, N, failures.append)
@@ -292,8 +288,8 @@ def cmd_deform(args):
     P = _load(args.file)
     if _not_a_field(P) or _violation(P):
         return 1
-    CG = GSComplex(P)
     if args.from_cocycle:
+        CG = GSComplex(P)
         try:
             with open(args.from_cocycle) as fh:
                 phi = cochain_from_text(CG, 2, fh.read())
@@ -321,10 +317,10 @@ def cmd_deform(args):
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         _parse_error(exc)
-    reps = classify_h2(P, CG)
+    reps = classify_h2(P)
     print("dim H^2 (normalized reduced)\t%d" % len(reps))
     for i, rep in enumerate(reps):
-        datum = DeformationDatum(CG, rep)
+        datum = DeformationDatum(rep.complex, rep)
         Q = build_deformation(P, datum)
         bad = validate_deformation(Q)
         if bad is not None:
@@ -335,7 +331,7 @@ def cmd_deform(args):
         try:
             save_prestack(Q, path)
             with open(cpath, "w") as fh:
-                fh.write(cochain_to_text(CG, rep))
+                fh.write(cochain_to_text(rep.complex, rep))
         except OSError as exc:
             _parse_error(exc)
         print("representative %d\t%s" % (i, path))

@@ -163,7 +163,7 @@ class Comparison:
 
     def apply_F(self, phi):
         n = phi.degree
-        return apply_matrix(self.matrix_F(n), phi, self.CU, n)
+        return apply_matrix(self.matrix_F(n), phi, self.CG, self.CU, n)
 
     def matrix_F(self, n):
         try:
@@ -210,7 +210,7 @@ class Comparison:
 
     def apply_G(self, psi):
         n = psi.degree
-        return apply_matrix(self.matrix_G(n), psi, self.CG, n)
+        return apply_matrix(self.matrix_G(n), psi, self.CU, self.CG, n)
 
     def matrix_G(self, n):
         return pull_matrix(self.g_contributions, self.CG.cells(n), self.CG.index(n),

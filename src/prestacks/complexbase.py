@@ -10,9 +10,12 @@ The operator sends a cochain phi to the cochain whose value at ``key`` is the
 sum of ``block . phi[in_key]`` over the terms.
 
 ``pull_matrix`` is the only consumer of a term stream: it assembles the
-operator's matrix, which ``apply_matrix`` applies to a cochain as to_vector,
-matvec, from_vector.  Coordinate conversion and random cochains also live
-here.
+operator's matrix, which ``apply_matrix`` applies to a cochain as to_vector
+in the input complex, matvec, from_vector in the output complex.  So a
+cochain is read in the coordinates of the complex whose matrix is applied,
+whichever complex holds it: an ``NrComplex`` cochain passed to the GS
+differential is read in GS coordinates.  Coordinate conversion and random
+cochains also live here.
 
 A cell is a frame, its (simplex, objects) pair, plus a basis tuple, and
 ``cells(n)`` lists each frame's cells one after another.  A complex's
@@ -142,9 +145,10 @@ def pull_matrix(contrib, out_keys, out_index, in_index, field):
     return SparseMatrix(out_dim, in_dim, field, rows)
 
 
-def apply_matrix(mat, phi, out_complex, n):
-    """``mat`` applied to ``phi``, as a degree-n cochain of ``out_complex``."""
-    return out_complex.from_vector(n, mat.matvec(phi.complex.to_vector(phi)))
+def apply_matrix(mat, phi, in_complex, out_complex, n):
+    """``mat`` applied to ``phi`` read in the coordinates of ``in_complex``,
+    as a degree-n cochain of ``out_complex``."""
+    return out_complex.from_vector(n, mat.matvec(in_complex.to_vector(phi)))
 
 
 class ComplexBase:
@@ -218,16 +222,12 @@ class ComplexBase:
 
     def apply_diff(self, phi):
         n = phi.degree + 1
-        return apply_matrix(self.matrix(n), phi, self, n)
+        return apply_matrix(self.matrix(n), phi, self, self, n)
 
-    def matrix(self, n, keys_in=None, keys_out=None):
+    def matrix(self, n):
         """The differential C^{n-1} -> C^n as a sparse matrix."""
-        return pull_matrix(
-            lambda key: self.diff_contributions(key, n),
-            self.cells(n) if keys_out is None else keys_out,
-            self.index(n) if keys_out is None else self._offsets(keys_out),
-            self.index(n - 1) if keys_in is None else self._offsets(keys_in),
-            self.field)
+        return pull_matrix(lambda key: self.diff_contributions(key, n), self.cells(n),
+                           self.index(n), self.index(n - 1), self.field)
 
     def _offsets(self, keys):
         offsets = {}
@@ -237,26 +237,25 @@ class ComplexBase:
             dim += self.value_rank(key)
         return offsets, dim
 
-    def to_vector(self, phi, keys=None):
-        offsets, dim = self.index(phi.degree) if keys is None else self._offsets(keys)
+    def to_vector(self, phi):
+        offsets, dim = self.index(phi.degree)
         F = self.field
         vec = [F.zero] * dim
         for key, val in phi.data.items():
             off = offsets.get(key)
             if off is None:
                 if any(not F.is_zero(v) for v in val):
-                    raise KeyError("cochain supported outside the chosen basis: %r" % (key,))
+                    raise KeyError("cochain supported outside the complex's cells: %r" % (key,))
                 continue
             for i, v in enumerate(val):
                 vec[off + i] = v
         return vec
 
-    def from_vector(self, n, vec, keys=None):
+    def from_vector(self, n, vec):
         phi = SparseCochain(self, n)
         F = self.field
-        use = self.cells(n) if keys is None else keys
-        offsets, _ = self.index(n) if keys is None else self._offsets(keys)
-        for key in use:
+        offsets = self.index(n)[0]
+        for key in self.cells(n):
             off = offsets[key]
             r = self.value_rank(key)
             val = list(vec[off: off + r])

@@ -13,7 +13,7 @@ from itertools import product
 
 from .basecat import Simplex
 from .complexbase import text_order
-from .gscomplex import GSComplex
+from .gscomplex import NrComplex
 from .lincat import LinearCategory, LinFunctor, Mor, NatTransform, compose_functors
 from .linalg import DualNumbers, SparseMatrix
 from .prestack import Prestack
@@ -225,8 +225,8 @@ def equivalence_from_cochain(P, complex_, e, d1, d2):
     return detail is None, coboundary_ok, detail
 
 
-def classify_h2(P, complex_=None):
-    """dim H^2 of the normalized reduced complex with representative cocycles.
+def classify_h2(P):
+    """Representative cocycles of H^2 of the normalized reduced complex ``NrComplex(P)``.
 
     The representatives are the rows of the reduced row echelon form of the
     cocycles Z^2 (d3's kernel) whose pivot is not a pivot of the coboundaries
@@ -235,26 +235,18 @@ def classify_h2(P, complex_=None):
     releases reduced each kernel vector only at its leading entries; on some
     inputs their representatives differ from these.
     """
-    C = complex_ if complex_ is not None else GSComplex(P)
+    C = NrComplex(P)
     F = C.field
-    d3, d2 = C.nr_matrix(3), C.nr_matrix(2)
+    d3, d2 = C.matrix(3), C.matrix(2)
     image = SparseMatrix(d2.cols, d2.rows, F, d2.col_lists()).rref_pivots()
     kernel = d3.kernel_basis()
     cocycles = SparseMatrix(len(kernel), d3.cols, F,
                             [{i: v for i, v in enumerate(vec) if not F.is_zero(v)}
                              for vec in kernel]).rref_pivots()
-    nr2 = C.nr_keys(2)
     reps = []
     for col in sorted(set(cocycles) - set(image)):
         full = [F.zero] * d3.cols
         for i, v in cocycles[col].items():
             full[i] = v
-        reps.append(C.from_vector(2, full, keys=nr2))
+        reps.append(C.from_vector(2, full))
     return reps
-
-
-def is_nr_coboundary(C, phi):
-    """True iff the nr degree-2 cochain is d of an nr 1-cochain."""
-    d2 = C.nr_matrix(2)
-    vec = C.to_vector(phi, keys=C.nr_keys(2))
-    return d2.solve(vec) is not None

@@ -5,6 +5,9 @@ the value at a key is a coordinate vector in the hom module
 A(U_0)(sigma^star A_0, sigma^* A_q) of the fiber over the simplex's source:
 the coefficients are the prestack itself.  The total differential is
 d = d_Hoch + (-1)^n d_simp plus the higher components d_j, 2 <= j <= p.
+``NrComplex`` is its normalized reduced subcomplex, a complex of its own
+that lists only its cells (no degenerate simplex, no identity argument)
+and keeps the GS differential.
 
 d_j at a cell whose simplex has right part R (j arrows) and q arguments is a
 signed sum over every path of whiskered twists on R and every
@@ -226,19 +229,28 @@ class GSComplex(ComplexBase):
         out = []
         for p in range(0, n + 1):
             q = n - p
-            for simplex in P.base.nerve(p):
-                fib = P.fiber(P.base.target(simplex))
+            for simplex in self._simplices(p):
+                top = P.base.target(simplex)
+                fib = P.fiber(top)
                 for objects in product(fib.objects, repeat=q + 1):
-                    ranks = [fib.rank(objects[q - i], objects[q - i + 1])
+                    slots = [self._slot_basis(top, fib, objects[q - i], objects[q - i + 1])
                              for i in range(1, q + 1)]
-                    if any(r == 0 for r in ranks):
+                    if not all(slots):
                         continue
                     if self.value_rank((simplex, objects, None)) == 0:
                         continue
-                    for btuple in product(*[range(r) for r in ranks]):
+                    for btuple in product(*slots):
                         out.append((simplex, objects, btuple))
         self._cells[n] = out
         return out
+
+    def _simplices(self, p):
+        """The p-simplices that carry cells: the whole nerve."""
+        return self.P.base.nerve(p)
+
+    def _slot_basis(self, top, fib, a, b):
+        """The basis indices of an argument in hom(a, b) of ``fib``, the fiber over ``top``."""
+        return range(fib.rank(a, b))
 
     # -- the differential --------------------------------------------------------
 
@@ -432,41 +444,32 @@ class GSComplex(ComplexBase):
                            if any(not F.is_zero(v) for v in acc) for cell in cells)
         return min(bad, key=text_order, default=None)
 
-    def nr_keys(self, n):
-        """Cells spanning the normalized reduced subcomplex.
 
-        Requires every fiber identity to be a basis vector of its hom module;
-        raises ``NrBasisError`` otherwise.
-        """
-        P = self.P
-        base = P.base
-        id_idx = {}
-        for u in base.objects:
-            fib = P.fiber(u)
+class NrComplex(GSComplex):
+    """The normalized reduced subcomplex: the GS cells over non-degenerate
+    simplices with no identity argument, listed directly in GS cell order.
+    Its differential is the GS one; ``pull_matrix`` drops the terms at other
+    input cells.  Raises ``NrBasisError`` unless every fiber identity is a
+    basis vector of its hom module.
+    """
+
+    def __init__(self, prestack):
+        super().__init__(prestack)
+        self._identity = {}  # (base object, fiber object) -> basis index of the identity
+        for u in prestack.base.objects:
+            fib = prestack.fiber(u)
             for a in fib.objects:
                 idx = fib.identity_basis_index(a)
                 if idx is None:
                     raise NrBasisError(
                         "fiber %s: identity of %s is not a basis vector; "
                         "nr basis enumeration unavailable" % (u, a))
-                id_idx[(u, a)] = idx
-        out = []
-        for key in self.cells(n):
-            simplex, objects, btuple = key
-            if base.is_degenerate(simplex):
-                continue
-            q = len(btuple)
-            top = base.target(simplex)
-            normal = False
-            for slot in range(1, q + 1):
-                if objects[q - slot] == objects[q - slot + 1] and \
-                        btuple[slot - 1] == id_idx[(top, objects[q - slot])]:
-                    normal = True
-                    break
-            if not normal:
-                out.append(key)
-        return out
+                self._identity[(u, a)] = idx
 
-    def nr_matrix(self, n):
-        """The differential restricted to the normalized reduced subcomplex."""
-        return self.matrix(n, keys_in=self.nr_keys(n - 1), keys_out=self.nr_keys(n))
+    def _simplices(self, p):
+        base = self.P.base
+        return [s for s in base.nerve(p) if not base.is_degenerate(s)]
+
+    def _slot_basis(self, top, fib, a, b):
+        basis = range(fib.rank(a, b))
+        return basis if a != b else [i for i in basis if i != self._identity[(top, a)]]

@@ -258,6 +258,8 @@ def _cochain_line(complex_, ln):
     else:
         arrows = tuple(parts[1].split())
         simplex = complex_.P.base.simplex(arrows)
+        if simplex.p != p:
+            raise ValueError("p = %d is not the number of arrows listed (%d)" % (p, simplex.p))
     objects = tuple(parts[2].split())
     btuple = tuple(int(t) for t in parts[3].split()) if parts[3] else ()
     key = (simplex, objects, btuple)

@@ -95,7 +95,10 @@ class RationalField:
     def parse(self, s):
         if isinstance(s, (int, Fraction)):
             return _q(Fraction(s))
-        return _q(Fraction(str(s)))
+        try:
+            return _q(Fraction(str(s)))
+        except ZeroDivisionError:
+            raise ValueError("%s has a zero denominator" % s) from None
 
     def show(self, a):
         return str(a)
@@ -573,22 +576,6 @@ class SparseMatrix:
             for j in sorted(r):
                 lines.append("%d %d %s" % (i, j, show(r[j])))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_triplet_text(cls, text, field):
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        rows, cols, nnz = (int(t) for t in lines[0].split())
-        row_data = [{} for _ in range(rows)]
-        for ln in lines[1:]:
-            i, j, val = ln.split(None, 2)
-            i, j = int(i), int(j)
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise IndexError("entry (%d,%d) out of range" % (i, j))
-            accumulate(field, row_data[i], j, field.parse(val))
-        m = cls(rows, cols, field, row_data)
-        if m.nnz != nnz:
-            raise ValueError("triplet header nnz %d != %d entries" % (nnz, m.nnz))
-        return m
 
 
 def _modulus(F):

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from prestacks import fixtures
-from prestacks.gscomplex import GSComplex
+from prestacks.gscomplex import GSComplex, NrComplex
 from prestacks.graded import GradedComplex
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -30,6 +30,16 @@ def get_pair(name):
         P = get_prestack(name)
         _pair_cache[name] = (GSComplex(P), GradedComplex(P))
     return _pair_cache[name]
+
+
+_nr_cache = {}
+
+
+def get_nr(name):
+    """The normalized reduced complex of one fixture prestack."""
+    if name not in _nr_cache:
+        _nr_cache[name] = NrComplex(get_prestack(name))
+    return _nr_cache[name]
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ elimination, double loops, permutation filters, and a direct-summation
 Hochschild differential for one-object fibers.  The exceptions check how the
 library assembles its operators, not the formulas:
 
+- ``nr_keys`` filters the library's GS cells down to the normalized reduced
+  ones, so it checks the direct listing of ``NrComplex``;
 - ``higher_terms_bruteforce`` sums the GS higher components one path and one
   shuffle at a time with the library's enumerations, so it checks the
   coarsening dynamic programming that ``higher_terms`` reads;
@@ -25,7 +27,7 @@ library assembles its operators, not the formulas:
 
 Test-only diagnostics of the paper's constructions also live here: formal
 chains of tensor strings with their faces and the chains omega, Omega and
-Delta of the homotopy.
+Delta of the homotopy, the nr coboundary test and the triplet text reader.
 """
 
 from fractions import Fraction
@@ -39,7 +41,8 @@ from prestacks.shapes import SeqElement, seqq_elements
 from prestacks.complexbase import SparseCochain, apply_matrix, pull_matrix
 from prestacks.graded import (GMor, GradedCategory, GradedComplex, string_objects,
                               string_simp)
-from prestacks.gscomplex import expand_multilinear
+from prestacks.gscomplex import NrBasisError, expand_multilinear
+from prestacks.linalg import SparseMatrix, accumulate
 from prestacks.lincat import (Mor, NatTransform, compose_functors, identity_functor,
                               identity_transform)
 
@@ -514,6 +517,71 @@ def higher_terms_bruteforce(C, key, j):
                 k = (left, tuple(sh_objects), nb)
                 out[k] = F.add(out.get(k, F.zero), coeff if sgn == 1 else F.neg(coeff))
     return {k: v for k, v in out.items() if not F.is_zero(v)}
+
+
+# -- the normalized reduced cells and triplet text ------------------------------------
+
+
+def nr_keys(C, n):
+    """The cells of the GS complex ``C`` that span its normalized reduced
+    subcomplex, listed by filtering ``C.cells(n)``: over a non-degenerate
+    simplex and with no identity argument.
+
+    Requires every fiber identity to be a basis vector of its hom module;
+    raises ``NrBasisError`` otherwise.
+    """
+    P = C.P
+    base = P.base
+    id_idx = {}
+    for u in base.objects:
+        fib = P.fiber(u)
+        for a in fib.objects:
+            idx = fib.identity_basis_index(a)
+            if idx is None:
+                raise NrBasisError(
+                    "fiber %s: identity of %s is not a basis vector; "
+                    "nr basis enumeration unavailable" % (u, a))
+            id_idx[(u, a)] = idx
+    out = []
+    for key in C.cells(n):
+        simplex, objects, btuple = key
+        if base.is_degenerate(simplex):
+            continue
+        q = len(btuple)
+        top = base.target(simplex)
+        normal = False
+        for slot in range(1, q + 1):
+            if objects[q - slot] == objects[q - slot + 1] and \
+                    btuple[slot - 1] == id_idx[(top, objects[q - slot])]:
+                normal = True
+                break
+        if not normal:
+            out.append(key)
+    return out
+
+
+def is_nr_coboundary(NR, phi):
+    """True iff the degree-2 cochain phi, supported on the cells of the nr
+    complex ``NR``, is d of an nr 1-cochain."""
+    return NR.matrix(2).solve(NR.to_vector(phi)) is not None
+
+
+def from_triplet_text(text, field):
+    """The matrix of a triplet text ("rows cols nnz", then "i j value" lines),
+    its entries summed; an entry outside the shape raises IndexError."""
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    rows, cols, nnz = (int(t) for t in lines[0].split())
+    row_data = [{} for _ in range(rows)]
+    for ln in lines[1:]:
+        i, j, val = ln.split(None, 2)
+        i, j = int(i), int(j)
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise IndexError("entry (%d,%d) out of range" % (i, j))
+        accumulate(field, row_data[i], j, field.parse(val))
+    m = SparseMatrix(rows, cols, field, row_data)
+    if m.nnz != nnz:
+        raise ValueError("triplet header nnz %d != %d entries" % (nnz, m.nnz))
+    return m
 
 
 # -- the pointwise route ----------------------------------------------------------
@@ -1056,7 +1124,7 @@ def apply_terms(contrib, out_complex, n, in_complex, phi):
     a degree-n cochain of ``out_complex``."""
     mat = pull_matrix(contrib, out_complex.cells(n), out_complex.index(n),
                       in_complex.index(phi.degree), out_complex.field)
-    return apply_matrix(mat, phi, out_complex, n)
+    return apply_matrix(mat, phi, in_complex, out_complex, n)
 
 
 # -- formal chains ------------------------------------------------------------------

@@ -7,9 +7,10 @@ there are no tolerances anywhere.
 import random
 from math import comb, factorial
 
-from conftest import get_pair, get_prestack
+from conftest import get_nr, get_pair, get_prestack
 from oracles import (GradedChain, big_omega_chain, cell_gmors, chain_face, chain_face_sum,
-                     delta_chain, dense_rank_of_sparse, pointwise_diff, shuffle_filter_count)
+                     delta_chain, dense_rank_of_sparse, is_nr_coboundary, pointwise_diff,
+                     shuffle_filter_count)
 from prestacks import combinatorics as cb
 from prestacks import fixtures
 from prestacks.basecat import chain_poset
@@ -17,8 +18,7 @@ from prestacks.compare import Comparison
 from prestacks.complexbase import SparseCochain
 from prestacks.deform import (DeformationDatum, EquivalenceDatum, build_deformation,
                               classify_h2, deformation_is_cocycle,
-                              equivalence_from_cochain, is_nr_coboundary,
-                              validate_deformation)
+                              equivalence_from_cochain, validate_deformation)
 from prestacks.io import prestack_from_doc, prestack_to_doc
 from prestacks.linalg import SparseMatrix
 
@@ -130,9 +130,9 @@ def test_05_chain_maps():
     report(5, "F.d = delta.F and G.delta = d.G", ok)
 
 
-def _nr_inclusion(CG, n):
-    keys = CG.nr_keys(n)
-    sub_off, sub_dim = CG._offsets(keys)
+def _nr_inclusion(CG, NR, n):
+    keys = NR.cells(n)
+    sub_off, sub_dim = NR.index(n)
     full_off, full_dim = CG.index(n)
     row_data = [{} for _ in range(full_dim)]
     for key in keys:
@@ -148,7 +148,7 @@ def test_06_gf_identity_on_nr():
         cmp_ = get_cmp(name)
         CG = cmp_.CG
         for n in (0, 1, 2, 3):
-            incl = _nr_inclusion(CG, n)
+            incl = _nr_inclusion(CG, get_nr(name), n)
             gf = cmp_.matrix_G(n).mul(cmp_.matrix_F(n))
             ok &= gf.mul(incl) == incl
     report(6, "GF = 1 on normalized reduced", ok)
@@ -206,23 +206,23 @@ def test_09_deformation_dictionary():
         P = get_prestack(name)
         CG, _ = get_pair(name)
         F = CG.field
-        reps = classify_h2(P, CG)
+        reps = classify_h2(P)
         for rep in reps:
             datum = DeformationDatum(CG, rep)
             ok &= validate_deformation(build_deformation(P, datum)) is None
             ok &= deformation_is_cocycle(CG, datum)
-        ker = CG.nr_matrix(3).kernel_basis()
-        nr2 = CG.nr_keys(2)
+        NR = get_nr(name)
+        ker = NR.matrix(3).kernel_basis()
         for trial in range(10):
             if ker and trial % 2 == 0:
-                vec = [F.zero] * CG.nr_matrix(3).cols
+                vec = [F.zero] * NR.dim(2)
                 for kv in ker:
                     c = F.from_int(rng.randint(-2, 2))
                     vec = [F.add(a, F.mul(c, b)) for a, b in zip(vec, kv)]
-                phi = CG.from_vector(2, vec, keys=nr2)
+                phi = NR.from_vector(2, vec)
             else:
                 phi = SparseCochain(CG, 2)
-                for k in nr2:
+                for k in NR.cells(2):
                     phi.data[k] = [F.from_int(rng.randint(-2, 2))
                                    for _ in range(CG.value_rank(k))]
             datum = DeformationDatum(CG, phi)
@@ -233,12 +233,12 @@ def test_09_deformation_dictionary():
     P = get_prestack("dual-pair")
     CG, _ = get_pair("dual-pair")
     F = CG.field
-    reps = classify_h2(P, CG)
+    reps = classify_h2(P)
     ok &= len(reps) >= 2
     d1 = DeformationDatum(CG, reps[0])
     for seed in range(3):
         e_coch = SparseCochain(CG, 1)
-        for k in CG.nr_keys(1):
+        for k in get_nr("dual-pair").cells(1):
             rng2 = random.Random(900 + seed)
             e_coch.data[k] = [F.from_int(rng2.randint(-2, 2))
                               for _ in range(CG.value_rank(k))]
@@ -251,11 +251,11 @@ def test_09_deformation_dictionary():
         m_ok, c_ok, _ = equivalence_from_cochain(P, CG, e, d1, d2)
         ok &= m_ok and c_ok
     dB = DeformationDatum(CG, reps[1])
-    ok &= not is_nr_coboundary(CG, reps[0].sub(reps[1]))
+    ok &= not is_nr_coboundary(get_nr("dual-pair"), reps[0].sub(reps[1]))
     for seed in range(3):
         e_coch = SparseCochain(CG, 1)
         rng3 = random.Random(1200 + seed)
-        for k in CG.nr_keys(1):
+        for k in get_nr("dual-pair").cells(1):
             e_coch.data[k] = [F.from_int(rng3.randint(-2, 2))
                               for _ in range(CG.value_rank(k))]
         e = EquivalenceDatum(CG, e_coch)
@@ -272,7 +272,7 @@ def test_10_presheaf_degeneration():
         F = CG.field
         for n in (1, 2, 3):
             phi = SparseCochain(CG, n)
-            for k in CG.nr_keys(n):
+            for k in get_nr(name).cells(n):
                 phi.data[k] = [F.from_int(rng.randint(-2, 2))
                                for _ in range(CG.value_rank(k))]
             full = CG.apply_diff(phi)

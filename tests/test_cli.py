@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from conftest import fixture_path, get_pair
+from conftest import fixture_path, get_nr, get_pair
+from oracles import from_triplet_text
 from prestacks.basecat import Simplex
 from prestacks.cli import main
 from prestacks.compare import Comparison
@@ -137,8 +138,7 @@ def test_verify_gf_names_failing_nr_key(capsys, monkeypatch):
     code, out = run(capsys, "verify", fixture_path("triv-A2"), "--law", "gf",
                     "--degree", "1")
     assert code == 1 and out.startswith("law gf\tFAIL")
-    CG, _ = get_pair("triv-A2")
-    key = CG.nr_keys(0)[0]
+    key = get_nr("triv-A2").cells(0)[0]
     assert "GF != 1 on nr basis vector %r at degree 0" % (key,) in out
 
 
@@ -281,11 +281,11 @@ def test_export_matrix_roundtrip(tmp_path, capsys):
                     "--degree", "2", "--complex", "gs", "--out", str(out_file))
     assert code == 0
     text = out_file.read_text()
-    mat = SparseMatrix.from_triplet_text(text, QQ)
+    mat = from_triplet_text(text, QQ)
     header = text.splitlines()[0].split()
     assert (mat.rows, mat.cols, mat.nnz) == tuple(int(t) for t in header)
     # rank preserved under the round trip
-    mat2 = SparseMatrix.from_triplet_text(mat.to_triplet_text(), QQ)
+    mat2 = from_triplet_text(mat.to_triplet_text(), QQ)
     assert mat.rank() == mat2.rank()
 
 
@@ -296,7 +296,7 @@ def test_export_zero_matrix_header(tmp_path, capsys):
                     "--degree", "2", "--complex", "nr", "--out", str(out_file))
     assert code == 0
     header = out_file.read_text().splitlines()[0].split()
-    assert int(header[2]) == SparseMatrix.from_triplet_text(out_file.read_text(), QQ).nnz
+    assert int(header[2]) == from_triplet_text(out_file.read_text(), QQ).nnz
 
 
 @pytest.mark.parametrize("which", ["gs", "nr", "graded"])
@@ -351,6 +351,8 @@ _no_component_doc = _edited("scalar-twist-2chain", "no-component.json",
                             lambda doc: doc["twists"][0].update(components={}))
 _dual_doc = _edited("dual-pair", "dual.json", lambda doc: doc.update(ring="Q[e]"))
 _f7_doc = _edited("dual-pair", "f7.json", lambda doc: doc.update(ring={"Fp": 7}))
+_zero_den_doc = _edited("dual-pair", "zero-den.json", lambda doc: doc["fibers"]["*"][
+    "compose"][1].update(result={"x": "1/0"}))
 
 
 def test_dual_number_ring_validates_verifies_and_exports(tmp_path, capsys):
@@ -380,6 +382,15 @@ BAD_INPUTS = [
     pytest.param(["deform", _f7_doc, "--from-cocycle",
                   lambda t: _write(t, "sevenths.cochain", "0 | * | X X X | 1 1 | 1/7 0\n")],
                  {}, 2, "parse error:", id="cocycle-denominator-divisible-by-p"),
+    pytest.param(["validate", _zero_den_doc], {}, 2,
+                 "parse error: malformed prestack document: 1/0 has a zero denominator",
+                 id="zero-denominator-in-document"),
+    pytest.param(["deform", "dual-pair", "--from-cocycle",
+                  lambda t: _write(t, "zero.cochain", "0 | * | X X X | 1 1 | 1/0\n")],
+                 {}, 2, "parse error: bad cochain line", id="cocycle-zero-denominator"),
+    pytest.param(["deform", "dual-pair", "--from-cocycle",
+                  lambda t: _write(t, "p.cochain", "5 | i | X X | 0 | 1 0\n")],
+                 {}, 2, "parse error: bad cochain line", id="cocycle-p-not-arrow-count"),
     pytest.param(["deform", "dual-pair", "--from-cocycle",
                   lambda t: _write(t, "bad.cochain", "x | * | X X X | 1 1 | 1 0\n")],
                  {}, 2, "parse error:", id="cocycle-malformed-line"),

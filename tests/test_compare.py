@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from conftest import get_pair, get_prestack
+from conftest import get_nr, get_pair, get_prestack
 from oracles import (GradedChain, big_omega_chain, build_graded_string, c_sigma_partition,
                      cell_gmors, chain_face_sum, delta_chain, f_terms, g_terms, graded_terms, gs_terms, omega_chain,
                      pull_apply, seq_count, t_terms)
@@ -306,7 +306,7 @@ def test_g_commutes_with_differentials(name):
 def apply_T(cmp_, psi):
     """The homotopy T_{n+1} on a degree-(n+1) graded cochain."""
     n = psi.degree
-    return apply_matrix(cmp_.matrix_T(n), psi, cmp_.CU, n - 1)
+    return apply_matrix(cmp_.matrix_T(n), psi, cmp_.CU, cmp_.CU, n - 1)
 
 
 def check_gf_identity(cmp_, phi):
@@ -440,7 +440,7 @@ def test_presheaf_f_only_unit_partitions_survive(triv_a3):
     rng = random.Random(12)
     for n in (2, 3):
         phi = SparseCochain(CG, n)
-        for k in CG.nr_keys(n):
+        for k in get_nr("triv-A3").cells(n):
             phi.data[k] = [F.from_int(rng.randint(-2, 2))
                            for _ in range(CG.value_rank(k))]
         full = cmp_.apply_F(phi)
@@ -478,7 +478,7 @@ def test_gf_identity_on_nr_basis(name):
     CG = cmp_.CG
     F = CG.field
     for n in (0, 1, 2):
-        for key in CG.nr_keys(n):
+        for key in get_nr(name).cells(n):
             for b in range(CG.value_rank(key)):
                 phi = SparseCochain(CG, n)
                 vec = [F.zero] * CG.value_rank(key)

@@ -2,16 +2,15 @@ import random
 
 import pytest
 
-from conftest import get_pair, get_prestack
-from oracles import dense_rref, entry_dict
+from conftest import get_nr, get_pair, get_prestack
+from oracles import dense_rref, entry_dict, is_nr_coboundary
 from prestacks.basecat import Simplex
 from prestacks.cli import cohomology_table
 from prestacks.complexbase import SparseCochain
 from prestacks.deform import (DeformationDatum, EquivalenceDatum, build_deformation,
                               classify_h2, deformation_is_cocycle,
-                              equivalence_from_cochain, is_nr_coboundary,
-                              validate_deformation)
-from prestacks.gscomplex import GSComplex
+                              equivalence_from_cochain, validate_deformation)
+from prestacks.gscomplex import GSComplex, NrComplex
 from prestacks.linalg import DualNumbers, PrimeField
 from test_generated import carry_prestack, fold_prestack
 
@@ -20,7 +19,7 @@ def nr_random(C, n, seed):
     rng = random.Random(seed)
     F = C.field
     phi = SparseCochain(C, n)
-    for k in C.nr_keys(n):
+    for k in NrComplex(C.P).cells(n):
         phi.data[k] = [F.from_int(rng.randint(-2, 2)) for _ in range(C.value_rank(k))]
     return phi
 
@@ -40,7 +39,7 @@ def test_zero_datum_extends_scalars(twist2):
 def test_epsilon_part_of_composition_is_m1(dual_pair):
     P = get_prestack("dual-pair")
     C, _ = get_pair("dual-pair")
-    reps = classify_h2(P, C)
+    reps = classify_h2(P)
     datum = DeformationDatum(C, reps[0])
     Q = build_deformation(P, datum)
     fib = Q.fiber("*")
@@ -58,17 +57,17 @@ def test_epsilon_part_of_composition_is_m1(dual_pair):
 def test_cocycle_iff_valid_deformation(name):
     P = get_prestack(name)
     C, _ = get_pair(name)
+    NR = get_nr(name)
     rng = random.Random(31)
-    ker = C.nr_matrix(3).kernel_basis()
+    ker = NR.matrix(3).kernel_basis()
     F = C.field
-    nr2 = C.nr_keys(2)
     for trial in range(8):
         if ker and trial % 2 == 0:
-            vec = [F.zero] * C.nr_matrix(3).cols
+            vec = [F.zero] * NR.dim(2)
             for kv in ker:
                 c = F.from_int(rng.randint(-2, 2))
                 vec = [F.add(a, F.mul(c, b)) for a, b in zip(vec, kv)]
-            phi = C.from_vector(2, vec, keys=nr2)
+            phi = NR.from_vector(2, vec)
         else:
             phi = nr_random(C, 2, 100 + trial)
         datum = DeformationDatum(C, phi)
@@ -94,7 +93,7 @@ def test_non_cocycle_fails_both_routes(rank2):
 def test_h2_representatives_validate(dual_pair):
     P = get_prestack("dual-pair")
     C, _ = get_pair("dual-pair")
-    reps = classify_h2(P, C)
+    reps = classify_h2(P)
     assert len(reps) == 2
     for rep in reps:
         datum = DeformationDatum(C, rep)
@@ -102,7 +101,7 @@ def test_h2_representatives_validate(dual_pair):
         assert validate_deformation(build_deformation(P, datum)) is None
     # pairwise differences are not coboundaries
     diff = reps[0].sub(reps[1])
-    assert not is_nr_coboundary(C, diff)
+    assert not is_nr_coboundary(get_nr("dual-pair"), diff)
 
 
 H2_INPUTS = {
@@ -119,14 +118,14 @@ def test_h2_representatives_are_the_reduced_complement_basis(name):
     order, each with pivot 1 at a column that is not a pivot of the image of
     d2, and zero at every image pivot and at every other one's pivot."""
     P = H2_INPUTS[name]()
-    C = GSComplex(P)
+    C, NR = GSComplex(P), NrComplex(P)
     F = C.field
-    reps = classify_h2(P, C)
+    reps = classify_h2(P)
     assert len(reps) == cohomology_table(P, "nr", 2)[2] > 0
-    d2 = C.nr_matrix(2)
+    d2 = NR.matrix(2)
     _, image_pivots = dense_rref({(j, i): v for (i, j), v in entry_dict(d2).items()},
                                  d2.cols, d2.rows, getattr(F, "p", None))
-    vecs = [C.to_vector(rep, keys=C.nr_keys(2)) for rep in reps]
+    vecs = [NR.to_vector(rep) for rep in reps]
     pivots = []
     for rep, vec in zip(reps, vecs):
         assert deformation_is_cocycle(C, DeformationDatum(C, rep))
@@ -142,7 +141,7 @@ def test_h2_representatives_are_the_reduced_complement_basis(name):
 def test_coboundary_shift_gives_equivalence(dual_pair):
     P = get_prestack("dual-pair")
     C, _ = get_pair("dual-pair")
-    reps = classify_h2(P, C)
+    reps = classify_h2(P)
     d1 = DeformationDatum(C, reps[0])
     F = C.field
     for seed in range(3):
@@ -160,7 +159,7 @@ def test_coboundary_shift_gives_equivalence(dual_pair):
 def test_identity_equivalence(dual_pair):
     P = get_prestack("dual-pair")
     C, _ = get_pair("dual-pair")
-    reps = classify_h2(P, C)
+    reps = classify_h2(P)
     d1 = DeformationDatum(C, reps[0])
     e0 = EquivalenceDatum(C, SparseCochain(C, 1))
     m_ok, c_ok, detail = equivalence_from_cochain(P, C, e0, d1, d1)
@@ -170,7 +169,7 @@ def test_identity_equivalence(dual_pair):
 def test_distinct_classes_not_equivalent(dual_pair):
     P = get_prestack("dual-pair")
     C, _ = get_pair("dual-pair")
-    reps = classify_h2(P, C)
+    reps = classify_h2(P)
     d1 = DeformationDatum(C, reps[0])
     d2 = DeformationDatum(C, reps[1])
     for seed in range(4):
@@ -182,7 +181,7 @@ def test_distinct_classes_not_equivalent(dual_pair):
 def test_both_equivalence_routes_agree_on_random_data(dual_pair):
     P = get_prestack("dual-pair")
     C, _ = get_pair("dual-pair")
-    reps = classify_h2(P, C)
+    reps = classify_h2(P)
     d1 = DeformationDatum(C, reps[0])
     for seed in range(6):
         e_coch = nr_random(C, 1, 200 + seed)

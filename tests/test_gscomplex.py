@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import get_pair, get_prestack
+from conftest import get_nr, get_pair, get_prestack
 from oracles import (apply_terms, classical_hochschild, higher_terms, higher_terms_bruteforce,
-                     pointwise_diff)
-from prestacks.basecat import Simplex, chain_poset
+                     nr_keys, pointwise_diff)
+from prestacks.basecat import BaseCategory, Simplex, chain_poset
 from prestacks.combinatorics import EnumerationCapError, enumerate_paths, enumerate_shuffles
 from prestacks.complexbase import SparseCochain, pull_matrix
-from prestacks.fixtures import coboundary_lambdas, scalar_chain_prestack
-from prestacks.gscomplex import MOVES, GSComplex
-from prestacks.lincat import scale_block
+from prestacks.fixtures import BUILDERS, coboundary_lambdas, scalar_chain_prestack
+from prestacks.gscomplex import MOVES, GSComplex, NrBasisError, NrComplex
+from prestacks.lincat import LinearCategory, scale_block
 from prestacks.linalg import QQ
+from test_generated import carry_prestack, fold_prestack
 
 
 def test_zero_cochain_maps_to_zero(twist2):
@@ -100,7 +101,7 @@ def test_presheaf_higher_components_vanish_on_nr(triv_a3):
     rng = random.Random(3)
     for n in (1, 2, 3):
         phi = SparseCochain(C, n)
-        for k in C.nr_keys(n):
+        for k in get_nr("triv-A3").cells(n):
             phi.data[k] = [F.from_int(rng.randint(-2, 2))
                            for _ in range(C.value_rank(k))]
         full = C.apply_diff(phi)
@@ -148,7 +149,7 @@ def test_structure_cochain_is_normalized_reduced(twist2):
     # the raw structure cochain is not normalized (units) nor reduced; its
     # nr truncation is exactly the unit and degeneracy censorship
     trunc = SparseCochain(C, 2)
-    nr = set(C.nr_keys(2))
+    nr = set(get_nr("scalar-twist-2chain").cells(2))
     for k, v in phi.data.items():
         if k in nr:
             trunc.data[k] = v
@@ -169,29 +170,87 @@ def test_nr_census_matches_direct_count(triv_a2):
             if len(btuple) > 0:
                 continue
             direct += 1
-        assert len(C.nr_keys(n)) == direct
+        assert len(get_nr("triv-A2").cells(n)) == direct
 
 
 def nr_closure_defect(C, phi):
     """Keys outside nr where d(phi) is nonzero, for nr-supported phi."""
     img = C.apply_diff(phi)
-    nr = set(C.nr_keys(phi.degree + 1))
+    nr = set(NrComplex(C.P).cells(phi.degree + 1))
     F = C.field
     return [k for k, vec in img.data.items()
             if k not in nr and any(not F.is_zero(v) for v in vec)]
 
 
+NR_INPUTS = {
+    **{name: (lambda name=name: get_prestack(name), 4 if name == "rank2-fiber" else 5)
+       for name in BUILDERS},
+    "chain-4": (lambda: scalar_chain_prestack(4), 5),
+    "fold": (fold_prestack, 5),
+    "carry-3-5-Q": (lambda: carry_prestack(3, 5, QQ), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NR_INPUTS))
+def test_nr_cells_are_the_filtered_gs_cells_in_order(name):
+    build, top = NR_INPUTS[name]
+    P = build()
+    C, NR = GSComplex(P), NrComplex(P)
+    for n in range(0, top + 1):
+        assert NR.cells(n) == nr_keys(C, n), n
+
+
+def test_nr_cells_read_each_simplex_not_each_cell(monkeypatch):
+    # degeneracy is decided once per simplex of the nerve, not per GS cell
+    P = get_prestack("rank2-fiber")
+    calls = []
+    original = BaseCategory.is_degenerate
+    monkeypatch.setattr(BaseCategory, "is_degenerate",
+                        lambda self, s: calls.append(s) or original(self, s))
+    n = 4
+    assert NrComplex(P).cells(n)
+    assert len(calls) == sum(len(P.base.nerve(p)) for p in range(n + 1))
+
+
+def test_nr_complex_names_the_first_non_basis_identity_before_listing(monkeypatch):
+    P = fold_prestack()  # fiber 0 holds Z, fiber 1 holds X and Y
+    original = LinearCategory.identity_basis_index
+    monkeypatch.setattr(LinearCategory, "identity_basis_index",
+                        lambda self, a: None if a in ("X", "Y") else original(self, a))
+    with pytest.raises(NrBasisError) as want:
+        nr_keys(GSComplex(P), 0)
+    monkeypatch.setattr(GSComplex, "cells", lambda self, n: pytest.fail("cells listed"))
+    with pytest.raises(NrBasisError) as got:
+        NrComplex(P).cells(2)
+    assert str(got.value) == str(want.value) == (
+        "fiber 1: identity of X is not a basis vector; nr basis enumeration unavailable")
+
+
+@pytest.mark.parametrize("name", ["dual-pair", "rank2-fiber", "scalar-twist-3chain"])
+def test_gs_differential_reads_an_nr_cochain_in_gs_coordinates(name):
+    C, _ = get_pair(name)
+    NR = get_nr(name)
+    F = C.field
+    rng = random.Random(8)
+    for n in (1, 2):
+        phi = NR.from_vector(n, [F.from_int(rng.randint(-2, 2)) for _ in range(NR.dim(n))])
+        image = C.apply_diff(phi)
+        assert image == C.apply_diff(SparseCochain(C, n, phi.data))
+        assert image == NR.apply_diff(phi)
+
+
 def test_nr_closure_and_squared(rank2):
     C, _ = get_pair("rank2-fiber")
+    NR = get_nr("rank2-fiber")
     rng = random.Random(4)
     F = C.field
     for n in (1, 2):
         phi = SparseCochain(C, n)
-        for k in C.nr_keys(n):
+        for k in NR.cells(n):
             phi.data[k] = [F.from_int(rng.randint(-2, 2))
                            for _ in range(C.value_rank(k))]
         assert nr_closure_defect(C, phi) == []
-        assert C.nr_matrix(n + 1).mul(C.nr_matrix(n)).is_zero()
+        assert NR.matrix(n + 1).mul(NR.matrix(n)).is_zero()
 
 
 def test_is_normalized_detects_unit_support(dual_pair):
@@ -333,9 +392,9 @@ def test_higher_terms_equal_path_by_path_sum(name):
         contrib = _oracle_stream(C, n, cache)
         full = pull_matrix(contrib, C.cells(n), C.index(n), C.index(n - 1), C.field)
         assert full == C.matrix(n)
-        nr_out, nr_in = C.nr_keys(n), C.nr_keys(n - 1)
+        nr_out, nr_in = nr_keys(C, n), nr_keys(C, n - 1)
         nr = pull_matrix(contrib, nr_out, C._offsets(nr_out), C._offsets(nr_in), C.field)
-        assert nr == C.nr_matrix(n)
+        assert nr == get_nr(name).matrix(n)
 
 
 weights = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
