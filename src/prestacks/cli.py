@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import product
 
 from .combinatorics import EnumerationCapError
 from .compare import Comparison
@@ -104,11 +105,11 @@ def cmd_cohomology(args):
 
 def _cell(C, n, i):
     """The degree-n cell of C whose coordinates include i, as (arrows; objects; basis)."""
-    offsets = C.index(n)[0]
-    for key in C.cells(n):
-        if offsets[key] + C.value_rank(key) > i:
-            break
-    return _show(key)
+    for simplex, objects, rank, slots, off in C.frames(n).frames:
+        for btuple in product(*slots):
+            off += rank
+            if off > i:
+                return _show((simplex, objects, btuple))
 
 
 def _show(key):

@@ -28,7 +28,10 @@ pass from the Seqq element's levels on the chain (``Shapes.levels``) and the
 shuffle word (``shapes.graded_string``); Omega builds it on the basis
 morphisms of one term of the Seq vector and carries the term's coefficient.
 F and T sum their terms per input cell: each stream yields one block per
-(output cell, input cell), as the differentials do.
+(output cell, input cell), as the differentials do.  F, G and T key those
+sums by the input cell's arrows, objects and basis tuple, and yield the
+input cell's column in the other complex's frame index, or nothing for a
+cell it does not list.
 """
 
 from __future__ import annotations
@@ -133,6 +136,7 @@ class Comparison:
         simplex, objects, btuple = key
         n = simplex.p
         fib0 = P.fiber(simplex.source)
+        below = self.CG.frames(n)
         entries = self._entries(simplex, objects, btuple)
         # the Seq vectors on the string from offset p >= 1 are shared by every
         # cell with the same right part
@@ -140,13 +144,13 @@ class Comparison:
             (simplex.arrows[p:], objects[p:], btuple[: n - p]), {}) for p in range(1, n + 1)]
         for p, (Lsimp, under, parts, lefts) in enumerate(self._frame(simplex, objects)):
             r_arrows = simplex.arrows[p:]
-            acc = {}  # input cell -> [(partition index, coefficient)]
+            acc = {}  # (objects, btuple) of an input cell over Lsimp -> [(partition, coeff)]
             for pi, (part, sign, _) in enumerate(parts):
                 shape = self.shapes.seq[(r_arrows, part)]
                 neg = sign < 0
-                for (objs, nb), c in seq_vector(P, shape, entries[: n - p], objects[p:],
-                                                caches, p).items():
-                    acc.setdefault((Lsimp, objs, nb), []).append((pi, F.neg(c) if neg else c))
+                for cell, c in seq_vector(P, shape, entries[: n - p], objects[p:],
+                                          caches, p).items():
+                    acc.setdefault(cell, []).append((pi, F.neg(c) if neg else c))
             if not acc:
                 continue
             # the block of a term: m -> pref o m, then o tail for p >= 1
@@ -155,11 +159,13 @@ class Comparison:
                     if p else None)
             blocks = lefts if tail is None else Memo(
                 lambda key: compose_blocks(F, tail, lefts[key]))
-            for in_key, by_part in acc.items():
-                x0 = in_key[1][0]
-                block = sum_blocks(F, [(c, blocks[(pi, x0)]) for pi, c in by_part])
+            for (objs, nb), by_part in acc.items():
+                col = below.column(Lsimp.source, Lsimp.arrows, objs, nb)
+                if col is None:
+                    continue
+                block = sum_blocks(F, [(c, blocks[(pi, objs[0])]) for pi, c in by_part])
                 if block:
-                    yield in_key, block
+                    yield col, block
 
     def apply_F(self, phi):
         n = phi.degree
@@ -167,8 +173,8 @@ class Comparison:
 
     def matrix_F(self, n):
         try:
-            return pull_matrix(self.f_contributions, self.CU.cells(n), self.CU.index(n),
-                               self.CG.index(n), self.field)
+            return pull_matrix(self.f_contributions, self.CU.frames(n), self.CG.dim(n),
+                               self.field)
         finally:
             self._frames.clear()
             self._seqs.clear()
@@ -184,37 +190,37 @@ class Comparison:
         p = simplex.p
         q = len(btuple)
         top = base.target(simplex)
+        below = self.CU.frames(p + q)
         args = [self.CG.arg_mor(simplex, objects, btuple, i) for i in range(1, q + 1)]
         words = shapes.shuffles[(q, p)]
         acc = {}
         for zsign, levels in shapes.levels[simplex.arrows]:
             for word, wsign in words:
                 string = graded_string(P, levels, word, args, objects, top)
-                if string:
-                    simp = string_simp(base, list(string))
-                    objsx = tuple(string_objects(list(string)))
-                else:
-                    simp = Simplex(top, ())
-                    objsx = (objects[0],)
+                # the input cell's simplex: its arrows, the gradings in chain order
+                gradings = tuple(e.grading for e in reversed(string))
+                objsx = tuple(string_objects(list(string))) if string else (objects[0],)
                 neg = zsign * wsign < 0
                 for coeff, nb in expand_multilinear(F, string):
-                    in_key = (simp, objsx, nb)
-                    c = acc.get(in_key)
+                    cell = (gradings, objsx, nb)
+                    c = acc.get(cell)
                     if neg:
                         coeff = F.neg(coeff)
-                    acc[in_key] = coeff if c is None else F.add(c, coeff)
+                    acc[cell] = coeff if c is None else F.add(c, coeff)
         rank = self.CG.value_rank(key)
-        for in_key, c in acc.items():
-            if not F.is_zero(c):
-                yield in_key, unit_block(F, rank, c)
+        for (gradings, objsx, nb), c in acc.items():
+            if F.is_zero(c):
+                continue
+            col = below.column(base.src(gradings[0]) if gradings else top, gradings, objsx, nb)
+            if col is not None:
+                yield col, unit_block(F, rank, c)
 
     def apply_G(self, psi):
         n = psi.degree
         return apply_matrix(self.matrix_G(n), psi, self.CU, self.CG, n)
 
     def matrix_G(self, n):
-        return pull_matrix(self.g_contributions, self.CG.cells(n), self.CG.index(n),
-                           self.CU.index(n), self.field)
+        return pull_matrix(self.g_contributions, self.CG.frames(n), self.CU.dim(n), self.field)
 
     # omega / Omega / T ------------------------------------------------------------
 
@@ -310,6 +316,7 @@ class Comparison:
         if simplex.p == 0:
             return
         fib0 = P.fiber(simplex.source)
+        below = self.CU.frames(simplex.p + 1)
         entries = self._entries(simplex, objects, btuple)
         acc = {}  # (gradings, objects, basis tuple) -> [correction, coordinates]
         for c, string, corr in self.big_omega_terms(simplex, entries, list(objects)):
@@ -328,15 +335,16 @@ class Comparison:
         for (gradings, objsx, nb), (corr, vec) in acc.items():
             if all(F.is_zero(v) for v in vec):
                 continue
-            total = Mor(fib0, corr.src, corr.tgt, tuple(vec))
-            simp = Simplex(base.src(gradings[0]), gradings)
-            yield (simp, objsx, nb), fib0.left_block(objects[0], total)
+            col = below.column(base.src(gradings[0]), gradings, objsx, nb)
+            if col is not None:
+                total = Mor(fib0, corr.src, corr.tgt, tuple(vec))
+                yield col, fib0.left_block(objects[0], total)
 
     def matrix_T(self, n):
         """T_n as a matrix from graded degree n to degree n-1."""
         try:
-            return pull_matrix(self.t_contributions, self.CU.cells(n - 1),
-                               self.CU.index(n - 1), self.CU.index(n), self.field)
+            return pull_matrix(self.t_contributions, self.CU.frames(n - 1), self.CU.dim(n),
+                               self.field)
         finally:
             self._frames.clear()
             self._omega.clear()

@@ -1,50 +1,63 @@
 """Shared machinery for sparsely stored cochain complexes.
 
-A concrete complex supplies cell enumeration and value ranks; every operator
-between complexes (the differentials d and delta, the comparison maps F and G,
-the homotopy T) is given pull-style: for each output cell ``key`` it yields
-terms ``(in_key, block)``, where ``block`` is the matrix of a linear map from
-the value coordinates at ``in_key`` to those at ``key``, stored as a dict
-``{(r, b): v}`` with the term's sign folded in (``lincat`` builds blocks).
-The operator sends a cochain phi to the cochain whose value at ``key`` is the
-sum of ``block . phi[in_key]`` over the terms.
+A cell is a frame, its (simplex, objects) pair, plus a basis tuple.  A
+complex lists each degree's frames once, in a ``FrameIndex``: a frame is
+(simplex, objects, value rank, slot bases, first offset), and its cells are
+the row-major product of its slot bases, each ``rank`` columns wide.  No
+frame of value rank 0 or with an empty slot basis is listed.  ``cells(n)``
+expands that listing, and ``index(n)`` is (the ``FrameIndex`` as a mapping
+from cell to first column, dim); no dict keyed by cell is built.
 
-``pull_matrix`` is the only consumer of a term stream: it assembles the
-operator's matrix, which ``apply_matrix`` applies to a cochain as to_vector
-in the input complex, matvec, from_vector in the output complex.  So a
-cochain is read in the coordinates of the complex whose matrix is applied,
-whichever complex holds it: an ``NrComplex`` cochain passed to the GS
-differential is read in GS coordinates.  Coordinate conversion and random
-cochains also live here.
+Every operator between complexes (the differentials d and delta, the
+comparison maps F and G, the homotopy T) is given pull-style: for each
+output cell ``key`` its stream yields terms ``(column, block)``, the first
+column of an input cell and the matrix of a linear map from the value
+coordinates there to those at ``key``, stored as a dict ``{(r, b): v}`` with
+the term's sign folded in (``lincat`` builds blocks).  A stream finds where
+its input frames lie once per frame (``FrameIndex.at``), so a term costs
+offset arithmetic or a lookup on ints, never a lookup keyed by a
+``Simplex``; it drops the terms at input cells that the input complex does
+not list, such as the gaps of ``NrComplex``.
 
-A cell is a frame, its (simplex, objects) pair, plus a basis tuple, and
-``cells(n)`` lists each frame's cells one after another.  A complex's
-``_frame`` step computes once what every cell of a frame reads (faces,
-composites, functors, the blocks that read no argument) and memoizes per
-basis index, in ``combinatorics.Memo``s, the blocks that read one.  Only the
-most recent frame is kept, in one slot that is rebuilt when the frame
-changes; a term stream holds on to the frame it started with, so streams of
-different frames may interleave.
+``pull_matrix`` is the only consumer of a term stream.  It walks the output
+frames, each cell's rows at a running offset, and reads only a term's
+column and block: v lands in row (the cell's row) + r, column (the term's
+column) + b.  A block holds no zeros: every block builder in ``lincat`` and
+the complexes drops them, and ``pull_matrix`` relies on it, checking for
+zeros only in the sums where two terms meet.  ``apply_matrix`` applies the
+matrix to a cochain as to_vector in the input complex, matvec, from_vector
+in the output complex, so a cochain is read in the coordinates of the
+complex whose matrix is applied: an ``NrComplex`` cochain passed to the GS
+differential is read in GS coordinates.
+
+A complex's ``_frame`` step computes once what every cell of a frame reads
+(faces, composites, functors, where the input frames lie, the blocks that
+read no argument) and memoizes per basis index, in ``combinatorics.Memo``s,
+the blocks that read one.  Only the most recent frame is kept, in one slot
+that is rebuilt when the frame changes; a term stream holds on to the frame
+it started with, so streams of different frames may interleave.
 
 Both complexes share their Hochschild part: the bar differential of the
 fibers (GS) or of the Grothendieck construction (graded).  ``_bar_terms`` is
 its one kernel.  It yields a cell's terms from the frame that ``_bar_frame``
 builds: a_1 acting on the left, each adjacent pair a_i a_{i+1} merged, as
 unit blocks of (-1)^i times the composite's coordinates, and a_q acting on
-the right.  A complex supplies only the input frames and the blocks.
+the right.  Each input frame keeps the cell's other slot bases, so its
+column is arithmetic on the cell's position in its own frame.
 
-A block holds no zeros: every block builder in ``lincat`` and the complexes
-drops them, and ``pull_matrix`` relies on it, checking for zeros only in the
-sums where two terms meet.  A block may be shared between terms: a complex
-may memoize blocks on the data they depend on, for its life or for one frame,
-and hand the same dict to many terms and cells.  So no consumer mutates a
-block; ``pull_matrix`` only reads them, and ``lincat.compose_blocks`` and
+A block may be shared between terms and cells: a complex may memoize blocks
+for its life or for one frame.  So no consumer mutates a block;
+``pull_matrix`` only reads them, and ``lincat.compose_blocks`` and
 ``scale_block`` return new dicts.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
+from itertools import product
+from math import prod
+from operator import mul
 from types import SimpleNamespace
 
 from .combinatorics import Memo
@@ -109,40 +122,84 @@ def text_order(key):
     return simplex.p, simplex.arrows, simplex.source, objects, btuple
 
 
-def pull_matrix(contrib, out_keys, out_index, in_index, field):
-    """The matrix of the term stream ``contrib`` on the given bases.
+def frame_column(frame, btuple):
+    """The first column of the cell ``btuple`` of ``frame``, or None if some
+    index is not in its slot basis."""
+    _, _, step, slots, col = frame
+    for b, slot in zip(reversed(btuple), reversed(slots)):
+        if b not in slot:
+            return None
+        col += slot.index(b) * step
+        step *= len(slot)
+    return col
 
-    ``out_index`` and ``in_index`` are (offsets by key, dim) pairs; terms whose
-    input key has no offset are dropped, rows follow ``out_keys``.  Entries
-    are summed in place with ``field.add``.  A block holds no zeros, so only
-    a sum can be zero: each row in which a sum was zero when formed is
-    noted, and its zeros are dropped once the rows are complete.
+
+class FrameIndex(Mapping):
+    """One degree's frames, in cell order, and as a mapping each cell's first
+    column.  ``at`` finds a frame by (its simplex's source, its simplex's
+    arrows, its objects)."""
+
+    def __init__(self, frames, dim):
+        self.frames = frames
+        self.dim = dim
+        self.at = {(f[0].source, f[0].arrows, f[1]): f for f in frames}
+
+    def column(self, source, arrows, objects, btuple):
+        """The first column of a listed cell, else None."""
+        frame = self.at.get((source, arrows, objects))
+        if frame is None or len(btuple) != len(frame[3]):
+            return None
+        return frame_column(frame, btuple)
+
+    def __getitem__(self, key):
+        col = None
+        if isinstance(key, tuple) and len(key) == 3:
+            simplex, objects, btuple = key
+            col = self.column(simplex.source, simplex.arrows, objects, btuple)
+        if col is None:
+            raise KeyError(key)
+        return col
+
+    def __iter__(self):
+        for simplex, objects, _, slots, _ in self.frames:
+            for btuple in product(*slots):
+                yield simplex, objects, btuple
+
+    def __len__(self):
+        return sum(prod(map(len, f[3])) for f in self.frames)
+
+
+def pull_matrix(contrib, out, in_dim, field):
+    """The matrix of the term stream ``contrib`` from ``in_dim`` columns to the
+    cells of the ``FrameIndex`` ``out``.
+
+    Rows follow ``out``'s frames at a running offset; each term's block is
+    added at its column.  Entries are summed in place with ``field.add``.  A
+    block holds no zeros, so only a sum can be zero: each row in which a sum
+    was zero when formed is noted, and its zeros are dropped once the rows
+    are complete.
     """
-    out_off, out_dim = out_index
-    in_off, in_dim = in_index
     add, is_zero = field.add, field.is_zero
-    rows = [{} for _ in range(out_dim)]
+    rows = [{} for _ in range(out.dim)]
     zero_rows = []  # a row is noted again only after another row was
-    for key in out_keys:
-        row0 = out_off[key]
-        for in_key, block in contrib(key):
-            col0 = in_off.get(in_key)
-            if col0 is None:
-                continue
-            for (r, b), v in block.items():
-                row = rows[row0 + r]
-                col = col0 + b
-                prev = row.get(col)
-                if prev is None:
-                    row[col] = v
-                else:
-                    v = row[col] = add(prev, v)
-                    if is_zero(v) and (not zero_rows or zero_rows[-1] is not row):
-                        zero_rows.append(row)
+    for simplex, objects, rank, slots, row0 in out.frames:
+        for btuple in product(*slots):
+            for col0, block in contrib((simplex, objects, btuple)):
+                for (r, b), v in block.items():
+                    row = rows[row0 + r]
+                    col = col0 + b
+                    prev = row.get(col)
+                    if prev is None:
+                        row[col] = v
+                    else:
+                        v = row[col] = add(prev, v)
+                        if is_zero(v) and (not zero_rows or zero_rows[-1] is not row):
+                            zero_rows.append(row)
+            row0 += rank
     for row in zero_rows:
         for col in [col for col, v in row.items() if is_zero(v)]:
             del row[col]
-    return SparseMatrix(out_dim, in_dim, field, rows)
+    return SparseMatrix(out.dim, in_dim, field, rows)
 
 
 def apply_matrix(mat, phi, in_complex, out_complex, n):
@@ -157,57 +214,124 @@ class ComplexBase:
     def __init__(self, field):
         self.field = field
         self._cells = {}
-        self._index = Memo(lambda n: self._offsets(self.cells(n)))
+        self._index = Memo(self._new_index)  # n -> FrameIndex
         self._rank_cache = Memo(lambda frame: self._rank(*frame))
         self._slot = (None, None)  # the most recent frame: its key and its data
 
-    # subclasses: cells(n) -> list of keys, _rank(simplex, objects) -> int,
-    # _new_frame(simplex, objects, n) -> frame data (a _bar_frame namespace),
-    # diff_contributions(key, n) -> iterable of (in_key, block)
+    # subclasses: _candidate_frames(n) -> (simplex, objects, slot bases) in
+    # cell order, _rank(simplex, objects) -> int, _new_frame(frame, n) ->
+    # frame data (a _bar_frame namespace), diff_contributions(key, n) ->
+    # iterable of (column, block).  Each binds ``cells`` in its own class,
+    # where perfbench's tracer wraps it by name.
+
+    def _new_index(self, n):
+        frames, dim = [], 0
+        for simplex, objects, slots in self._candidate_frames(n):
+            if not all(slots):
+                continue
+            rank = self._rank(simplex, objects)  # each frame is listed in one degree only
+            if rank == 0:
+                continue
+            frames.append((simplex, objects, rank, slots, dim))
+            dim += rank * prod(map(len, slots))
+        return FrameIndex(frames, dim)
+
+    def frames(self, n):
+        """The degree-n ``FrameIndex``."""
+        return self._index[n]
+
+    def cells(self, n):
+        """The degree-n cells (simplex, objects, btuple), frame by frame."""
+        if n not in self._cells:
+            self._cells[n] = list(self._index[n])
+        return self._cells[n]
 
     def _frame(self, simplex, objects, n):
         """The data of the frame (simplex, objects) in degree n, which every
-        cell of the frame reads.  Only the most recent frame is kept: cells(n)
-        lists each frame's cells one after another."""
+        cell of the frame reads.  Only the most recent frame is kept: the
+        assembly visits each frame's cells one after another."""
         key = (simplex, objects, n)
         if self._slot[0] != key:
-            self._slot = (key, self._new_frame(simplex, objects, n))
+            frame = self._index[n].at[simplex.source, simplex.arrows, objects]
+            self._slot = (key, self._new_frame(frame, n))
         return self._slot[1]
 
-    def _bar_frame(self, simplex, objects, head, tail, merge_in, left, right, merged):
-        """The frame data that ``_bar_terms`` reads, for the frame (simplex, objects).
+    def _bar_frame(self, frame, below, head, tail, merge_in, left, right, merged):
+        """The frame data that ``_bar_terms`` reads, for the listed ``frame``.
 
-        ``head``, ``tail`` and ``merge_in[i - 1]`` are the (simplex, objects) of
-        the input cells of the left action, the right action and the i-th
-        merge.  ``left(b_1)`` and ``right(b_q)`` are the blocks of the first
-        and last argument, sign folded in; ``merged((i, b_i, b_{i+1}))`` gives
-        the (basis index, coordinate) pairs of the composite a_i a_{i+1}.
-        Each is memoized for the frame, and so is the unit block of each
-        (coordinate, parity of i).
+        ``head``, ``tail`` and ``merge_in[i - 1]`` are the (simplex, objects)
+        of the input frames of the left action, the right action and the
+        i-th merge, looked up in ``below``, the ``FrameIndex`` one degree
+        down.  ``left(b_1)`` and ``right(b_q)`` are the blocks of the first
+        and last argument, sign folded in; ``merged((i, b_i, b_{i+1}))``
+        gives the (basis index, coordinate) pairs of the composite a_i
+        a_{i+1}.  Each is memoized for the frame, and so is the unit block of
+        each (coordinate, parity of i).
+
+        With slot sizes s_1..s_q and T_j = s_{j+1} ... s_q, the cell at
+        position k = sum_j pos_j T_j of the frame reads the head's cell at
+        k mod T_1, the tail's at k div s_q, and the i-th merge's, whose slot
+        m replaces slots i and i+1, at (k div T_{i-1}) s_m T_{i+1} +
+        pos_m(b) T_{i+1} + k mod T_{i+1}.
         """
         F = self.field
-        rank = self.value_rank((simplex, objects, None))
+        rank, slots = frame[2], frame[3]
+        T = [1]  # T[j] = s_{j+1} ... s_q, filled from the end
+        for s in reversed(slots):
+            T.append(T[-1] * len(s))
+        T.reverse()
         units = Memo(lambda cp: unit_block(F, rank, cp[0], -1 if cp[1] else 1))
-        return SimpleNamespace(
-            head=head, tail=tail, merge_in=merge_in, lefts=Memo(left), rights=Memo(right),
-            merges=Memo(lambda k: [(b, units[(c, k[0] % 2)]) for b, c in merged(k)
-                                   if not F.is_zero(c)]),
-            units=units)
+        fr = SimpleNamespace(slots=slots, strides=T[1:], head=None, tail=None, merge_in=[],
+                             ranges=all(type(s) is range for s in slots),
+                             lefts=Memo(left), rights=Memo(right), units=units)
+        if not slots:
+            return fr
+        at = below.at
+        head, tail, *merge_in = [at.get((s.source, s.arrows, objects))
+                                 for s, objects in [head, tail] + merge_in]
+        if head is not None:
+            fr.head = (head[4], head[2], T[1])
+        if tail is not None:
+            fr.tail = (tail[4], tail[2], len(slots[-1]))
+        for i, m in enumerate(merge_in, 1):  # (k div, outer step, k mod, rank) per merge
+            fr.merge_in.append(m and (T[i - 1], len(m[3][i - 1]) * m[2] * T[i + 1], T[i + 1], m[2]))
 
-    def _bar_terms(self, fr, btuple):
-        """The Hochschild terms (in_key, block) of the cell with basis tuple
-        ``btuple`` in the frame ``fr``: a_1 on the left, the merges, a_q on the
-        right.  A cell without arguments has none."""
-        if not btuple:
-            return
-        simplex, objects = fr.head
-        yield (simplex, objects, btuple[1:]), fr.lefts[btuple[0]]
-        for i in range(1, len(btuple)):
-            simplex, objects = fr.merge_in[i - 1]
-            for b, block in fr.merges[(i, btuple[i - 1], btuple[i])]:
-                yield (simplex, objects, btuple[: i - 1] + (b,) + btuple[i + 1 :]), block
-        simplex, objects = fr.tail
-        yield (simplex, objects, btuple[:-1]), fr.rights[btuple[-1]]
+        def merges(key):  # (column but the cell's part, unit block) per listed coordinate
+            i, m = key[0], merge_in[key[0] - 1]
+            slot, step = m[3][i - 1], m[2] * T[i + 1]
+            return [(m[4] + slot.index(b) * step, units[(c, i % 2)])
+                    for b, c in merged(key) if not F.is_zero(c) and b in slot]
+
+        fr.merges = Memo(merges)
+        return fr
+
+    @staticmethod
+    def _position(fr, btuple):
+        """The row-major index of the cell ``btuple`` among the cells of the bar frame ``fr``."""
+        if fr.ranges:  # every slot basis is range(s): a basis index is its own position
+            return sum(map(mul, btuple, fr.strides))
+        k = 0
+        for b, slot, stride in zip(btuple, fr.slots, fr.strides):
+            k += slot.index(b) * stride
+        return k
+
+    def _bar_terms(self, fr, btuple, k):
+        """The Hochschild terms (column, block) of the cell with basis tuple
+        ``btuple`` at position k of the frame ``fr``: a_1 on the left, the
+        merges, a_q on the right.  A cell without arguments has none."""
+        if fr.head is not None:
+            col0, rank, mod = fr.head
+            yield col0 + rank * (k % mod), fr.lefts[btuple[0]]
+        for i, merge in enumerate(fr.merge_in, 1):
+            if merge is None:
+                continue
+            div, outer, mod, rank = merge
+            base = k // div * outer + k % mod * rank
+            for col, block in fr.merges[(i, btuple[i - 1], btuple[i])]:
+                yield base + col, block
+        if fr.tail is not None:
+            col0, rank, div = fr.tail
+            yield col0 + rank * (k // div), fr.rights[btuple[-1]]
 
     def value_rank(self, key):
         """The rank of the value module of a cell; it depends only on
@@ -215,10 +339,12 @@ class ComplexBase:
         return self._rank_cache[key[0], key[1]]
 
     def index(self, n):
-        return self._index[n]
+        """(the cells' first columns as a mapping, dim) of degree n."""
+        frames = self._index[n]
+        return frames, frames.dim
 
     def dim(self, n):
-        return self.index(n)[1]
+        return self._index[n].dim
 
     def apply_diff(self, phi):
         n = phi.degree + 1
@@ -226,16 +352,8 @@ class ComplexBase:
 
     def matrix(self, n):
         """The differential C^{n-1} -> C^n as a sparse matrix."""
-        return pull_matrix(lambda key: self.diff_contributions(key, n), self.cells(n),
-                           self.index(n), self.index(n - 1), self.field)
-
-    def _offsets(self, keys):
-        offsets = {}
-        dim = 0
-        for key in keys:
-            offsets[key] = dim
-            dim += self.value_rank(key)
-        return offsets, dim
+        return pull_matrix(lambda key: self.diff_contributions(key, n), self._index[n],
+                           self.dim(n - 1), self.field)
 
     def to_vector(self, phi):
         offsets, dim = self.index(phi.degree)
@@ -254,13 +372,12 @@ class ComplexBase:
     def from_vector(self, n, vec):
         phi = SparseCochain(self, n)
         F = self.field
-        offsets = self.index(n)[0]
-        for key in self.cells(n):
-            off = offsets[key]
-            r = self.value_rank(key)
-            val = list(vec[off: off + r])
-            if any(not F.is_zero(v) for v in val):
-                phi.data[key] = val
+        for simplex, objects, rank, slots, off in self._index[n].frames:
+            for btuple in product(*slots):
+                val = vec[off: off + rank]
+                if any(not F.is_zero(v) for v in val):
+                    phi.data[(simplex, objects, btuple)] = list(val)
+                off += rank
         return phi
 
     def random_cochain(self, n, seed):

@@ -128,7 +128,8 @@ class GradedComplex(ComplexBase):
     on exactly the data it reads (an argument is its grading, endpoints and
     basis index), never on the cell, so it holds one entry per distinct
     argument datum and is shared by every degree.  The differential is the
-    bar kernel of ``complexbase`` over the cell's frame.
+    bar kernel of ``complexbase`` over the cell's frame, which finds its head,
+    tail and merge faces once per frame and yields input columns.
     """
 
     def __init__(self, prestack):
@@ -149,33 +150,34 @@ class GradedComplex(ComplexBase):
         u = simplex.arrows[n - i]
         return self.G.hom_rank(u, objects[n - i], objects[n - i + 1])
 
+    def object_bases(self, simplex, count):
+        """The base object of each of a cell's objects: A_i lies over U_i."""
+        return self.P.base.objects_along(simplex)
+
     def arg_key(self, simplex, objects, btuple, i):
         """What argument slot i of a cell is: (grading, source, target, basis index)."""
         n = simplex.p
         return (simplex.arrows[n - i], objects[n - i], objects[n - i + 1], btuple[i - 1])
 
-    def cells(self, n):
-        if n in self._cells:
-            return self._cells[n]
+    cells = ComplexBase.cells
+
+    def _candidate_frames(self, n):
+        """(simplex, objects, slot bases) of every degree-n frame, in cell
+        order: the n-simplices, then every object tuple along the simplex.
+        Slot i bases the morphisms graded by u_{n+1-i}."""
         P = self.P
-        out = []
         for simplex in P.base.nerve(n) if n >= 0 else ():
             obj_lists = [self.G.objects(u) for u in P.base.objects_along(simplex)]
             for objects in product(*obj_lists):
-                ranks = [self.entry_rank(simplex, objects, i) for i in range(1, n + 1)]
-                if any(r == 0 for r in ranks):
-                    continue
-                if self.value_rank((simplex, objects, None)) == 0:
-                    continue
-                for btuple in product(*[range(r) for r in ranks]):
-                    out.append((simplex, objects, btuple))
-        self._cells[n] = out
-        return out
+                yield simplex, objects, tuple(range(self.entry_rank(simplex, objects, i))
+                                              for i in range(1, n + 1))
 
-    def _new_frame(self, simplex, objects, n):
-        """The bar frame of the cell's frame: the head and tail sub-simplices
-        and the merge faces, with the blocks of ``_blocks`` under their keys."""
+    def _new_frame(self, frame, n):
+        """The bar frame of the listed ``frame``: the head and tail
+        sub-simplices and the merge faces, found one degree down, with the
+        blocks of ``_blocks`` under their keys."""
         base, blocks = self.P.base, self._blocks
+        simplex, objects = frame[0], frame[1]
         arrows = simplex.arrows
         head = Simplex(simplex.source, arrows[:-1])
         tail = Simplex(base.tgt(arrows[0]), arrows[1:])
@@ -185,7 +187,7 @@ class GradedComplex(ComplexBase):
             return (arrows[n - i], objects[n - i], objects[n - i + 1], b)
 
         return self._bar_frame(
-            simplex, objects, (head, objects[:-1]), (tail, objects[1:]),
+            frame, self._index[n - 1], (head, objects[:-1]), (tail, objects[1:]),
             [(base.face(simplex, n - i), objects[: n - i] + objects[n - i + 1 :])
              for i in range(1, n)],
             lambda b: blocks[("left", arg(1, b), v_head, objects[0])],
@@ -209,7 +211,7 @@ class GradedComplex(ComplexBase):
                            -1 if odd else 1)
 
     def diff_contributions(self, key, n):
-        """The terms (in_key, block) of the differential at the degree-n cell.
+        """The terms (column, block) of the differential at the degree-n cell.
 
         Blocks come from ``_blocks`` and the frame's unit blocks, and are
         shared between terms and cells; no consumer may mutate one.
@@ -217,7 +219,8 @@ class GradedComplex(ComplexBase):
         simplex, objects, btuple = key
         if not btuple:  # a degree-0 cell: nothing maps into it
             return ()
-        return self._bar_terms(self._frame(simplex, objects, n), btuple)
+        fr = self._frame(simplex, objects, n)
+        return self._bar_terms(fr, btuple, self._position(fr, btuple))
 
 
 # -- strings ------------------------------------------------------------------

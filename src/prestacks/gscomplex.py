@@ -44,14 +44,20 @@ reads only the simplex (its fibers, sigma_* and sigma^*, the faces with their
 restrictions and twists, the left parts of d_j) is built once per run of
 consecutive frames over that simplex and handed on from frame to frame in
 the one slot.  A frame (simplex, objects) fixes the star functors, the input
-simplices and objects of every term, the d_simp blocks of face 0 and of the
-middle faces, d_p's block and sign, and the twist c_pref of each d_j.  d_Hoch
-is the bar kernel ``_bar_terms`` over the frame, with sigma_* a_1 acting on
-the left of the source fiber, the composites in the top fiber and sigma^* a_q
-acting on the right with (-1)^q.  Only the argument blocks read the basis
-tuple: besides the bar kernel's, d_p's restricted supports by (i, b_i) and
-d_j's left blocks by input object, each memoized for the frame; an
-argument's image under a functor is a column of its matrix.
+frames of every term, the d_simp blocks of face 0 and of the middle faces,
+d_p's block and sign, and the twist c_pref of each d_j.  It resolves once
+where each input frame lies one degree down: the bar kernel's, the d_simp
+faces, d_p's frame, and d_j's left part by input objects.  d_Hoch is the bar
+kernel ``_bar_terms`` over the frame, with sigma_* a_1 acting on the left of
+the source fiber, the composites in the top fiber and sigma^* a_q acting on
+the right with (-1)^q.  Every face but the last keeps the cell's target and
+objects, so its input cell sits at the cell's own position in the face's
+frame.  Only the argument blocks read the basis tuple: besides the bar
+kernel's, d_p's restricted supports by (i, b_i) and d_j's left blocks by
+input object, each memoized for the frame; an argument's image under a
+functor is a column of its matrix.  A d_p or d_j term reads its column off
+its input frame's slot bases (``frame_column``), so a term at a cell the
+complex does not list (an identity argument of ``NrComplex``) is dropped.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from itertools import product
 from types import SimpleNamespace
 
 from .combinatorics import Memo, _check_cap, enumerate_shuffles
-from .complexbase import ComplexBase, text_order
+from .complexbase import ComplexBase, frame_column, text_order
 from .lincat import compose_blocks, scale_block
 
 
@@ -216,33 +222,37 @@ class GSComplex(ComplexBase):
         u0, b, a = self.value_module(simplex, objects)
         return self.P.fiber(u0).rank(b, a)
 
+    def object_bases(self, simplex, count):
+        """The base object of each of a cell's ``count`` objects: the target."""
+        return [self.P.base.target(simplex)] * count
+
     def arg_mor(self, simplex, objects, btuple, i):
         """The i-th argument (1-based): basis b_i of hom(A_{q-i}, A_{q-i+1})."""
         q = len(btuple)
         fib = self.P.fiber(self.P.base.target(simplex))
         return fib.basis_mor(objects[q - i], objects[q - i + 1], btuple[i - 1])
 
-    def cells(self, n):
-        if n in self._cells:
-            return self._cells[n]
+    cells = ComplexBase.cells
+
+    def _candidate_frames(self, n):
+        """(simplex, objects, slot bases) of every degree-n frame, in cell
+        order: p from 0 to n, the simplices of ``_simplices(p)``, then every
+        object tuple of the fiber over the simplex's target.  Slot i bases
+        hom(A_{q-i}, A_{q-i+1}); the slot bases are shared per (target, objects)."""
         P = self.P
-        out = []
+        shared = {}
         for p in range(0, n + 1):
             q = n - p
             for simplex in self._simplices(p):
                 top = P.base.target(simplex)
                 fib = P.fiber(top)
                 for objects in product(fib.objects, repeat=q + 1):
-                    slots = [self._slot_basis(top, fib, objects[q - i], objects[q - i + 1])
-                             for i in range(1, q + 1)]
-                    if not all(slots):
-                        continue
-                    if self.value_rank((simplex, objects, None)) == 0:
-                        continue
-                    for btuple in product(*slots):
-                        out.append((simplex, objects, btuple))
-        self._cells[n] = out
-        return out
+                    slots = shared.get((top, objects))
+                    if slots is None:
+                        slots = shared[(top, objects)] = tuple(
+                            self._slot_basis(top, fib, objects[q - i], objects[q - i + 1])
+                            for i in range(1, q + 1))
+                    yield simplex, objects, slots
 
     def _simplices(self, p):
         """The p-simplices that carry cells: the whole nerve."""
@@ -285,11 +295,14 @@ class GSComplex(ComplexBase):
             sd.higher.append((j, left, P.sigma_upper(left), P.c_sigma_k(simplex, p - j)))
         return sd
 
-    def _new_frame(self, simplex, objects, n):
-        """What every cell of the frame reads: the bar frame of d_Hoch, the
-        d_simp blocks that do not read the arguments and memos for those that do."""
+    def _new_frame(self, frame, n):
+        """What every cell of the listed ``frame`` reads: the bar frame of
+        d_Hoch, the d_simp blocks that do not read the arguments and memos for
+        those that do, each with where its input frame lies one degree down."""
         F = self.field
+        simplex, objects = frame[0], frame[1]
         sd = self._simplex_data(simplex)
+        below = self._index[n - 1]
         p, q = simplex.p, len(objects) - 1
         fib0, fib, lower, upper = sd.fib0, sd.fib, sd.lower, sd.upper
         b_obj, a_obj = upper.on_obj(objects[0]), lower.on_obj(objects[-1])
@@ -309,7 +322,7 @@ class GSComplex(ComplexBase):
                                          ).coords)
 
         fr = self._bar_frame(
-            simplex, objects, (simplex, objects[:-1]), (simplex, objects[1:]),
+            frame, below, (simplex, objects[:-1]), (simplex, objects[1:]),
             [(simplex, objects[:q - i] + objects[q - i + 1:]) for i in range(1, q)],
             first, last, merged)
         fr.simplex_data = sd
@@ -317,61 +330,75 @@ class GSComplex(ComplexBase):
         if p >= 1:
             sgn_simp = -1 if n % 2 else 1  # (-1)^n on d_simp
             d0, c1, fu1, upper0, lower0 = sd.face0
-            bsub, asub = upper0.on_obj(objects[0]), lower0.on_obj(objects[-1])
-            block = compose_blocks(F, fib0.left_block(fu1.on_obj(bsub), c1.at(objects[-1])),
-                                   fu1.block(bsub, asub))
-            fr.faces.append((d0, scale_block(F, F.one, block, sgn_simp)))
+            face = below.at.get((d0.source, d0.arrows, objects))
+            if face is not None:
+                bsub, asub = upper0.on_obj(objects[0]), lower0.on_obj(objects[-1])
+                block = compose_blocks(F, fib0.left_block(fu1.on_obj(bsub), c1.at(objects[-1])),
+                                       fu1.block(bsub, asub))
+                fr.faces.append((face[4], face[2], scale_block(F, F.one, block, sgn_simp)))
             for di, eps, lower_i, sgn in sd.middle:
-                fr.faces.append((di, scale_block(
-                    F, F.one, fib0.right_block(lower_i.on_obj(objects[-1]), eps.at(objects[0])),
-                    sgn_simp * sgn)))
+                face = below.at.get((di.source, di.arrows, objects))
+                if face is not None:
+                    fr.faces.append((face[4], face[2], scale_block(
+                        F, F.one, fib0.right_block(lower_i.on_obj(objects[-1]), eps.at(objects[0])),
+                        sgn_simp * sgn)))
             dp, up, cp, upper_p, sgn = sd.last
             dp_objects = tuple(up.on_obj(o) for o in objects)
-            dp_block = fib0.left_block(upper_p.on_obj(dp_objects[0]), cp.at(objects[-1]))
-            sgn_p = sgn_simp * sgn
+            dp_frame = below.at.get((dp.source, dp.arrows, dp_objects))
+            if dp_frame is not None:
+                dp_block = fib0.left_block(upper_p.on_obj(dp_objects[0]), cp.at(objects[-1]))
+                sgn_p = sgn_simp * sgn
 
-            def support(key):  # the nonzero coordinates of up(a_i), a_i = basis b
-                i, b = key
-                col = up.mats[(objects[q - i], objects[q - i + 1])][b]
-                return [(k, c) for k, c in enumerate(col) if not F.is_zero(c)]
+                def support(key):  # the nonzero coordinates of up(a_i), a_i = basis b
+                    i, b = key
+                    col = up.mats[(objects[q - i], objects[q - i + 1])][b]
+                    return [(k, c) for k, c in enumerate(col) if not F.is_zero(c)]
 
-            fr.dp = (dp, dp_objects, Memo(support),
-                     Memo(lambda coeff: scale_block(F, coeff, dp_block, sgn_p)))
+                fr.dp = (dp_frame, Memo(support),
+                         Memo(lambda coeff: scale_block(F, coeff, dp_block, sgn_p)))
 
         def left_blocks(functor, c):  # A -> the block of c on the left of fib0 at functor(A)
             return Memo(lambda obj: fib0.left_block(functor.on_obj(obj), c))
 
+        fr.below = below
         for j, left, upper_l, c in sd.higher:
-            fr.higher.append((j, left, left_blocks(upper_l, c.at(objects[-1]))))
+            fr.higher.append((j, left.source, left.arrows, left_blocks(upper_l, c.at(objects[-1]))))
         return fr
 
     def diff_contributions(self, key, n):
-        """Yield (input_key, block) for the degree-n output cell ``key``.
+        """Yield (column, block) for the degree-n output cell ``key``.
 
         Everything but the argument blocks comes from the cell's frame; the
         blocks are shared by the cells of the frame, so no consumer may
-        mutate one.
+        mutate one.  Terms at input cells that the complex does not list are
+        left out.
         """
         F = self.field
         simplex, objects, btuple = key
         fr = self._frame(simplex, objects, n)
+        k = self._position(fr, btuple)
 
         # d_Hoch from C^{p, q-1}
-        yield from self._bar_terms(fr, btuple)
+        yield from self._bar_terms(fr, btuple, k)
 
-        # (-1)^n d_simp from C^{p-1, q}
-        for face, block in fr.faces:
-            yield (face, objects, btuple), block
+        # (-1)^n d_simp from C^{p-1, q}: every face but the last keeps the slots
+        for col, rank, block in fr.faces:
+            yield col + rank * k, block
         if fr.dp is not None:
-            dp, dp_objects, supports, dp_blocks = fr.dp
+            dp_frame, supports, dp_blocks = fr.dp
             for coeff, nb in expand_supports(
                     F, [supports[(i, b)] for i, b in enumerate(btuple, 1)]):
-                yield (dp, dp_objects, nb), dp_blocks[coeff]
+                col = frame_column(dp_frame, nb)
+                if col is not None:
+                    yield col, dp_blocks[coeff]
 
         # higher components d_j from C^{p-j, q+j-1}, 2 <= j <= p: one term per input cell
-        for j, left, lefts in fr.higher:
+        for j, source, arrows, lefts in fr.higher:
             for in_objects, nb, coeff in self._right_terms(key, j):
-                yield (left, in_objects, nb), scale_block(F, coeff, lefts[in_objects[0]])
+                frame = fr.below.at.get((source, arrows, in_objects))
+                col = None if frame is None else frame_column(frame, nb)
+                if col is not None:
+                    yield col, scale_block(F, coeff, lefts[in_objects[0]])
 
     def _right_terms(self, key, j):
         """The terms of d_j at ``key`` as (input objects, input btuple, coefficient).

@@ -253,14 +253,23 @@ def _cochain_line(complex_, ln):
     if len(parts) != 5:
         raise ParseError("cochain line needs 5 fields: %r" % ln)
     p = int(parts[0])
+    P = complex_.P
     if p == 0:
+        if parts[1] not in P.base.objects:
+            raise ValueError("unknown object %r" % parts[1])
         simplex = Simplex(parts[1], ())
     else:
         arrows = tuple(parts[1].split())
-        simplex = complex_.P.base.simplex(arrows)
+        for a in arrows:
+            if a not in P.base.arrows:
+                raise ValueError("unknown arrow %r" % a)
+        simplex = P.base.simplex(arrows)
         if simplex.p != p:
             raise ValueError("p = %d is not the number of arrows listed (%d)" % (p, simplex.p))
     objects = tuple(parts[2].split())
+    for obj, u in zip(objects, complex_.object_bases(simplex, len(objects))):
+        if obj not in P.fiber(u).objects:
+            raise ValueError("unknown object %r over %s" % (obj, u))
     btuple = tuple(int(t) for t in parts[3].split()) if parts[3] else ()
     key = (simplex, objects, btuple)
     rank = complex_.value_rank(key)

@@ -7,7 +7,9 @@ Hochschild differential for one-object fibers.  The exceptions check how the
 library assembles its operators, not the formulas:
 
 - ``nr_keys`` filters the library's GS cells down to the normalized reduced
-  ones, so it checks the direct listing of ``NrComplex``;
+  ones, so it checks the direct listing of ``NrComplex``, and
+  ``cell_listing`` lists the GS and graded cells by nested loops over the
+  library's ranks, so it checks the frame listing;
 - ``higher_terms_bruteforce`` sums the GS higher components one path and one
   shuffle at a time with the library's enumerations, so it checks the
   coarsening dynamic programming that ``higher_terms`` reads;
@@ -24,6 +26,10 @@ library assembles its operators, not the formulas:
   (``c_sigma_partition``), not the library's shape skeletons, one-pass
   strings, path values and memos, so they check those and the
   per-input-cell sums of F and T.
+
+The library's term streams yield input columns; ``cell_columns`` and
+``keyed`` name them as cells again, and ``resolved`` and ``pull_keyed`` turn
+a keyed oracle stream into the columns that ``pull_matrix`` reads.
 
 Test-only diagnostics of the paper's constructions also live here: formal
 chains of tensor strings with their faces and the chains omega, Omega and
@@ -520,6 +526,29 @@ def higher_terms_bruteforce(C, key, j):
 
 
 # -- the normalized reduced cells and triplet text ------------------------------------
+
+
+def cell_listing(C, n):
+    """The degree-n cells of the GS or graded complex ``C`` by nested loops, in
+    cell order: every (simplex, objects) whose value module and argument homs
+    are nonzero, then every basis tuple of its arguments."""
+    P = C.P
+    base = P.base
+    out = []
+    if isinstance(C, GradedComplex):
+        frames = ((s, objects, [C.entry_rank(s, objects, i) for i in range(1, n + 1)])
+                  for s in base.nerve(n)
+                  for objects in product(*[P.fiber(u).objects for u in base.objects_along(s)]))
+    else:
+        frames = ((s, objects, [P.fiber(base.target(s)).rank(objects[n - p - i],
+                                                               objects[n - p - i + 1])
+                                for i in range(1, n - p + 1)])
+                  for p in range(n + 1) for s in base.nerve(p)
+                  for objects in product(P.fiber(base.target(s)).objects, repeat=n - p + 1))
+    for simplex, objects, ranks in frames:
+        if C.value_rank((simplex, objects, None)):
+            out.extend((simplex, objects, btuple) for btuple in product(*map(range, ranks)))
+    return out
 
 
 def nr_keys(C, n):
@@ -1120,11 +1149,49 @@ def t_terms(cmp_, key):
 
 
 def apply_terms(contrib, out_complex, n, in_complex, phi):
-    """The operator of a block stream applied to ``phi`` through its matrix:
-    a degree-n cochain of ``out_complex``."""
-    mat = pull_matrix(contrib, out_complex.cells(n), out_complex.index(n),
-                      in_complex.index(phi.degree), out_complex.field)
+    """The operator of a keyed block stream applied to ``phi`` through its
+    matrix: a degree-n cochain of ``out_complex``."""
+    mat = pull_keyed(contrib, out_complex, n, in_complex, phi.degree)
     return apply_matrix(mat, phi, in_complex, out_complex, n)
+
+
+# -- keyed views of the column streams ------------------------------------------------
+# The library's streams yield (column, block); the oracles above and the tests
+# name input cells by key, (simplex, objects, btuple).
+
+
+def cell_columns(C, n):
+    """{first column: cell} over the degree-n cells of C, read off ``C.index(n)``."""
+    offsets = C.index(n)[0]
+    return {offsets[key]: key for key in C.cells(n)}
+
+
+def keyed(terms, columns):
+    """The (column, block) terms of a library stream as (cell, block), with
+    ``columns`` from ``cell_columns`` of the stream's input complex and degree."""
+    return ((columns[col], block) for col, block in terms)
+
+
+def resolved(contrib, in_complex, k):
+    """A keyed stream ``contrib(key)`` of (cell, block) terms as ``pull_matrix``
+    reads it: (column, block) on the degree-k cells of ``in_complex``, with the
+    terms at cells it does not list dropped."""
+    offsets = in_complex.index(k)[0]
+
+    def stream(key):
+        for in_key, block in contrib(key):
+            col = offsets.get(in_key)
+            if col is not None:
+                yield col, block
+
+    return stream
+
+
+def pull_keyed(contrib, out_complex, n, in_complex, k):
+    """The matrix of a keyed stream from degree k of ``in_complex`` to degree n
+    of ``out_complex``, assembled by ``pull_matrix``."""
+    return pull_matrix(resolved(contrib, in_complex, k), out_complex.frames(n),
+                       in_complex.dim(k), out_complex.field)
 
 
 # -- formal chains ------------------------------------------------------------------

@@ -397,11 +397,26 @@ BAD_INPUTS = [
     pytest.param(["deform", "dual-pair", "--from-cocycle",
                   lambda t: _write(t, "arrow.cochain", "1 | nosuch | X X | 0 | 1\n")],
                  {}, 2, "parse error:", id="cocycle-unknown-arrow"),
+    pytest.param(["deform", "dual-pair", "--from-cocycle",
+                  lambda t: _write(t, "star.cochain", "2 | * | X X X | 0 -1 | 1\n")],
+                 {}, 2, "parse error: bad cochain line '2 | * | X X X | 0 -1 | 1': "
+                 "unknown arrow '*'", id="cocycle-unknown-arrow-named"),
+    pytest.param(["deform", "dual-pair", "--from-cocycle",
+                  lambda t: _write(t, "base.cochain", "0 | Z | X | | 1\n")],
+                 {}, 2, "parse error: bad cochain line '0 | Z | X | | 1': unknown object 'Z'",
+                 id="cocycle-unknown-base-object"),
+    pytest.param(["deform", "dual-pair", "--from-cocycle",
+                  lambda t: _write(t, "fiber.cochain", "0 | * | Q | | 1\n")],
+                 {}, 2, "parse error: bad cochain line '0 | * | Q | | 1': "
+                 "unknown object 'Q' over *", id="cocycle-unknown-fiber-object"),
     pytest.param(["deform", "dual-pair", "--from-cocycle", "nofile.cochain"], {}, 2,
                  "parse error:", id="cocycle-missing-file"),
     pytest.param(["deform", "dual-pair", "--from-cocycle",
                   lambda t: _write(t, "index.cochain", "0 | * | X X X | 1 7 | 1 0\n")],
                  {}, 2, "parse error:", id="cocycle-basis-index-out-of-range"),
+    pytest.param(["deform", "dual-pair", "--from-cocycle",
+                  lambda t: _write(t, "negative.cochain", "0 | * | X X X | 1 -1 | 1 0\n")],
+                 {}, 2, "parse error:", id="cocycle-negative-basis-index"),
     pytest.param(["deform", "dual-pair", "--from-cocycle",
                   lambda t: _write(t, "degree.cochain", "0 | * | X X X X | 0 0 0 | 1 0\n")],
                  {}, 2, "parse error:", id="cocycle-wrong-degree"),

@@ -8,14 +8,15 @@ import pytest
 
 from conftest import get_nr, get_pair, get_prestack
 from oracles import (GradedChain, big_omega_chain, build_graded_string, c_sigma_partition,
-                     cell_gmors, chain_face_sum, delta_chain, f_terms, g_terms, graded_terms, gs_terms, omega_chain,
-                     pull_apply, seq_count, t_terms)
+                     cell_columns, cell_gmors, chain_face_sum, delta_chain, f_terms, g_terms,
+                     graded_terms, gs_terms, keyed, omega_chain, pull_apply, pull_keyed,
+                     seq_count, t_terms)
 from prestacks import combinatorics as cb
 from prestacks import fixtures
 from prestacks.basecat import Simplex, chain_poset
 from prestacks.compare import (Comparison, graded_string, seq_elements, seq_vector,
                                seqq_elements, zeta_levels)
-from prestacks.complexbase import SparseCochain, apply_matrix, pull_matrix
+from prestacks.complexbase import SparseCochain, apply_matrix
 from prestacks.graded import GradedCategory, GradedComplex, string_objects, string_simp
 from prestacks.gscomplex import GSComplex, expand_multilinear
 from prestacks.linalg import QQ, SparseMatrix
@@ -381,12 +382,13 @@ def test_comparison_matrices_equal_term_by_term_oracle(name, top):
             maps.append(("T", t_terms, CU, n - 1, CU, n))
         for which, terms, out_c, m, in_c, k in maps:
             oracle = oracle_blocks(lambda key: terms(cmp_, key), in_c.index(k), in_c, F)
-            want = pull_matrix(oracle, out_c.cells(m), out_c.index(m), in_c.index(k), F)
+            want = pull_keyed(oracle, out_c, m, in_c, k)
             got = getattr(cmp_, "matrix_" + which)(n)
             assert got.to_triplet_text() == want.to_triplet_text(), (which, n)
-        for stream in (cmp_.f_contributions, cmp_.t_contributions):
+        for stream, cols in ((cmp_.f_contributions, cell_columns(CG, n)),
+                             (cmp_.t_contributions, cell_columns(CU, n + 1))):
             for key in CU.cells(n):
-                in_keys = [in_key for in_key, _ in stream(key)]
+                in_keys = [in_key for in_key, _ in keyed(stream(key), cols)]
                 assert len(in_keys) == len(set(in_keys))
 
 
@@ -446,9 +448,10 @@ def test_presheaf_f_only_unit_partitions_survive(triv_a3):
         full = cmp_.apply_F(phi)
         # restrict the sum to all-ones partitions by hand
         restricted = SparseCochain(CU, n)
+        cols = cell_columns(CG, n)
         for key in CU.cells(n):
             acc = [F.zero] * CU.value_rank(key)
-            for in_key, block in cmp_.f_contributions(key):
+            for in_key, block in keyed(cmp_.f_contributions(key), cols):
                 vec = phi.data.get(in_key)
                 if vec is None:
                     continue

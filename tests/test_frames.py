@@ -7,17 +7,18 @@ cells are visited, nor on another cell's stream being advanced in between.
 """
 
 import copy
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 import pytest
 
 from conftest import get_prestack
-from oracles import graded_terms, gs_terms
+from oracles import cell_columns, cell_listing, graded_terms, gs_terms, keyed, nr_keys
 from prestacks import fixtures
+from prestacks.basecat import Simplex
 from prestacks.compare import Comparison
-from prestacks.complexbase import pull_matrix
+from prestacks.complexbase import FrameIndex, pull_matrix
 from prestacks.graded import GradedComplex
-from prestacks.gscomplex import GSComplex
+from prestacks.gscomplex import GSComplex, NrComplex
 from prestacks.linalg import QQ, DualNumbers, PrimeField, accumulate
 from test_generated import carry_prestack, fold_prestack
 
@@ -62,12 +63,13 @@ def oracle_summed(C, oracle, key, n):
 
 
 def alternating(C, keys, n):
-    """Each cell's terms, with the streams of cells i and len - 1 - i advanced
-    in turn, so that consecutive steps read different frames."""
+    """Each cell's terms, keyed, with the streams of cells i and len - 1 - i
+    advanced in turn, so that consecutive steps read different frames."""
     half = (len(keys) + 1) // 2
+    cols = cell_columns(C, n - 1)
     out = {}
     for k1, k2 in zip_longest(keys[:half], reversed(keys[half:])):
-        pairs = [(k, C.diff_contributions(k, n)) for k in (k1, k2) if k is not None]
+        pairs = [(k, keyed(C.diff_contributions(k, n), cols)) for k in (k1, k2) if k is not None]
         got = {k: [] for k, _ in pairs}
         for steps in zip_longest(*(stream for _, stream in pairs)):
             for (k, _), term in zip(pairs, steps):
@@ -87,8 +89,9 @@ def test_frame_pass_equals_oracle_in_any_order(name, which):
     for n in range(1, top + 1):
         keys = C.cells(n)
         want = {key: oracle_summed(C, oracle, key, n) for key in keys}
+        cols = cell_columns(C, n - 1)
         for key in reversed(keys):
-            assert summed(F, C.diff_contributions(key, n)) == want[key], (n, key)
+            assert summed(F, keyed(C.diff_contributions(key, n), cols)) == want[key], (n, key)
         for key, terms in alternating(C, keys, n).items():
             assert summed(F, terms) == want[key], (n, key)
 
@@ -108,10 +111,11 @@ def assert_pull_writes_no_frame_block(C, n):
     """A pass of pull_matrix over the cells of C's current frame reads every
     block the frame shares and writes none."""
     (simplex, objects, _), frame = C._slot
-    keys = [key for key in C.cells(n) if key[:2] == (simplex, objects)]
+    listed = C.frames(n).at[simplex.source, simplex.arrows, objects]
+    cells = sum(1 for key in C.cells(n) if key[:2] == (simplex, objects))
+    alone = FrameIndex([listed[:4] + (0,)], listed[2] * cells)
     snapshot = copy.deepcopy(dicts_in(frame))
-    pull_matrix(lambda key: C.diff_contributions(key, n), keys, C._offsets(keys),
-                C.index(n - 1), C.field)
+    pull_matrix(lambda key: C.diff_contributions(key, n), alone, C.dim(n - 1), C.field)
     assert C._slot[1] is frame and dicts_in(frame) == snapshot
 
 
@@ -139,8 +143,10 @@ def test_complex_holds_one_frame(which):
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), DualNumbers(QQ)], ids=str)
 def test_pull_matrix_drops_the_sums_that_cancel(field):
     one, two = field.one, field.add(field.one, field.one)
-    terms = {"out": [("in", {(0, 0): one, (0, 1): two}), ("in", {(0, 0): field.neg(one)})]}
-    m = pull_matrix(terms.__getitem__, ["out"], ({"out": 0}, 1), ({"in": 0}, 2), field)
+    # one output cell with a value of rank 1, two terms at the input cell of column 0
+    out = FrameIndex([(Simplex("u", ()), ("out",), 1, (), 0)], 1)
+    terms = [(0, {(0, 0): one, (0, 1): two}), (0, {(0, 0): field.neg(one)})]
+    m = pull_matrix(lambda key: terms, out, 2, field)
     assert m.row_data == [{1: two}] and m.nnz == 1
 
 
@@ -177,3 +183,38 @@ def test_term_blocks_hold_no_zeros(name, field):
     for which, n, key, stream in _all_streams(P, 3):
         for in_key, block in stream:
             assert not any(F.is_zero(v) for v in block.values()), (which, n, key, in_key)
+
+
+LISTINGS = {
+    **{name: (lambda name=name: get_prestack(name)) for name in FIXTURES},
+    "chain-4": lambda: fixtures.scalar_chain_prestack(4),
+    "fold": fold_prestack,
+    "carry-3-5": lambda: carry_prestack(3, 5, QQ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LISTINGS))
+@pytest.mark.parametrize("which", ["gs", "nr", "graded"])
+def test_frame_index_is_the_cell_listing(which, name):
+    # cells(n) is the frames' row-major expansion, each cell's column is its
+    # running offset, and no frame of value rank 0 or nr identity slot is listed
+    P = LISTINGS[name]()
+    C = {"gs": GSComplex, "nr": NrComplex, "graded": GradedComplex}[which](P)
+    for n in range(0, 5 if name == "rank2-fiber" else 6):
+        frames = C.frames(n)
+        want = nr_keys(GSComplex(P), n) if which == "nr" else cell_listing(C, n)
+        expanded, column = [], 0
+        for simplex, objects, rank, slots, offset in frames.frames:
+            assert rank == C.value_rank((simplex, objects, None)) > 0
+            assert offset == column
+            if which == "nr":
+                fib, q = P.fiber(P.base.target(simplex)), len(objects) - 1
+                assert not any(fib.identity_basis_index(objects[q - i]) in slot
+                               for i, slot in enumerate(slots, 1)
+                               if objects[q - i] == objects[q - i + 1])
+            for btuple in product(*slots):
+                expanded.append((simplex, objects, btuple))
+                assert frames[expanded[-1]] == column
+                column += rank
+        assert expanded == want == C.cells(n), (n, which)
+        assert frames.dim == column == C.dim(n) == C.index(n)[1]

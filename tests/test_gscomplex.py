@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import get_nr, get_pair, get_prestack
-from oracles import (apply_terms, classical_hochschild, higher_terms, higher_terms_bruteforce,
-                     nr_keys, pointwise_diff)
+from oracles import (apply_terms, cell_columns, classical_hochschild, higher_terms,
+                     higher_terms_bruteforce, keyed, nr_keys, pointwise_diff, pull_keyed)
 from prestacks.basecat import BaseCategory, Simplex, chain_poset
 from prestacks.combinatorics import EnumerationCapError, enumerate_paths, enumerate_shuffles
-from prestacks.complexbase import SparseCochain, pull_matrix
+from prestacks.complexbase import SparseCochain
 from prestacks.fixtures import BUILDERS, coboundary_lambdas, scalar_chain_prestack
 from prestacks.gscomplex import MOVES, GSComplex, NrBasisError, NrComplex
 from prestacks.lincat import LinearCategory, scale_block
@@ -106,9 +106,10 @@ def test_presheaf_higher_components_vanish_on_nr(triv_a3):
                            for _ in range(C.value_rank(k))]
         full = C.apply_diff(phi)
         partial = SparseCochain(C, n + 1)
+        cols = cell_columns(C, n)
         for key in C.cells(n + 1):
             acc = [F.zero] * C.value_rank(key)
-            for in_key, block in C.diff_contributions(key, n + 1):
+            for in_key, block in keyed(C.diff_contributions(key, n + 1), cols):
                 # keep only Hochschild and simplicial inputs: they come from
                 # cochains one bidegree away
                 dp = key[0].p - in_key[0].p
@@ -288,10 +289,11 @@ def test_cochain_text_round_trip(twist3):
 def _component(C, phi, j):
     """The terms of d that raise the simplicial degree by exactly j."""
     n = phi.degree + 1
+    cols = cell_columns(C, phi.degree)
 
     def contrib(key):
         p = key[0].p
-        return (t for t in C.diff_contributions(key, n) if p - t[0][0].p == j)
+        return (t for t in keyed(C.diff_contributions(key, n), cols) if p - t[0][0].p == j)
 
     return apply_terms(contrib, C, n, C, phi)
 
@@ -352,11 +354,12 @@ def test_d_simp_boundary_degree(twist2):
 def _oracle_stream(C, n, cache):
     """d's term stream with every higher component from the term-by-term oracle."""
     P, F = C.P, C.field
+    cols = cell_columns(C, n - 1)
 
     def contrib(key):
         simplex, objects, _ = key
         p = simplex.p
-        for term in C.diff_contributions(key, n):
+        for term in keyed(C.diff_contributions(key, n), cols):
             if p - term[0][0].p < 2:
                 yield term
         for j in range(2, p + 1):
@@ -371,9 +374,10 @@ def _oracle_stream(C, n, cache):
 def _check_higher_terms(C, n):
     """Compare d_j at every degree-n cell with the oracle; one term per input cell."""
     cache = {}
+    cols = cell_columns(C, n - 1)
     for key in C.cells(n):
         p = key[0].p
-        merged = [t[0] for t in C.diff_contributions(key, n) if p - t[0][0].p >= 2]
+        merged = [t[0] for t in keyed(C.diff_contributions(key, n), cols) if p - t[0][0].p >= 2]
         assert len(merged) == len(set(merged)), key
         want_keys = set()
         for j in range(2, p + 1):
@@ -390,10 +394,10 @@ def test_higher_terms_equal_path_by_path_sum(name):
     for n in range(1, 5):
         cache = _check_higher_terms(C, n)
         contrib = _oracle_stream(C, n, cache)
-        full = pull_matrix(contrib, C.cells(n), C.index(n), C.index(n - 1), C.field)
+        full = pull_keyed(contrib, C, n, C, n - 1)
         assert full == C.matrix(n)
-        nr_out, nr_in = nr_keys(C, n), nr_keys(C, n - 1)
-        nr = pull_matrix(contrib, nr_out, C._offsets(nr_out), C._offsets(nr_in), C.field)
+        NR = get_nr(name)
+        nr = pull_keyed(contrib, NR, n, NR, n - 1)
         assert nr == get_nr(name).matrix(n)
 
 
