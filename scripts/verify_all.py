@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Run every verification law against every fixture document."""
+"""Run every verification law against every fixture document.
+
+Prints one PASS/FAIL row per (fixture, law); a FAIL row is followed by what
+the law printed, on stdout and on stderr.  Exits 1 if any law failed.
+"""
 
 import os
 import subprocess
@@ -36,7 +40,9 @@ def main():
             print("%-24s %-9s %s" % (fname, law, status))
             if res.returncode != 0:
                 failures += 1
-                print(res.stdout)
+                out = (res.stdout + res.stderr).rstrip("\n")
+                if out:
+                    print(out)
     return 1 if failures else 0
 
 

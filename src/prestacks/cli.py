@@ -344,7 +344,7 @@ def cmd_export_matrix(args):
     if _over_degree_cap(args.degree, slack=1):
         return 1
     P = _load(args.file)
-    if _violation(P):
+    if _not_a_field(P) or _violation(P):
         return 1
     mat = _differential(P, args.complex)(args.degree)
     with open(args.out, "w") as fh:

@@ -9,20 +9,22 @@ expands that listing, and ``index(n)`` is (the ``FrameIndex`` as a mapping
 from cell to first column, dim); no dict keyed by cell is built.
 
 Every operator between complexes (the differentials d and delta, the
-comparison maps F and G, the homotopy T) is given pull-style: for each
-output cell ``key`` its stream yields terms ``(column, block)``, the first
-column of an input cell and the matrix of a linear map from the value
-coordinates there to those at ``key``, stored as a dict ``{(r, b): v}`` with
-the term's sign folded in (``lincat`` builds blocks).  A stream finds where
-its input frames lie once per frame (``FrameIndex.at``), so a term costs
-offset arithmetic or a lookup on ints, never a lookup keyed by a
-``Simplex``; it drops the terms at input cells that the input complex does
-not list, such as the gaps of ``NrComplex``.
+comparison maps F and G, the homotopy T) is given pull-style, as one term
+stream per matrix.  The stream walks the output ``FrameIndex``, the cell at
+position k of a frame in row (first offset) + k * rank, and yields terms
+``(row, column, block)``: the first row of an output cell, the first column
+of an input cell and the matrix of a linear map from the value coordinates
+there to those at the output cell, a dict ``{(r, b): v}`` with the term's
+sign folded in (``lincat`` builds blocks).  What every cell of a frame reads
+(faces, composites, functors, where the input frames lie, the blocks that
+read no argument, memos of those that read one) is built once per frame as
+a local of the walk; no frame state is kept on the complex.  Input frames
+are found once per frame (``FrameIndex.at``), so a term costs offset
+arithmetic or a lookup on ints, and the terms at input cells that the input
+complex does not list, such as the gaps of ``NrComplex``, are dropped.
 
-``pull_matrix`` is the only consumer of a term stream.  It walks the output
-frames, each cell's rows at a running offset, and reads only a term's
-column and block: v lands in row (the cell's row) + r, column (the term's
-column) + b.  A block holds no zeros: every block builder in ``lincat`` and
+``pull_matrix`` is the only consumer of a term stream: v lands in row + r,
+column + b.  A block holds no zeros: every block builder in ``lincat`` and
 the complexes drops them, and ``pull_matrix`` relies on it, checking for
 zeros only in the sums where two terms meet.  ``apply_matrix`` applies the
 matrix to a cochain as to_vector in the input complex, matvec, from_vector
@@ -30,23 +32,16 @@ in the output complex, so a cochain is read in the coordinates of the
 complex whose matrix is applied: an ``NrComplex`` cochain passed to the GS
 differential is read in GS coordinates.
 
-A complex's ``_frame`` step computes once what every cell of a frame reads
-(faces, composites, functors, where the input frames lie, the blocks that
-read no argument) and memoizes per basis index, in ``combinatorics.Memo``s,
-the blocks that read one.  Only the most recent frame is kept, in one slot
-that is rebuilt when the frame changes; a term stream holds on to the frame
-it started with, so streams of different frames may interleave.
-
 Both complexes share their Hochschild part: the bar differential of the
 fibers (GS) or of the Grothendieck construction (graded).  ``_bar_terms`` is
-its one kernel.  It yields a cell's terms from the frame that ``_bar_frame``
-builds: a_1 acting on the left, each adjacent pair a_i a_{i+1} merged, as
-unit blocks of (-1)^i times the composite's coordinates, and a_q acting on
-the right.  Each input frame keeps the cell's other slot bases, so its
-column is arithmetic on the cell's position in its own frame.
+its one kernel.  It yields a cell's terms from the frame data that
+``_bar_frame`` builds: a_1 acting on the left, each adjacent pair a_i
+a_{i+1} merged, as unit blocks of (-1)^i times the composite's coordinates,
+and a_q acting on the right.  Each input frame keeps the cell's other slot
+bases, so its column is arithmetic on the cell's position in its own frame.
 
 A block may be shared between terms and cells: a complex may memoize blocks
-for its life or for one frame.  So no consumer mutates a block;
+for its life or for one frame of its walk.  So no consumer mutates a block;
 ``pull_matrix`` only reads them, and ``lincat.compose_blocks`` and
 ``scale_block`` return new dicts.
 """
@@ -57,7 +52,6 @@ import random
 from collections.abc import Mapping
 from itertools import product
 from math import prod
-from operator import mul
 from types import SimpleNamespace
 
 from .combinatorics import Memo
@@ -79,15 +73,12 @@ class SparseCochain:
             vec = [self.complex.field.zero] * self.complex.value_rank(key)
         return vec
 
-    def add_to(self, key, vec, scale=None):
+    def add_to(self, key, vec):
         F = self.complex.field
         cur = self.data.get(key)
         if cur is None:
             cur = [F.zero] * len(vec)
-        if scale is None:
-            new = [F.add(a, b) for a, b in zip(cur, vec)]
-        else:
-            new = [F.add(a, F.mul(scale, b)) for a, b in zip(cur, vec)]
+        new = [F.add(a, b) for a, b in zip(cur, vec)]
         if all(F.is_zero(v) for v in new):
             self.data.pop(key, None)
         else:
@@ -169,37 +160,33 @@ class FrameIndex(Mapping):
         return sum(prod(map(len, f[3])) for f in self.frames)
 
 
-def pull_matrix(contrib, out, in_dim, field):
-    """The matrix of the term stream ``contrib`` from ``in_dim`` columns to the
-    cells of the ``FrameIndex`` ``out``.
+def pull_matrix(terms, rows, cols, field):
+    """The ``rows`` x ``cols`` matrix of the term stream ``terms``.
 
-    Rows follow ``out``'s frames at a running offset; each term's block is
-    added at its column.  Entries are summed in place with ``field.add``.  A
-    block holds no zeros, so only a sum can be zero: each row in which a sum
-    was zero when formed is noted, and its zeros are dropped once the rows
-    are complete.
+    Each term (row, column, block) adds v at (row + r, column + b) for each
+    entry (r, b): v of its block.  Entries are summed in place with
+    ``field.add``.  A block holds no zeros, so only a sum can be zero: each
+    row in which a sum was zero when formed is noted, and its zeros are
+    dropped once the rows are complete.
     """
     add, is_zero = field.add, field.is_zero
-    rows = [{} for _ in range(out.dim)]
+    data = [{} for _ in range(rows)]
     zero_rows = []  # a row is noted again only after another row was
-    for simplex, objects, rank, slots, row0 in out.frames:
-        for btuple in product(*slots):
-            for col0, block in contrib((simplex, objects, btuple)):
-                for (r, b), v in block.items():
-                    row = rows[row0 + r]
-                    col = col0 + b
-                    prev = row.get(col)
-                    if prev is None:
-                        row[col] = v
-                    else:
-                        v = row[col] = add(prev, v)
-                        if is_zero(v) and (not zero_rows or zero_rows[-1] is not row):
-                            zero_rows.append(row)
-            row0 += rank
+    for row0, col0, block in terms:
+        for (r, b), v in block.items():
+            row = data[row0 + r]
+            col = col0 + b
+            prev = row.get(col)
+            if prev is None:
+                row[col] = v
+            else:
+                v = row[col] = add(prev, v)
+                if is_zero(v) and (not zero_rows or zero_rows[-1] is not row):
+                    zero_rows.append(row)
     for row in zero_rows:
         for col in [col for col, v in row.items() if is_zero(v)]:
             del row[col]
-    return SparseMatrix(out.dim, in_dim, field, rows)
+    return SparseMatrix(rows, cols, field, data)
 
 
 def apply_matrix(mat, phi, in_complex, out_complex, n):
@@ -216,13 +203,11 @@ class ComplexBase:
         self._cells = {}
         self._index = Memo(self._new_index)  # n -> FrameIndex
         self._rank_cache = Memo(lambda frame: self._rank(*frame))
-        self._slot = (None, None)  # the most recent frame: its key and its data
 
     # subclasses: _candidate_frames(n) -> (simplex, objects, slot bases) in
-    # cell order, _rank(simplex, objects) -> int, _new_frame(frame, n) ->
-    # frame data (a _bar_frame namespace), diff_contributions(key, n) ->
-    # iterable of (column, block).  Each binds ``cells`` in its own class,
-    # where perfbench's tracer wraps it by name.
+    # cell order, _rank(simplex, objects) -> int, diff_contributions(n) ->
+    # generator of (row, column, block) over the degree-n frames.  Each binds
+    # ``cells`` in its own class, where perfbench's tracer wraps it by name.
 
     def _new_index(self, n):
         frames, dim = [], 0
@@ -245,16 +230,6 @@ class ComplexBase:
         if n not in self._cells:
             self._cells[n] = list(self._index[n])
         return self._cells[n]
-
-    def _frame(self, simplex, objects, n):
-        """The data of the frame (simplex, objects) in degree n, which every
-        cell of the frame reads.  Only the most recent frame is kept: the
-        assembly visits each frame's cells one after another."""
-        key = (simplex, objects, n)
-        if self._slot[0] != key:
-            frame = self._index[n].at[simplex.source, simplex.arrows, objects]
-            self._slot = (key, self._new_frame(frame, n))
-        return self._slot[1]
 
     def _bar_frame(self, frame, below, head, tail, merge_in, left, right, merged):
         """The frame data that ``_bar_terms`` reads, for the listed ``frame``.
@@ -281,9 +256,8 @@ class ComplexBase:
             T.append(T[-1] * len(s))
         T.reverse()
         units = Memo(lambda cp: unit_block(F, rank, cp[0], -1 if cp[1] else 1))
-        fr = SimpleNamespace(slots=slots, strides=T[1:], head=None, tail=None, merge_in=[],
-                             ranges=all(type(s) is range for s in slots),
-                             lefts=Memo(left), rights=Memo(right), units=units)
+        fr = SimpleNamespace(head=None, tail=None, merge_in=[], lefts=Memo(left),
+                             rights=Memo(right))
         if not slots:
             return fr
         at = below.at
@@ -305,33 +279,24 @@ class ComplexBase:
         fr.merges = Memo(merges)
         return fr
 
-    @staticmethod
-    def _position(fr, btuple):
-        """The row-major index of the cell ``btuple`` among the cells of the bar frame ``fr``."""
-        if fr.ranges:  # every slot basis is range(s): a basis index is its own position
-            return sum(map(mul, btuple, fr.strides))
-        k = 0
-        for b, slot, stride in zip(btuple, fr.slots, fr.strides):
-            k += slot.index(b) * stride
-        return k
-
-    def _bar_terms(self, fr, btuple, k):
-        """The Hochschild terms (column, block) of the cell with basis tuple
-        ``btuple`` at position k of the frame ``fr``: a_1 on the left, the
-        merges, a_q on the right.  A cell without arguments has none."""
+    def _bar_terms(self, fr, btuple, k, row):
+        """The Hochschild terms (row, column, block) of the cell with basis
+        tuple ``btuple`` at position k of the frame data ``fr``, in rows from
+        ``row`` on: a_1 on the left, the merges, a_q on the right.  A
+        cell without arguments has none."""
         if fr.head is not None:
             col0, rank, mod = fr.head
-            yield col0 + rank * (k % mod), fr.lefts[btuple[0]]
+            yield row, col0 + rank * (k % mod), fr.lefts[btuple[0]]
         for i, merge in enumerate(fr.merge_in, 1):
             if merge is None:
                 continue
             div, outer, mod, rank = merge
             base = k // div * outer + k % mod * rank
             for col, block in fr.merges[(i, btuple[i - 1], btuple[i])]:
-                yield base + col, block
+                yield row, base + col, block
         if fr.tail is not None:
             col0, rank, div = fr.tail
-            yield col0 + rank * (k // div), fr.rights[btuple[-1]]
+            yield row, col0 + rank * (k // div), fr.rights[btuple[-1]]
 
     def value_rank(self, key):
         """The rank of the value module of a cell; it depends only on
@@ -352,8 +317,7 @@ class ComplexBase:
 
     def matrix(self, n):
         """The differential C^{n-1} -> C^n as a sparse matrix."""
-        return pull_matrix(lambda key: self.diff_contributions(key, n), self._index[n],
-                           self.dim(n - 1), self.field)
+        return pull_matrix(self.diff_contributions(n), self.dim(n), self.dim(n - 1), self.field)
 
     def to_vector(self, phi):
         offsets, dim = self.index(phi.degree)

@@ -128,8 +128,8 @@ class GradedComplex(ComplexBase):
     on exactly the data it reads (an argument is its grading, endpoints and
     basis index), never on the cell, so it holds one entry per distinct
     argument datum and is shared by every degree.  The differential is the
-    bar kernel of ``complexbase`` over the cell's frame, which finds its head,
-    tail and merge faces once per frame and yields input columns.
+    bar kernel of ``complexbase`` over each frame, which finds its head, tail
+    and merge faces once per frame and yields input columns.
     """
 
     def __init__(self, prestack):
@@ -210,17 +210,20 @@ class GradedComplex(ComplexBase):
         return scale_block(F, F.one, self.GM.right_mu(v, b_obj, c_obj, G.basis_gmor(*arg)),
                            -1 if odd else 1)
 
-    def diff_contributions(self, key, n):
-        """The terms (column, block) of the differential at the degree-n cell.
+    def diff_contributions(self, n):
+        """The terms (row, column, block) of the differential over the
+        degree-n frames.
 
         Blocks come from ``_blocks`` and the frame's unit blocks, and are
         shared between terms and cells; no consumer may mutate one.
         """
-        simplex, objects, btuple = key
-        if not btuple:  # a degree-0 cell: nothing maps into it
-            return ()
-        fr = self._frame(simplex, objects, n)
-        return self._bar_terms(fr, btuple, self._position(fr, btuple))
+        if n < 1:  # a degree-0 cell has no arguments: nothing maps into it
+            return
+        for frame in self._index[n].frames:
+            rank, slots, row = frame[2:]
+            fr = self._new_frame(frame, n)
+            for k, btuple in enumerate(product(*slots)):
+                yield from self._bar_terms(fr, btuple, k, row + rank * k)
 
 
 # -- strings ------------------------------------------------------------------

@@ -40,24 +40,25 @@ so d_j memoizes it on them for the life of the complex.  The terms are
 summed per input cell and d_j yields one term per input cell.
 
 The differential is assembled frame by frame (see ``complexbase``).  What
-reads only the simplex (its fibers, sigma_* and sigma^*, the faces with their
-restrictions and twists, the left parts of d_j) is built once per run of
-consecutive frames over that simplex and handed on from frame to frame in
-the one slot.  A frame (simplex, objects) fixes the star functors, the input
-frames of every term, the d_simp blocks of face 0 and of the middle faces,
-d_p's block and sign, and the twist c_pref of each d_j.  It resolves once
-where each input frame lies one degree down: the bar kernel's, the d_simp
-faces, d_p's frame, and d_j's left part by input objects.  d_Hoch is the bar
-kernel ``_bar_terms`` over the frame, with sigma_* a_1 acting on the left of
-the source fiber, the composites in the top fiber and sigma^* a_q acting on
-the right with (-1)^q.  Every face but the last keeps the cell's target and
-objects, so its input cell sits at the cell's own position in the face's
-frame.  Only the argument blocks read the basis tuple: besides the bar
-kernel's, d_p's restricted supports by (i, b_i) and d_j's left blocks by
-input object, each memoized for the frame; an argument's image under a
-functor is a column of its matrix.  A d_p or d_j term reads its column off
-its input frame's slot bases (``frame_column``), so a term at a cell the
-complex does not list (an identity argument of ``NrComplex``) is dropped.
+reads only the simplex (its fibers, sigma_* and sigma^*, the faces with
+their restrictions and twists, the left parts of d_j) is built once per run
+of consecutive frames over that simplex, a local of the walk rebuilt when
+the simplex changes.  A frame (simplex, objects) fixes the star functors,
+the input frames of every term, the d_simp blocks of face 0 and of the
+middle faces, d_p's block and sign, and the twist c_pref of each d_j.  It
+resolves once where each input frame lies one degree down: the bar kernel's,
+the d_simp faces, d_p's frame, and d_j's left part by input objects.  d_Hoch
+is the bar kernel ``_bar_terms`` over the frame, with sigma_* a_1 acting on
+the left of the source fiber, the composites in the top fiber and sigma^*
+a_q acting on the right with (-1)^q.  Every face but the last keeps the
+cell's target and objects, so its input cell sits at the cell's own position
+in the face's frame.  Only the argument blocks read the basis tuple: besides
+the bar kernel's, d_p's restricted supports by (i, b_i) and d_j's left
+blocks by input object, each memoized for the frame; an argument's image
+under a functor is a column of its matrix.  A d_p or d_j term reads its
+column off its input frame's slot bases (``frame_column``), so a term at a
+cell the complex does not list (an identity argument of ``NrComplex``) is
+dropped.
 """
 
 from __future__ import annotations
@@ -267,12 +268,8 @@ class GSComplex(ComplexBase):
     def _simplex_data(self, simplex):
         """What every frame over ``simplex`` reads, whatever its objects and
         degree: fibers, sigma_* and sigma^*, the faces with their functors and
-        twists, the left parts of d_j.  cells(n) lists a simplex's frames one
-        after another, so the frame in the slot hands its data on to the next
-        frame over the same simplex."""
-        key, prev = self._slot
-        if key is not None and key[0] == simplex:
-            return prev.simplex_data
+        twists, the left parts of d_j.  A degree lists a simplex's frames one
+        after another, so ``diff_contributions`` builds it once per run."""
         P = self.P
         base = P.base
         p = simplex.p
@@ -295,14 +292,14 @@ class GSComplex(ComplexBase):
             sd.higher.append((j, left, P.sigma_upper(left), P.c_sigma_k(simplex, p - j)))
         return sd
 
-    def _new_frame(self, frame, n):
-        """What every cell of the listed ``frame`` reads: the bar frame of
-        d_Hoch, the d_simp blocks that do not read the arguments and memos for
-        those that do, each with where its input frame lies one degree down."""
+    def _new_frame(self, frame, sd, below, n):
+        """What every cell of the listed degree-n ``frame`` reads, given its
+        simplex data ``sd``: the bar frame of d_Hoch, the d_simp blocks that
+        do not read the arguments and memos for those that do, each with
+        where its input frame lies in ``below``, the ``FrameIndex`` one
+        degree down."""
         F = self.field
         simplex, objects = frame[0], frame[1]
-        sd = self._simplex_data(simplex)
-        below = self._index[n - 1]
         p, q = simplex.p, len(objects) - 1
         fib0, fib, lower, upper = sd.fib0, sd.fib, sd.lower, sd.upper
         b_obj, a_obj = upper.on_obj(objects[0]), lower.on_obj(objects[-1])
@@ -325,7 +322,6 @@ class GSComplex(ComplexBase):
             frame, below, (simplex, objects[:-1]), (simplex, objects[1:]),
             [(simplex, objects[:q - i] + objects[q - i + 1:]) for i in range(1, q)],
             first, last, merged)
-        fr.simplex_data = sd
         fr.faces, fr.dp, fr.higher = [], None, []
         if p >= 1:
             sgn_simp = -1 if n % 2 else 1  # (-1)^n on d_simp
@@ -360,13 +356,12 @@ class GSComplex(ComplexBase):
         def left_blocks(functor, c):  # A -> the block of c on the left of fib0 at functor(A)
             return Memo(lambda obj: fib0.left_block(functor.on_obj(obj), c))
 
-        fr.below = below
         for j, left, upper_l, c in sd.higher:
             fr.higher.append((j, left.source, left.arrows, left_blocks(upper_l, c.at(objects[-1]))))
         return fr
 
-    def diff_contributions(self, key, n):
-        """Yield (column, block) for the degree-n output cell ``key``.
+    def diff_contributions(self, n):
+        """Yield (row, column, block) over the degree-n frames.
 
         Everything but the argument blocks comes from the cell's frame; the
         blocks are shared by the cells of the frame, so no consumer may
@@ -374,31 +369,37 @@ class GSComplex(ComplexBase):
         left out.
         """
         F = self.field
-        simplex, objects, btuple = key
-        fr = self._frame(simplex, objects, n)
-        k = self._position(fr, btuple)
+        below = self._index[n - 1]
+        sd_simplex = sd = None
+        for frame in self._index[n].frames:
+            simplex, objects, rank, slots, row = frame
+            if simplex != sd_simplex:
+                sd_simplex, sd = simplex, self._simplex_data(simplex)
+            fr = self._new_frame(frame, sd, below, n)
+            for k, btuple in enumerate(product(*slots)):
+                # d_Hoch from C^{p, q-1}
+                yield from self._bar_terms(fr, btuple, k, row)
 
-        # d_Hoch from C^{p, q-1}
-        yield from self._bar_terms(fr, btuple, k)
+                # (-1)^n d_simp from C^{p-1, q}: every face but the last keeps the slots
+                for col, in_rank, block in fr.faces:
+                    yield row, col + in_rank * k, block
+                if fr.dp is not None:
+                    dp_frame, supports, dp_blocks = fr.dp
+                    for coeff, nb in expand_supports(
+                            F, [supports[(i, b)] for i, b in enumerate(btuple, 1)]):
+                        col = frame_column(dp_frame, nb)
+                        if col is not None:
+                            yield row, col, dp_blocks[coeff]
 
-        # (-1)^n d_simp from C^{p-1, q}: every face but the last keeps the slots
-        for col, rank, block in fr.faces:
-            yield col + rank * k, block
-        if fr.dp is not None:
-            dp_frame, supports, dp_blocks = fr.dp
-            for coeff, nb in expand_supports(
-                    F, [supports[(i, b)] for i, b in enumerate(btuple, 1)]):
-                col = frame_column(dp_frame, nb)
-                if col is not None:
-                    yield col, dp_blocks[coeff]
-
-        # higher components d_j from C^{p-j, q+j-1}, 2 <= j <= p: one term per input cell
-        for j, source, arrows, lefts in fr.higher:
-            for in_objects, nb, coeff in self._right_terms(key, j):
-                frame = fr.below.at.get((source, arrows, in_objects))
-                col = None if frame is None else frame_column(frame, nb)
-                if col is not None:
-                    yield col, scale_block(F, coeff, lefts[in_objects[0]])
+                # higher components d_j from C^{p-j, q+j-1}, 2 <= j <= p: one term
+                # per input cell
+                for j, source, arrows, lefts in fr.higher:
+                    for in_objects, nb, coeff in self._right_terms((simplex, objects, btuple), j):
+                        in_frame = below.at.get((source, arrows, in_objects))
+                        col = None if in_frame is None else frame_column(in_frame, nb)
+                        if col is not None:
+                            yield row, col, scale_block(F, coeff, lefts[in_objects[0]])
+                row += rank
 
     def _right_terms(self, key, j):
         """The terms of d_j at ``key`` as (input objects, input btuple, coefficient).

@@ -27,9 +27,9 @@ library assembles its operators, not the formulas:
   strings, path values and memos, so they check those and the
   per-input-cell sums of F and T.
 
-The library's term streams yield input columns; ``cell_columns`` and
-``keyed`` name them as cells again, and ``resolved`` and ``pull_keyed`` turn
-a keyed oracle stream into the columns that ``pull_matrix`` reads.
+The library's term streams yield (row, column, block) over a whole matrix;
+``grouped`` names their rows and columns as cells again, and ``pull_keyed``
+turns a keyed oracle stream into the terms that ``pull_matrix`` reads.
 
 Test-only diagnostics of the paper's constructions also live here: formal
 chains of tensor strings with their faces and the chains omega, Omega and
@@ -1155,9 +1155,9 @@ def apply_terms(contrib, out_complex, n, in_complex, phi):
     return apply_matrix(mat, phi, in_complex, out_complex, n)
 
 
-# -- keyed views of the column streams ------------------------------------------------
-# The library's streams yield (column, block); the oracles above and the tests
-# name input cells by key, (simplex, objects, btuple).
+# -- keyed views of the library's streams ------------------------------------------
+# The library's streams yield (row, column, block); the oracles above and the
+# tests name cells by key, (simplex, objects, btuple).
 
 
 def cell_columns(C, n):
@@ -1166,32 +1166,34 @@ def cell_columns(C, n):
     return {offsets[key]: key for key in C.cells(n)}
 
 
-def keyed(terms, columns):
-    """The (column, block) terms of a library stream as (cell, block), with
-    ``columns`` from ``cell_columns`` of the stream's input complex and degree."""
-    return ((columns[col], block) for col, block in terms)
-
-
-def resolved(contrib, in_complex, k):
-    """A keyed stream ``contrib(key)`` of (cell, block) terms as ``pull_matrix``
-    reads it: (column, block) on the degree-k cells of ``in_complex``, with the
-    terms at cells it does not list dropped."""
-    offsets = in_complex.index(k)[0]
-
-    def stream(key):
-        for in_key, block in contrib(key):
-            col = offsets.get(in_key)
-            if col is not None:
-                yield col, block
-
-    return stream
+def grouped(terms, out_complex, n, in_complex, k):
+    """The (row, column, block) terms of a library stream as {output cell:
+    [(input cell, block)]}, rows naming the degree-n cells of ``out_complex``
+    and columns the degree-k cells of ``in_complex``.  An output cell without
+    terms is left out."""
+    rows, cols = cell_columns(out_complex, n), cell_columns(in_complex, k)
+    out = {}
+    for row, col, block in terms:
+        out.setdefault(rows[row], []).append((cols[col], block))
+    return out
 
 
 def pull_keyed(contrib, out_complex, n, in_complex, k):
-    """The matrix of a keyed stream from degree k of ``in_complex`` to degree n
-    of ``out_complex``, assembled by ``pull_matrix``."""
-    return pull_matrix(resolved(contrib, in_complex, k), out_complex.frames(n),
-                       in_complex.dim(k), out_complex.field)
+    """The matrix of a keyed stream ``contrib(key)`` of (cell, block) terms
+    from degree k of ``in_complex`` to degree n of ``out_complex``, assembled
+    by ``pull_matrix``; the terms at cells ``in_complex`` does not list are
+    dropped."""
+    rows, cols = out_complex.index(n)[0], in_complex.index(k)[0]
+
+    def terms():
+        for key in out_complex.cells(n):
+            row = rows[key]
+            for in_key, block in contrib(key):
+                col = cols.get(in_key)
+                if col is not None:
+                    yield row, col, block
+
+    return pull_matrix(terms(), out_complex.dim(n), in_complex.dim(k), out_complex.field)
 
 
 # -- formal chains ------------------------------------------------------------------

@@ -8,9 +8,9 @@ import random
 from math import comb, factorial
 
 from conftest import get_nr, get_pair, get_prestack
-from oracles import (GradedChain, big_omega_chain, cell_columns, cell_gmors, chain_face,
-                     chain_face_sum, delta_chain, dense_rank_of_sparse, is_nr_coboundary, keyed,
-                     pointwise_diff, shuffle_filter_count)
+from oracles import (GradedChain, big_omega_chain, cell_gmors, chain_face, chain_face_sum,
+                     delta_chain, dense_rank_of_sparse, grouped, is_nr_coboundary, pointwise_diff,
+                     shuffle_filter_count)
 from prestacks import combinatorics as cb
 from prestacks import fixtures
 from prestacks.basecat import chain_poset
@@ -277,10 +277,10 @@ def test_10_presheaf_degeneration():
                                for _ in range(CG.value_rank(k))]
             full = CG.apply_diff(phi)
             low = SparseCochain(CG, n + 1)
-            cols = cell_columns(CG, n)
+            terms = grouped(CG.diff_contributions(n + 1), CG, n + 1, CG, n)
             for key in CG.cells(n + 1):
                 acc = [F.zero] * CG.value_rank(key)
-                for in_key, block in keyed(CG.diff_contributions(key, n + 1), cols):
+                for in_key, block in terms.get(key, ()):
                     if key[0].p - in_key[0].p >= 2:
                         continue  # drop the higher components
                     vec = phi.data.get(in_key)

@@ -355,15 +355,16 @@ _zero_den_doc = _edited("dual-pair", "zero-den.json", lambda doc: doc["fibers"][
     "compose"][1].update(result={"x": "1/0"}))
 
 
-def test_dual_number_ring_validates_verifies_and_exports(tmp_path, capsys):
-    # only elimination needs a field: the other commands still read k[e]
+def test_dual_number_ring_validates_verifies_and_refuses_export(tmp_path, capsys):
+    # only elimination and the triplet text need a field: validate and
+    # verify still read k[e]
     doc = _dual_doc(tmp_path)
     assert run(capsys, "validate", doc) == (0, "OK\n")
     code, out = run(capsys, "verify", doc, "--law", "d2", "--degree", "2")
     assert code == 0 and out.endswith("PASS\n")
-    code, out = run(capsys, "export-matrix", doc, "--degree", "1", "--out",
-                    str(tmp_path / "m.txt"))
-    assert code == 0 and out.startswith("wrote")
+    out_file = tmp_path / "m.txt"
+    assert run(capsys, "export-matrix", doc, "--degree", "1", "--out", str(out_file)) == (1, "")
+    assert not out_file.exists()
 
 
 # one bad input per row: argv (a callable of tmp_path gives a path), extra
@@ -465,6 +466,8 @@ BAD_INPUTS = [
                  id="cohomology-over-dual-numbers"),
     pytest.param(["deform", _dual_doc], {}, 1, "ring Q[e] is not a field",
                  id="deform-over-dual-numbers"),
+    pytest.param(["export-matrix", _dual_doc, "--degree", "1", "--out", "m.txt"], {}, 1,
+                 "ring Q[e] is not a field", id="export-over-dual-numbers"),
     pytest.param(["cohomology", _dual_doc, "--fp", "7"], {}, 2,
                  "parse error: document over Q[e], not Q", id="fp-over-dual-numbers"),
 ]

@@ -8,9 +8,8 @@ import pytest
 
 from conftest import get_nr, get_pair, get_prestack
 from oracles import (GradedChain, big_omega_chain, build_graded_string, c_sigma_partition,
-                     cell_columns, cell_gmors, chain_face_sum, delta_chain, f_terms, g_terms,
-                     graded_terms, gs_terms, keyed, omega_chain, pull_apply, pull_keyed,
-                     seq_count, t_terms)
+                     cell_gmors, chain_face_sum, delta_chain, f_terms, g_terms, graded_terms,
+                     grouped, gs_terms, omega_chain, pull_apply, pull_keyed, seq_count, t_terms)
 from prestacks import combinatorics as cb
 from prestacks import fixtures
 from prestacks.basecat import Simplex, chain_poset
@@ -21,6 +20,7 @@ from prestacks.graded import GradedCategory, GradedComplex, string_objects, stri
 from prestacks.gscomplex import GSComplex, expand_multilinear
 from prestacks.linalg import QQ, SparseMatrix
 from prestacks.lincat import identity_transform
+from test_frames import COMPLEX_MEMOS, assert_pull_writes_no_block
 from test_generated import carry_prestack, fold_prestack
 
 
@@ -385,10 +385,10 @@ def test_comparison_matrices_equal_term_by_term_oracle(name, top):
             want = pull_keyed(oracle, out_c, m, in_c, k)
             got = getattr(cmp_, "matrix_" + which)(n)
             assert got.to_triplet_text() == want.to_triplet_text(), (which, n)
-        for stream, cols in ((cmp_.f_contributions, cell_columns(CG, n)),
-                             (cmp_.t_contributions, cell_columns(CU, n + 1))):
-            for key in CU.cells(n):
-                in_keys = [in_key for in_key, _ in keyed(stream(key), cols)]
+        for terms in (grouped(cmp_.f_contributions(n), CU, n, CG, n),
+                      grouped(cmp_.t_contributions(n + 1), CU, n, CU, n + 1)):
+            for got in terms.values():
+                in_keys = [in_key for in_key, _ in got]
                 assert len(in_keys) == len(set(in_keys))
 
 
@@ -405,7 +405,14 @@ def test_comparison_memos_are_scoped_and_shapes_never_written(name):
         for which in ("F", "T", "G"):
             got = getattr(shared, "matrix_" + which)(n).to_triplet_text()
             assert got == getattr(fresh(), "matrix_" + which)(n).to_triplet_text()
-            assert shared._frames == shared._seqs == shared._omega == {}
+            # what a stream keys by cell data goes with the stream
+            assert set(vars(shared)) == {"CG", "CU", "P", "field", "shapes", "_args"}
+            assert set(vars(shared.CG)) <= COMPLEX_MEMOS and set(vars(shared.CU)) <= COMPLEX_MEMOS
+    CG, CU, F = shared.CG, shared.CU, shared.field
+    for terms, rows, cols in ((shared.f_contributions(3), CU.dim(3), CG.dim(3)),
+                              (shared.g_contributions(3), CG.dim(3), CU.dim(3)),
+                              (shared.t_contributions(3), CU.dim(2), CU.dim(3))):
+        assert_pull_writes_no_block(terms, rows, cols, F)
     snapshot = copy.deepcopy(vars(shared.shapes))
     for n in (3, 2, 1):
         shared.matrix_F(n)
@@ -448,10 +455,10 @@ def test_presheaf_f_only_unit_partitions_survive(triv_a3):
         full = cmp_.apply_F(phi)
         # restrict the sum to all-ones partitions by hand
         restricted = SparseCochain(CU, n)
-        cols = cell_columns(CG, n)
+        terms = grouped(cmp_.f_contributions(n), CU, n, CG, n)
         for key in CU.cells(n):
             acc = [F.zero] * CU.value_rank(key)
-            for in_key, block in keyed(cmp_.f_contributions(key), cols):
+            for in_key, block in terms.get(key, ()):
                 vec = phi.data.get(in_key)
                 if vec is None:
                     continue

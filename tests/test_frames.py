@@ -1,9 +1,10 @@
 """Frame-by-frame assembly of the GS and graded differentials.
 
-A frame is a cell's (simplex, objects) pair.  Each complex keeps the data of
-its most recent frame only, and a term stream holds on to the frame it
-started with.  So the terms at a cell must not depend on the order in which
-cells are visited, nor on another cell's stream being advanced in between.
+A frame is a cell's (simplex, objects) pair.  Each term stream walks the
+frames of its output degree and keeps what a frame reads as locals of the
+walk, so a complex holds no frame state between matrices, streams of
+different degrees may be read in any order, even interleaved, and
+``pull_matrix`` only sums the (row, column, block) terms it is handed.
 """
 
 import copy
@@ -12,11 +13,10 @@ from itertools import product, zip_longest
 import pytest
 
 from conftest import get_prestack
-from oracles import cell_columns, cell_listing, graded_terms, gs_terms, keyed, nr_keys
+from oracles import cell_listing, graded_terms, grouped, gs_terms, nr_keys
 from prestacks import fixtures
-from prestacks.basecat import Simplex
 from prestacks.compare import Comparison
-from prestacks.complexbase import FrameIndex, pull_matrix
+from prestacks.complexbase import pull_matrix
 from prestacks.graded import GradedComplex
 from prestacks.gscomplex import GSComplex, NrComplex
 from prestacks.linalg import QQ, DualNumbers, PrimeField, accumulate
@@ -62,112 +62,89 @@ def oracle_summed(C, oracle, key, n):
     return summed(F, blocks())
 
 
-def alternating(C, keys, n):
-    """Each cell's terms, keyed, with the streams of cells i and len - 1 - i
-    advanced in turn, so that consecutive steps read different frames."""
-    half = (len(keys) + 1) // 2
-    cols = cell_columns(C, n - 1)
-    out = {}
-    for k1, k2 in zip_longest(keys[:half], reversed(keys[half:])):
-        pairs = [(k, keyed(C.diff_contributions(k, n), cols)) for k in (k1, k2) if k is not None]
-        got = {k: [] for k, _ in pairs}
-        for steps in zip_longest(*(stream for _, stream in pairs)):
-            for (k, _), term in zip(pairs, steps):
-                if term is not None:
-                    got[k].append(term)
-        out.update(got)
+def interleaved(streams):
+    """Each stream's terms, the streams advanced in turn one term at a time."""
+    out = [[] for _ in streams]
+    for steps in zip_longest(*streams):
+        for got, term in zip(out, steps):
+            if term is not None:
+                got.append(term)
     return out
 
 
 @pytest.mark.parametrize("name", sorted(PRESTACKS))
 @pytest.mark.parametrize("which", ["gs", "graded"])
 def test_frame_pass_equals_oracle_in_any_order(name, which):
+    # the streams of every degree, top first, advanced in turn
     P = PRESTACKS[name]()
     C, oracle, top = ((GSComplex(P), gs_terms, TOP[name][0]) if which == "gs"
                       else (GradedComplex(P), graded_terms, TOP[name][1]))
     F = C.field
-    for n in range(1, top + 1):
-        keys = C.cells(n)
-        want = {key: oracle_summed(C, oracle, key, n) for key in keys}
-        cols = cell_columns(C, n - 1)
-        for key in reversed(keys):
-            assert summed(F, keyed(C.diff_contributions(key, n), cols)) == want[key], (n, key)
-        for key, terms in alternating(C, keys, n).items():
-            assert summed(F, terms) == want[key], (n, key)
+    degrees = range(top, 0, -1)
+    for n, terms in zip(degrees, interleaved([C.diff_contributions(n) for n in degrees])):
+        got = grouped(terms, C, n, C, n - 1)
+        for key in C.cells(n):
+            assert summed(F, got.get(key, ())) == oracle_summed(C, oracle, key, n), (n, key)
 
 
-def dicts_in(frame):
-    """The frame's memos and blocks: its dicts, also inside its lists and tuples."""
-    out = []
-    for value in vars(frame).values():
-        items = value if isinstance(value, (list, tuple)) else [value]
-        for item in items:
-            parts = item if isinstance(item, tuple) else [item]
-            out.extend(part for part in parts if isinstance(part, dict))
-    return out
+def assert_pull_writes_no_block(terms, rows, cols, field):
+    """``pull_matrix`` reads the blocks of the stream ``terms`` and writes
+    none: a deep copy of each block, taken when it is first yielded, still
+    equals it once the matrix is built."""
+    seen = {}  # id(block) -> (block, its copy); the block is held, so its id stays its own
+
+    def tee():
+        for term in terms:
+            block = term[2]
+            if id(block) not in seen:
+                seen[id(block)] = (block, copy.deepcopy(block))
+            yield term
+
+    pull_matrix(tee(), rows, cols, field)
+    assert seen and all(block == snapshot for block, snapshot in seen.values())
 
 
-def assert_pull_writes_no_frame_block(C, n):
-    """A pass of pull_matrix over the cells of C's current frame reads every
-    block the frame shares and writes none."""
-    (simplex, objects, _), frame = C._slot
-    listed = C.frames(n).at[simplex.source, simplex.arrows, objects]
-    cells = sum(1 for key in C.cells(n) if key[:2] == (simplex, objects))
-    alone = FrameIndex([listed[:4] + (0,)], listed[2] * cells)
-    snapshot = copy.deepcopy(dicts_in(frame))
-    pull_matrix(lambda key: C.diff_contributions(key, n), alone, C.dim(n - 1), C.field)
-    assert C._slot[1] is frame and dicts_in(frame) == snapshot
+# the life-of-object memos of the complexes; no frame state is kept between matrices
+COMPLEX_MEMOS = {"field", "P", "G", "GM", "_cells", "_index", "_rank_cache", "_higher", "_canon",
+                 "_shapes", "_blocks"}
 
 
 @pytest.mark.parametrize("which", ["gs", "graded"])
-def test_complex_holds_one_frame(which):
+def test_complex_keeps_no_frame_state(which):
     P = get_prestack("rank2-fiber")
     C, top = (GSComplex(P), 5) if which == "gs" else (GradedComplex(P), 4)
     for n in range(1, top + 1):
         C.matrix(n)
+        assert set(vars(C)) <= COMPLEX_MEMOS, n
     # the life-of-complex memos are keyed by argument data, never by frame
     if which == "gs":
         assert len(C._higher) == 1240
     else:
         assert len(C._blocks) == 320
-    assert set(vars(C)) <= {"field", "P", "G", "GM", "_cells", "_index", "_rank_cache",
-                            "_slot", "_higher", "_canon", "_shapes", "_blocks"}
-    last = C.cells(top)[-1]
-    frame_key, frame = C._slot
-    assert frame_key == (last[0], last[1], top)
-    cells = sum(1 for key in C.cells(top) if key[:2] == last[:2])
-    assert all(len(memo) <= cells for memo in vars(frame).values() if isinstance(memo, dict))
-    assert_pull_writes_no_frame_block(C, top)
+    assert_pull_writes_no_block(C.diff_contributions(top), C.dim(top), C.dim(top - 1), C.field)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), DualNumbers(QQ)], ids=str)
 def test_pull_matrix_drops_the_sums_that_cancel(field):
     one, two = field.one, field.add(field.one, field.one)
-    # one output cell with a value of rank 1, two terms at the input cell of column 0
-    out = FrameIndex([(Simplex("u", ()), ("out",), 1, (), 0)], 1)
-    terms = [(0, {(0, 0): one, (0, 1): two}), (0, {(0, 0): field.neg(one)})]
-    m = pull_matrix(lambda key: terms, out, 2, field)
+    # one output row, two terms at the input cell of column 0
+    terms = [(0, 0, {(0, 0): one, (0, 1): two}), (0, 0, {(0, 0): field.neg(one)})]
+    m = pull_matrix(iter(terms), 1, 2, field)
     assert m.row_data == [{1: two}] and m.nnz == 1
 
 
 def _all_streams(P, top):
-    """(name, degree, key, stream) for every cell of the GS and graded
-    differentials in degrees 1..top, F and G in degrees 0..top and T in
-    degrees 1..top, over the cells each operator assembles rows for."""
+    """(name, degree, stream) for the GS and graded differentials in degrees
+    1..top, F and G in degrees 0..top and T in degrees 1..top."""
     CG, CU = GSComplex(P), GradedComplex(P)
     cmp = Comparison(CG, CU)
     for n in range(top + 1):
         if n:
-            for key in CG.cells(n):
-                yield "gs", n, key, CG.diff_contributions(key, n)
-            for key in CU.cells(n):
-                yield "graded", n, key, CU.diff_contributions(key, n)
-            for key in CU.cells(n - 1):
-                yield "T", n, key, cmp.t_contributions(key)
-        for key in CU.cells(n):
-            yield "F", n, key, cmp.f_contributions(key)
-        for key in CG.cells(n):
-            yield "G", n, key, cmp.g_contributions(key)
+            yield "gs", n, CG.diff_contributions(n)
+            yield "graded", n, CU.diff_contributions(n)
+            yield "T", n, cmp.t_contributions(n)
+        yield "F", n, cmp.f_contributions(n)
+        yield "G", n, cmp.g_contributions(n)
 
 
 # scalar-twist-3chain has the twist 6/7, which has no reading over F_7
@@ -180,9 +157,9 @@ def test_term_blocks_hold_no_zeros(name, field):
     # pull_matrix checks for zeros only in the sums where two terms meet
     P = fixtures.build(name, field=None if field == "Q" else PrimeField(7))
     F = P.field
-    for which, n, key, stream in _all_streams(P, 3):
-        for in_key, block in stream:
-            assert not any(F.is_zero(v) for v in block.values()), (which, n, key, in_key)
+    for which, n, stream in _all_streams(P, 3):
+        for row, col, block in stream:
+            assert not any(F.is_zero(v) for v in block.values()), (which, n, row, col)
 
 
 LISTINGS = {

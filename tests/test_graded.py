@@ -10,7 +10,7 @@ from prestacks.basecat import Simplex
 from prestacks.complexbase import SparseCochain
 from prestacks.graded import GMor, GradedCategory, GradedComplex, string_objects, string_simp
 from prestacks.lincat import NatTransform
-from test_frames import assert_pull_writes_no_frame_block
+from test_frames import assert_pull_writes_no_block
 
 
 def test_triv_a2_hom_ranks(triv_a2):
@@ -235,7 +235,8 @@ def test_block_memo_keys_are_complete_and_blocks_never_written(name, monkeypatch
     monkeypatch.setattr(cli, "GradedComplex", lambda Q: shared)
     cli.cohomology_table(P, "graded", 3)
     assert shared._blocks == snapshot
-    assert_pull_writes_no_frame_block(shared, 4)
+    assert_pull_writes_no_block(shared.diff_contributions(4), shared.dim(4), shared.dim(3),
+                                shared.field)
     if name == "rank2-fiber":
         assert len(shared.cells(4)) == 8192
         assert len(shared._blocks) < 8192 / 10

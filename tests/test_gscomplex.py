@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import get_nr, get_pair, get_prestack
-from oracles import (apply_terms, cell_columns, classical_hochschild, higher_terms,
-                     higher_terms_bruteforce, keyed, nr_keys, pointwise_diff, pull_keyed)
+from oracles import (apply_terms, classical_hochschild, grouped, higher_terms,
+                     higher_terms_bruteforce, nr_keys, pointwise_diff, pull_keyed)
 from prestacks.basecat import BaseCategory, Simplex, chain_poset
 from prestacks.combinatorics import EnumerationCapError, enumerate_paths, enumerate_shuffles
 from prestacks.complexbase import SparseCochain
@@ -106,10 +106,10 @@ def test_presheaf_higher_components_vanish_on_nr(triv_a3):
                            for _ in range(C.value_rank(k))]
         full = C.apply_diff(phi)
         partial = SparseCochain(C, n + 1)
-        cols = cell_columns(C, n)
+        terms = grouped(C.diff_contributions(n + 1), C, n + 1, C, n)
         for key in C.cells(n + 1):
             acc = [F.zero] * C.value_rank(key)
-            for in_key, block in keyed(C.diff_contributions(key, n + 1), cols):
+            for in_key, block in terms.get(key, ()):
                 # keep only Hochschild and simplicial inputs: they come from
                 # cochains one bidegree away
                 dp = key[0].p - in_key[0].p
@@ -289,11 +289,11 @@ def test_cochain_text_round_trip(twist3):
 def _component(C, phi, j):
     """The terms of d that raise the simplicial degree by exactly j."""
     n = phi.degree + 1
-    cols = cell_columns(C, phi.degree)
+    terms = grouped(C.diff_contributions(n), C, n, C, phi.degree)
 
     def contrib(key):
         p = key[0].p
-        return (t for t in keyed(C.diff_contributions(key, n), cols) if p - t[0][0].p == j)
+        return (t for t in terms.get(key, ()) if p - t[0][0].p == j)
 
     return apply_terms(contrib, C, n, C, phi)
 
@@ -326,7 +326,7 @@ def test_total_differential_decomposes_into_components(twist3):
         acc = SparseCochain(C, n, dict(d_hoch(C, phi).data))
         sgn = F.neg(F.one) if n % 2 else F.one
         for k, vec in d_simp(C, phi).data.items():
-            acc.add_to(k, vec, scale=sgn)
+            acc.add_to(k, [F.mul(sgn, v) for v in vec])
         for j in range(2, n + 1):
             for k, vec in d_higher(C, phi, j).data.items():
                 acc.add_to(k, vec)
@@ -354,12 +354,12 @@ def test_d_simp_boundary_degree(twist2):
 def _oracle_stream(C, n, cache):
     """d's term stream with every higher component from the term-by-term oracle."""
     P, F = C.P, C.field
-    cols = cell_columns(C, n - 1)
+    terms = grouped(C.diff_contributions(n), C, n, C, n - 1)
 
     def contrib(key):
         simplex, objects, _ = key
         p = simplex.p
-        for term in keyed(C.diff_contributions(key, n), cols):
+        for term in terms.get(key, ()):
             if p - term[0][0].p < 2:
                 yield term
         for j in range(2, p + 1):
@@ -374,10 +374,10 @@ def _oracle_stream(C, n, cache):
 def _check_higher_terms(C, n):
     """Compare d_j at every degree-n cell with the oracle; one term per input cell."""
     cache = {}
-    cols = cell_columns(C, n - 1)
+    terms = grouped(C.diff_contributions(n), C, n, C, n - 1)
     for key in C.cells(n):
         p = key[0].p
-        merged = [t[0] for t in keyed(C.diff_contributions(key, n), cols) if p - t[0][0].p >= 2]
+        merged = [t[0] for t in terms.get(key, ()) if p - t[0][0].p >= 2]
         assert len(merged) == len(set(merged)), key
         want_keys = set()
         for j in range(2, p + 1):
