@@ -149,22 +149,22 @@ def _law_delta2(P, CG, CU, cmp_, N, report):
     return _square_zero_law("delta", CU, N, report)
 
 
-def _law_fd(P, CG, CU, cmp_, N, report):
+def _chain_map_law(what, matrix, C_in, C_out, N, report):
+    """``matrix(n)``, C_in^n -> C_out^n, commutes with the differentials."""
     ok = True
-    F_mats = {n: cmp_.matrix_F(n) for n in range(0, N + 1)}
+    mats = {n: matrix(n) for n in range(0, N + 1)}
     for n in range(1, N + 1):
-        ok &= _same(report, "F.d != delta.F", n, F_mats[n].mul(CG.matrix(n)),
-                    CU.matrix(n).mul(F_mats[n - 1]), (CU, n), (CG, n - 1))
+        ok &= _same(report, what, n, mats[n].mul(C_in.matrix(n)),
+                    C_out.matrix(n).mul(mats[n - 1]), (C_out, n), (C_in, n - 1))
     return ok
+
+
+def _law_fd(P, CG, CU, cmp_, N, report):
+    return _chain_map_law("F.d != delta.F", cmp_.matrix_F, CG, CU, N, report)
 
 
 def _law_gd(P, CG, CU, cmp_, N, report):
-    ok = True
-    G_mats = {n: cmp_.matrix_G(n) for n in range(0, N + 1)}
-    for n in range(1, N + 1):
-        ok &= _same(report, "G.delta != d.G", n, G_mats[n].mul(CU.matrix(n)),
-                    CG.matrix(n).mul(G_mats[n - 1]), (CG, n), (CU, n - 1))
-    return ok
+    return _chain_map_law("G.delta != d.G", cmp_.matrix_G, CU, CG, N, report)
 
 
 def _law_gf(P, CG, CU, cmp_, N, report):
@@ -313,6 +313,10 @@ def cmd_deform(args):
             _parse_error(exc)
         print("deformed prestack written to %s" % out)
         return 0
+    # each output file name starts with the document's name: refuse a path
+    name = str(P.name)
+    if name in (".", "..") or any(c and c in name for c in ("/", os.sep, os.altsep, "\0")):
+        _parse_error("document name %r is not a plain file name" % name)
     outdir = args.out_dir or "."
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -327,8 +331,8 @@ def cmd_deform(args):
         if bad is not None:
             print("representative %d fails validation: %s" % (i, bad))
             return 1
-        path = os.path.join(outdir, "%s-h2-rep%d.json" % (P.name, i))
-        cpath = os.path.join(outdir, "%s-h2-rep%d.cochain" % (P.name, i))
+        path = os.path.join(outdir, "%s-h2-rep%d.json" % (name, i))
+        cpath = os.path.join(outdir, "%s-h2-rep%d.cochain" % (name, i))
         try:
             save_prestack(Q, path)
             with open(cpath, "w") as fh:

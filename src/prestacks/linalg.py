@@ -18,14 +18,13 @@ F_p and works on rows of Python ints:
   inside the loop;
 - over F_p entries are ints mod p and pivot rows are scaled to pivot 1.
 
-It is left-looking: rows are taken shortest first (ties: rightmost leading
-column first), each is reduced by the earlier pivots in the order they were
-created, and the input row is released once reduced.  ``rank`` takes as pivot
-of each reduced row its column with the fewest entries in the input, which
-limits fill.  ``rref_pivots`` instead keeps the leftmost column, as the reduced
-row echelon form requires; that form is unique, so kernels and solutions do
-not depend on row order or pivot strategy.  Elimination stops once every
-column holds a pivot, since no row left can add to the rank.
+It is left-looking with one rule: rows are taken shortest first, each is
+reduced by the earlier pivots in the order they were created and pivoted at
+its leading column, and the input row is released once reduced.  ``rank``
+and ``rref_pivots`` share this elimination; the latter then back-substitutes
+to the reduced row echelon form, which is unique, so kernels and solutions do
+not depend on row order.  Elimination stops once every column holds a pivot,
+since no row left can add to the rank.
 
 ``betti_numbers`` ranks a complex d_1, d_2, ... in order and compresses each
 rank by the one before, as persistent homology's clearing and compression do
@@ -422,38 +421,24 @@ class SparseMatrix:
                 _divide_content(r)
         return rows, p
 
-    def _echelon(self, leftmost, skip_cols=(), pivot_rows=None):
+    def _echelon(self, skip_cols=(), pivot_rows=None):
         """Left-looking sparse elimination on integer rows.
 
         Returns the pivots in creation order as (col, row) pairs, each row
-        reduced against every earlier pivot, and the modulus.  With
-        ``leftmost`` each pivot is the first column of its reduced row (the
-        echelon form behind the RREF); otherwise it is the column with the
-        fewest entries in the input, which keeps fill down.  The columns in
-        ``skip_cols`` are left out, and ``pivot_rows``, if a list, receives
-        the input row index of each pivot.  Elimination stops once every
-        column left holds a pivot: the rest of the rows then reduce to zero.
+        reduced against every earlier pivot and pivoted at its first column,
+        and the modulus.  The columns in ``skip_cols`` are left out, and
+        ``pivot_rows``, if a list, receives the input row index of each
+        pivot.  Elimination stops once every column left holds a pivot: the
+        rest of the rows then reduce to zero.
         """
         rows, p = self._integer_rows(skip_cols)
         order = [i for i, r in enumerate(rows) if r]
-        if leftmost:
-            choose = min
-        else:
-            count = [0] * self.cols
-            for i in order:
-                for j in rows[i]:
-                    count[j] += 1
-            weight = [c * self.cols + j for j, c in enumerate(count)]
-
-            def choose(r):
-                return min(r, key=weight.__getitem__)
-        # Shortest rows first, ties broken by the rightmost leading column.
-        # Short rows make sparse pivots: on the 16384x2048 graded d4 of
-        # rank2-fiber, input order is about 25 times slower.  The key is one
-        # int, not a tuple, to keep the sort's memory down.
-        ncols = self.cols
-        order.sort(key=lambda i: len(rows[i]) * ncols - min(rows[i]), reverse=True)
-        free = ncols - len(skip_cols)
+        # Shortest rows first, popped from the end of a stable sort, so of
+        # rows of one length the last comes first.  Short rows make sparse
+        # pivots: ranking the whole 16384x2048 graded d4 of rank2-fiber in
+        # input order is about 20 times slower.
+        order.sort(key=lambda i: len(rows[i]), reverse=True)
+        free = self.cols - len(skip_cols)
         pivots = []
         index = {}  # pivot col -> position in pivots
         while order and len(pivots) < free:
@@ -471,7 +456,7 @@ class SparseMatrix:
                         if j in index:
                             heappush(todo, index[j])
             if r:
-                c = choose(r)
+                c = min(r)
                 if p and r[c] != 1:
                     inv = pow(r[c], p - 2, p)
                     for j, v in r.items():
@@ -489,15 +474,15 @@ class SparseMatrix:
         as many rows as the rank, independent, so they span the row space of
         the columns ranked.
         """
-        return len(self._echelon(False, frozenset(skip_cols), pivot_rows)[0])
+        return len(self._echelon(frozenset(skip_cols), pivot_rows)[0])
 
     def rref_pivots(self):
         """Fully reduced pivot rows, as a dict col -> row dict (pivot 1).
 
         The reduced row echelon form is unique, so this does not depend on
-        row order or on the elimination strategy.
+        row order.
         """
-        pivots, p = self._echelon(True)
+        pivots, p = self._echelon()
         index = {c: k for k, (c, _) in enumerate(pivots)}
         # Back-substitute from the last pivot: every row after k is already
         # free of all other pivot columns, so reducing by it adds none.

@@ -351,6 +351,9 @@ _no_component_doc = _edited("scalar-twist-2chain", "no-component.json",
                             lambda doc: doc["twists"][0].update(components={}))
 _dual_doc = _edited("dual-pair", "dual.json", lambda doc: doc.update(ring="Q[e]"))
 _f7_doc = _edited("dual-pair", "f7.json", lambda doc: doc.update(ring={"Fp": 7}))
+_escaping_name_doc = _edited("dual-pair", "escaping.json",
+                             lambda doc: doc.update(name="../escaped"))
+_nul_name_doc = _edited("dual-pair", "nul.json", lambda doc: doc.update(name="a\0b"))
 _zero_den_doc = _edited("dual-pair", "zero-den.json", lambda doc: doc["fibers"]["*"][
     "compose"][1].update(result={"x": "1/0"}))
 
@@ -451,6 +454,12 @@ BAD_INPUTS = [
     pytest.param(["deform", "dual-pair", "--out-dir",
                   lambda t: os.path.join(_write(t, "afile", ""), "sub")],
                  {}, 2, "parse error:", id="deform-out-dir-under-file"),
+    pytest.param(["deform", _escaping_name_doc], {}, 2,
+                 "parse error: document name '../escaped' is not a plain file name",
+                 id="deform-name-is-a-path"),
+    pytest.param(["deform", _nul_name_doc], {}, 2,
+                 "parse error: document name 'a\\x00b' is not a plain file name",
+                 id="deform-name-with-nul"),
     pytest.param(["cohomology", _split_unit_doc, "--complex", "nr"], {}, 1,
                  "fiber *: identity of X is not a basis vector", id="nr-identity-not-basis"),
     pytest.param(["deform", _split_unit_doc], {}, 1,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_path, get_prestack
+from conftest import fixture_path, get_nr, get_pair, get_prestack
 from oracles import dense_kernel, dense_rank_of_sparse, entry_dict, from_triplet_text
 from prestacks.cli import cohomology_table
 from prestacks.io import load_prestack
@@ -463,6 +463,32 @@ def test_product_check_agrees_with_mul(field, seed):
         assert a.product_is_zero(b) == a.mul(b).is_zero()
     with pytest.raises(ValueError):
         b.product_is_zero(b)
+
+
+def echelon_pivot_cols(m):
+    return [c for c, _ in m._echelon()[0]]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["Q", "F1000003"])
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_pivots_at_the_rref_pivot_columns(field, seed):
+    # one rule for rank and RREF: each pivot is the leading column of its
+    # reduced row, so the pivot columns are those of the (unique) RREF
+    rng = random.Random(seed)
+    m = random_matrix(rng, rng.randint(1, 8), rng.randint(4, 14), field,
+                      rng.choice((0.15, 0.4)))
+    cols = echelon_pivot_cols(m)
+    assert len(cols) == len(set(cols)) == m.rank()
+    assert set(cols) == set(m.rref_pivots())
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_rank_pivots_at_the_rref_pivot_columns_on_fixtures(name):
+    CG, CU = get_pair(name)
+    for C in (CG, get_nr(name), CU):
+        for n in range(1, 5):
+            m = C.matrix(n)
+            assert set(echelon_pivot_cols(m)) == set(m.rref_pivots())
 
 
 def test_product_check_reduces_mod_p_and_cancels_fractions():
