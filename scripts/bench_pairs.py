@@ -3,29 +3,24 @@
 
     python3 scripts/bench_pairs.py --parent REV --seeds 100-109
         --out BENCH_name.json [--workload NAME|all] [--what TEXT]
-        [--mode run|job]
 
-For each seed, ``perfbench/run.py --workload W --seed S`` runs once on a git
-archive of the parent commit ``--parent`` and once on the working tree,
-alternately: the parent first on even seeds, the change first on odd ones.
-The parent is recorded by its full commit id, and a working tree whose
-tracked files equal the parent's is refused, since it would be compared
-with itself.  Then one ``--trace 1 --seed 1`` run per side records the
-per-layer metrics: the seconds per layer and the deterministic work counters.
-Each side's ``src/`` line count (``src_lines``, as ``wc -l`` counts the
-Python files) is recorded too.
-
-With ``--mode job`` the two sides alternate one job at a time instead of
-one whole run at a time.  Per seed, each side writes the workload's inputs
-with its own ``perfbench/workloads.py`` and the job list runs once: every
-job runs through that side's ``perfbench/job.py`` in a fresh process, the
-parent's run of a job right before or after the change's (the parent first
-on even seeds), so both sides of a pair see the same moment of the machine.
-Each job's exit code and stdout are checked against its known answer.  A
-repetition of the job list gives the same four end-to-end metrics as a
-perfbench run: ``setup_s`` the median set-up over its jobs, ``wall_s`` and
-``cpu_s`` the sums over its jobs and ``peak_rss_mb`` the largest peak; the
-pairs are the seeds.  The traced runs are the same in both modes.
+The two sides are a git archive of the parent commit ``--parent`` and the
+working tree; they alternate one job at a time.  Per seed, each side writes
+the workload's inputs with its own ``perfbench/workloads.py`` and the job
+list runs once: every job runs through that side's ``perfbench/job.py`` in
+a fresh process, the parent's run of a job right before or after the
+change's (the parent first on even seeds, the change first on odd ones), so
+both sides of a pair see the same moment of the machine.  Each job's exit
+code and stdout are checked against its known answer.  A repetition of the
+job list gives the same four end-to-end metrics as a perfbench run:
+``setup_s`` the median set-up over its jobs, ``wall_s`` and ``cpu_s`` the
+sums over its jobs and ``peak_rss_mb`` the largest peak; the pairs are the
+seeds.  The parent is recorded by its full commit id, and a working tree
+whose tracked files equal the parent's is refused, since it would be
+compared with itself.  Then one ``perfbench/run.py --trace 1 --seed 1`` run
+per side records the per-layer metrics: the seconds per layer and the
+deterministic work counters.  Each side's ``src/`` line count
+(``src_lines``, as ``wc -l`` counts the Python files) is recorded too.
 
 The output has the shape of the committed ``BENCH_*.json`` files.  Per
 workload and end-to-end metric it gives each side's median, interquartile
@@ -116,11 +111,11 @@ def src_lines(checkout):
     return total
 
 
-def run_bench(checkout, workload, seed, trace=0):
-    """One perfbench run; returns its report: correct, attempted, failed, and
-    metrics as workload -> metric -> value."""
+def run_bench(checkout, workload, seed):
+    """One traced perfbench run; returns its report: correct, attempted,
+    failed, and metrics as workload -> metric -> value."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
-           "--workload", workload, "--seed", str(seed), "--trace", str(trace)]
+           "--workload", workload, "--seed", str(seed), "--trace", "1"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     try:
         report = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -249,7 +244,7 @@ def summarize(parent, change, bound, lower_is_better):
 def traced(parent_dir, seed, workload):
     """One traced run per side: each side's nonzero per-layer metrics, and
     which work counters (count metrics) are equal on both sides."""
-    sides = {side: run_bench(path, workload, seed, trace=1)
+    sides = {side: run_bench(path, workload, seed)
              for side, path in (("parent", parent_dir), ("change", ROOT))}
     flat = {side: {"%s.%s" % (w, m): v for w, ms in r["metrics"].items()
                    for m, v in ms.items()} for side, r in sides.items()}
@@ -273,8 +268,6 @@ def main(argv=None):
     ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--what", default="", help="what the two sides are")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--mode", choices=["run", "job"], default="run",
-                    help="alternate the sides run by run (default) or job by job")
     args = ap.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     parent = resolve(args.parent)
@@ -289,26 +282,18 @@ def main(argv=None):
         for seed in seeds:
             order = ["parent", "change"] if seed % 2 == 0 else ["change", "parent"]
             run = {"seed": seed, "first": order[0]}
-            if args.mode == "job":
-                with tempfile.TemporaryDirectory(prefix="bench-inputs-") as work:
-                    jobs = {side: list_jobs(sides[side], args.workload, seed,
-                                            os.path.join(work, side)) for side in order}
-                    rep = job_repetition(sides, jobs, order)
+            with tempfile.TemporaryDirectory(prefix="bench-inputs-") as work:
+                jobs = {side: list_jobs(sides[side], args.workload, seed,
+                                        os.path.join(work, side)) for side in order}
+                rep = job_repetition(sides, jobs, order)
             for side in order:
-                if args.mode == "job":
-                    report = {"correct": not rep[side]["failures"],
-                              "attempted": rep[side]["attempted"],
-                              "failed": len(rep[side]["failures"]),
-                              "metrics": rep[side]["metrics"]}
-                    for why in rep[side]["failures"]:
-                        print("FAILED %s: %s" % (side, why), file=sys.stderr)
-                else:
-                    report = run_bench(sides[side], args.workload, seed)
-                totals[side]["correct"] &= report["correct"]
-                totals[side]["attempted"] += report["attempted"]
-                totals[side]["failed"] += report["failed"]
-                run[side] = report["metrics"]
-                print("seed %d %s: %s" % (seed, side, json.dumps(report["metrics"])),
+                for why in rep[side]["failures"]:
+                    print("FAILED %s: %s" % (side, why), file=sys.stderr)
+                totals[side]["correct"] &= not rep[side]["failures"]
+                totals[side]["attempted"] += rep[side]["attempted"]
+                totals[side]["failed"] += len(rep[side]["failures"])
+                run[side] = rep[side]["metrics"]
+                print("seed %d %s: %s" % (seed, side, json.dumps(run[side])),
                       file=sys.stderr)
             runs.append(run)
         trace = traced(parent_dir, TRACE_SEED, args.workload)
@@ -330,13 +315,11 @@ def main(argv=None):
         }
     doc = {
         "what": args.what,
-        "how": ("scripts/bench_pairs.py --workload %s --seeds %s --parent %s --mode %s: "
-                "%s, the parent from a git archive and the change from the working "
-                "tree, the parent first on even seeds"
-                % (args.workload, args.seeds, parent, args.mode,
-                   "perfbench/run.py once per side per seed" if args.mode == "run" else
-                   "per seed one repetition of the job list, each job through "
-                   "perfbench/job.py in a fresh process, the sides alternating job by job")),
+        "how": ("scripts/bench_pairs.py --workload %s --seeds %s --parent %s: per seed "
+                "one repetition of the job list, each job through perfbench/job.py in a "
+                "fresh process, the sides alternating job by job, the parent from a git "
+                "archive and the change from the working tree, the parent first on even "
+                "seeds" % (args.workload, args.seeds, parent)),
         "machine": "%d CPUs, Python %s, %s" % (os.cpu_count(), platform.python_version(),
                                                platform.system()),
         "seeds": seeds,

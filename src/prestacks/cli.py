@@ -14,8 +14,7 @@ from itertools import product
 
 from .combinatorics import EnumerationCapError
 from .compare import Comparison
-from .deform import (DeformationDatum, build_deformation, classify_h2, cocycle_failure,
-                     validate_deformation)
+from .deform import build_deformation, classify_h2, cocycle_failure
 from .graded import GradedComplex
 from .gscomplex import GSComplex, NrBasisError, NrComplex
 from .io import (ParseError, cochain_from_text, cochain_to_text, load_prestack,
@@ -168,8 +167,8 @@ def _law_gd(P, CG, CU, cmp_, N, report):
 
 
 def _law_gf(P, CG, CU, cmp_, N, report):
-    """GF is the identity on the columns of the nr basis vectors."""
-    ok = True
+    """GF is the identity on the columns of the nr basis vectors; reports the
+    cell of the first column where it is not."""
     F = P.field
     nr = NrComplex(P)
     for n in range(0, N + 1):
@@ -178,9 +177,9 @@ def _law_gf(P, CG, CU, cmp_, N, report):
         for key in nr.cells(n):
             for j in range(offsets[key], offsets[key] + CG.value_rank(key)):
                 if set(cols[j]) != {j} or not F.eq(cols[j][j], F.one):
-                    report("GF != 1 on nr basis vector %r at degree %d" % (key, n))
-                    ok = False
-    return ok
+                    report("GF != 1 on nr basis vector %s at degree %d" % (_show(key), n))
+                    return False
+    return True
 
 
 def _law_homotopy(P, CG, CU, cmp_, N, report):
@@ -296,13 +295,12 @@ def cmd_deform(args):
                 phi = cochain_from_text(CG, 2, fh.read())
         except (OSError, ValueError, ParseError) as exc:
             _parse_error(exc)
-        datum = DeformationDatum(CG, phi)
-        failure = cocycle_failure(CG, datum)
+        failure = cocycle_failure(CG, phi)
         if failure is not None:
             print("%s at %s" % (failure[0], _show(failure[1])))
             return 1
-        Q = build_deformation(P, datum)
-        bad = validate_deformation(Q)
+        Q = build_deformation(P, phi)
+        bad = Q.validate()
         if bad is not None:
             print("deformed prestack fails validation: %s" % bad)
             return 1
@@ -325,9 +323,8 @@ def cmd_deform(args):
     reps = classify_h2(P)
     print("dim H^2 (normalized reduced)\t%d" % len(reps))
     for i, rep in enumerate(reps):
-        datum = DeformationDatum(rep.complex, rep)
-        Q = build_deformation(P, datum)
-        bad = validate_deformation(Q)
+        Q = build_deformation(P, rep)
+        bad = Q.validate()
         if bad is not None:
             print("representative %d fails validation: %s" % (i, bad))
             return 1

@@ -38,13 +38,13 @@ def _write_coords(field, names, coords):
     return {names[i]: field.show(v) for i, v in enumerate(coords) if not field.is_zero(v)}
 
 
-def load_prestack(path=None, text=None, ring=None):
-    """Parse a prestack document; ``ring``, if given, replaces its ring tag,
-    which must then be Q: an entry over another ring need not parse in it."""
+def load_prestack(path, ring=None):
+    """Parse the prestack document at ``path``; ``ring``, if given, replaces
+    its ring tag, which must then be Q: an entry over another ring need not
+    parse in it."""
     try:
-        if text is None:
-            with open(path) as fh:
-                text = fh.read()
+        with open(path) as fh:
+            text = fh.read()
         doc = json.loads(text)
     except (OSError, ValueError) as exc:
         raise ParseError(str(exc))

@@ -16,9 +16,8 @@ from prestacks import fixtures
 from prestacks.basecat import chain_poset
 from prestacks.compare import Comparison
 from prestacks.complexbase import SparseCochain
-from prestacks.deform import (DeformationDatum, EquivalenceDatum, build_deformation,
-                              classify_h2, deformation_is_cocycle,
-                              equivalence_from_cochain, validate_deformation)
+from prestacks.deform import (build_deformation, classify_h2, deformation_is_cocycle,
+                              equivalence_from_cochain)
 from prestacks.io import prestack_from_doc, prestack_to_doc
 from prestacks.linalg import SparseMatrix
 
@@ -208,9 +207,8 @@ def test_09_deformation_dictionary():
         F = CG.field
         reps = classify_h2(P)
         for rep in reps:
-            datum = DeformationDatum(CG, rep)
-            ok &= validate_deformation(build_deformation(P, datum)) is None
-            ok &= deformation_is_cocycle(CG, datum)
+            ok &= build_deformation(P, rep).validate() is None
+            ok &= deformation_is_cocycle(CG, rep)
         NR = get_nr(name)
         ker = NR.matrix(3).kernel_basis()
         for trial in range(10):
@@ -225,9 +223,8 @@ def test_09_deformation_dictionary():
                 for k in NR.cells(2):
                     phi.data[k] = [F.from_int(rng.randint(-2, 2))
                                    for _ in range(CG.value_rank(k))]
-            datum = DeformationDatum(CG, phi)
-            valid = validate_deformation(build_deformation(P, datum)) is None
-            cocycle = deformation_is_cocycle(CG, datum)
+            valid = build_deformation(P, phi).validate() is None
+            cocycle = deformation_is_cocycle(CG, phi)
             ok &= valid == cocycle
     # equivalences on the fixture with dim H^2 = 2
     P = get_prestack("dual-pair")
@@ -235,7 +232,7 @@ def test_09_deformation_dictionary():
     F = CG.field
     reps = classify_h2(P)
     ok &= len(reps) >= 2
-    d1 = DeformationDatum(CG, reps[0])
+    d1 = reps[0]
     for seed in range(3):
         e_coch = SparseCochain(CG, 1)
         for k in get_nr("dual-pair").cells(1):
@@ -243,14 +240,12 @@ def test_09_deformation_dictionary():
             e_coch.data[k] = [F.from_int(rng2.randint(-2, 2))
                               for _ in range(CG.value_rank(k))]
         shift = CG.apply_diff(e_coch)
-        d2_coch = SparseCochain(CG, 2, dict(d1.cochain.data))
+        d2 = SparseCochain(CG, 2, dict(d1.data))
         for k, vec in shift.data.items():
-            d2_coch.add_to(k, [F.neg(v) for v in vec])
-        d2 = DeformationDatum(CG, d2_coch)
-        e = EquivalenceDatum(CG, e_coch)
-        m_ok, c_ok, _ = equivalence_from_cochain(P, CG, e, d1, d2)
+            d2.add_to(k, [F.neg(v) for v in vec])
+        m_ok, c_ok, _ = equivalence_from_cochain(P, CG, e_coch, d1, d2)
         ok &= m_ok and c_ok
-    dB = DeformationDatum(CG, reps[1])
+    dB = reps[1]
     ok &= not is_nr_coboundary(get_nr("dual-pair"), reps[0].sub(reps[1]))
     for seed in range(3):
         e_coch = SparseCochain(CG, 1)
@@ -258,8 +253,7 @@ def test_09_deformation_dictionary():
         for k in get_nr("dual-pair").cells(1):
             e_coch.data[k] = [F.from_int(rng3.randint(-2, 2))
                               for _ in range(CG.value_rank(k))]
-        e = EquivalenceDatum(CG, e_coch)
-        m_ok, c_ok, _ = equivalence_from_cochain(P, CG, e, d1, dB)
+        m_ok, c_ok, _ = equivalence_from_cochain(P, CG, e_coch, d1, dB)
         ok &= (not m_ok) and (not c_ok)
     report(9, "HH^2 deformation dictionary", ok)
 

@@ -7,9 +7,8 @@ from oracles import dense_rref, entry_dict, is_nr_coboundary
 from prestacks.basecat import Simplex
 from prestacks.cli import cohomology_table
 from prestacks.complexbase import SparseCochain
-from prestacks.deform import (DeformationDatum, EquivalenceDatum, build_deformation,
-                              classify_h2, deformation_is_cocycle,
-                              equivalence_from_cochain, validate_deformation)
+from prestacks.deform import (build_deformation, check_equivalence_morphism, classify_h2,
+                              deformation_is_cocycle, equivalence_from_cochain)
 from prestacks.gscomplex import GSComplex, NrComplex
 from prestacks.linalg import DualNumbers, PrimeField
 from test_generated import carry_prestack, fold_prestack
@@ -27,10 +26,9 @@ def nr_random(C, n, seed):
 def test_zero_datum_extends_scalars(twist2):
     P = get_prestack("scalar-twist-2chain")
     C, _ = get_pair("scalar-twist-2chain")
-    datum = DeformationDatum(C, SparseCochain(C, 2))
-    Q = build_deformation(P, datum)
+    Q = build_deformation(P, SparseCochain(C, 2))
     assert isinstance(Q.field, DualNumbers)
-    assert validate_deformation(Q) is None
+    assert Q.validate() is None
     # base parts reproduce the original structure constants
     lam = P.field.parse(5)
     assert Q.twists[("u01", "u12")].at("X").coords[0] == (lam, P.field.zero)
@@ -40,10 +38,9 @@ def test_epsilon_part_of_composition_is_m1(dual_pair):
     P = get_prestack("dual-pair")
     C, _ = get_pair("dual-pair")
     reps = classify_h2(P)
-    datum = DeformationDatum(C, reps[0])
-    Q = build_deformation(P, datum)
+    Q = build_deformation(P, reps[0])
     fib = Q.fiber("*")
-    for key, vec in datum.cochain.data.items():
+    for key, vec in reps[0].data.items():
         simplex, objects, btuple = key
         if simplex.p != 0:
             continue
@@ -70,9 +67,8 @@ def test_cocycle_iff_valid_deformation(name):
             phi = NR.from_vector(2, vec)
         else:
             phi = nr_random(C, 2, 100 + trial)
-        datum = DeformationDatum(C, phi)
-        ok_val = validate_deformation(build_deformation(P, datum)) is None
-        ok_coc = deformation_is_cocycle(C, datum)
+        ok_val = build_deformation(P, phi).validate() is None
+        ok_coc = deformation_is_cocycle(C, phi)
         assert ok_val == ok_coc
 
 
@@ -82,11 +78,10 @@ def test_non_cocycle_fails_both_routes(rank2):
     found = False
     for seed in range(6):
         phi = nr_random(C, 2, 300 + seed)
-        datum = DeformationDatum(C, phi)
-        if deformation_is_cocycle(C, datum):
+        if deformation_is_cocycle(C, phi):
             continue
         found = True
-        assert validate_deformation(build_deformation(P, datum)) is not None
+        assert build_deformation(P, phi).validate() is not None
     assert found, "no non-cocycle sampled; fixture too degenerate for this test"
 
 
@@ -96,9 +91,8 @@ def test_h2_representatives_validate(dual_pair):
     reps = classify_h2(P)
     assert len(reps) == 2
     for rep in reps:
-        datum = DeformationDatum(C, rep)
-        assert deformation_is_cocycle(C, datum)
-        assert validate_deformation(build_deformation(P, datum)) is None
+        assert deformation_is_cocycle(C, rep)
+        assert build_deformation(P, rep).validate() is None
     # pairwise differences are not coboundaries
     diff = reps[0].sub(reps[1])
     assert not is_nr_coboundary(get_nr("dual-pair"), diff)
@@ -128,7 +122,7 @@ def test_h2_representatives_are_the_reduced_complement_basis(name):
     vecs = [NR.to_vector(rep) for rep in reps]
     pivots = []
     for rep, vec in zip(reps, vecs):
-        assert deformation_is_cocycle(C, DeformationDatum(C, rep))
+        assert deformation_is_cocycle(C, rep)
         lead = next(j for j, v in enumerate(vec) if not F.is_zero(v))
         assert F.eq(vec[lead], F.one) and lead not in image_pivots
         pivots.append(lead)
@@ -142,16 +136,14 @@ def test_coboundary_shift_gives_equivalence(dual_pair):
     P = get_prestack("dual-pair")
     C, _ = get_pair("dual-pair")
     reps = classify_h2(P)
-    d1 = DeformationDatum(C, reps[0])
+    d1 = reps[0]
     F = C.field
     for seed in range(3):
-        e_coch = nr_random(C, 1, seed)
-        shift = C.apply_diff(e_coch)
-        d2_coch = SparseCochain(C, 2, dict(d1.cochain.data))
+        e = nr_random(C, 1, seed)
+        shift = C.apply_diff(e)
+        d2 = SparseCochain(C, 2, dict(d1.data))
         for k, vec in shift.data.items():
-            d2_coch.add_to(k, [F.neg(v) for v in vec])
-        d2 = DeformationDatum(C, d2_coch)
-        e = EquivalenceDatum(C, e_coch)
+            d2.add_to(k, [F.neg(v) for v in vec])
         m_ok, c_ok, detail = equivalence_from_cochain(P, C, e, d1, d2)
         assert m_ok and c_ok, detail
 
@@ -160,9 +152,8 @@ def test_identity_equivalence(dual_pair):
     P = get_prestack("dual-pair")
     C, _ = get_pair("dual-pair")
     reps = classify_h2(P)
-    d1 = DeformationDatum(C, reps[0])
-    e0 = EquivalenceDatum(C, SparseCochain(C, 1))
-    m_ok, c_ok, detail = equivalence_from_cochain(P, C, e0, d1, d1)
+    e0 = SparseCochain(C, 1)
+    m_ok, c_ok, detail = equivalence_from_cochain(P, C, e0, reps[0], reps[0])
     assert m_ok and c_ok
 
 
@@ -170,11 +161,9 @@ def test_distinct_classes_not_equivalent(dual_pair):
     P = get_prestack("dual-pair")
     C, _ = get_pair("dual-pair")
     reps = classify_h2(P)
-    d1 = DeformationDatum(C, reps[0])
-    d2 = DeformationDatum(C, reps[1])
     for seed in range(4):
-        e = EquivalenceDatum(C, nr_random(C, 1, 50 + seed))
-        m_ok, c_ok, _ = equivalence_from_cochain(P, C, e, d1, d2)
+        e = nr_random(C, 1, 50 + seed)
+        m_ok, c_ok, _ = equivalence_from_cochain(P, C, e, reps[0], reps[1])
         assert not m_ok and not c_ok
 
 
@@ -182,21 +171,18 @@ def test_both_equivalence_routes_agree_on_random_data(dual_pair):
     P = get_prestack("dual-pair")
     C, _ = get_pair("dual-pair")
     reps = classify_h2(P)
-    d1 = DeformationDatum(C, reps[0])
     for seed in range(6):
-        e_coch = nr_random(C, 1, 200 + seed)
+        e = nr_random(C, 1, 200 + seed)
         # random d2: either the shifted one or an unrelated cocycle
-        e = EquivalenceDatum(C, e_coch)
-        d2 = DeformationDatum(C, reps[seed % 2])
-        m_ok, c_ok, _ = equivalence_from_cochain(P, C, e, d1, d2)
+        m_ok, c_ok, _ = equivalence_from_cochain(P, C, e, reps[0], reps[seed % 2])
         assert m_ok == c_ok
 
 
 def _zero_deformation(name):
-    """The prestack, its GS complex and the zero deformation datum."""
+    """The prestack, its GS complex and the zero deformation cochain."""
     P = get_prestack(name)
     C, _ = get_pair(name)
-    return P, C, DeformationDatum(C, SparseCochain(C, 2))
+    return P, C, SparseCochain(C, 2)
 
 
 def test_tau_at_an_identity_arrow_fails_the_unit_axiom(dual_pair):
@@ -206,8 +192,7 @@ def test_tau_at_an_identity_arrow_fails_the_unit_axiom(dual_pair):
     a = P.fiber(u).objects[0]
     key = (Simplex(u, (eid,)), (a,), ())
     assert key in C.cells(1)
-    e = EquivalenceDatum(
-        C, SparseCochain(C, 1, {key: [C.field.one] * C.value_rank(key)}))
+    e = SparseCochain(C, 1, {key: [C.field.one] * C.value_rank(key)})
     m_ok, _, detail = equivalence_from_cochain(P, C, e, d0, d0)
     assert not m_ok
     assert detail == "tau at identity arrow %s is not the identity" % eid
@@ -220,8 +205,20 @@ def test_g_moving_an_identity_fails_the_functor_validator(dual_pair):
     a = fib.objects[0]
     key = (Simplex(u, ()), (a, a), (fib.identity_basis_index(a),))
     assert key in C.cells(1)
-    e = EquivalenceDatum(
-        C, SparseCochain(C, 1, {key: [C.field.one] * C.value_rank(key)}))
+    e = SparseCochain(C, 1, {key: [C.field.one] * C.value_rank(key)})
     m_ok, _, detail = equivalence_from_cochain(P, C, e, d0, d0)
     assert not m_ok
     assert detail == "g over %s: functor does not preserve identity at %s" % (u, a)
+
+
+def test_build_deformation_refuses_a_degree_1_cochain(dual_pair):
+    P, C, _ = _zero_deformation("dual-pair")
+    with pytest.raises(ValueError, match="degree-2"):
+        build_deformation(P, SparseCochain(C, 1))
+
+
+def test_check_equivalence_morphism_refuses_a_degree_2_cochain(dual_pair):
+    P, C, d0 = _zero_deformation("dual-pair")
+    Q = build_deformation(P, d0)
+    with pytest.raises(ValueError, match="degree-1"):
+        check_equivalence_morphism(P, SparseCochain(C, 2), Q, Q)
